@@ -12,11 +12,9 @@ __version__ = "0.1.0"
 from .digraph import LabeledDigraph, ball_isomorphism, distance, neighborhood
 from .exactfield import (
     FpMatrix,
-    FpScalar,
     kernel_basis,
     mat_mul,
     rank,
-    rational_lt,
 )
 from .groupring import (
     GroupRingKernel,
@@ -62,7 +60,6 @@ __all__ = [
     "CayleyBall",
     "FiniteByTable",
     "FpMatrix",
-    "FpScalar",
     "FreeAbelian",
     "GroupRingKernel",
     "LabeledDigraph",
@@ -91,7 +88,6 @@ __all__ = [
     "neighborhood",
     "plan_instance",
     "rank",
-    "rational_lt",
     "restriction_matrix",
     "run_experiment",
     "support_data",

@@ -203,10 +203,20 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _limit(value: Optional[int], flag: str, fallback):
+    """A limit flag's value, or the fallback when the flag is absent; never 0 or negative."""
+    if value is None:
+        return fallback
+    if value <= 0:
+        raise ValueError(f"{flag} must be a positive integer, got {value}")
+    return value
+
+
 def _cmd_cayley_ball(args) -> int:
     group = parse_group_descriptor(args.group, Path.cwd())
     limits = Limits.from_env()
-    ball = cayley_ball(group, args.radius, max_elements=args.max_ball or limits.max_ball_elements)
+    max_ball = _limit(args.max_ball, "--max-ball", limits.max_ball_elements)
+    ball = cayley_ball(group, args.radius, max_elements=max_ball)
     payload = {
         "group": group.describe(),
         "radius": args.radius,
@@ -294,14 +304,19 @@ def _cmd_weiss_select(args) -> int:
     graph = read_graph_file(args.graph)
     good = _parse_good(args.good, graph.vertex_count)
     limits = Limits.from_env()
-    ball = cayley_ball(group, 2 * args.r0 + 1, max_elements=limits.max_ball_elements)
     inputs = {
         "graph": _file_digest(args.graph),
         "group": args.group,
         "r0": args.r0,
         "good": sorted(good),
     }
-    sel = weiss_select(graph, good, args.r0, ball)
+    # Epsilon 1/2 is exactly Weiss's precondition |good| >= |V|/2; the
+    # verified charts at radius 2*r0+1 are what the selection reads.
+    approx = verify_approximation(
+        graph, good, Fraction(1, 2), 2 * args.r0 + 1, group,
+        max_ball_elements=limits.max_ball_elements,
+    )
+    sel = weiss_select(approx, args.r0)
     payload = {
         "v1": list(sel.v1),
         "r0": sel.r0,
@@ -382,15 +397,15 @@ def _cmd_transfer_run(args) -> int:
     phi = _require_element(inst, phi_name)
     psi = _require_element(inst, psi_name) if psi_name is not None else None
     limits = Limits.from_env()
-    max_kernel = args.max_kernel_radius or limits.max_kernel_radius
+    max_kernel = _limit(args.max_kernel_radius, "--max-kernel-radius", limits.max_kernel_radius)
     report = run_experiment(
         phi,
         psi,
         args.mode,
         torus_n=args.torus_n,
         max_kernel_search=max_kernel,
-        max_vertices=args.max_vertices or limits.max_vertices,
-        max_ball_elements=args.max_ball or limits.max_ball_elements,
+        max_vertices=_limit(args.max_vertices, "--max-vertices", limits.max_vertices),
+        max_ball_elements=_limit(args.max_ball, "--max-ball", limits.max_ball_elements),
     )
     inputs = {
         "instance": _file_digest(args.instance),

@@ -10,7 +10,6 @@ Constructors reject graphs violating determinism.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Iterator, Optional, TYPE_CHECKING
 
 from .errors import ParseError
@@ -86,46 +85,39 @@ def _check_vertex(graph: LabeledDigraph, v: int) -> None:
         raise ValueError(f"vertex {v} out of range [0, {graph.vertex_count})")
 
 
+def distances(graph: LabeledDigraph, v: int, radius: Optional[int] = None) -> dict[int, int]:
+    """Directed distance from v to every vertex within `radius` (all reachable when None).
+
+    The single graph BFS: `distance`, `neighborhood` and the Weiss
+    separation check all read it.  The dict is in BFS order.
+    """
+    _check_vertex(graph, v)
+    if radius is not None and radius < 0:
+        raise ValueError("neighborhood radius must be nonnegative")
+    depth = {v: 0}
+    frontier = [v]
+    d = 0
+    while frontier and (radius is None or d < radius):
+        d += 1
+        nxt = []
+        for u in frontier:
+            for t in graph._out[u]:
+                if t != -1 and t not in depth:
+                    depth[t] = d
+                    nxt.append(t)
+        frontier = nxt
+    return depth
+
+
 def distance(graph: LabeledDigraph, v: int, w: int):
     """Directed distance: edges on a shortest directed path, or math.inf."""
-    _check_vertex(graph, v)
     _check_vertex(graph, w)
-    if v == w:
-        return 0
-    seen = {v: 0}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        du = seen[u]
-        for label in range(graph.num_labels):
-            t = graph._out[u][label]
-            if t != -1 and t not in seen:
-                if t == w:
-                    return du + 1
-                seen[t] = du + 1
-                queue.append(t)
-    return math.inf
+    return distances(graph, v).get(w, math.inf)
 
 
 def neighborhood(graph: LabeledDigraph, v: int, n: int) -> tuple[int, ...]:
     """Vertices at directed distance <= n from v, sorted ascending."""
-    _check_vertex(graph, v)
-    if n < 0:
-        raise ValueError("neighborhood radius must be nonnegative")
-    seen = {v}
-    frontier = [v]
-    for _ in range(n):
-        nxt = []
-        for u in frontier:
-            for label in range(graph.num_labels):
-                t = graph._out[u][label]
-                if t != -1 and t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        if not nxt:
-            break
-        frontier = nxt
-    return tuple(sorted(seen))
+    return tuple(sorted(distances(graph, v, n)))
 
 
 def ball_isomorphism(graph: LabeledDigraph, v: int, ball: "CayleyBall") -> Optional[tuple[int, ...]]:
@@ -133,10 +125,16 @@ def ball_isomorphism(graph: LabeledDigraph, v: int, ball: "CayleyBall") -> Optio
 
     Returns the unique map f (as a tuple indexed by ball element position,
     f[0] = v) such that f respects every labeled edge of the ball, is
-    injective, is onto the n-th out-neighborhood of v, and introduces no
+    injective, is onto the r-th out-neighborhood of v, and introduces no
     extra edges among image vertices.  Returns None when no such map
     exists.  Determinism of labels makes the candidate map unique, so the
-    result is reproducible.
+    result is reproducible, and the chart for a smaller ball of the same
+    group is a prefix of this one.
+
+    Onto needs no separate check: a ball element at depth < r has all of
+    its out-edges inside the ball, so once every ball edge is matched, each
+    graph edge leaving the image of such an element lands in the image,
+    and the image is all of N_r(v).
     """
     _check_vertex(graph, v)
     bgraph = ball.graph
@@ -171,11 +169,6 @@ def ball_isomorphism(graph: LabeledDigraph, v: int, ball: "CayleyBall") -> Optio
                     return None  # not injective
                 f[j] = w
                 image.add(w)
-
-    # Onto the directed ball at v: the image is always a subset, so size
-    # equality suffices.
-    if len(neighborhood(graph, v, ball.radius)) != m:
-        return None
 
     # No extra edges among image vertices (the inverse map must also send
     # edges to edges).

@@ -1,4 +1,4 @@
-"""Exact scalar and dense-matrix arithmetic over prime fields F_p.
+"""Exact dense-matrix arithmetic over prime fields F_p.
 
 Matrices are int64 arrays of residues in [0, p); every operation reduces
 modulo p, so nothing ever passes through floating point.  The modulus is
@@ -9,7 +9,6 @@ already maintains reduced form with a positive denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -37,42 +36,6 @@ def validate_modulus(p: int) -> None:
         raise ValueError(f"modulus must be a prime integer, got {p!r}")
     if p > MAX_MODULUS:
         raise ValueError(f"modulus {p} exceeds the supported bound {MAX_MODULUS}")
-
-
-@dataclass(frozen=True)
-class FpScalar:
-    """A residue in [0, p) with exact mod-p arithmetic."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        validate_modulus(self.p)
-        object.__setattr__(self, "value", int(self.value) % self.p)
-
-    def _require_same_field(self, other: "FpScalar") -> None:
-        if self.p != other.p:
-            raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-
-    def __add__(self, other: "FpScalar") -> "FpScalar":
-        self._require_same_field(other)
-        return FpScalar(self.value + other.value, self.p)
-
-    def __sub__(self, other: "FpScalar") -> "FpScalar":
-        self._require_same_field(other)
-        return FpScalar(self.value - other.value, self.p)
-
-    def __mul__(self, other: "FpScalar") -> "FpScalar":
-        self._require_same_field(other)
-        return FpScalar(self.value * other.value, self.p)
-
-    def __neg__(self) -> "FpScalar":
-        return FpScalar(-self.value, self.p)
-
-    def inverse(self) -> "FpScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FpScalar(pow(self.value, -1, self.p), self.p)
 
 
 class FpMatrix:
@@ -113,9 +76,6 @@ class FpMatrix:
     def entry(self, i: int, j: int) -> int:
         return int(self.array[i, j])
 
-    def scalar(self, i: int, j: int) -> FpScalar:
-        return FpScalar(self.entry(i, j), self.p)
-
     def is_zero(self) -> bool:
         return not self.array.any()
 
@@ -137,9 +97,6 @@ class FpMatrix:
 
     def __neg__(self) -> "FpMatrix":
         return FpMatrix((-self.array) % self.p, self.p, _normalized=True)
-
-    def scale(self, c: int) -> "FpMatrix":
-        return FpMatrix((self.array * (int(c) % self.p)) % self.p, self.p, _normalized=True)
 
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
         return mat_mul(self, other)
@@ -230,11 +187,6 @@ def kernel_basis(m: FpMatrix) -> list[FpMatrix]:
             x[c, 0] = (-int(a[r, f])) % m.p
         basis.append(FpMatrix(x, m.p, _normalized=True))
     return basis
-
-
-def rational_lt(a: Fraction, b: Fraction) -> bool:
-    """Exact strict comparison of rationals."""
-    return Fraction(a) < Fraction(b)
 
 
 def rational_to_json(q: Fraction) -> dict:

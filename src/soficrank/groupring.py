@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import InternalInconsistency
 from .exactfield import FpMatrix, rank, validate_modulus
 from .groups import CayleyBall, GroupModel, cayley_ball
 from .limits import DEFAULT_MAX_BALL_ELEMENTS
@@ -190,7 +191,11 @@ def restriction_matrix(c: GroupRingKernel, dom: CayleyBall, cod: CayleyBall) -> 
         for s, mat in c.support.items():
             g2 = group.multiply(g1, s)
             i = cod.element_index.get(g2)
-            assert i is not None, "codomain ball too small despite radius check"
+            if i is None:
+                raise InternalInconsistency(
+                    f"{group.format_element(g2)} = {group.format_element(g1)} * "
+                    f"{group.format_element(s)} lies outside the radius-{cod.radius} codomain ball"
+                )
             out[i * d : (i + 1) * d, j * d : (j + 1) * d] = mat.array
     return FpMatrix(out, p, _normalized=True)
 

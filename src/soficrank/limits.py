@@ -40,9 +40,12 @@ class Limits:
             if raw is None:
                 return fallback
             try:
-                return int(raw)
+                value = int(raw)
             except ValueError:
                 raise ValueError(f"environment variable {name} must be an integer, got {raw!r}")
+            if value <= 0:
+                raise ValueError(f"environment variable {name} must be positive, got {value}")
+            return value
 
         return cls(
             max_ball_elements=_read(ENV_MAX_BALL_ELEMENTS, DEFAULT_MAX_BALL_ELEMENTS),

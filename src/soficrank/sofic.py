@@ -29,7 +29,9 @@ class SoficApproximation:
 
     iso_maps caches, for each good vertex v, the rooted isomorphism from
     the radius-r Cayley ball into the graph as a tuple indexed by ball
-    element position (entry 0 is v itself).
+    element position (entry 0 is v itself).  Its prefix over a smaller
+    ball is the chart at that radius; the transfer instance and the Weiss
+    selection take their charts from here instead of recomputing them.
     """
 
     group: GroupModel
@@ -130,16 +132,6 @@ def torus_graph(group: FreeAbelian, n: int, max_vertices: int = DEFAULT_MAX_VERT
                 mult *= n
             edges.append((v, w, label))
     return LabeledDigraph(total, len(group.generators), edges)
-
-
-def torus_vertex(coords, n: int) -> int:
-    """Encode torus coordinates to a vertex index (little-endian base n)."""
-    w = 0
-    mult = 1
-    for c in coords:
-        w += (c % n) * mult
-        mult *= n
-    return w
 
 
 def torus_approximation(

@@ -8,7 +8,8 @@ inverse psi) and a sofic approximation of G, this module:
     plus an exact rational tolerance epsilon < 1/(2 * d * |N_{2r0+1}(B)|);
   * scans the graph for the vertex sets V' (vertices whose r0-neighborhood
     is ball-isomorphic) and V'' (vertices of V' all of whose r0-neighbors
-    are in V'), caching the per-vertex isomorphisms;
+    are in V'), taking the per-vertex isomorphisms of good vertices from
+    the approximation's verified charts;
   * transplants phi and psi through those isomorphisms into finite block
     matrices over the graph;
   * verifies the composition identity on V'' x V'' and evaluates both
@@ -76,7 +77,6 @@ class InstancePlan:
     r0: int
     epsilon: Fraction
     kernel_search_bound: int
-    ball_r0_size: int
     ball_big_size: int  # |N_{2 r0 + 1}(B)|
 
 
@@ -93,16 +93,13 @@ def plan_instance(
     )
     r2 = kernel_radius(phi, bound, max_ball_elements=max_ball_elements)
     r0 = max(r1, r2) if r2 is not None else r1
-    group = phi.group
-    ball_r0 = cayley_ball(group, r0, max_elements=max_ball_elements)
-    ball_big = cayley_ball(group, 2 * r0 + 1, max_elements=max_ball_elements)
+    ball_big = cayley_ball(phi.group, 2 * r0 + 1, max_elements=max_ball_elements)
     return InstancePlan(
         r1=r1,
         r2=r2,
         r0=r0,
         epsilon=choose_epsilon(phi.d, ball_big.size),
         kernel_search_bound=bound,
-        ball_r0_size=ball_r0.size,
         ball_big_size=ball_big.size,
     )
 
@@ -120,7 +117,6 @@ class TransferInstance:
     v_prime: tuple[int, ...]
     v_dprime: tuple[int, ...]
     maps: dict[int, tuple[int, ...]]  # v' -> (ball position -> graph vertex)
-    inv_maps: dict[int, dict[int, int]]  # v' -> {graph vertex -> ball position}
     ball_r0: CayleyBall
     ball_big_size: int
 
@@ -146,6 +142,9 @@ def build_instance(
     The approximation must be verified at radius >= 2*r0 + 1
     (ApproximationTooCoarse otherwise) and its good set must be large
     enough for the instance's own epsilon (CardinalityViolation otherwise).
+    The r0-chart of a good vertex is the prefix of its verified chart over
+    the radius-r0 ball (smaller Cayley balls are prefixes of larger ones),
+    so only vertices outside the good set are charted here.
     """
     if approx.group != phi.group:
         raise ValueError("approximation and element groups differ")
@@ -174,7 +173,8 @@ def build_instance(
     maps: dict[int, tuple[int, ...]] = {}
     v_prime: list[int] = []
     for v in range(n):
-        f = ball_isomorphism(graph, v, ball_r0)
+        chart = approx.iso_maps.get(v)
+        f = chart[: ball_r0.size] if chart is not None else ball_isomorphism(graph, v, ball_r0)
         if f is not None:
             v_prime.append(v)
             maps[v] = f
@@ -186,8 +186,6 @@ def build_instance(
         # Good vertices carry (2*r0+1)-isomorphisms, which restrict to
         # r0-isomorphisms at the vertex and at each of its r0-neighbors.
         raise InternalInconsistency("a good vertex fell outside V''")
-
-    inv_maps = {v: {w: i for i, w in enumerate(maps[v])} for v in v_prime}
     return TransferInstance(
         phi=phi,
         psi=psi,
@@ -200,7 +198,6 @@ def build_instance(
         v_prime=tuple(v_prime),
         v_dprime=tuple(v_dprime),
         maps=maps,
-        inv_maps=inv_maps,
         ball_r0=ball_r0,
         ball_big_size=plan.ball_big_size,
     )
@@ -412,12 +409,11 @@ def lower_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> 
     )
 
 
-def upper_bound_check(
-    inst: TransferInstance, weiss: WeissSelection, torus_n: Optional[int] = None
-) -> TransferReport:
+def upper_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> TransferReport:
     """Verify the upper rank chain for an element with a restricted kernel vector.
 
-    In order: (a) for every selected vertex the column restriction of the
+    Selects V1 by weiss_select on the instance's approximation, then checks
+    in order: (a) for every selected vertex the column restriction of the
     transplanted matrix has rank <= d*|N_r0(B)| - 1; (b) the total rank is
     at most d|V| - |V| / (2|N_{2r0+1}(B)|); (c) strictly below (1-eps)|V|d.
     All three are theory-guaranteed, so failures raise
@@ -425,8 +421,7 @@ def upper_bound_check(
     """
     if inst.r2 is None:
         raise ValueError("upper-bound check requires a kernel radius r2")
-    if weiss.r0 != inst.r0:
-        raise ValueError("selection was computed for a different r0")
+    weiss = weiss_select(inst.approx, inst.r0)
     d, n = inst.d, inst.vertex_count
     bar_phi = build_bar_phi(inst)
     rk = rank(bar_phi)
@@ -559,13 +554,7 @@ def run_experiment(
                 f"no kernel vector found up to radius {inst.kernel_search_bound}; "
                 "upper mode cannot run"
             )
-        selection = weiss_select(
-            approx.graph,
-            inst.v_dprime,
-            inst.r0,
-            cayley_ball(group, 2 * inst.r0 + 1, max_elements=max_ball_elements),
-        )
-        report = upper_bound_check(inst, selection, torus_n=torus_n)
+        report = upper_bound_check(inst, torus_n=torus_n)
         report.mode = mode
         return report
 

@@ -1,8 +1,8 @@
 """Greedy selection of a separated, dense subset of good vertices.
 
-Given a graph in which at least half the vertices have (2*r0+1)-
-neighborhoods isomorphic to the corresponding Cayley ball, the greedy
-sweep below returns a subset V1 of those vertices such that
+Given a sofic approximation verified at radius >= 2*r0+1 whose good set
+V0 holds at least half the vertices, the greedy sweep below returns a
+subset V1 of V0 such that
 
   (1) |V1| / |V| >= 1 / (2 * |N_{2r0+1}(B)|), and
   (2) any two distinct selected vertices are at directed distance
@@ -12,23 +12,26 @@ Selection iterates good vertices in ascending index order, keeps the
 current vertex, and discards every candidate within directed distance
 <= 2*r0 of it.  Discarding up to distance 2*r0 (not 2*r0+1) leaves the
 survivors at distance >= 2*r0+1, which is exactly guarantee (2), while
-removing as few candidates as possible.  Each pick removes at most
-|N_{2r0}(v)| <= |N_{2r0+1}(B)| candidates because good vertices have
-Cayley-isomorphic out-balls, which yields guarantee (1).  Out-distance
-suffices for the discard because those out-balls are symmetric within
-their radius, so a too-close survivor in either direction would already
-have been removed.  Both guarantees are re-verified before returning.
+removing as few candidates as possible.  The discard set of a pick v is
+N_{2r0}(v), read off the verified chart at v as its prefix over the
+radius-2*r0 Cayley ball; it has |N_{2r0}(B)| <= |N_{2r0+1}(B)| elements,
+which yields guarantee (1).  Out-distance suffices for the discard
+because those out-balls are symmetric within their radius, so a
+too-close survivor in either direction would already have been removed.
+Both guarantees are re-checked before returning, (2) with one
+breadth-first walk per selected vertex.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .digraph import LabeledDigraph, ball_isomorphism, distance
-from .errors import BallMismatch, InternalInconsistency, PreconditionDensity
-from .groups import CayleyBall
+from .digraph import distances
+from .errors import ApproximationTooCoarse, InternalInconsistency, PreconditionDensity
+from .sofic import SoficApproximation
 
 
 @dataclass(eq=False)
@@ -46,57 +49,39 @@ class WeissSelection:
         )
 
 
-def _bounded_out_ball(graph: LabeledDigraph, v: int, depth: int) -> set[int]:
-    seen = {v}
-    frontier = [v]
-    for _ in range(depth):
-        nxt = []
-        for u in frontier:
-            for label in range(graph.num_labels):
-                t = graph._out[u][label]
-                if t != -1 and t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        if not nxt:
-            break
-        frontier = nxt
-    return seen
+def weiss_select(approx: SoficApproximation, r0: int) -> WeissSelection:
+    """Greedy separated selection from the approximation's good vertices.
 
-
-def weiss_select(
-    graph: LabeledDigraph,
-    good,
-    r0: int,
-    ball: CayleyBall,
-) -> WeissSelection:
-    """Greedy separated selection from the good vertices.
-
-    `ball` must be the Cayley ball of radius 2*r0 + 1; every good vertex is
-    re-checked against it before selection starts (BallMismatch at the
-    lowest failing vertex otherwise).  Requires |good| >= |V| / 2 exactly.
+    The approximation must be verified at radius >= 2*r0 + 1
+    (ApproximationTooCoarse otherwise), and its good set must hold at
+    least half the vertices, exactly (PreconditionDensity otherwise).
     """
     if r0 < 0:
         raise ValueError("r0 must be nonnegative")
-    if ball.radius != 2 * r0 + 1:
-        raise ValueError(f"ball radius {ball.radius} does not equal 2*r0+1 = {2 * r0 + 1}")
-    good = tuple(sorted(set(int(v) for v in good)))
+    sep = 2 * r0 + 1
+    if approx.radius < sep:
+        raise ApproximationTooCoarse(
+            f"approximation verified at radius {approx.radius}, selection needs {sep}"
+        )
+    graph, good = approx.graph, approx.good_vertices
     n = graph.vertex_count
     if 2 * len(good) < n:
         raise PreconditionDensity(f"|good| = {len(good)} is less than |V|/2 = {Fraction(n, 2)}")
-    for v in good:
-        if ball_isomorphism(graph, v, ball) is None:
-            raise BallMismatch(v)
 
+    # Smaller balls are prefixes of the approximation's ball, which lists
+    # its elements by nondecreasing depth.
+    depth_of = approx.ball.distance_from_root
+    ball_size = bisect_right(depth_of, sep)
+    discard_size = bisect_right(depth_of, sep - 1)
     alive = set(good)
     selected = []
     for v in good:  # ascending order
         if v not in alive:
             continue
         selected.append(v)
-        alive.difference_update(_bounded_out_ball(graph, v, 2 * r0))
+        alive.difference_update(approx.iso_maps[v][:discard_size])
 
     v1 = tuple(selected)
-    ball_size = ball.size
     density_bound = Fraction(1, 2 * ball_size)
     achieved = Fraction(len(v1), n)
 
@@ -105,19 +90,20 @@ def weiss_select(
         raise InternalInconsistency(
             f"selection density violated: {len(v1)} * 2 * {ball_size} < {n}"
         )
-    # Guarantee (2), checked in both directions.
+    # Guarantee (2), checked in both directions: every ordered pair (u, w).
     min_pairwise: Optional[int] = None
     for u in v1:
+        depth = distances(graph, u)
         for w in v1:
-            if u == w:
+            if w == u or w not in depth:
                 continue
-            d = distance(graph, u, w)
-            if d < 2 * r0 + 1:
+            d = depth[w]
+            if d < sep:
                 raise InternalInconsistency(
-                    f"selected vertices {u}, {w} at directed distance {d} < {2 * r0 + 1}"
+                    f"selected vertices {u}, {w} at directed distance {d} < {sep}"
                 )
-            if d != float("inf") and (min_pairwise is None or d < min_pairwise):
-                min_pairwise = int(d)
+            if min_pairwise is None or d < min_pairwise:
+                min_pairwise = d
 
     return WeissSelection(
         v1=v1,

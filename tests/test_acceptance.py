@@ -132,7 +132,8 @@ def test_criterion_3_weiss_guarantees_randomized():
             good_size = rng.randint((v + 1) // 2, v)
             good = sorted(rng.sample(range(v), good_size))
             ball = cayley_ball(group, 2 * r0 + 1)
-            sel = weiss_select(graph, good, r0, ball)
+            approx = verify_approximation(graph, good, Fraction(1, 2), 2 * r0 + 1, group)
+            sel = weiss_select(approx, r0)
 
             if len(sel.v1) * 2 * ball.size < v:
                 failures.append(f"run {i}: density |V1|={len(sel.v1)} ball={ball.size} V={v}")

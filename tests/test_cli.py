@@ -209,6 +209,35 @@ class TestSubcommands:
         ]) == 1
 
 
+class TestLimits:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("flag", ["--max-ball", "--max-vertices", "--max-kernel-radius"])
+    def test_transfer_rejects_nonpositive_flag(self, involution_file, flag, value, capsys):
+        argv = ["transfer-run", str(involution_file), "x", "y", "--mode", "lower", "--torus-n", "12"]
+        assert main(argv + [flag, value]) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_cayley_ball_rejects_nonpositive_max_ball(self, value):
+        assert main(["cayley-ball", "-g", "Z^1", "-r", "1", "--max-ball", value]) == 2
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "var",
+        ["SOFICRANK_MAX_BALL_ELEMENTS", "SOFICRANK_MAX_VERTICES", "SOFICRANK_MAX_KERNEL_RADIUS"],
+    )
+    def test_rejects_nonpositive_environment(self, involution_file, monkeypatch, var, value, capsys):
+        monkeypatch.setenv(var, value)
+        argv = ["transfer-run", str(involution_file), "x", "y", "--mode", "lower", "--torus-n", "12"]
+        assert main(argv) == 2
+        assert var in capsys.readouterr().err
+
+    def test_positive_limits_accepted(self, involution_file, monkeypatch):
+        monkeypatch.setenv("SOFICRANK_MAX_KERNEL_RADIUS", "9")
+        argv = ["transfer-run", str(involution_file), "x", "y", "--mode", "lower", "--torus-n", "12"]
+        assert main(argv + ["--max-ball", "1000", "--max-vertices", "200"]) == 0
+
+
 class TestDeterminism:
     def _run_twice(self, argv, out_path):
         outputs = []

@@ -1,6 +1,9 @@
 import math
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from soficrank.digraph import (
     LabeledDigraph,
@@ -167,3 +170,62 @@ class TestGraphFiles:
         bad.write_text("digraph 3 1\n0 1 0\n0 2 0\n")
         with pytest.raises(ParseError):
             read_graph_file(bad)
+
+
+def _labeled_nx(graph, nodes=None):
+    g = nx.MultiDiGraph()
+    g.add_nodes_from(range(graph.vertex_count) if nodes is None else nodes)
+    g.add_edges_from(
+        (s, d, {"label": label})
+        for s, d, label in graph.edges()
+        if nodes is None or (s in nodes and d in nodes)
+    )
+    return g
+
+
+def _oracle_isomorphic(graph, v, ball) -> bool:
+    """Rooted labeled isomorphism of N_r(v) with the ball, decided by networkx."""
+    near = set(nx.single_source_shortest_path_length(_labeled_nx(graph), v, cutoff=ball.radius))
+    if len(near) != ball.size:
+        return False
+    local = _labeled_nx(graph, near)
+    nx.set_node_attributes(local, {u: u == v for u in near}, "root")
+    model = _labeled_nx(ball.graph)
+    nx.set_node_attributes(model, {i: i == 0 for i in range(ball.size)}, "root")
+    return nx.is_isomorphic(
+        local,
+        model,
+        node_match=lambda a, b: a["root"] == b["root"],
+        edge_match=nx.algorithms.isomorphism.categorical_multiedge_match("label", None),
+    )
+
+
+@st.composite
+def perturbed_tori(draw):
+    """A torus of Z^1 or Z^2 with some edges deleted and some same-label targets swapped."""
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 9 if k == 1 else 5))
+    group = FreeAbelian(k)
+    edges = list(torus_graph(group, n).edges())
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, len(edges) - 1)), draw(st.integers(0, len(edges) - 1))
+        (s1, d1, l1), (s2, d2, l2) = edges[i], edges[j]
+        if l1 == l2:  # swapping targets keeps every label a partial injection
+            edges[i], edges[j] = (s1, d2, l1), (s2, d1, l2)
+    dropped = draw(st.sets(st.integers(0, len(edges) - 1), max_size=3))
+    kept = [e for i, e in enumerate(edges) if i not in dropped]
+    return group, LabeledDigraph(n**k, len(group.generators), kept)
+
+
+class TestBallIsomorphismOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(perturbed_tori(), st.integers(0, 3))
+    def test_agrees_with_networkx(self, case, r):
+        group, graph = case
+        ball = cayley_ball(group, r)
+        for v in range(graph.vertex_count):
+            f = ball_isomorphism(graph, v, ball)
+            assert (f is not None) == _oracle_isomorphic(graph, v, ball), v
+            if f is not None:
+                # onto N_r(v) although no neighborhood is computed
+                assert set(f) == set(neighborhood(graph, v, r))

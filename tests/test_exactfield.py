@@ -5,11 +5,9 @@ import hypothesis.strategies as st
 
 from soficrank.exactfield import (
     FpMatrix,
-    FpScalar,
     kernel_basis,
     mat_mul,
     rank,
-    rational_lt,
     parse_rational,
 )
 
@@ -18,24 +16,10 @@ def F2(rows):
     return FpMatrix(rows, 2)
 
 
-class TestScalar:
-    def test_reduction_and_ops(self):
-        a = FpScalar(7, 5)
-        assert a.value == 2
-        b = FpScalar(4, 5)
-        assert (a + b).value == 1
-        assert (a * b).value == 3
-        assert (a - b).value == 3
-        assert (-b).value == 1
-        assert (b * b.inverse()).value == 1
-
+class TestModulus:
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError):
-            FpScalar(1, 6)
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ValueError):
-            FpScalar(1, 3) + FpScalar(1, 5)
+            FpMatrix([[1]], 6)
 
 
 class TestMatMul:
@@ -149,11 +133,6 @@ class TestProperties:
 
 
 class TestRationals:
-    def test_lt(self):
-        assert rational_lt(Fraction(1, 3), Fraction(1, 2))
-        assert not rational_lt(Fraction(1, 2), Fraction(1, 2))
-        assert not rational_lt(Fraction(6, 14), Fraction(3, 7))
-
     def test_parse(self):
         assert parse_rational("1/10") == Fraction(1, 10)
         assert parse_rational("3") == Fraction(3)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from soficrank.errors import InternalInconsistency
 from soficrank.exactfield import FpMatrix, mat_mul, rank
 from soficrank.groupring import (
     GroupRingKernel,
@@ -164,6 +166,13 @@ class TestRestrictionMatrix:
         z = GroupRingKernel.zero(Z1, 2, 2)
         m = restriction_matrix(z, cayley_ball(Z1, 1), cayley_ball(Z1, 1))
         assert m.is_zero()
+
+    def test_codomain_missing_elements_is_inconsistent(self):
+        # A ball that claims a larger radius than its elements cover passes
+        # the radius check; the missing row must still be caught.
+        short = dataclasses.replace(cayley_ball(Z1, 1), radius=3)
+        with pytest.raises(InternalInconsistency):
+            restriction_matrix(one_plus_t(), cayley_ball(Z1, 1), short)
 
     def test_codomain_too_small(self):
         with pytest.raises(ValueError):

@@ -78,6 +78,20 @@ class TestFiniteByTable:
         with pytest.raises(ValueError):
             FiniteByTable([[0, 1], [1, 1]], [1])
 
+    def test_rejects_loop_passing_every_other_check(self):
+        # An order-5 loop: identity 0, every element its own inverse, and
+        # {1, 2} generates it.  No group of order 5 has all elements
+        # self-inverse, so only the associativity check can reject it.
+        loop = [
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0],
+        ]
+        with pytest.raises(ValueError, match="not associative"):
+            FiniteByTable(loop, [1, 2])
+
     def test_direct_product(self):
         G = direct_product_table(cyclic_group(2), cyclic_group(3))
         assert G.size == 6

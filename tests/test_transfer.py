@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from soficrank.digraph import LabeledDigraph, ball_isomorphism
 from soficrank.errors import (
     ApproximationTooCoarse,
     CheckFailedError,
@@ -11,7 +12,7 @@ from soficrank.errors import (
 from soficrank.exactfield import FpMatrix, rank
 from soficrank.groupring import GroupRingKernel, compose, kernel_radius, restriction_matrix
 from soficrank.groups import FreeAbelian, cayley_ball, cyclic_group
-from soficrank.sofic import torus_approximation
+from soficrank.sofic import torus_approximation, verify_approximation
 from soficrank.transfer import (
     LOWER_HOLDS,
     NEITHER,
@@ -27,7 +28,6 @@ from soficrank.transfer import (
     upper_bound_check,
     verify_transfer_identity,
 )
-from soficrank.weiss import weiss_select
 
 Z1 = FreeAbelian(1)
 
@@ -183,8 +183,7 @@ class TestUpperBound:
         approx = torus_approximation(1, 12, 3)
         inst = build_instance(phi, None, approx)
         assert inst.r0 == 1 and inst.r2 == 1
-        selection = weiss_select(approx.graph, inst.v_dprime, 1, cayley_ball(Z1, 3))
-        report = upper_bound_check(inst, selection)
+        report = upper_bound_check(inst)
         assert report.verdict == UPPER_HOLDS
         assert report.bar_phi_rank == 12
         assert report.local_rank_bound == 5  # 2 * |N_1| - 1
@@ -201,6 +200,40 @@ class TestUpperBound:
         x = involution()
         with pytest.raises(KernelSearchExhausted):
             run_experiment(x, None, "upper", torus_n=20)
+
+
+def open_path(n):
+    """Z^1 labels on 0..n-1 without wrap-around: +1, -1 and the identity self-loop."""
+    edges = [(v, v, 2) for v in range(n)]
+    edges += [(v, v + 1, 0) for v in range(n - 1)] + [(v + 1, v, 1) for v in range(n - 1)]
+    return LabeledDigraph(n, 3, edges)
+
+
+class TestImperfectApproximation:
+    def test_open_path_upper_chain(self):
+        n = 200
+        phi = singular_diag()
+        plan = plan_instance(phi)
+        assert plan.r0 == 1
+        graph = open_path(n)
+        big = cayley_ball(Z1, 2 * plan.r0 + 1)
+        good = [v for v in range(n) if ball_isomorphism(graph, v, big) is not None]
+        approx = verify_approximation(graph, good, plan.epsilon, big.radius, Z1)
+        inst = build_instance(phi, None, approx, plan=plan)
+
+        v0 = set(approx.good_vertices)
+        vpp, vp = set(inst.v_dprime), set(inst.v_prime)
+        assert v0 < vpp < vp < set(range(n))
+        assert (min(v0), min(vpp), min(vp)) == (3, 2, 1)
+
+        report = upper_bound_check(inst)
+        assert report.verdict == UPPER_HOLDS
+        assert set(report.weiss.v1) <= v0
+        assert len(report.weiss.v1) * 2 * inst.ball_big_size >= n
+        assert all(r <= report.local_rank_bound for r in report.per_v1_ranks)
+        assert Fraction(report.bar_phi_rank) <= report.upper_bound
+        assert Fraction(report.bar_phi_rank) < report.lower_bound
+        assert report.weiss.min_pairwise_distance >= 3
 
 
 class TestCommutativeSquare:

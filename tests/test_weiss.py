@@ -2,20 +2,27 @@ from fractions import Fraction
 
 import pytest
 
-from soficrank.digraph import LabeledDigraph, distance
-from soficrank.errors import BallMismatch, PreconditionDensity
+from soficrank.cli import main
+from soficrank.digraph import LabeledDigraph, distance, write_graph_file
+from soficrank.errors import ApproximationTooCoarse, PreconditionDensity
 from soficrank.groups import FreeAbelian, cayley_ball, cyclic_group
-from soficrank.sofic import finite_cayley_graph, torus_graph
+from soficrank.sofic import finite_cayley_graph, torus_graph, verify_approximation
 from soficrank.weiss import weiss_select
 
 Z1 = FreeAbelian(1)
 
 
+def select(graph, good, r0, group=Z1, radius=None):
+    """Verify `good` at radius 2*r0+1 (or `radius`) with epsilon 1/2, then select."""
+    radius = 2 * r0 + 1 if radius is None else radius
+    approx = verify_approximation(graph, good, Fraction(1, 2), radius, group)
+    return weiss_select(approx, r0)
+
+
 class TestGreedyOnCycles:
     def test_c12_all_good_r0_one(self):
         graph = torus_graph(Z1, 12)
-        ball = cayley_ball(Z1, 3)
-        sel = weiss_select(graph, range(12), 1, ball)
+        sel = select(graph, range(12), 1)
         assert sel.v1 == (0, 3, 6, 9)
         assert sel.achieved_density == Fraction(4, 12)
         assert sel.density_bound == Fraction(1, 14)
@@ -25,15 +32,13 @@ class TestGreedyOnCycles:
     def test_single_vertex_graph(self):
         G = cyclic_group(1)
         graph = finite_cayley_graph(G)
-        ball = cayley_ball(G, 1)
-        sel = weiss_select(graph, [0], 0, ball)
+        sel = select(graph, [0], 0, group=G)
         assert sel.v1 == (0,)
         assert sel.min_pairwise_distance is None
 
     def test_c12_even_vertices_only(self):
         graph = torus_graph(Z1, 12)
-        ball = cayley_ball(Z1, 3)
-        sel = weiss_select(graph, range(0, 12, 2), 1, ball)
+        sel = select(graph, range(0, 12, 2), 1)
         assert 0 in sel.v1
         assert sel.v1 == (0, 4, 8)
         assert len(sel.v1) >= 1
@@ -44,24 +49,30 @@ class TestGreedyOnCycles:
 
     def test_density_precondition(self):
         graph = torus_graph(Z1, 12)
-        ball = cayley_ball(Z1, 3)
+        approx = verify_approximation(graph, range(5), Fraction(3, 5), 3, Z1)
         with pytest.raises(PreconditionDensity):
-            weiss_select(graph, range(5), 1, ball)
+            weiss_select(approx, 1)
 
     def test_ball_radius_validated(self):
         graph = torus_graph(Z1, 12)
-        with pytest.raises(ValueError):
-            weiss_select(graph, range(12), 1, cayley_ball(Z1, 2))
+        with pytest.raises(ApproximationTooCoarse):
+            select(graph, range(12), 1, radius=2)
 
-    def test_bad_vertex_in_good_set(self):
-        # C5 has a wrap-around edge at radius 2, so good vertices fail the
-        # (2*0+1) = 1 check only on graphs that are not locally cycles; use a
-        # path that lacks the identity self-loop instead.
+    def test_bad_vertex_in_good_set(self, tmp_path, capsys):
+        # A path without the identity self-loop: no vertex has a 1-chart, and
+        # the CLI names the lowest one.
         graph = LabeledDigraph(4, 3, [(0, 1, 0), (1, 2, 0), (2, 3, 0),
                                       (1, 0, 1), (2, 1, 1), (3, 2, 1)])
-        ball = cayley_ball(Z1, 1)
-        with pytest.raises(BallMismatch):
-            weiss_select(graph, range(4), 0, ball)
+        path = tmp_path / "path.graph"
+        write_graph_file(path, graph)
+        assert main(["weiss-select", str(path), "-g", "Z^1", "--r0", "0"]) == 1
+        assert "at vertex 0 " in capsys.readouterr().err
+
+    def test_label_count_mismatch(self, tmp_path, capsys):
+        path = tmp_path / "c12.graph"
+        write_graph_file(path, torus_graph(Z1, 12))
+        assert main(["weiss-select", str(path), "-g", "Z^2", "--r0", "1"]) == 1
+        assert "5 generators" in capsys.readouterr().err
 
 
 class TestGuarantees:
@@ -69,7 +80,7 @@ class TestGuarantees:
     def test_torus_guarantees(self, n, r0):
         graph = torus_graph(Z1, n)
         ball = cayley_ball(Z1, 2 * r0 + 1)
-        sel = weiss_select(graph, range(n), r0, ball)
+        sel = select(graph, range(n), r0)
         assert len(sel.v1) * 2 * ball.size >= n
         for u in sel.v1:
             for w in sel.v1:
@@ -82,7 +93,7 @@ class TestGuarantees:
         graph = finite_cayley_graph(G)
         r0 = 1
         ball = cayley_ball(G, 2 * r0 + 1)
-        sel = weiss_select(graph, range(9), r0, ball)
+        sel = select(graph, range(9), r0, group=G)
         assert len(sel.v1) * 2 * ball.size >= 9
         for u in sel.v1:
             for w in sel.v1:
@@ -91,7 +102,11 @@ class TestGuarantees:
 
     def test_selection_within_good_set(self):
         graph = torus_graph(Z1, 16)
-        ball = cayley_ball(Z1, 3)
         good = list(range(0, 16, 2))
-        sel = weiss_select(graph, good, 1, ball)
+        sel = select(graph, good, 1)
         assert set(sel.v1) <= set(good)
+
+    def test_larger_verified_radius_selects_the_same(self):
+        # Charts verified at a larger radius give the same discard prefixes.
+        graph = torus_graph(Z1, 30)
+        assert select(graph, range(30), 1, radius=6).v1 == select(graph, range(30), 1).v1
