@@ -204,7 +204,7 @@ def _frac_str(q: Fraction) -> str:
 
 
 def _limit(value: Optional[int], flag: str, fallback):
-    """A limit flag's value, or the fallback when the flag is absent; never 0 or negative."""
+    """A positive flag's value, or the fallback when the flag is absent; never 0 or negative."""
     if value is None:
         return fallback
     if value <= 0:
@@ -234,6 +234,7 @@ def _cmd_cayley_ball(args) -> int:
 
 
 def _parse_good(arg: Optional[str], vertex_count: int) -> list[int]:
+    """The good vertices in ascending order, each once."""
     if arg is None or arg == "all":
         return list(range(vertex_count))
     try:
@@ -243,7 +244,7 @@ def _parse_good(arg: Optional[str], vertex_count: int) -> list[int]:
     for v in good:
         if not (0 <= v < vertex_count):
             raise ParseError(f"good vertex {v} out of range [0, {vertex_count})")
-    return good
+    return sorted(set(good))
 
 
 def _cmd_sofic_verify(args) -> int:
@@ -257,7 +258,7 @@ def _cmd_sofic_verify(args) -> int:
         "group": args.group,
         "radius": args.radius,
         "epsilon": str(epsilon),
-        "good": sorted(good),
+        "good": good,
     }
     try:
         approx = verify_approximation(
@@ -308,7 +309,7 @@ def _cmd_weiss_select(args) -> int:
         "graph": _file_digest(args.graph),
         "group": args.group,
         "r0": args.r0,
-        "good": sorted(good),
+        "good": good,
     }
     # Epsilon 1/2 is exactly Weiss's precondition |good| >= |V|/2; the
     # verified charts at radius 2*r0+1 are what the selection reads.
@@ -402,7 +403,7 @@ def _cmd_transfer_run(args) -> int:
         phi,
         psi,
         args.mode,
-        torus_n=args.torus_n,
+        torus_n=_limit(args.torus_n, "--torus-n", None),
         max_kernel_search=max_kernel,
         max_vertices=_limit(args.max_vertices, "--max-vertices", limits.max_vertices),
         max_ball_elements=_limit(args.max_ball, "--max-ball", limits.max_ball_elements),

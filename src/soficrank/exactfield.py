@@ -73,9 +73,6 @@ class FpMatrix:
     def cols(self) -> int:
         return self.array.shape[1]
 
-    def entry(self, i: int, j: int) -> int:
-        return int(self.array[i, j])
-
     def is_zero(self) -> bool:
         return not self.array.any()
 
@@ -116,7 +113,12 @@ class FpMatrix:
 
 
 def mat_mul(a: FpMatrix, b: FpMatrix) -> FpMatrix:
-    """Exact matrix product modulo the common prime."""
+    """Exact matrix product modulo the common prime.
+
+    No verdict path multiplies transplanted matrices; this dense product is
+    the reference that tests check the chart-based transfer identity
+    against, and the benchmark's tracer (bench/spans.py) wraps it by name.
+    """
     a._require_same_field(b)
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")

@@ -53,10 +53,6 @@ class GroupModel:
         """Cayley-graph distance from the identity to a."""
         raise NotImplementedError
 
-    def order(self) -> Optional[int]:
-        """Group order, or None when infinite."""
-        raise NotImplementedError
-
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -83,18 +79,16 @@ class FreeAbelian(GroupModel):
     identity generator.
     """
 
-    def __init__(self, rank: int, include_identity: bool = True):
+    def __init__(self, rank: int):
         if rank < 1:
             raise ValueError("rank must be at least 1")
         self.rank = rank
-        self.include_identity = include_identity
         gens = []
         for i in range(rank):
             e = tuple(1 if j == i else 0 for j in range(rank))
             gens.append(e)
             gens.append(tuple(-x for x in e))
-        if include_identity:
-            gens.append(tuple(0 for _ in range(rank)))
+        gens.append(tuple(0 for _ in range(rank)))
         self.generators = tuple(gens)
 
     def identity(self):
@@ -123,9 +117,6 @@ class FreeAbelian(GroupModel):
         self.check_element(a)
         return sum(abs(x) for x in a)
 
-    def order(self) -> Optional[int]:
-        return None
-
     def describe(self) -> str:
         return f"Z^{self.rank}"
 
@@ -143,14 +134,10 @@ class FreeAbelian(GroupModel):
         return vec
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FreeAbelian)
-            and other.rank == self.rank
-            and other.include_identity == self.include_identity
-        )
+        return isinstance(other, FreeAbelian) and other.rank == self.rank
 
     def __hash__(self):
-        return hash(("FreeAbelian", self.rank, self.include_identity))
+        return hash(("FreeAbelian", self.rank))
 
     def __repr__(self):
         return f"FreeAbelian({self.rank})"
@@ -268,9 +255,6 @@ class FiniteByTable(GroupModel):
                 frontier = nxt
             self._word_lengths = tuple(dist)
         return self._word_lengths[a]
-
-    def order(self) -> Optional[int]:
-        return len(self._table)
 
     def describe(self) -> str:
         return f"finite:{self.name}"

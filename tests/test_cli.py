@@ -82,7 +82,7 @@ class TestInstanceParsing:
         table = tmp_path / "c6.table"
         write_finite_group_file(table, cyclic_group(6))
         group = parse_group_descriptor(f"finite:{table}")
-        assert group.order() == 6
+        assert group.size == 6
 
     def test_bad_descriptor(self):
         with pytest.raises(ParseError):
@@ -195,6 +195,28 @@ class TestSubcommands:
     def test_good_vertex_out_of_range(self, c12_graph):
         assert main(["sofic-verify", str(c12_graph), "-g", "Z^1", "-r", "2", "--good", "0,99"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["weiss-select", "--r0", "1"], ["sofic-verify", "-r", "2", "-e", "1/10"]],
+        ids=["weiss-select", "sofic-verify"],
+    )
+    def test_duplicate_good_vertices_counted_once(self, tmp_path, c12_graph, argv):
+        reports = []
+        for good in ("0,0,2,4,6,8,10", "0,2,4,6,8,10"):
+            out = tmp_path / "report.json"
+            main([argv[0], str(c12_graph), "-g", "Z^1", *argv[1:], "--good", good, "--out", str(out)])
+            reports.append(json.loads(out.read_text()))
+        assert reports[0] == reports[1]  # same inputs_digest and payload
+
+    def test_duplicate_good_vertices_failure_count(self, tmp_path, c12_graph):
+        out = tmp_path / "fail.json"
+        good = ",".join(["0"] * 11)
+        argv = ["sofic-verify", str(c12_graph), "-g", "Z^1", "-r", "2", "-e", "1/10", "--good", good]
+        assert main(argv + ["--out", str(out)]) == 1
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["good_count"] == 1
+        assert "|V0| = 1 <" in payload["failure"]
+
     def test_transfer_vertex_limit(self, involution_file):
         code = main([
             "transfer-run", str(involution_file), "x", "y", "--mode", "lower",
@@ -216,6 +238,12 @@ class TestLimits:
         argv = ["transfer-run", str(involution_file), "x", "y", "--mode", "lower", "--torus-n", "12"]
         assert main(argv + [flag, value]) == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_transfer_rejects_nonpositive_torus_side(self, involution_file, value, capsys):
+        argv = ["transfer-run", str(involution_file), "x", "y", "--mode", "lower"]
+        assert main(argv + ["--torus-n", value]) == 2
+        assert "--torus-n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_cayley_ball_rejects_nonpositive_max_ball(self, value):

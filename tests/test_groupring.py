@@ -65,7 +65,7 @@ class TestEquivariantEntry:
 
     def test_shift_entry(self):
         t = scalar_kernel(Z1, 2, {(1,): 1})
-        assert equivariant_entry(t, (5,), (4,)).entry(0, 0) == 1
+        assert equivariant_entry(t, (5,), (4,)).array[0, 0] == 1
         assert equivariant_entry(t, (5,), (5,)).is_zero()
 
     def test_equivariance_law_sampled(self):

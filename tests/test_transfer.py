@@ -1,18 +1,20 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from soficrank.cli import parse_instance_file
 from soficrank.digraph import LabeledDigraph, ball_isomorphism
 from soficrank.errors import (
     ApproximationTooCoarse,
     CheckFailedError,
     KernelSearchExhausted,
 )
-from soficrank.exactfield import FpMatrix, rank
+from soficrank.exactfield import FpMatrix, mat_mul, rank
 from soficrank.groupring import GroupRingKernel, compose, kernel_radius, restriction_matrix
 from soficrank.groups import FreeAbelian, cayley_ball, cyclic_group
-from soficrank.sofic import torus_approximation, verify_approximation
+from soficrank.sofic import finite_group_approximation, torus_approximation, verify_approximation
 from soficrank.transfer import (
     LOWER_HOLDS,
     NEITHER,
@@ -145,6 +147,90 @@ class TestTransferIdentity:
         assert not verify_transfer_identity(inst)
 
 
+def dense_identity_on_vpp(inst):
+    """Reference check: the V'' rows of the dense bar_phi * bar_psi against the block identity."""
+    d = inst.d
+    prod = mat_mul(build_bar_phi(inst), build_bar_psi(inst)).array
+    rows = [w * d + k for w in inst.v_dprime for k in range(d)]
+    return np.array_equal(prod[rows, :], np.eye(len(rows), dtype=np.int64))
+
+
+def smallest_instance(phi, psi):
+    """Instance on the smallest torus, or the full Cayley graph, that the pair's plan allows."""
+    plan = plan_instance(phi, psi)
+    radius = 2 * plan.r0 + 1
+    if isinstance(phi.group, FreeAbelian):
+        approx = torus_approximation(phi.group.rank, 2 * radius + 2, radius)
+    else:
+        approx = finite_group_approximation(phi.group, radius)
+    return build_instance(phi, psi, approx, plan=plan)
+
+
+def open_path_instance(phi, psi, n):
+    """Instance on the open Z^1 path of n vertices, good set = vertices charted at radius 2*r0+1."""
+    plan = plan_instance(phi, psi)
+    graph = open_path(n)
+    big = cayley_ball(Z1, 2 * plan.r0 + 1)
+    good = [v for v in range(n) if ball_isomorphism(graph, v, big) is not None]
+    approx = verify_approximation(graph, good, plan.epsilon, big.radius, Z1)
+    return build_instance(phi, psi, approx, plan=plan)
+
+
+def z2_unipotent_pair():
+    """I + E12 t^(1,0) and its inverse I - E12 t^(1,0) over F_3."""
+    Z2 = FreeAbelian(2)
+    eye = FpMatrix.identity(2, 3)
+    phi = GroupRingKernel(Z2, 2, 3, {(0, 0): eye, (1, 0): FpMatrix([[0, 1], [0, 0]], 3)})
+    psi = GroupRingKernel(Z2, 2, 3, {(0, 0): eye, (1, 0): FpMatrix([[0, 2], [0, 0]], 3)})
+    return phi, psi
+
+
+def s3_involution():
+    x = parse_instance_file(Path(__file__).parent / "data" / "golden" / "s3.ring").elements["x"]
+    return x, x
+
+
+def open_path_involution():
+    """The involution pair on an open path: V'' is a proper subset of V', and the
+    product's blocks cancel to the identity on V'' but not next to the ends."""
+    inst = open_path_instance(involution(), involution(), 450)  # eps = 1/45, 10 bad vertices
+    assert set(inst.v_dprime) < set(inst.v_prime)
+    return inst
+
+
+ORACLE_CASES = {
+    "z1-torus-involution": (lambda: smallest_instance(involution(), involution()), True),
+    "z2-torus-unipotent": (lambda: smallest_instance(*z2_unipotent_pair()), True),
+    "s3-involution": (lambda: smallest_instance(*s3_involution()), True),
+    "z1-open-path-involution": (open_path_involution, True),
+    "off-diagonal-1+t": (
+        lambda: smallest_instance(
+            scalar_kernel(Z1, 2, {(0,): 1, (1,): 1}), scalar_kernel(Z1, 2, {(0,): 1, (1,): 1})
+        ),
+        False,
+    ),
+    "wrong-diagonal-2I": (
+        lambda: smallest_instance(
+            scalar_kernel(Z1, 3, {(0,): 2}), GroupRingKernel.identity(Z1, 1, 3)
+        ),
+        False,
+    ),
+    "zero-psi": (
+        lambda: smallest_instance(involution(), GroupRingKernel.zero(Z1, 2, 2)),
+        False,
+    ),
+}
+
+
+class TestTransferIdentityOracle:
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_matches_dense_product(self, case):
+        build, expected = ORACLE_CASES[case]
+        inst = build()
+        assert dense_identity_on_vpp(inst) is expected
+        assert verify_transfer_identity(inst) is expected
+
+
 class TestLowerBound:
     def test_identity_pair_on_c8(self):
         ident = GroupRingKernel.identity(Z1, 1, 2)
@@ -212,16 +298,10 @@ def open_path(n):
 class TestImperfectApproximation:
     def test_open_path_upper_chain(self):
         n = 200
-        phi = singular_diag()
-        plan = plan_instance(phi)
-        assert plan.r0 == 1
-        graph = open_path(n)
-        big = cayley_ball(Z1, 2 * plan.r0 + 1)
-        good = [v for v in range(n) if ball_isomorphism(graph, v, big) is not None]
-        approx = verify_approximation(graph, good, plan.epsilon, big.radius, Z1)
-        inst = build_instance(phi, None, approx, plan=plan)
+        inst = open_path_instance(singular_diag(), None, n)
+        assert inst.r0 == 1
 
-        v0 = set(approx.good_vertices)
+        v0 = set(inst.approx.good_vertices)
         vpp, vp = set(inst.v_dprime), set(inst.v_prime)
         assert v0 < vpp < vp < set(range(n))
         assert (min(v0), min(vpp), min(vp)) == (3, 2, 1)
