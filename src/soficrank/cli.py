@@ -32,7 +32,7 @@ from .errors import (
     ResourceLimitError,
     SoficRankError,
 )
-from .exactfield import FpMatrix, parse_rational, rational_to_json
+from .exactfield import FpMatrix, json_value, parse_rational
 from .groupring import GroupRingKernel, compose
 from .groups import FreeAbelian, GroupModel, cayley_ball, read_finite_group_file
 from .limits import Limits
@@ -270,7 +270,7 @@ def _cmd_sofic_verify(args) -> int:
             "verified": False,
             "group": group.describe(),
             "radius": args.radius,
-            "epsilon": rational_to_json(epsilon),
+            "epsilon": json_value(epsilon),
             "vertex_count": graph.vertex_count,
             "good_count": len(good),
             "failure": str(exc),
@@ -283,7 +283,7 @@ def _cmd_sofic_verify(args) -> int:
         "verified": True,
         "group": group.describe(),
         "radius": args.radius,
-        "epsilon": rational_to_json(epsilon),
+        "epsilon": json_value(epsilon),
         "vertex_count": approx.vertex_count,
         "good_count": len(approx.good_vertices),
         "ball_size": approx.ball.size,
@@ -318,14 +318,7 @@ def _cmd_weiss_select(args) -> int:
         max_ball_elements=limits.max_ball_elements,
     )
     sel = weiss_select(approx, args.r0)
-    payload = {
-        "v1": list(sel.v1),
-        "r0": sel.r0,
-        "density_bound": rational_to_json(sel.density_bound),
-        "achieved_density": rational_to_json(sel.achieved_density),
-        "min_pairwise_distance": sel.min_pairwise_distance,
-        "separation_bound": 2 * args.r0 + 1,
-    }
+    payload = {**json_value(sel), "separation_bound": 2 * args.r0 + 1}
     env = _envelope("weiss-select", inputs, payload)
     _emit(args, env, [
         ("selected", len(sel.v1)),

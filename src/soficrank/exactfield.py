@@ -9,6 +9,7 @@ already maintains reduced form with a positive denominator.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -191,9 +192,16 @@ def kernel_basis(m: FpMatrix) -> list[FpMatrix]:
     return basis
 
 
-def rational_to_json(q: Fraction) -> dict:
-    q = Fraction(q)
-    return {"num": q.numerator, "den": q.denominator}
+def json_value(x):
+    """JSON form of a report value: a Fraction as {"num", "den"}, a tuple as a
+    list, a dataclass as {field: json_value(value)}; anything else as is."""
+    if isinstance(x, Fraction):
+        return {"num": x.numerator, "den": x.denominator}
+    if isinstance(x, tuple):
+        return [json_value(v) for v in x]
+    if dataclasses.is_dataclass(x):
+        return {f.name: json_value(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    return x
 
 
 def parse_rational(text: str) -> Fraction:

@@ -11,7 +11,6 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .digraph import LabeledDigraph
 from .errors import ParseError, ResourceLimitError
@@ -148,10 +147,10 @@ class FiniteByTable(GroupModel):
 
     The table is fully validated: a two-sided identity, two-sided
     inverses, a symmetric generator set, generation of the whole group by
-    BFS closure, and associativity.  Associativity uses Light's test: the
-    elements g with (x g) y = x (g y) for all x, y are closed under
-    products, so checking the generators suffices once generation holds,
-    in O(n^2 |B|) rather than O(n^3).
+    the BFS that also yields every word length, and associativity.
+    Associativity uses Light's test: the elements g with (x g) y = x (g y)
+    for all x, y are closed under products, so checking the generators
+    suffices once generation holds, in O(n^2 |B|) rather than O(n^3).
     """
 
     def __init__(self, table, generators, name: str = ""):
@@ -186,18 +185,19 @@ class FiniteByTable(GroupModel):
         for g in gens:
             if inv[g] not in gen_set:
                 raise ValueError(f"generator set is not symmetric: inverse of {g} is missing")
-        reached = {ident}
+        dist = [-1] * n  # word lengths, by breadth-first search from the identity
+        dist[ident] = 0
         frontier = [ident]
         while frontier:
             nxt = []
             for a in frontier:
                 for g in gens:
                     h = rows[a][g]
-                    if h not in reached:
-                        reached.add(h)
+                    if dist[h] == -1:
+                        dist[h] = dist[a] + 1
                         nxt.append(h)
             frontier = nxt
-        if len(reached) != n:
+        if -1 in dist:
             raise ValueError("generators do not generate the whole group")
         for g in gens:
             for a in range(n):
@@ -211,7 +211,7 @@ class FiniteByTable(GroupModel):
         self._identity = ident
         self.generators = gens
         self.name = name or f"finite-order-{n}"
-        self._word_lengths: Optional[tuple[int, ...]] = None
+        self._word_lengths = tuple(dist)
 
     @property
     def size(self) -> int:
@@ -237,23 +237,6 @@ class FiniteByTable(GroupModel):
 
     def word_length(self, a) -> int:
         self.check_element(a)
-        if self._word_lengths is None:
-            n = len(self._table)
-            dist = [-1] * n
-            dist[self._identity] = 0
-            frontier = [self._identity]
-            d = 0
-            while frontier:
-                d += 1
-                nxt = []
-                for x in frontier:
-                    for g in self.generators:
-                        y = self._table[x][g]
-                        if dist[y] == -1:
-                            dist[y] = d
-                            nxt.append(y)
-                frontier = nxt
-            self._word_lengths = tuple(dist)
         return self._word_lengths[a]
 
     def describe(self) -> str:

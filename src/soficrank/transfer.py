@@ -38,13 +38,13 @@ from .errors import (
     CheckFailedError,
     InternalInconsistency,
     KernelSearchExhausted,
+    ResourceLimitError,
 )
-from .exactfield import FpMatrix, rank
+from .exactfield import FpMatrix, json_value, rank
 from .groupring import (
     GroupRingKernel,
     check_right_inverse,
     kernel_radius,
-    restriction_matrix,
     support_data,
 )
 from .groups import CayleyBall, FiniteByTable, FreeAbelian, cayley_ball
@@ -109,16 +109,12 @@ class TransferInstance:
     phi: GroupRingKernel
     psi: Optional[GroupRingKernel]
     approx: SoficApproximation
-    r0: int
-    r1: int
-    r2: Optional[int]
-    epsilon: Fraction
-    kernel_search_bound: int
+    plan: InstancePlan
     v_prime: tuple[int, ...]
     v_dprime: tuple[int, ...]
     maps: dict[int, tuple[int, ...]]  # v' -> (ball position -> graph vertex)
     ball_r0: CayleyBall
-    ball_big_size: int
+    has_right_inverse: bool  # psi is given and phi * psi = 1
 
     @property
     def d(self) -> int:
@@ -133,7 +129,6 @@ def build_instance(
     phi: GroupRingKernel,
     psi: Optional[GroupRingKernel],
     approx: SoficApproximation,
-    max_kernel_search: Optional[int] = None,
     plan: Optional[InstancePlan] = None,
     max_ball_elements: int = DEFAULT_MAX_BALL_ELEMENTS,
 ) -> TransferInstance:
@@ -144,16 +139,15 @@ def build_instance(
     enough for the instance's own epsilon (CardinalityViolation otherwise).
     The r0-chart of a good vertex is the prefix of its verified chart over
     the radius-r0 ball (smaller Cayley balls are prefixes of larger ones),
-    so only vertices outside the good set are charted here.
+    so only vertices outside the good set are charted here.  Whether psi
+    is a right inverse of phi is checked here, once per instance.
     """
     if approx.group != phi.group:
         raise ValueError("approximation and element groups differ")
     if psi is not None:
         phi._require_compatible(psi)
     if plan is None:
-        plan = plan_instance(
-            phi, psi, max_kernel_search=max_kernel_search, max_ball_elements=max_ball_elements
-        )
+        plan = plan_instance(phi, psi, max_ball_elements=max_ball_elements)
     r0 = plan.r0
     needed = 2 * r0 + 1
     if approx.radius < needed:
@@ -190,16 +184,12 @@ def build_instance(
         phi=phi,
         psi=psi,
         approx=approx,
-        r0=r0,
-        r1=plan.r1,
-        r2=plan.r2,
-        epsilon=plan.epsilon,
-        kernel_search_bound=plan.kernel_search_bound,
+        plan=plan,
         v_prime=tuple(v_prime),
         v_dprime=tuple(v_dprime),
         maps=maps,
         ball_r0=ball_r0,
-        ball_big_size=plan.ball_big_size,
+        has_right_inverse=psi is not None and check_right_inverse(phi, psi),
     )
 
 
@@ -283,7 +273,11 @@ def verify_transfer_identity(inst: TransferInstance) -> bool:
 
 @dataclass(eq=False)
 class TransferReport:
-    """Everything needed to replay and audit one experiment."""
+    """Everything needed to replay and audit one experiment.
+
+    The chain-specific results are None where the experiment's chain does
+    not produce them.
+    """
 
     mode: str
     verdict: str
@@ -301,78 +295,40 @@ class TransferReport:
     v_dprime_count: int
     ball_r0_size: int
     ball_big_size: int
-    bar_phi_rank: Optional[int]
     lower_bound: Fraction
     upper_bound: Fraction
-    identity_on_vpp: Optional[bool]
-    local_rank_bound: Optional[int]
-    per_v1_ranks: Optional[tuple[int, ...]]
-    weiss: Optional[WeissSelection]
     torus_n: Optional[int]
+    bar_phi_rank: Optional[int] = None
+    identity_on_vpp: Optional[bool] = None
+    local_rank_bound: Optional[int] = None
+    per_v1_ranks: Optional[tuple[int, ...]] = None
+    weiss: Optional[WeissSelection] = None
 
     def to_json_dict(self) -> dict:
-        from .exactfield import rational_to_json
-
-        out = {
-            "mode": self.mode,
-            "verdict": self.verdict,
-            "group": self.group,
-            "p": self.p,
-            "d": self.d,
-            "r0": self.r0,
-            "r1": self.r1,
-            "r2": self.r2,
-            "kernel_search_bound": self.kernel_search_bound,
-            "epsilon": rational_to_json(self.epsilon),
-            "vertex_count": self.vertex_count,
-            "good_count": self.good_count,
-            "v_prime_count": self.v_prime_count,
-            "v_dprime_count": self.v_dprime_count,
-            "ball_r0_size": self.ball_r0_size,
-            "ball_big_size": self.ball_big_size,
-            "bar_phi_rank": self.bar_phi_rank,
-            "lower_bound": rational_to_json(self.lower_bound),
-            "upper_bound": rational_to_json(self.upper_bound),
-            "identity_on_vpp": self.identity_on_vpp,
-            "local_rank_bound": self.local_rank_bound,
-            "per_v1_ranks": list(self.per_v1_ranks) if self.per_v1_ranks is not None else None,
-            "torus_n": self.torus_n,
-        }
-        if self.weiss is None:
-            out["weiss"] = None
-        else:
-            out["weiss"] = {
-                "v1": list(self.weiss.v1),
-                "r0": self.weiss.r0,
-                "density_bound": rational_to_json(self.weiss.density_bound),
-                "achieved_density": rational_to_json(self.weiss.achieved_density),
-                "min_pairwise_distance": self.weiss.min_pairwise_distance,
-            }
-        return out
+        return json_value(self)
 
 
-def _report_base(inst: TransferInstance, mode: str, torus_n: Optional[int]) -> dict:
-    d = inst.d
-    n = inst.vertex_count
-    return dict(
+def _report(
+    inst: TransferInstance, mode: str, verdict: str, torus_n: Optional[int], **chain
+) -> TransferReport:
+    """The instance's plan and sizes with both bounds, plus the chain's own results."""
+    d, n, plan = inst.d, inst.vertex_count, inst.plan
+    return TransferReport(
         mode=mode,
+        verdict=verdict,
         group=inst.phi.group.describe(),
         p=inst.phi.p,
         d=d,
-        r0=inst.r0,
-        r1=inst.r1,
-        r2=inst.r2,
-        kernel_search_bound=inst.kernel_search_bound,
-        epsilon=inst.epsilon,
         vertex_count=n,
         good_count=len(inst.approx.good_vertices),
         v_prime_count=len(inst.v_prime),
         v_dprime_count=len(inst.v_dprime),
         ball_r0_size=inst.ball_r0.size,
-        ball_big_size=inst.ball_big_size,
-        lower_bound=(1 - inst.epsilon) * n * d,
-        upper_bound=Fraction(d * n) - Fraction(n, 2 * inst.ball_big_size),
+        lower_bound=(1 - plan.epsilon) * n * d,
+        upper_bound=Fraction(d * n) - Fraction(n, 2 * plan.ball_big_size),
         torus_n=torus_n,
+        **vars(plan),
+        **chain,
     )
 
 
@@ -385,32 +341,22 @@ def lower_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> 
     """
     if inst.psi is None:
         raise ValueError("lower-bound check requires psi")
-    if not check_right_inverse(inst.phi, inst.psi):
+    if not inst.has_right_inverse:
         raise CheckFailedError("psi is not a right inverse of phi")
-    identity_ok = verify_transfer_identity(inst)
-    if not identity_ok:
+    if not verify_transfer_identity(inst):
         raise InternalInconsistency("composition identity failed on V'' despite phi*psi = 1")
     rk = rank(build_bar_phi(inst))
-    d, n = inst.d, inst.vertex_count
+    d = inst.d
     if rk < d * len(inst.v_dprime):
         raise InternalInconsistency(
             f"rank {rk} < d*|V''| = {d * len(inst.v_dprime)} despite the identity"
         )
     if len(inst.v_dprime) < len(inst.approx.good_vertices):
         raise InternalInconsistency("|V''| < |V0|")
-    lower = (1 - inst.epsilon) * n * d
-    if Fraction(d * len(inst.approx.good_vertices)) < lower:
+    report = _report(inst, "lower", LOWER_HOLDS, torus_n, bar_phi_rank=rk, identity_on_vpp=True)
+    if Fraction(d * len(inst.approx.good_vertices)) < report.lower_bound:
         raise InternalInconsistency("d*|V0| fell below (1-eps)*|V|*d")
-    base = _report_base(inst, "lower", torus_n)
-    return TransferReport(
-        verdict=LOWER_HOLDS,
-        bar_phi_rank=rk,
-        identity_on_vpp=identity_ok,
-        local_rank_bound=None,
-        per_v1_ranks=None,
-        weiss=None,
-        **base,
-    )
+    return report
 
 
 def upper_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> TransferReport:
@@ -423,10 +369,10 @@ def upper_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> 
     All three are theory-guaranteed, so failures raise
     InternalInconsistency.
     """
-    if inst.r2 is None:
+    if inst.plan.r2 is None:
         raise ValueError("upper-bound check requires a kernel radius r2")
-    weiss = weiss_select(inst.approx, inst.r0)
-    d, n = inst.d, inst.vertex_count
+    weiss = weiss_select(inst.approx, inst.plan.r0)
+    d = inst.d
     bar_phi = build_bar_phi(inst)
     rk = rank(bar_phi)
 
@@ -447,23 +393,17 @@ def upper_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> 
                 f"restricted rank {r_local} at vertex {v} exceeds {local_bound}"
             )
 
-    upper = Fraction(d * n) - Fraction(n, 2 * inst.ball_big_size)
-    if Fraction(rk) > upper:
-        raise InternalInconsistency(f"rank {rk} exceeds the counting bound {upper}")
-    strict = (1 - inst.epsilon) * n * d
-    if not Fraction(rk) < strict:
-        raise InternalInconsistency(f"rank {rk} not strictly below (1-eps)|V|d = {strict}")
-
-    base = _report_base(inst, "upper", torus_n)
-    return TransferReport(
-        verdict=UPPER_HOLDS,
-        bar_phi_rank=rk,
-        identity_on_vpp=None,
-        local_rank_bound=local_bound,
-        per_v1_ranks=tuple(per_ranks),
-        weiss=weiss,
-        **base,
+    report = _report(
+        inst, "upper", UPPER_HOLDS, torus_n,
+        bar_phi_rank=rk, local_rank_bound=local_bound, per_v1_ranks=tuple(per_ranks), weiss=weiss,
     )
+    if Fraction(rk) > report.upper_bound:
+        raise InternalInconsistency(f"rank {rk} exceeds the counting bound {report.upper_bound}")
+    if not Fraction(rk) < report.lower_bound:
+        raise InternalInconsistency(
+            f"rank {rk} not strictly below (1-eps)|V|d = {report.lower_bound}"
+        )
+    return report
 
 
 def commutative_square_matrix(inst: TransferInstance, v: int) -> Optional[FpMatrix]:
@@ -477,7 +417,7 @@ def commutative_square_matrix(inst: TransferInstance, v: int) -> Optional[FpMatr
     """
     group = inst.phi.group
     ball_small = inst.ball_r0
-    ball_large = cayley_ball(group, 2 * inst.r0)
+    ball_large = cayley_ball(group, 2 * inst.plan.r0)
     f = ball_isomorphism(inst.approx.graph, v, ball_large)
     if f is None:
         return None
@@ -534,14 +474,19 @@ def run_experiment(
             group.rank, n, radius, max_vertices=max_vertices, max_ball_elements=max_ball_elements
         )
     elif isinstance(group, FiniteByTable):
+        if torus_n is not None:
+            raise ValueError(f"a torus side applies only to Z^k, not to {group.describe()}")
+        if group.size > max_vertices:
+            raise ResourceLimitError(
+                f"Cayley graph with {group.size} vertices exceeds limit {max_vertices}"
+            )
         approx = finite_group_approximation(group, radius, max_ball_elements=max_ball_elements)
-        torus_n = None
     else:
         raise ValueError(f"no approximation builder for group {group.describe()}")
     inst = build_instance(phi, psi, approx, plan=plan, max_ball_elements=max_ball_elements)
 
-    has_rinv = psi is not None and check_right_inverse(phi, psi)
-    has_kernel = inst.r2 is not None
+    has_rinv = inst.has_right_inverse
+    has_kernel = plan.r2 is not None
     if has_rinv and has_kernel:
         raise InternalInconsistency(
             "element has both a verified right inverse and a restricted kernel vector"
@@ -556,7 +501,7 @@ def run_experiment(
     if mode == "upper" or (mode == "both" and has_kernel):
         if not has_kernel:
             raise KernelSearchExhausted(
-                f"no kernel vector found up to radius {inst.kernel_search_bound}; "
+                f"no kernel vector found up to radius {plan.kernel_search_bound}; "
                 "upper mode cannot run"
             )
         report = upper_bound_check(inst, torus_n=torus_n)
@@ -564,16 +509,8 @@ def run_experiment(
         return report
 
     # mode == "both" with neither precondition: report the parameters only.
-    base = _report_base(inst, "both", torus_n)
-    identity_flag = None
-    if psi is not None:
-        identity_flag = verify_transfer_identity(inst)
-    return TransferReport(
-        verdict=NEITHER,
+    return _report(
+        inst, "both", NEITHER, torus_n,
         bar_phi_rank=rank(build_bar_phi(inst)),
-        identity_on_vpp=identity_flag,
-        local_rank_bound=None,
-        per_v1_ranks=None,
-        weiss=None,
-        **base,
+        identity_on_vpp=verify_transfer_identity(inst) if psi is not None else None,
     )

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,8 @@ from soficrank.digraph import write_graph_file
 from soficrank.errors import ParseError
 from soficrank.groups import FreeAbelian, cyclic_group, write_finite_group_file
 from soficrank.sofic import torus_graph
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 INVOLUTION_RING = """\
 ring p=2 d=2 group=Z^1
@@ -264,6 +267,23 @@ class TestLimits:
         monkeypatch.setenv("SOFICRANK_MAX_KERNEL_RADIUS", "9")
         argv = ["transfer-run", str(involution_file), "x", "y", "--mode", "lower", "--torus-n", "12"]
         assert main(argv + ["--max-ball", "1000", "--max-vertices", "200"]) == 0
+
+
+class TestFiniteGroupFlags:
+    """S3 (order 6) is its own approximation: no torus side, and its order counts as |V|."""
+
+    ARGV = ["transfer-run", str(GOLDEN / "s3.ring"), "x", "x", "--mode", "lower"]
+
+    def test_torus_side_rejected(self, capsys):
+        assert main(self.ARGV + ["--torus-n", "12"]) == 2
+        assert "Z^k" in capsys.readouterr().err
+
+    def test_vertex_limit_below_order(self, capsys):
+        assert main(self.ARGV + ["--max-vertices", "5"]) == 3
+        assert "6 vertices exceeds limit 5" in capsys.readouterr().err
+
+    def test_vertex_limit_at_order(self):
+        assert main(self.ARGV + ["--max-vertices", "6"]) == 0
 
 
 class TestDeterminism:

@@ -12,7 +12,14 @@ from soficrank.errors import (
     KernelSearchExhausted,
 )
 from soficrank.exactfield import FpMatrix, mat_mul, rank
-from soficrank.groupring import GroupRingKernel, compose, kernel_radius, restriction_matrix
+from soficrank import transfer
+from soficrank.groupring import (
+    GroupRingKernel,
+    check_right_inverse,
+    compose,
+    kernel_radius,
+    restriction_matrix,
+)
 from soficrank.groups import FreeAbelian, cayley_ball, cyclic_group
 from soficrank.sofic import finite_group_approximation, torus_approximation, verify_approximation
 from soficrank.transfer import (
@@ -81,7 +88,7 @@ class TestPlanAndInstance:
         ident = GroupRingKernel.identity(Z1, 1, 2)
         approx = torus_approximation(1, 8, 3)
         inst = build_instance(ident, ident, approx)
-        assert inst.r0 == 1
+        assert inst.plan.r0 == 1
         assert inst.v_prime == tuple(range(8))
         assert inst.v_dprime == tuple(range(8))
 
@@ -268,7 +275,7 @@ class TestUpperBound:
         phi = singular_diag()
         approx = torus_approximation(1, 12, 3)
         inst = build_instance(phi, None, approx)
-        assert inst.r0 == 1 and inst.r2 == 1
+        assert inst.plan.r0 == 1 and inst.plan.r2 == 1
         report = upper_bound_check(inst)
         assert report.verdict == UPPER_HOLDS
         assert report.bar_phi_rank == 12
@@ -299,7 +306,7 @@ class TestImperfectApproximation:
     def test_open_path_upper_chain(self):
         n = 200
         inst = open_path_instance(singular_diag(), None, n)
-        assert inst.r0 == 1
+        assert inst.plan.r0 == 1
 
         v0 = set(inst.approx.good_vertices)
         vpp, vp = set(inst.v_dprime), set(inst.v_prime)
@@ -309,7 +316,7 @@ class TestImperfectApproximation:
         report = upper_bound_check(inst)
         assert report.verdict == UPPER_HOLDS
         assert set(report.weiss.v1) <= v0
-        assert len(report.weiss.v1) * 2 * inst.ball_big_size >= n
+        assert len(report.weiss.v1) * 2 * inst.plan.ball_big_size >= n
         assert all(r <= report.local_rank_bound for r in report.per_v1_ranks)
         assert Fraction(report.bar_phi_rank) <= report.upper_bound
         assert Fraction(report.bar_phi_rank) < report.lower_bound
@@ -334,7 +341,7 @@ class TestCommutativeSquare:
         )
         approx = torus_approximation(1, 20, 5)
         inst = build_instance(phi, None, approx)
-        restr = restriction_matrix(phi, cayley_ball(Z1, inst.r0), cayley_ball(Z1, 2 * inst.r0))
+        restr = restriction_matrix(phi, cayley_ball(Z1, inst.plan.r0), cayley_ball(Z1, 2 * inst.plan.r0))
         square = commutative_square_matrix(inst, 3)
         assert square == restr
 
@@ -346,7 +353,7 @@ class TestCommutativeSquare:
         )
         approx = torus_approximation(2, 12, 5)
         inst = build_instance(phi, None, approx)
-        restr = restriction_matrix(phi, cayley_ball(Z2, inst.r0), cayley_ball(Z2, 2 * inst.r0))
+        restr = restriction_matrix(phi, cayley_ball(Z2, inst.plan.r0), cayley_ball(Z2, 2 * inst.plan.r0))
         for v in (0, 17, 100):
             assert commutative_square_matrix(inst, v) == restr
 
@@ -379,6 +386,19 @@ class TestRunExperiment:
         phi = singular_diag()
         assert kernel_radius(phi, 6) is not None
         assert not check_both(phi)
+
+    @pytest.mark.parametrize("mode", ["lower", "both"])
+    def test_right_inverse_checked_once(self, monkeypatch, mode):
+        calls = []
+
+        def counting(phi, psi):
+            calls.append((phi, psi))
+            return check_right_inverse(phi, psi)
+
+        monkeypatch.setattr(transfer, "check_right_inverse", counting)
+        report = run_experiment(involution(), involution(), mode)
+        assert report.verdict == LOWER_HOLDS
+        assert len(calls) == 1
 
     def test_auto_torus_side(self):
         report = run_experiment(involution(), involution(), "lower")
