@@ -9,7 +9,7 @@ the rank transfer is evaluated with exact integer and rational arithmetic.
 
 __version__ = "0.1.0"
 
-from .digraph import LabeledDigraph, ball_isomorphism, distance, neighborhood
+from .digraph import LabeledDigraph, ball_charts, ball_isomorphism, distance, neighborhood
 from .exactfield import (
     FpMatrix,
     kernel_basis,
@@ -67,6 +67,7 @@ __all__ = [
     "TransferInstance",
     "TransferReport",
     "WeissSelection",
+    "ball_charts",
     "ball_isomorphism",
     "build_bar_phi",
     "build_bar_psi",

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, TYPE_CHECKING
 
+import numpy as np
+
 from .errors import ParseError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -180,6 +182,68 @@ def ball_isomorphism(graph: LabeledDigraph, v: int, ball: "CayleyBall") -> Optio
                 if w != -1 and w in image:
                     return None
     return tuple(f)
+
+
+def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np.ndarray, np.ndarray]:
+    """The charts of many vertices at once: one numpy label walk over the ball.
+
+    Returns (charts, ok): charts is an int64 array of shape
+    (len(vertices), |ball|), and whenever ok[k] holds, row k is the tuple
+    ball_isomorphism(graph, vertices[k], ball) returns; rows with ok[k]
+    false carry no meaning.  The walk fixes each ball element's image from
+    its BFS-tree parent, one depth layer at a time, with a sink row
+    standing in for missing edges.  A row is then a chart exactly when it
+    avoids the sink, every ball edge maps to a graph edge, it is injective,
+    and no graph edge on a label the ball lacks at an element lands back
+    in the row's image: the conditions ball_isomorphism checks one vertex
+    at a time.  Temporaries stay O(len(vertices) * |ball|).
+    """
+    bgraph = ball.graph
+    if bgraph.num_labels != graph.num_labels:
+        raise ValueError(
+            f"label alphabet mismatch: ball has {bgraph.num_labels} labels, graph has {graph.num_labels}"
+        )
+    vertices = np.asarray(vertices, dtype=np.int64).reshape(-1)
+    outside = vertices[(vertices < 0) | (vertices >= graph.vertex_count)]
+    if outside.size:
+        _check_vertex(graph, int(outside[0]))
+    n, m, labels = graph.vertex_count, bgraph.vertex_count, graph.num_labels
+    out = np.full((n + 1, labels), n, dtype=np.int64)  # row n is the sink
+    out[:n] = np.array(graph._out, dtype=np.int64).reshape(n, labels)
+    out[out == -1] = n
+    ball_out = np.array(bgraph._out, dtype=np.int64).reshape(m, labels)
+
+    # BFS tree of the ball: j's parent is the first element, in ball order,
+    # with an edge into j; it sits one layer closer to the root.
+    edges = np.flatnonzero(ball_out.ravel() >= 0)  # i * labels + label, ascending
+    heads, first = np.unique(ball_out.ravel()[edges], return_index=True)
+    parent = np.zeros(m, dtype=np.int64)
+    via = np.zeros(m, dtype=np.int64)
+    parent[heads], via[heads] = np.divmod(edges[first], max(labels, 1))
+    depth = np.asarray(ball.distance_from_root)
+    f = np.empty((len(vertices), m), dtype=np.int64)
+    f[:, 0] = vertices
+    for layer in range(1, int(depth[-1]) + 1):
+        js = np.flatnonzero(depth == layer)
+        f[:, js] = out[f[:, parent[js]], via[js]]
+
+    ordered = np.sort(f, axis=1)
+    ok = ~((ordered[:, -1] == n) | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    # Membership in a row's image, for all rows at once: offset row k's
+    # sorted image by k*(n+1) so that the flattened array is sorted.
+    offset = np.arange(len(vertices), dtype=np.int64)[:, None] * (n + 1)
+    ordered += offset
+    image = ordered.ravel()
+    for label in range(labels):
+        w = out[f, label]
+        target = ball_out[:, label]
+        edge = target >= 0
+        ok &= ((w == f[:, np.maximum(target, 0)]) | ~edge).all(axis=1)
+        if image.size and not edge.all():
+            key = w[:, ~edge] + offset
+            hit = image[np.minimum(np.searchsorted(image, key), image.size - 1)] == key
+            ok &= ~hit.any(axis=1)
+    return f, ok
 
 
 def write_graph_file(path, graph: LabeledDigraph) -> None:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .digraph import LabeledDigraph
 from .errors import ParseError, ResourceLimitError
 from .limits import DEFAULT_MAX_BALL_ELEMENTS
@@ -154,28 +156,29 @@ class FiniteByTable(GroupModel):
     """
 
     def __init__(self, table, generators, name: str = ""):
-        rows = tuple(tuple(int(x) for x in row) for row in table)
+        rows = tuple(tuple(map(int, row)) for row in table)
         n = len(rows)
         if n == 0:
             raise ValueError("multiplication table must be nonempty")
-        for row in rows:
-            if len(row) != n or any(not (0 <= x < n) for x in row):
-                raise ValueError("multiplication table must be n x n with entries in range")
-        ident = None
-        for e in range(n):
-            if all(rows[e][x] == x and rows[x][e] == x for x in range(n)):
-                ident = e
-                break
-        if ident is None:
+        malformed = "multiplication table must be n x n with entries in range"
+        if any(len(row) != n for row in rows):
+            raise ValueError(malformed)
+        try:
+            t = np.array(rows, dtype=np.int64).reshape(n, n)
+        except OverflowError:  # an entry beyond int64 is out of range as well
+            raise ValueError(malformed) from None
+        if ((t < 0) | (t >= n)).any():
+            raise ValueError(malformed)
+        elems = np.arange(n)
+        two_sided = (t == elems).all(axis=1) & (t == elems[:, None]).all(axis=0)
+        if not two_sided.any():
             raise ValueError("multiplication table has no two-sided identity")
-        inv = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if rows[a][b] == ident and rows[b][a] == ident:
-                    inv[a] = b
-                    break
-            if inv[a] is None:
-                raise ValueError(f"element {a} has no two-sided inverse")
+        ident = int(np.argmax(two_sided))
+        inverse_pair = (t == ident) & (t.T == ident)
+        missing = np.flatnonzero(~inverse_pair.any(axis=1))
+        if missing.size:
+            raise ValueError(f"element {missing[0]} has no two-sided inverse")
+        inv = np.argmax(inverse_pair, axis=1).tolist()
         gens = tuple(int(g) for g in generators)
         if any(not (0 <= g < n) for g in gens):
             raise ValueError("generator out of range")
@@ -200,11 +203,11 @@ class FiniteByTable(GroupModel):
         if -1 in dist:
             raise ValueError("generators do not generate the whole group")
         for g in gens:
-            for a in range(n):
-                ag = rows[rows[a][g]]
-                for c in range(n):
-                    if ag[c] != rows[a][rows[g][c]]:
-                        raise ValueError(f"multiplication table is not associative at ({a},{g},{c})")
+            # (a g) c against a (g c) for every a and c at once
+            bad = np.argwhere(t[t[:, g]] != t[:, t[g]])
+            if bad.size:
+                a, c = bad[0]
+                raise ValueError(f"multiplication table is not associative at ({a},{g},{c})")
 
         self._table = rows
         self._inv = tuple(inv)

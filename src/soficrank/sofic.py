@@ -9,7 +9,10 @@ digraph, to the radius-r Cayley ball of G.
 Builders are provided for the two supported group families: discrete tori
 (Z/nZ)^k approximating Z^k, and full Cayley graphs of finite groups, which
 approximate themselves perfectly.  Everything a builder produces is
-re-checked from scratch by the verifier.
+re-checked from scratch by the verifier, which charts every good vertex
+in one vectorised label walk (digraph.ball_charts) and keeps the charts
+as one read-only array: the transfer instance and the Weiss selection
+read their smaller-radius charts as column prefixes of it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .digraph import LabeledDigraph, ball_isomorphism
+import numpy as np
+
+from .digraph import LabeledDigraph, ball_charts
 from .errors import AlphabetMismatch, BallMismatch, CardinalityViolation, ResourceLimitError
 from .groups import CayleyBall, FiniteByTable, FreeAbelian, GroupModel, cayley_ball
 from .limits import DEFAULT_MAX_BALL_ELEMENTS, DEFAULT_MAX_VERTICES
@@ -27,11 +32,12 @@ from .limits import DEFAULT_MAX_BALL_ELEMENTS, DEFAULT_MAX_VERTICES
 class SoficApproximation:
     """A verified approximation: graph, good vertices, tolerance, radius.
 
-    iso_maps caches, for each good vertex v, the rooted isomorphism from
-    the radius-r Cayley ball into the graph as a tuple indexed by ball
-    element position (entry 0 is v itself).  Its prefix over a smaller
-    ball is the chart at that radius; the transfer instance and the Weiss
-    selection take their charts from here instead of recomputing them.
+    charts is a read-only int64 array with one row per good vertex: row k
+    is the rooted isomorphism from the radius-r Cayley ball into the graph
+    at good_vertices[k], indexed by ball element position (entry 0 is the
+    vertex itself).  Its prefix over a smaller ball is the chart at that
+    radius; the transfer instance and the Weiss selection take their
+    charts from here instead of recomputing them.
     """
 
     group: GroupModel
@@ -40,7 +46,7 @@ class SoficApproximation:
     epsilon: Fraction
     radius: int
     ball: CayleyBall
-    iso_maps: dict[int, tuple[int, ...]]
+    charts: np.ndarray
 
     @property
     def vertex_count(self) -> int:
@@ -88,12 +94,10 @@ def verify_approximation(
             f"|V0| = {len(good)} < (1 - {epsilon}) * {n} = {(1 - epsilon) * n}"
         )
     ball = cayley_ball(group, radius, max_elements=max_ball_elements)
-    iso_maps: dict[int, tuple[int, ...]] = {}
-    for v in good:  # ascending order gives deterministic error reporting
-        f = ball_isomorphism(graph, v, ball)
-        if f is None:
-            raise BallMismatch(v)
-        iso_maps[v] = f
+    charts, ok = ball_charts(graph, good, ball)
+    if not ok.all():  # good is ascending, so this is the lowest failing vertex
+        raise BallMismatch(good[int(np.argmin(ok))])
+    charts.flags.writeable = False
     return SoficApproximation(
         group=group,
         graph=graph,
@@ -101,7 +105,7 @@ def verify_approximation(
         epsilon=epsilon,
         radius=radius,
         ball=ball,
-        iso_maps=iso_maps,
+        charts=charts,
     )
 
 
@@ -135,7 +139,7 @@ def torus_graph(group: FreeAbelian, n: int, max_vertices: int = DEFAULT_MAX_VERT
 
 
 def torus_approximation(
-    k: int,
+    group: FreeAbelian,
     n: int,
     r: int,
     max_vertices: int = DEFAULT_MAX_VERTICES,
@@ -143,13 +147,14 @@ def torus_approximation(
 ) -> SoficApproximation:
     """Verified approximation of Z^k by the discrete torus (Z/nZ)^k.
 
-    Requires n >= 2r + 2: at n = 2r + 1 the ball's vertex set still embeds
-    but a wrap-around edge appears between the two extreme layers, which
-    breaks two-way edge correspondence.
+    Takes the caller's group model, so the radius-r Cayley ball that a
+    plan built on the same model is reused from its cache.  Requires
+    n >= 2r + 2: at n = 2r + 1 the ball's vertex set still embeds but a
+    wrap-around edge appears between the two extreme layers, which breaks
+    two-way edge correspondence.
     """
     if n < 2 * r + 2:
         raise ValueError(f"torus side {n} too small for radius {r}: need n >= 2r + 2 = {2 * r + 2}")
-    group = FreeAbelian(k)
     graph = torus_graph(group, n, max_vertices=max_vertices)
     epsilon = Fraction(1, graph.vertex_count + 1)
     return verify_approximation(

@@ -8,8 +8,8 @@ inverse psi) and a sofic approximation of G, this module:
     plus an exact rational tolerance epsilon < 1/(2 * d * |N_{2r0+1}(B)|);
   * scans the graph for the vertex sets V' (vertices whose r0-neighborhood
     is ball-isomorphic) and V'' (vertices of V' all of whose r0-neighbors
-    are in V'), taking the per-vertex isomorphisms of good vertices from
-    the approximation's verified charts;
+    are in V'), taking the charts of good vertices from the approximation's
+    verified chart array and charting the rest in one label walk;
   * transplants phi through those isomorphisms into a finite block matrix
     over the graph;
   * verifies the composition identity on V'' x V'' block by block from
@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .digraph import ball_isomorphism
+from .digraph import ball_charts, ball_isomorphism
 from .errors import (
     ApproximationTooCoarse,
     CardinalityViolation,
@@ -112,7 +112,7 @@ class TransferInstance:
     plan: InstancePlan
     v_prime: tuple[int, ...]
     v_dprime: tuple[int, ...]
-    maps: dict[int, tuple[int, ...]]  # v' -> (ball position -> graph vertex)
+    charts: np.ndarray  # row k: ball_r0 position -> graph vertex, at v_prime[k]
     ball_r0: CayleyBall
     has_right_inverse: bool  # psi is given and phi * psi = 1
 
@@ -139,8 +139,9 @@ def build_instance(
     enough for the instance's own epsilon (CardinalityViolation otherwise).
     The r0-chart of a good vertex is the prefix of its verified chart over
     the radius-r0 ball (smaller Cayley balls are prefixes of larger ones),
-    so only vertices outside the good set are charted here.  Whether psi
-    is a right inverse of phi is checked here, once per instance.
+    so only vertices outside the good set are charted here, all in one
+    label walk.  Whether psi is a right inverse of phi is checked here,
+    once per instance.
     """
     if approx.group != phi.group:
         raise ValueError("approximation and element groups differ")
@@ -162,21 +163,21 @@ def build_instance(
             f"good set of size {len(approx.good_vertices)} is too small for epsilon {plan.epsilon}"
         )
 
-    graph = approx.graph
     ball_r0 = cayley_ball(phi.group, r0, max_elements=max_ball_elements)
-    maps: dict[int, tuple[int, ...]] = {}
-    v_prime: list[int] = []
-    for v in range(n):
-        chart = approx.iso_maps.get(v)
-        f = chart[: ball_r0.size] if chart is not None else ball_isomorphism(graph, v, ball_r0)
-        if f is not None:
-            v_prime.append(v)
-            maps[v] = f
-    v_prime_set = set(v_prime)
-    v_dprime = [v for v in v_prime if all(w in v_prime_set for w in maps[v])]
+    good = np.asarray(approx.good_vertices, dtype=np.int64)
+    in_v_prime = np.zeros(n, dtype=bool)
+    in_v_prime[good] = True
+    others = np.flatnonzero(~in_v_prime)
+    charts = np.empty((n, ball_r0.size), dtype=np.int64)
+    charts[good] = approx.charts[:, : ball_r0.size]
+    charts[others], in_v_prime[others] = ball_charts(approx.graph, others, ball_r0)
+    v_prime = np.flatnonzero(in_v_prime)
+    charts = charts[v_prime]
+    charts.flags.writeable = False
+    in_v_dprime = np.zeros(n, dtype=bool)
+    in_v_dprime[v_prime] = in_v_prime[charts].all(axis=1)
 
-    good_set = set(approx.good_vertices)
-    if not good_set.issubset(v_dprime):
+    if not in_v_dprime[good].all():
         # Good vertices carry (2*r0+1)-isomorphisms, which restrict to
         # r0-isomorphisms at the vertex and at each of its r0-neighbors.
         raise InternalInconsistency("a good vertex fell outside V''")
@@ -185,9 +186,9 @@ def build_instance(
         psi=psi,
         approx=approx,
         plan=plan,
-        v_prime=tuple(v_prime),
-        v_dprime=tuple(v_dprime),
-        maps=maps,
+        v_prime=tuple(v_prime.tolist()),
+        v_dprime=tuple(np.flatnonzero(in_v_dprime).tolist()),
+        charts=charts,
         ball_r0=ball_r0,
         has_right_inverse=psi is not None and check_right_inverse(phi, psi),
     )
@@ -202,14 +203,14 @@ def build_bar_phi(inst: TransferInstance) -> FpMatrix:
     """
     phi = inst.phi
     d, p = phi.d, phi.p
-    n = inst.vertex_count
-    out = np.zeros((d * n, d * len(inst.v_prime)), dtype=np.int64)
+    k = len(inst.v_prime)
+    out = np.zeros((d * inst.vertex_count, d * k), dtype=np.int64)
+    blocks = out.reshape(inst.vertex_count, d, k, d)  # a view: blocks[w, :, j, :]
     idx = inst.ball_r0.element_index
-    for j, vp in enumerate(inst.v_prime):
-        f = inst.maps[vp]
-        for s, mat in phi.support.items():
-            w = f[idx[s]]  # support lies in the r0 ball since r0 >= r1
-            out[w * d : (w + 1) * d, j * d : (j + 1) * d] = mat.array
+    for s, mat in phi.support.items():
+        # support lies in the r0 ball since r0 >= r1; charts are injective,
+        # so no two support elements share a block
+        blocks[inst.charts[:, idx[s]], :, np.arange(k), :] = mat.array
     return FpMatrix(out, p, _normalized=True)
 
 
@@ -229,8 +230,7 @@ def build_bar_psi(inst: TransferInstance) -> FpMatrix:
     out = np.zeros((d * len(inst.v_prime), d * len(inst.v_dprime)), dtype=np.int64)
     idx = inst.ball_r0.element_index
     col_of = {v: m for m, v in enumerate(inst.v_dprime)}
-    for j, vp in enumerate(inst.v_prime):
-        f = inst.maps[vp]
+    for j, f in enumerate(inst.charts.tolist()):
         for s, mat in psi.support.items():
             # The (v', v'') block is psi's coefficient at s exactly when
             # v'' sits at ball position s^{-1} relative to v'.
@@ -247,27 +247,41 @@ def verify_transfer_identity(inst: TransferInstance) -> bool:
     Sums the (v2, v1) blocks of the product for v1, v2 in V'' from the
     charts, joining the two factors on their shared V' index: at v' the
     psi block is psi_s when v1 sits at ball position s^{-1}, and the phi
-    block is phi_t when v2 sits at position t.  True exactly when every
-    diagonal block is the d x d identity and every other block is zero.
+    block is phi_t when v2 sits at position t.  Every (s, t) pair is one
+    column join keyed by v2*|V| + v1; each pair adds its one block product,
+    already reduced mod p, to the keys it hits.  A key collects at most
+    |V'| * |supp phi| * |supp psi| terms below p, far from overflowing
+    int64.  True exactly when every diagonal block is the d x d identity
+    and every other block is zero.
     """
     if inst.psi is None:
         raise ValueError("psi is absent on this instance")
-    p, idx = inst.phi.p, inst.ball_r0.element_index
-    phi_at = [(idx[t], a.array) for t, a in inst.phi.support.items()]
-    psi_at = [(idx[inst.psi.group.inverse(s)], b.array) for s, b in inst.psi.support.items()]
-    vpp = set(inst.v_dprime)
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    for vp in inst.v_prime:
-        f = inst.maps[vp]
-        for i, b in psi_at:
-            for j, a in phi_at:
-                if f[i] in vpp and f[j] in vpp:
-                    key = (f[j], f[i])
-                    blocks[key] = (blocks.get(key, 0) + a @ b) % p
-    eye = np.eye(inst.d, dtype=np.int64)
-    return all((v, v) in blocks for v in vpp) and all(
-        np.array_equal(block, eye) if v2 == v1 else not block.any()
-        for (v2, v1), block in blocks.items()
+    p, n, idx = inst.phi.p, inst.vertex_count, inst.ball_r0.element_index
+    in_vpp = np.zeros(n, dtype=bool)
+    in_vpp[list(inst.v_dprime)] = True
+    phi_at = [(inst.charts[:, idx[t]], a.array) for t, a in inst.phi.support.items()]
+    psi_at = [
+        (inst.charts[:, idx[inst.psi.group.inverse(s)]], b.array) for s, b in inst.psi.support.items()
+    ]
+    keys, products = [], []
+    for v1, b in psi_at:
+        for v2, a in phi_at:
+            both = in_vpp[v1] & in_vpp[v2]
+            keys.append(v2[both] * n + v1[both])
+            products.append((a @ b) % p)
+    joined = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
+    found, where = np.unique(joined, return_inverse=True)
+    blocks = np.zeros((len(found), inst.d, inst.d), dtype=np.int64)
+    start = 0
+    for key, product in zip(keys, products):
+        np.add.at(blocks, where[start : start + len(key)], product)
+        start += len(key)
+    blocks %= p
+    diagonal = found // n == found % n
+    return (
+        int(diagonal.sum()) == len(inst.v_dprime)
+        and bool((blocks[diagonal] == np.eye(inst.d, dtype=np.int64)).all())
+        and not blocks[~diagonal].any()
     )
 
 
@@ -376,15 +390,13 @@ def upper_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> 
     bar_phi = build_bar_phi(inst)
     rk = rank(bar_phi)
 
-    col_of = {v: j for j, v in enumerate(inst.v_prime)}
+    col_of = np.zeros(inst.vertex_count, dtype=np.int64)
+    col_of[list(inst.v_prime)] = np.arange(len(inst.v_prime))
     local_bound = d * inst.ball_r0.size - 1
     per_ranks = []
     for v in weiss.v1:
-        cols = []
-        for w in inst.maps[v]:  # the r0-neighborhood of v, all inside V'
-            j = col_of[w]
-            cols.extend(range(j * d, (j + 1) * d))
-        sub = bar_phi.array[:, cols]
+        js = col_of[inst.charts[col_of[v]]]  # v's row: its r0-neighborhood, all inside V'
+        sub = bar_phi.array[:, (js[:, None] * d + np.arange(d)).ravel()]
         sub = FpMatrix(sub[sub.any(axis=1)], bar_phi.p, _normalized=True)  # zero rows add no rank
         r_local = rank(sub)
         per_ranks.append(r_local)
@@ -471,7 +483,7 @@ def run_experiment(
             )
         torus_n = n
         approx = torus_approximation(
-            group.rank, n, radius, max_vertices=max_vertices, max_ball_elements=max_ball_elements
+            group, n, radius, max_vertices=max_vertices, max_ball_elements=max_ball_elements
         )
     elif isinstance(group, FiniteByTable):
         if torus_n is not None:

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .digraph import distances
 from .errors import ApproximationTooCoarse, InternalInconsistency, PreconditionDensity
 from .sofic import SoficApproximation
@@ -73,13 +75,13 @@ def weiss_select(approx: SoficApproximation, r0: int) -> WeissSelection:
     depth_of = approx.ball.distance_from_root
     ball_size = bisect_right(depth_of, sep)
     discard_size = bisect_right(depth_of, sep - 1)
-    alive = set(good)
+    alive = np.zeros(n, dtype=bool)
+    alive[list(good)] = True
     selected = []
-    for v in good:  # ascending order
-        if v not in alive:
-            continue
-        selected.append(v)
-        alive.difference_update(approx.iso_maps[v][:discard_size])
+    for v, chart in zip(good, approx.charts):  # ascending order
+        if alive[v]:
+            selected.append(v)
+            alive[chart[:discard_size]] = False
 
     v1 = tuple(selected)
     density_bound = Fraction(1, 2 * ball_size)

@@ -1,12 +1,15 @@
 import math
+from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from soficrank.digraph import (
     LabeledDigraph,
+    ball_charts,
     ball_isomorphism,
     distance,
     neighborhood,
@@ -14,8 +17,8 @@ from soficrank.digraph import (
     write_graph_file,
 )
 from soficrank.errors import ParseError
-from soficrank.groups import FreeAbelian, cayley_ball
-from soficrank.sofic import torus_graph
+from soficrank.groups import CayleyBall, FreeAbelian, cayley_ball, cyclic_group, read_finite_group_file
+from soficrank.sofic import finite_cayley_graph, torus_graph
 
 Z1 = FreeAbelian(1)
 
@@ -223,9 +226,73 @@ class TestBallIsomorphismOracle:
     def test_agrees_with_networkx(self, case, r):
         group, graph = case
         ball = cayley_ball(group, r)
+        charts, ok = ball_charts(graph, range(graph.vertex_count), ball)
         for v in range(graph.vertex_count):
             f = ball_isomorphism(graph, v, ball)
             assert (f is not None) == _oracle_isomorphic(graph, v, ball), v
+            assert bool(ok[v]) == (f is not None), v
             if f is not None:
+                assert tuple(charts[v].tolist()) == f, v
                 # onto N_r(v) although no neighborhood is computed
                 assert set(f) == set(neighborhood(graph, v, r))
+
+
+def assert_charts_match(graph, vertices, ball):
+    """ball_charts against ball_isomorphism, row for row and flag for flag."""
+    charts, ok = ball_charts(graph, vertices, ball)
+    assert charts.shape == (len(vertices), ball.size) and ok.shape == (len(vertices),)
+    for k, v in enumerate(vertices):
+        f = ball_isomorphism(graph, v, ball)
+        assert bool(ok[k]) == (f is not None), v
+        if f is not None:
+            assert tuple(charts[k].tolist()) == f, v
+    return ok
+
+
+class TestBallCharts:
+    def test_s3_cayley_graph(self):
+        group = read_finite_group_file(Path(__file__).parent / "data" / "golden" / "s3.table")
+        graph = finite_cayley_graph(group)
+        for r in range(4):
+            assert assert_charts_match(graph, range(group.size), cayley_ball(group, r)).all()
+
+    def test_open_path_charts_only_the_interior(self):
+        # the 12-cycle without its wrap-around edges between 11 and 0
+        graph = LabeledDigraph(12, 3, [e for e in torus_graph(Z1, 12).edges() if abs(e[0] - e[1]) <= 1])
+        r = 2
+        ok = assert_charts_match(graph, range(12), cayley_ball(Z1, r))
+        assert list(ok) == [r <= v < 12 - r for v in range(12)]
+
+    def test_vertices_in_any_order(self):
+        graph = torus_graph(FreeAbelian(2), 4)
+        assert assert_charts_match(graph, [9, 0, 15, 9], cayley_ball(FreeAbelian(2), 1)).all()
+
+    def test_empty_vertex_list(self):
+        ball = cayley_ball(Z1, 2)
+        charts, ok = ball_charts(torus_graph(Z1, 6), [], ball)
+        assert charts.shape == (0, ball.size) and charts.dtype == np.int64
+        assert ok.shape == (0,)
+
+    def test_radius_zero(self):
+        # Z^1 carries an identity generator, so the one-point ball has a self-loop
+        charts, ok = ball_charts(torus_graph(Z1, 5), range(5), cayley_ball(Z1, 0))
+        assert ok.all() and charts.tolist() == [[v] for v in range(5)]
+        # a self-loop on a label the one-point ball lacks is an extra edge
+        c3 = cyclic_group(3)
+        graph = LabeledDigraph(3, 2, [(0, 0, 0), (1, 2, 0), (2, 1, 1)])
+        ok = assert_charts_match(graph, range(3), cayley_ball(c3, 0))
+        assert list(ok) == [False, True, True]
+
+    def test_injectivity_on_a_rooted_star(self):
+        # On Cayley balls, reverse edges already catch a repeated vertex; on
+        # this hand-made two-label star only the injectivity check does.
+        star = LabeledDigraph(3, 2, [(0, 1, 0), (0, 2, 1)])
+        ball = CayleyBall(Z1, 1, (0, 1, 2), {0: 0, 1: 1, 2: 2}, (0, 1, 1), star)
+        merged = LabeledDigraph(2, 2, [(0, 1, 0), (0, 1, 1)])  # both leaves land on 1
+        assert not assert_charts_match(merged, [0, 1], ball).any()
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            ball_charts(LabeledDigraph(3, 1, [(0, 1, 0)]), [0], cayley_ball(Z1, 1))
+        with pytest.raises(ValueError):
+            ball_charts(torus_graph(Z1, 6), [0, 6], cayley_ball(Z1, 1))

@@ -92,6 +92,11 @@ class TestFiniteByTable:
         with pytest.raises(ValueError, match="not associative"):
             FiniteByTable(loop, [1, 2])
 
+    def test_rejects_entries_beyond_int64(self):
+        for huge in (10**20, -(10**20)):
+            with pytest.raises(ValueError, match="entries in range"):
+                FiniteByTable([[0, huge], [1, 0]], [1])
+
     def test_direct_product(self):
         G = direct_product_table(cyclic_group(2), cyclic_group(3))
         assert G.size == 6

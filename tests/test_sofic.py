@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from soficrank.digraph import LabeledDigraph, ball_isomorphism
 from soficrank.errors import AlphabetMismatch, BallMismatch, CardinalityViolation
-from soficrank.groups import FreeAbelian, cyclic_group
+from soficrank.groups import FreeAbelian, cayley_ball, cyclic_group
 from soficrank.sofic import (
     finite_cayley_graph,
     finite_group_approximation,
@@ -34,6 +36,24 @@ class TestVerify:
             verify_approximation(torus_graph(Z1, 5), range(5), Fraction(1, 10), 2, Z1)
         assert err.value.vertex == 0  # lowest failing vertex
 
+    def test_several_failures_name_the_lowest(self):
+        edges = [e for e in torus_graph(Z1, 12).edges() if e[:2] not in {(2, 3), (7, 8)}]
+        graph = LabeledDigraph(12, 3, edges)
+        ball = cayley_ball(Z1, 1)
+        assert [v for v in range(12) if ball_isomorphism(graph, v, ball) is None] == [2, 3, 7, 8]
+        for good, lowest in ((range(12), 2), ([11, 3, 0, 8, 9, 7, 10], 3), ([9, 8, 0, 7, 10, 11], 7)):
+            with pytest.raises(BallMismatch) as err:
+                verify_approximation(graph, good, Fraction(1, 2), 1, Z1)
+            assert err.value.vertex == lowest
+
+    def test_charts_are_read_only_rows_of_good_vertices(self):
+        graph = torus_graph(Z1, 8)
+        approx = verify_approximation(graph, [6, 1, 3, 4, 5], Fraction(1, 2), 2, Z1)
+        assert approx.charts.shape == (5, approx.ball.size)
+        assert not approx.charts.flags.writeable
+        for row, v in zip(approx.charts.tolist(), approx.good_vertices):
+            assert tuple(row) == ball_isomorphism(graph, v, approx.ball)
+
     def test_cardinality_violation(self):
         with pytest.raises(CardinalityViolation):
             verify_approximation(torus_graph(Z1, 8), [0, 1], Fraction(1, 10), 1, Z1)
@@ -55,32 +75,32 @@ class TestVerify:
 
 class TestTorusApproximation:
     def test_c8_radius_three(self):
-        approx = torus_approximation(1, 8, 3)
+        approx = torus_approximation(Z1, 8, 3)
         assert approx.vertex_count == 8
         assert approx.good_vertices == tuple(range(8))
 
     def test_two_dimensional(self):
-        approx = torus_approximation(2, 6, 2)
+        approx = torus_approximation(Z2, 6, 2)
         assert approx.vertex_count == 36
 
     def test_side_too_small(self):
         with pytest.raises(ValueError):
-            torus_approximation(1, 7, 3)  # need 2*3 + 2 = 8
+            torus_approximation(Z1, 7, 3)  # need 2*3 + 2 = 8
 
     def test_cached_map_is_translation(self):
-        approx = torus_approximation(1, 10, 3)
+        approx = torus_approximation(Z1, 10, 3)
         ball = approx.ball
         for v in (0, 3, 7):
-            f = approx.iso_maps[v]
+            f = tuple(approx.charts[approx.good_vertices.index(v)].tolist())
             assert f == tuple((v + g[0]) % 10 for g in ball.elements)
 
     def test_cached_map_translation_2d(self):
         n = 6
-        approx = torus_approximation(2, n, 1)
+        approx = torus_approximation(Z2, n, 1)
         ball = approx.ball
         for v in (0, 7, 35):
             coords = (v % n, (v // n) % n)
-            f = approx.iso_maps[v]
+            f = tuple(approx.charts[approx.good_vertices.index(v)].tolist())
             expected = tuple(
                 ((coords[0] + g[0]) % n) + n * ((coords[1] + g[1]) % n)
                 for g in ball.elements
@@ -89,7 +109,7 @@ class TestTorusApproximation:
 
     def test_monotone_in_radius(self):
         # the same graph and good set re-verify at every smaller radius
-        approx = torus_approximation(1, 8, 3)
+        approx = torus_approximation(Z1, 8, 3)
         for smaller in (2, 1, 0):
             again = verify_approximation(
                 approx.graph, approx.good_vertices, approx.epsilon, smaller, approx.group
@@ -118,7 +138,7 @@ class TestFiniteGroupApproximation:
 class TestBuilderVerifierAgreement:
     def test_rebuilt_approximations_verify(self):
         for k, n, r in [(1, 8, 3), (1, 12, 2), (2, 6, 2)]:
-            approx = torus_approximation(k, n, r)
+            approx = torus_approximation(FreeAbelian(k), n, r)
             again = verify_approximation(
                 approx.graph,
                 approx.good_vertices,
@@ -127,4 +147,4 @@ class TestBuilderVerifierAgreement:
                 approx.group,
             )
             assert again.good_vertices == approx.good_vertices
-            assert again.iso_maps == approx.iso_maps
+            assert np.array_equal(again.charts, approx.charts)

@@ -11,8 +11,8 @@ from soficrank.errors import (
     CheckFailedError,
     KernelSearchExhausted,
 )
-from soficrank.exactfield import FpMatrix, mat_mul, rank
-from soficrank import transfer
+from soficrank.exactfield import MAX_MODULUS, FpMatrix, is_prime, mat_mul, rank
+from soficrank import digraph, sofic, transfer, weiss
 from soficrank.groupring import (
     GroupRingKernel,
     check_right_inverse,
@@ -86,7 +86,7 @@ class TestPlanAndInstance:
 
     def test_identity_instance_on_c8(self):
         ident = GroupRingKernel.identity(Z1, 1, 2)
-        approx = torus_approximation(1, 8, 3)
+        approx = torus_approximation(Z1, 8, 3)
         inst = build_instance(ident, ident, approx)
         assert inst.plan.r0 == 1
         assert inst.v_prime == tuple(range(8))
@@ -94,7 +94,7 @@ class TestPlanAndInstance:
 
     def test_too_coarse_rejected(self):
         x = involution()  # r0 = 2, needs approximation radius 5
-        approx = torus_approximation(1, 12, 3)
+        approx = torus_approximation(Z1, 12, 3)
         with pytest.raises(ApproximationTooCoarse):
             build_instance(x, x, approx)
 
@@ -102,7 +102,7 @@ class TestPlanAndInstance:
 class TestBarMatrices:
     def test_identity_bar_phi_is_block_identity(self):
         ident = GroupRingKernel.identity(Z1, 1, 2)
-        approx = torus_approximation(1, 8, 3)
+        approx = torus_approximation(Z1, 8, 3)
         inst = build_instance(ident, ident, approx)
         bar = build_bar_phi(inst)
         assert bar == FpMatrix.identity(8, 2)
@@ -111,7 +111,7 @@ class TestBarMatrices:
     def test_one_plus_t_bar_phi_is_circulant(self):
         phi = scalar_kernel(Z1, 2, {(0,): 1, (1,): 1})
         psi = scalar_kernel(Z1, 2, {(0,): 1, (1,): 1})
-        approx = torus_approximation(1, 12, 5)
+        approx = torus_approximation(Z1, 12, 5)
         inst = build_instance(phi, psi, approx)
         bar = build_bar_phi(inst)
         n = 12
@@ -123,12 +123,12 @@ class TestBarMatrices:
 
     def test_zero_phi_bar_is_zero(self):
         zero = GroupRingKernel.zero(Z1, 2, 2)
-        approx = torus_approximation(1, 8, 3)
+        approx = torus_approximation(Z1, 8, 3)
         inst = build_instance(zero, None, approx)
         assert build_bar_phi(inst).is_zero()
 
     def test_bar_psi_requires_psi(self):
-        approx = torus_approximation(1, 8, 3)
+        approx = torus_approximation(Z1, 8, 3)
         inst = build_instance(GroupRingKernel.identity(Z1, 1, 2), None, approx)
         with pytest.raises(ValueError):
             build_bar_psi(inst)
@@ -137,19 +137,19 @@ class TestBarMatrices:
 class TestTransferIdentity:
     def test_identity_pair(self):
         ident = GroupRingKernel.identity(Z1, 1, 2)
-        approx = torus_approximation(1, 8, 3)
+        approx = torus_approximation(Z1, 8, 3)
         inst = build_instance(ident, ident, approx)
         assert verify_transfer_identity(inst)
 
     def test_involution_pair(self):
         x = involution()
-        approx = torus_approximation(1, 12, 5)
+        approx = torus_approximation(Z1, 12, 5)
         inst = build_instance(x, x, approx)
         assert verify_transfer_identity(inst)
 
     def test_failure_when_not_right_inverse(self):
         phi = scalar_kernel(Z1, 2, {(0,): 1, (1,): 1})
-        approx = torus_approximation(1, 12, 5)
+        approx = torus_approximation(Z1, 12, 5)
         inst = build_instance(phi, phi, approx)
         assert not verify_transfer_identity(inst)
 
@@ -167,7 +167,7 @@ def smallest_instance(phi, psi):
     plan = plan_instance(phi, psi)
     radius = 2 * plan.r0 + 1
     if isinstance(phi.group, FreeAbelian):
-        approx = torus_approximation(phi.group.rank, 2 * radius + 2, radius)
+        approx = torus_approximation(phi.group, 2 * radius + 2, radius)
     else:
         approx = finite_group_approximation(phi.group, radius)
     return build_instance(phi, psi, approx, plan=plan)
@@ -205,11 +205,29 @@ def open_path_involution():
     return inst
 
 
+def large_prime_transvection():
+    """I + N t and I - N t over the largest prime p <= MAX_MODULUS, N = u v^T with v^T u = 0.
+
+    N's entries are near p, so the block product N (-N), zero mod p, has
+    entries near 2 p^2 ~ 2^41 before reduction.
+    """
+    p = 1048573
+    assert is_prime(p) and not any(is_prime(q) for q in range(p + 1, MAX_MODULUS + 1))
+    u, v = (3, 524287), (524287, -3)
+    nil = [[a * b for b in v] for a in u]
+    eye = FpMatrix.identity(2, p)
+    phi = GroupRingKernel(Z1, 2, p, {(0,): eye, (1,): FpMatrix(nil, p)})
+    psi = GroupRingKernel(Z1, 2, p, {(0,): eye, (1,): FpMatrix([[-x for x in row] for row in nil], p)})
+    assert int(FpMatrix(nil, p).array.max()) > p // 2
+    return phi, psi
+
+
 ORACLE_CASES = {
     "z1-torus-involution": (lambda: smallest_instance(involution(), involution()), True),
     "z2-torus-unipotent": (lambda: smallest_instance(*z2_unipotent_pair()), True),
     "s3-involution": (lambda: smallest_instance(*s3_involution()), True),
     "z1-open-path-involution": (open_path_involution, True),
+    "z1-large-prime-transvection": (lambda: smallest_instance(*large_prime_transvection()), True),
     "off-diagonal-1+t": (
         lambda: smallest_instance(
             scalar_kernel(Z1, 2, {(0,): 1, (1,): 1}), scalar_kernel(Z1, 2, {(0,): 1, (1,): 1})
@@ -238,10 +256,26 @@ class TestTransferIdentityOracle:
         assert verify_transfer_identity(inst) is expected
 
 
+class TestInstanceCharts:
+    def test_open_path_rows_are_r0_charts(self):
+        inst = open_path_involution()
+        graph = inst.approx.graph
+        charted = [v for v in range(graph.vertex_count) if ball_isomorphism(graph, v, inst.ball_r0)]
+        assert inst.v_prime == tuple(charted)
+        assert inst.charts.shape == (len(charted), inst.ball_r0.size)
+        assert not inst.charts.flags.writeable
+        for row, v in zip(inst.charts.tolist(), inst.v_prime):
+            assert tuple(row) == ball_isomorphism(graph, v, inst.ball_r0)
+        vp = set(inst.v_prime)
+        assert inst.v_dprime == tuple(
+            v for v, row in zip(inst.v_prime, inst.charts.tolist()) if vp.issuperset(row)
+        )
+
+
 class TestLowerBound:
     def test_identity_pair_on_c8(self):
         ident = GroupRingKernel.identity(Z1, 1, 2)
-        approx = torus_approximation(1, 8, 3)
+        approx = torus_approximation(Z1, 8, 3)
         inst = build_instance(ident, ident, approx)
         report = lower_bound_check(inst)
         assert report.verdict == LOWER_HOLDS
@@ -250,7 +284,7 @@ class TestLowerBound:
 
     def test_involution_on_c12(self):
         x = involution()
-        approx = torus_approximation(1, 12, 5)
+        approx = torus_approximation(Z1, 12, 5)
         inst = build_instance(x, x, approx)
         report = lower_bound_check(inst)
         assert report.bar_phi_rank == 24  # full rank: 2 * |V''| = 2 * 12
@@ -264,7 +298,7 @@ class TestLowerBound:
 
     def test_precondition_enforced(self):
         phi = scalar_kernel(Z1, 2, {(0,): 1, (1,): 1})
-        approx = torus_approximation(1, 12, 5)
+        approx = torus_approximation(Z1, 12, 5)
         inst = build_instance(phi, phi, approx)
         with pytest.raises(CheckFailedError):
             lower_bound_check(inst)
@@ -273,7 +307,7 @@ class TestLowerBound:
 class TestUpperBound:
     def test_singular_diag_on_c12(self):
         phi = singular_diag()
-        approx = torus_approximation(1, 12, 3)
+        approx = torus_approximation(Z1, 12, 3)
         inst = build_instance(phi, None, approx)
         assert inst.plan.r0 == 1 and inst.plan.r2 == 1
         report = upper_bound_check(inst)
@@ -326,7 +360,7 @@ class TestImperfectApproximation:
 class TestCommutativeSquare:
     def test_square_matches_restriction(self):
         phi = singular_diag()
-        approx = torus_approximation(1, 12, 3)
+        approx = torus_approximation(Z1, 12, 3)
         inst = build_instance(phi, None, approx)
         restr = restriction_matrix(phi, cayley_ball(Z1, 1), cayley_ball(Z1, 2))
         for v in (0, 4, 7):
@@ -339,7 +373,7 @@ class TestCommutativeSquare:
             Z1, 2, 2,
             {(0,): FpMatrix([[1, 0], [0, 0]], 2), (1,): FpMatrix([[0, 0], [1, 0]], 2)},
         )
-        approx = torus_approximation(1, 20, 5)
+        approx = torus_approximation(Z1, 20, 5)
         inst = build_instance(phi, None, approx)
         restr = restriction_matrix(phi, cayley_ball(Z1, inst.plan.r0), cayley_ball(Z1, 2 * inst.plan.r0))
         square = commutative_square_matrix(inst, 3)
@@ -351,7 +385,7 @@ class TestCommutativeSquare:
             Z2, 2, 3,
             {(0, 0): FpMatrix([[1, 0], [0, 0]], 3), (1, 0): FpMatrix([[0, 0], [2, 0]], 3)},
         )
-        approx = torus_approximation(2, 12, 5)
+        approx = torus_approximation(Z2, 12, 5)
         inst = build_instance(phi, None, approx)
         restr = restriction_matrix(phi, cayley_ball(Z2, inst.plan.r0), cayley_ball(Z2, 2 * inst.plan.r0))
         for v in (0, 17, 100):
@@ -399,6 +433,34 @@ class TestRunExperiment:
         report = run_experiment(involution(), involution(), mode)
         assert report.verdict == LOWER_HOLDS
         assert len(calls) == 1
+
+    def test_no_per_vertex_charts_on_perfect_approximations(self, monkeypatch):
+        calls = []
+
+        def counting(graph, v, ball):
+            calls.append(v)
+            return ball_isomorphism(graph, v, ball)
+
+        for module in (digraph, sofic, transfer, weiss):
+            if hasattr(module, "ball_isomorphism"):
+                monkeypatch.setattr(module, "ball_isomorphism", counting)
+        assert run_experiment(involution(), involution(), "lower").verdict == LOWER_HOLDS
+        assert run_experiment(singular_diag(), None, "upper", torus_n=12).verdict == UPPER_HOLDS
+        assert run_experiment(*s3_involution(), "both").verdict == LOWER_HOLDS
+        assert calls == []
+
+    def test_approximation_reuses_the_plan_ball(self, monkeypatch):
+        approxes = []
+
+        def recording(phi, psi, approx, **kwargs):
+            approxes.append(approx)
+            return build_instance(phi, psi, approx, **kwargs)
+
+        monkeypatch.setattr(transfer, "build_instance", recording)
+        x = involution()
+        report = run_experiment(x, x, "lower")
+        (approx,) = approxes
+        assert approx.ball is cayley_ball(x.group, 2 * report.r0 + 1)
 
     def test_auto_torus_side(self):
         report = run_experiment(involution(), involution(), "lower")
