@@ -189,7 +189,7 @@ def restriction_matrix(c: GroupRingKernel, dom: CayleyBall, cod: CayleyBall) -> 
     group = c.group
     for j, g1 in enumerate(dom.elements):
         for s, mat in c.support.items():
-            g2 = group.multiply(g1, s)
+            g2 = group._mul(g1, s)  # a ball element times a validated support element
             i = cod.element_index.get(g2)
             if i is None:
                 raise InternalInconsistency(
@@ -229,4 +229,4 @@ def kernel_radius(
     for n in range(1, max_n + 1):
         if has_kernel(n):
             return n
-    raise AssertionError("unreachable: kernel present at max_n but at no n <= max_n")
+    raise InternalInconsistency(f"kernel found at radius max_n = {max_n} but at no radius n <= {max_n}")

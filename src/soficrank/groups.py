@@ -11,6 +11,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -34,6 +35,12 @@ class GroupModel:
         raise NotImplementedError
 
     def multiply(self, a, b):
+        self.check_element(a)
+        self.check_element(b)
+        return self._mul(a, b)
+
+    def _mul(self, a, b):
+        """Product of two elements already known to belong to the group, unchecked."""
         raise NotImplementedError
 
     def inverse(self, a):
@@ -95,10 +102,8 @@ class FreeAbelian(GroupModel):
     def identity(self):
         return tuple(0 for _ in range(self.rank))
 
-    def multiply(self, a, b):
-        self.check_element(a)
-        self.check_element(b)
-        return tuple(x + y for x, y in zip(a, b))
+    def _mul(self, a, b):
+        return tuple(map(add, a, b))
 
     def inverse(self, a):
         self.check_element(a)
@@ -223,9 +228,7 @@ class FiniteByTable(GroupModel):
     def identity(self):
         return self._identity
 
-    def multiply(self, a, b):
-        self.check_element(a)
-        self.check_element(b)
+    def _mul(self, a, b):
         return self._table[a][b]
 
     def inverse(self, a):
@@ -344,6 +347,7 @@ def cayley_ball(group: GroupModel, r: int, max_elements: int = DEFAULT_MAX_BALL_
     if hit is not None and hit.size <= max_elements:
         return hit
 
+    mul = group._mul  # every factor below is a ball element or a generator
     ident = group.identity()
     elements = [ident]
     index = {ident: 0}
@@ -353,7 +357,7 @@ def cayley_ball(group: GroupModel, r: int, max_elements: int = DEFAULT_MAX_BALL_
         discovered = set()
         for g in frontier:
             for b in group.generators:
-                h = group.multiply(g, b)
+                h = mul(g, b)
                 if h not in index and h not in discovered:
                     discovered.add(h)
         if not discovered:
@@ -372,7 +376,7 @@ def cayley_ball(group: GroupModel, r: int, max_elements: int = DEFAULT_MAX_BALL_
     edges = []
     for i, g in enumerate(elements):
         for label, b in enumerate(group.generators):
-            j = index.get(group.multiply(g, b))
+            j = index.get(mul(g, b))
             if j is not None:
                 edges.append((i, j, label))
     ball = CayleyBall(

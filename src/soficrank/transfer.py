@@ -14,7 +14,8 @@ inverse psi) and a sofic approximation of G, this module:
     over the graph;
   * verifies the composition identity on V'' x V'' block by block from
     the charts and evaluates both sides of the rank-counting argument with
-    exact integer and rational arithmetic.
+    exact integer and rational arithmetic, eliminating only the ranks the
+    charts leave open.
 
 The two verdicts exclude each other: an element with a verified right
 inverse never exhibits a restricted kernel vector, so at most one of the
@@ -31,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .digraph import ball_charts, ball_isomorphism
+from .digraph import ball_charts
 from .errors import (
     ApproximationTooCoarse,
     CardinalityViolation,
@@ -45,6 +46,7 @@ from .groupring import (
     GroupRingKernel,
     check_right_inverse,
     kernel_radius,
+    restriction_matrix,
     support_data,
 )
 from .groups import CayleyBall, FiniteByTable, FreeAbelian, cayley_ball
@@ -351,7 +353,8 @@ def lower_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> 
 
     Requires psi with a verified right inverse.  Every step is guaranteed
     by theory once the composition identity holds on V'', so any violation
-    raises InternalInconsistency.
+    raises InternalInconsistency.  When V'' = V' the identity forces the
+    rank to d|V'|, and bar_phi is neither built nor eliminated.
     """
     if inst.psi is None:
         raise ValueError("lower-bound check requires psi")
@@ -359,8 +362,12 @@ def lower_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> 
         raise CheckFailedError("psi is not a right inverse of phi")
     if not verify_transfer_identity(inst):
         raise InternalInconsistency("composition identity failed on V'' despite phi*psi = 1")
-    rk = rank(build_bar_phi(inst))
     d = inst.d
+    if len(inst.v_dprime) == len(inst.v_prime):
+        # The identity gives rank >= d|V''|, and bar_phi has only d|V'| columns.
+        rk = d * len(inst.v_prime)
+    else:
+        rk = rank(build_bar_phi(inst))
     if rk < d * len(inst.v_dprime):
         raise InternalInconsistency(
             f"rank {rk} < d*|V''| = {d * len(inst.v_dprime)} despite the identity"
@@ -377,37 +384,24 @@ def upper_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> 
     """Verify the upper rank chain for an element with a restricted kernel vector.
 
     Selects V1 by weiss_select on the instance's approximation, then checks
-    in order: (a) for every selected vertex the column restriction of the
-    transplanted matrix has rank <= d*|N_r0(B)| - 1; (b) the total rank is
-    at most d|V| - |V| / (2|N_{2r0+1}(B)|); (c) strictly below (1-eps)|V|d.
-    All three are theory-guaranteed, so failures raise
+    in order: (a) every selected vertex's column slice, one shared ball
+    restriction by check_local_slices, has rank <= d*|N_r0(B)| - 1; (b) the
+    total rank is at most d|V| - |V| / (2|N_{2r0+1}(B)|); (c) strictly below
+    (1-eps)|V|d.  All three are theory-guaranteed, so failures raise
     InternalInconsistency.
     """
     if inst.plan.r2 is None:
         raise ValueError("upper-bound check requires a kernel radius r2")
     weiss = weiss_select(inst.approx, inst.plan.r0)
-    d = inst.d
-    bar_phi = build_bar_phi(inst)
-    rk = rank(bar_phi)
-
-    col_of = np.zeros(inst.vertex_count, dtype=np.int64)
-    col_of[list(inst.v_prime)] = np.arange(len(inst.v_prime))
-    local_bound = d * inst.ball_r0.size - 1
-    per_ranks = []
-    for v in weiss.v1:
-        js = col_of[inst.charts[col_of[v]]]  # v's row: its r0-neighborhood, all inside V'
-        sub = bar_phi.array[:, (js[:, None] * d + np.arange(d)).ravel()]
-        sub = FpMatrix(sub[sub.any(axis=1)], bar_phi.p, _normalized=True)  # zero rows add no rank
-        r_local = rank(sub)
-        per_ranks.append(r_local)
-        if r_local > local_bound:
-            raise InternalInconsistency(
-                f"restricted rank {r_local} at vertex {v} exceeds {local_bound}"
-            )
+    rk = rank(build_bar_phi(inst))
+    r_local = rank(check_local_slices(inst, weiss.v1))
+    local_bound = inst.d * inst.ball_r0.size - 1
+    if r_local > local_bound:
+        raise InternalInconsistency(f"rank {r_local} of phi on N_r0 exceeds d|N_r0| - 1 = {local_bound}")
 
     report = _report(
-        inst, "upper", UPPER_HOLDS, torus_n,
-        bar_phi_rank=rk, local_rank_bound=local_bound, per_v1_ranks=tuple(per_ranks), weiss=weiss,
+        inst, "upper", UPPER_HOLDS, torus_n, bar_phi_rank=rk, local_rank_bound=local_bound,
+        per_v1_ranks=(r_local,) * len(weiss.v1), weiss=weiss,
     )
     if Fraction(rk) > report.upper_bound:
         raise InternalInconsistency(f"rank {rk} exceeds the counting bound {report.upper_bound}")
@@ -418,36 +412,38 @@ def upper_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> 
     return report
 
 
-def commutative_square_matrix(inst: TransferInstance, v: int) -> Optional[FpMatrix]:
-    """Submatrix of bar_phi at v, pulled back through the ball charts.
+def check_local_slices(inst: TransferInstance, v1) -> FpMatrix:
+    """Check from the charts that bar_phi's slice at each v in v1 is one restriction; return it.
 
-    Takes the columns of the r0-neighborhood of v and the rows of its
-    2*r0-neighborhood, reindexed by the rooted isomorphism at radius 2*r0.
-    When v carries such an isomorphism the result equals
-    restriction_matrix(phi, r0-ball, 2*r0-ball) entry for entry; returns
-    None when v has no radius-2*r0 chart.
+    Each v in v1 is good, with verified chart f over the approximation's
+    ball.  The slice at v has the columns of the vertices f(g), g in N_r0,
+    and the column of u holds phi_s in the row of u's own chart at s.  When
+    that row is f(g s) for every g and every s in supp phi, the slice is
+    restriction_matrix(phi, N_r0, ball) with rows permuted by the injective
+    f, plus zero rows, so all slices share its rank.  A mismatch raises
+    InternalInconsistency.
     """
-    group = inst.phi.group
-    ball_small = inst.ball_r0
-    ball_large = cayley_ball(group, 2 * inst.plan.r0)
-    f = ball_isomorphism(inst.approx.graph, v, ball_large)
-    if f is None:
-        return None
-    bar_phi = build_bar_phi(inst)
-    d = inst.d
-    col_of = {u: j for j, u in enumerate(inst.v_prime)}
-    cols = []
-    # Smaller balls are prefixes of larger ones, so position i in the small
-    # ball is position i in the large one.
-    for i in range(ball_small.size):
-        j = col_of[f[i]]
-        cols.extend(range(j * d, (j + 1) * d))
-    rows = []
-    for i in range(ball_large.size):
-        w = f[i]
-        rows.extend(range(w * d, (w + 1) * d))
-    sub = bar_phi.array[np.ix_(rows, cols)]
-    return FpMatrix(sub, bar_phi.p, _normalized=True)
+    approx, ball, small, phi = inst.approx, inst.approx.ball, inst.ball_r0, inst.phi
+    supp = list(phi.support)
+    at_s = np.array([small.element_index[s] for s in supp], dtype=np.int64)
+    # g*s lies in N_{2r0}, since supp phi lies in N_r0
+    at_gs = np.array(
+        [[ball.element_index[phi.group._mul(g, s)] for s in supp] for g in small.elements], dtype=np.int64
+    )
+    # good vertices and V' are sorted, and v1 lies in the one, their r0-neighbors in the other
+    f = approx.charts[np.searchsorted(approx.good_vertices, v1)]
+    got = inst.charts[np.searchsorted(inst.v_prime, f[:, : small.size, None]), at_s]  # [v, g, s]
+    want = f[:, at_gs]
+    bad = np.argwhere(got != want)
+    if bad.size:
+        k, i, j = bad[0].tolist()
+        fmt, g, s = phi.group.format_element, small.elements[i], supp[j]
+        raise InternalInconsistency(
+            f"Weiss pick {v1[k]}: the column of vertex {f[k, i]} (ball position {i}, element "
+            f"{fmt(g)}) holds phi's coefficient at {fmt(s)} in the row of vertex {got[k, i, j]}, "
+            f"but the pick's chart puts {fmt(phi.group._mul(g, s))} at vertex {want[k, i, j]}"
+        )
+    return restriction_matrix(phi, small, ball)
 
 
 def run_experiment(

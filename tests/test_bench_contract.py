@@ -23,3 +23,8 @@ def traced_names():
 @pytest.mark.parametrize("module, name", traced_names())
 def test_traced_function_exists(module, name):
     assert callable(getattr(importlib.import_module(f"soficrank.{module}"), name, None))
+
+
+def test_test_oracles_are_not_traced():
+    # Dense references live in tests/oracles.py; the tracer must not look for them in the package.
+    assert "commutative_square_matrix" not in {name for _, name in traced_names()}

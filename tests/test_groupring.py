@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from soficrank import groupring
 from soficrank.errors import InternalInconsistency
 from soficrank.exactfield import FpMatrix, mat_mul, rank
 from soficrank.groupring import (
@@ -201,6 +202,19 @@ class TestKernelRadius:
         c = compose(diag, u)
         r2 = kernel_radius(c, 6)
         assert r2 is not None and r2 <= 2
+
+    def test_kernel_at_bound_but_at_no_radius_is_inconsistent(self, monkeypatch):
+        # Only the first elimination, the one at max_n, reports a kernel.
+        calls = []
+
+        def first_call_singular(m):
+            calls.append(m)
+            return m.cols - 1 if len(calls) == 1 else m.cols
+
+        monkeypatch.setattr(groupring, "rank", first_call_singular)
+        with pytest.raises(InternalInconsistency, match=r"max_n = 3 but at no radius n <= 3"):
+            kernel_radius(one_plus_t(), 3)
+        assert len(calls) == 4
 
 
 kernel_strategy = st.builds(

@@ -1,14 +1,17 @@
+import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import commutative_square_matrix, slice_ranks
 from soficrank.cli import parse_instance_file
 from soficrank.digraph import LabeledDigraph, ball_isomorphism
 from soficrank.errors import (
     ApproximationTooCoarse,
     CheckFailedError,
+    InternalInconsistency,
     KernelSearchExhausted,
 )
 from soficrank.exactfield import MAX_MODULUS, FpMatrix, is_prime, mat_mul, rank
@@ -30,7 +33,6 @@ from soficrank.transfer import (
     build_bar_psi,
     build_instance,
     choose_epsilon,
-    commutative_square_matrix,
     lower_bound_check,
     plan_instance,
     run_experiment,
@@ -327,6 +329,59 @@ class TestUpperBound:
         x = involution()
         with pytest.raises(KernelSearchExhausted):
             run_experiment(x, None, "upper", torus_n=20)
+
+
+class TestForcedRank:
+    """Lower mode takes rank d|V'| when V'' = V'; the eliminator must agree with it."""
+
+    @pytest.mark.parametrize("case", [c for c, (_, holds) in ORACLE_CASES.items() if holds])
+    def test_eliminator_agrees_with_reported_rank(self, monkeypatch, case):
+        inst = ORACLE_CASES[case][0]()
+        builds = []
+
+        def counting(inst):
+            builds.append(inst)
+            return build_bar_phi(inst)
+
+        monkeypatch.setattr(transfer, "build_bar_phi", counting)
+        report = lower_bound_check(inst)
+        assert rank(build_bar_phi(inst)) == report.bar_phi_rank
+        assert len(builds) == (0 if inst.v_dprime == inst.v_prime else 1)
+
+
+def upper_instances():
+    Z2 = FreeAbelian(2)
+    z2_phi = GroupRingKernel(
+        Z2, 2, 3,
+        {(0, 0): FpMatrix([[1, 0], [0, 0]], 3), (1, 0): FpMatrix([[0, 0], [2, 0]], 3)},
+    )
+    sigma = parse_instance_file(Path(__file__).parent / "data" / "golden" / "s3.ring").elements["sigma"]
+    return {
+        "z1-torus-projector": lambda: smallest_instance(singular_diag(), None),
+        "z2-torus-shifted": lambda: smallest_instance(z2_phi, None),
+        "s3-sum-of-elements": lambda: smallest_instance(sigma, None),
+        "z1-open-path-projector": lambda: open_path_instance(singular_diag(), None, 200),
+    }
+
+
+class TestLocalSlices:
+    @pytest.mark.parametrize("case", list(upper_instances()))
+    def test_per_v1_ranks_match_dense_slices(self, case):
+        inst = upper_instances()[case]()
+        report = upper_bound_check(inst)
+        assert len(report.per_v1_ranks) == len(report.weiss.v1) > 0
+        assert report.per_v1_ranks == slice_ranks(inst, report.weiss.v1)
+
+    @pytest.mark.parametrize("pick", [0, -1])
+    def test_swapped_chart_entry_names_the_pick(self, pick):
+        inst = smallest_instance(singular_diag(), None)
+        v = upper_bound_check(inst).weiss.v1[pick]
+        charts = inst.charts.copy()
+        row = inst.v_prime.index(v)
+        charts[row, [0, 1]] = charts[row, [1, 0]]  # phi's support is the identity, position 0
+        broken = dataclasses.replace(inst, charts=charts)
+        with pytest.raises(InternalInconsistency, match=rf"^Weiss pick {v}: the column of vertex {v} "):
+            upper_bound_check(broken)
 
 
 def open_path(n):
