@@ -20,7 +20,6 @@ from .groupring import (
     GroupRingKernel,
     check_right_inverse,
     compose,
-    equivariant_entry,
     kernel_radius,
     restriction_matrix,
     support_data,
@@ -79,7 +78,6 @@ __all__ = [
     "cyclic_group",
     "direct_product_table",
     "distance",
-    "equivariant_entry",
     "finite_cayley_graph",
     "finite_group_approximation",
     "kernel_basis",

@@ -4,7 +4,7 @@ Every graph here carries labels 0..L-1 and satisfies: at most one outgoing
 and at most one incoming edge per (vertex, label).  Each label therefore
 acts as a partial injection on vertices, which turns rooted ball
 isomorphism into a deterministic label walk instead of a search.
-Constructors reject graphs violating determinism.
+The constructor rejects graphs violating determinism.
 """
 
 from __future__ import annotations
@@ -21,65 +21,80 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class LabeledDigraph:
-    """Finite digraph with deterministic per-label edges."""
+    """Finite digraph with deterministic per-label edges, kept as one out-table.
 
-    __slots__ = ("vertex_count", "num_labels", "_out", "_in", "_edge_count")
+    out is a read-only int64 array of shape (|V|, |B|): out[v, label] is
+    the head of the edge leaving v with that label, or -1 when there is
+    none.  Every walk reads this table; there is no in-table.
+    """
+
+    __slots__ = ("vertex_count", "num_labels", "out", "edge_count")
 
     def __init__(self, vertex_count: int, num_labels: int, edges):
+        """Build from (src, dst, label) triples, rejecting the first bad one.
+
+        Edges are taken in order: a repeated line counts once, and the
+        ValueError names the first edge with an out-of-range vertex or
+        label, or the first that gives a (vertex, label) a second
+        outgoing or incoming edge.
+        """
         if vertex_count < 0 or num_labels < 0:
             raise ValueError("vertex and label counts must be nonnegative")
         self.vertex_count = vertex_count
         self.num_labels = num_labels
-        self._out = [[-1] * num_labels for _ in range(vertex_count)]
-        self._in = [[-1] * num_labels for _ in range(vertex_count)]
-        count = 0
-        for src, dst, label in edges:
-            if not (0 <= src < vertex_count and 0 <= dst < vertex_count):
-                raise ValueError(f"edge ({src},{dst},{label}) has an out-of-range vertex")
-            if not (0 <= label < num_labels):
-                raise ValueError(f"edge ({src},{dst},{label}) has an out-of-range label")
-            if self._out[src][label] != -1:
-                if self._out[src][label] == dst:
-                    continue  # duplicate edge line, idempotent
-                raise ValueError(f"vertex {src} has two outgoing edges labeled {label}")
-            if self._in[dst][label] != -1:
-                raise ValueError(f"vertex {dst} has two incoming edges labeled {label}")
-            self._out[src][label] = dst
-            self._in[dst][label] = src
-            count += 1
-        self._edge_count = count
-
-    def out_edge(self, v: int, label: int) -> Optional[int]:
-        t = self._out[v][label]
-        return None if t == -1 else t
-
-    def in_edge(self, v: int, label: int) -> Optional[int]:
-        s = self._in[v][label]
-        return None if s == -1 else s
+        listed = edges if isinstance(edges, np.ndarray) else list(edges)
+        try:
+            e = np.array(listed, dtype=np.int64)
+        except OverflowError:  # out of range as well; compare as Python ints
+            e = np.array(listed, dtype=object)
+        e = e.reshape(-1, 3) if e.size == 0 else e
+        if e.ndim != 2 or e.shape[1] != 3:
+            raise ValueError("edges must be (src, dst, label) triples")
+        in_range = ((e >= 0) & (e < np.array([vertex_count, vertex_count, num_labels]))).all(axis=1)
+        first_bad = int(np.argmin(in_range)) if not in_range.all() else len(e)
+        src, dst, label = e[:first_bad].astype(np.int64).T
+        # Before the first bad edge, all edges with one (src, label) share
+        # the dst of the first of them, and all with one (dst, label) its src.
+        out_clash = dst != dst[_first_of(src * num_labels + label)]
+        in_clash = src != src[_first_of(dst * num_labels + label)]
+        clashes = np.flatnonzero(out_clash | in_clash)
+        first_bad = int(clashes[0]) if clashes.size else first_bad
+        if first_bad < len(e):
+            s, d, l = e[first_bad].tolist()
+            if first_bad < len(src):
+                v, way = (s, "outgoing") if out_clash[first_bad] else (d, "incoming")
+                raise ValueError(f"vertex {v} has two {way} edges labeled {l}")
+            what = "label" if 0 <= s < vertex_count and 0 <= d < vertex_count else "vertex"
+            raise ValueError(f"edge ({s},{d},{l}) has an out-of-range {what}")
+        out = np.full((vertex_count, num_labels), -1, dtype=np.int64)
+        out[src, label] = dst
+        out.flags.writeable = False
+        self.out = out
+        self.edge_count = int(np.count_nonzero(out >= 0))
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """All edges in ascending (src, label) order."""
-        for v in range(self.vertex_count):
-            row = self._out[v]
-            for label in range(self.num_labels):
-                if row[label] != -1:
-                    yield (v, row[label], label)
-
-    @property
-    def edge_count(self) -> int:
-        return self._edge_count
+        return map(tuple, table_edges(self.out).tolist())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledDigraph):
             return NotImplemented
-        return (
-            self.vertex_count == other.vertex_count
-            and self.num_labels == other.num_labels
-            and self._out == other._out
-        )
+        return np.array_equal(self.out, other.out)
 
     def __repr__(self) -> str:
-        return f"LabeledDigraph(|V|={self.vertex_count}, |B|={self.num_labels}, edges={self._edge_count})"
+        return f"LabeledDigraph(|V|={self.vertex_count}, |B|={self.num_labels}, edges={self.edge_count})"
+
+
+def _first_of(keys: np.ndarray) -> np.ndarray:
+    """For each position, the position of the first equal key."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+def table_edges(out: np.ndarray) -> np.ndarray:
+    """The (src, dst, label) rows of an out-table, ascending by (src, label)."""
+    src, label = np.nonzero(out >= 0)
+    return np.column_stack([src, out[src, label], label])
 
 
 def _check_vertex(graph: LabeledDigraph, v: int) -> None:
@@ -87,39 +102,45 @@ def _check_vertex(graph: LabeledDigraph, v: int) -> None:
         raise ValueError(f"vertex {v} out of range [0, {graph.vertex_count})")
 
 
-def distances(graph: LabeledDigraph, v: int, radius: Optional[int] = None) -> dict[int, int]:
-    """Directed distance from v to every vertex within `radius` (all reachable when None).
+def distances(graph: LabeledDigraph, v: int, radius: Optional[int] = None) -> Iterator[tuple[int, int]]:
+    """(vertex, directed distance from v) within `radius` (all reachable when None), lazily.
 
-    The single graph BFS: `distance`, `neighborhood` and the Weiss
-    separation check all read it.  The dict is in BFS order.
+    The single graph BFS: pairs come in BFS order, so depths never
+    decrease and a caller may stop at the first vertex it looks for.
+    `distance`, `neighborhood` and the Weiss separation check read it.
     """
     _check_vertex(graph, v)
     if radius is not None and radius < 0:
         raise ValueError("neighborhood radius must be nonnegative")
-    depth = {v: 0}
+    return _bfs(graph.out, v, math.inf if radius is None else radius)
+
+
+def _bfs(out: np.ndarray, v: int, radius) -> Iterator[tuple[int, int]]:
+    yield v, 0
+    seen = {v}
     frontier = [v]
-    d = 0
-    while frontier and (radius is None or d < radius):
-        d += 1
+    depth = 0
+    while frontier and depth < radius:
+        depth += 1
         nxt = []
         for u in frontier:
-            for t in graph._out[u]:
-                if t != -1 and t not in depth:
-                    depth[t] = d
+            for t in out[u].tolist():
+                if t >= 0 and t not in seen:
+                    seen.add(t)
                     nxt.append(t)
+                    yield t, depth
         frontier = nxt
-    return depth
 
 
 def distance(graph: LabeledDigraph, v: int, w: int):
     """Directed distance: edges on a shortest directed path, or math.inf."""
     _check_vertex(graph, w)
-    return distances(graph, v).get(w, math.inf)
+    return next((d for u, d in distances(graph, v) if u == w), math.inf)
 
 
 def neighborhood(graph: LabeledDigraph, v: int, n: int) -> tuple[int, ...]:
     """Vertices at directed distance <= n from v, sorted ascending."""
-    return tuple(sorted(distances(graph, v, n)))
+    return tuple(sorted(u for u, _ in distances(graph, v, n)))
 
 
 def ball_isomorphism(graph: LabeledDigraph, v: int, ball: "CayleyBall") -> Optional[tuple[int, ...]]:
@@ -145,7 +166,8 @@ def ball_isomorphism(graph: LabeledDigraph, v: int, ball: "CayleyBall") -> Optio
             f"label alphabet mismatch: ball has {bgraph.num_labels} labels, graph has {graph.num_labels}"
         )
     m = bgraph.vertex_count
-    labels = range(graph.num_labels)
+    ball_out = bgraph.out.tolist()
+    rows = []  # rows[i] is the out-row of f[i] in the graph
 
     f = [-1] * m
     f[0] = v
@@ -156,11 +178,11 @@ def ball_isomorphism(graph: LabeledDigraph, v: int, ball: "CayleyBall") -> Optio
         src = f[i]
         if src == -1:
             return None
-        for label in labels:
-            j = bgraph._out[i][label]
+        rows.append(graph.out[src].tolist())
+        for label, j in enumerate(ball_out[i]):
             if j == -1:
                 continue
-            w = graph._out[src][label]
+            w = rows[i][label]
             if w == -1:
                 return None
             if f[j] != -1:
@@ -175,12 +197,9 @@ def ball_isomorphism(graph: LabeledDigraph, v: int, ball: "CayleyBall") -> Optio
     # No extra edges among image vertices (the inverse map must also send
     # edges to edges).
     for i in range(m):
-        src = f[i]
-        for label in labels:
-            if bgraph._out[i][label] == -1:
-                w = graph._out[src][label]
-                if w != -1 and w in image:
-                    return None
+        for label, j in enumerate(ball_out[i]):
+            if j == -1 and rows[i][label] in image:
+                return None
     return tuple(f)
 
 
@@ -191,12 +210,13 @@ def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np
     (len(vertices), |ball|), and whenever ok[k] holds, row k is the tuple
     ball_isomorphism(graph, vertices[k], ball) returns; rows with ok[k]
     false carry no meaning.  The walk fixes each ball element's image from
-    its BFS-tree parent, one depth layer at a time, with a sink row
-    standing in for missing edges.  A row is then a chart exactly when it
-    avoids the sink, every ball edge maps to a graph edge, it is injective,
-    and no graph edge on a label the ball lacks at an element lands back
-    in the row's image: the conditions ball_isomorphism checks one vertex
-    at a time.  Temporaries stay O(len(vertices) * |ball|).
+    its BFS-tree parent, one depth layer at a time, reading graph.out
+    directly; a missing edge leaves -1 in the row.  A row is then a chart
+    exactly when it holds no -1, every ball edge maps to a graph edge, it
+    is injective, and no graph edge on a label the ball lacks at an
+    element lands back in the row's image: the conditions
+    ball_isomorphism checks one vertex at a time.  Temporaries stay
+    O(len(vertices) * |ball|).
     """
     bgraph = ball.graph
     if bgraph.num_labels != graph.num_labels:
@@ -208,35 +228,34 @@ def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np
     if outside.size:
         _check_vertex(graph, int(outside[0]))
     n, m, labels = graph.vertex_count, bgraph.vertex_count, graph.num_labels
-    out = np.full((n + 1, labels), n, dtype=np.int64)  # row n is the sink
-    out[:n] = np.array(graph._out, dtype=np.int64).reshape(n, labels)
-    out[out == -1] = n
-    ball_out = np.array(bgraph._out, dtype=np.int64).reshape(m, labels)
 
     # BFS tree of the ball: j's parent is the first element, in ball order,
     # with an edge into j; it sits one layer closer to the root.
-    edges = np.flatnonzero(ball_out.ravel() >= 0)  # i * labels + label, ascending
-    heads, first = np.unique(ball_out.ravel()[edges], return_index=True)
+    edges = np.flatnonzero(bgraph.out.ravel() >= 0)  # i * labels + label, ascending
+    heads, first = np.unique(bgraph.out.ravel()[edges], return_index=True)
     parent = np.zeros(m, dtype=np.int64)
     via = np.zeros(m, dtype=np.int64)
     parent[heads], via[heads] = np.divmod(edges[first], max(labels, 1))
     depth = np.asarray(ball.distance_from_root)
     f = np.empty((len(vertices), m), dtype=np.int64)
     f[:, 0] = vertices
+    # A missing edge puts -1 into f, where it stays and fails the row; the
+    # walk below it reads the last graph row and carries no meaning.
     for layer in range(1, int(depth[-1]) + 1):
         js = np.flatnonzero(depth == layer)
-        f[:, js] = out[f[:, parent[js]], via[js]]
+        f[:, js] = graph.out[f[:, parent[js]], via[js]]
 
     ordered = np.sort(f, axis=1)
-    ok = ~((ordered[:, -1] == n) | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    ok = ~((ordered[:, 0] < 0) | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
     # Membership in a row's image, for all rows at once: offset row k's
-    # sorted image by k*(n+1) so that the flattened array is sorted.
+    # sorted image, which lies in [-1, n), by k*(n+1) so that the
+    # flattened array is sorted and rows' ranges stay apart.
     offset = np.arange(len(vertices), dtype=np.int64)[:, None] * (n + 1)
     ordered += offset
     image = ordered.ravel()
     for label in range(labels):
-        w = out[f, label]
-        target = ball_out[:, label]
+        w = graph.out[f, label]
+        target = bgraph.out[:, label]
         edge = target >= 0
         ok &= ((w == f[:, np.maximum(target, 0)]) | ~edge).all(axis=1)
         if image.size and not edge.all():

@@ -105,22 +105,6 @@ class GroupRingKernel:
         )
 
 
-def equivariant_entry(c: GroupRingKernel, g2, g1) -> FpMatrix:
-    """Entry of the full equivariant matrix at row g2, column g1.
-
-    Equals c(g1^{-1} * g2); the zero matrix when that element is outside
-    the support.
-    """
-    group = c.group
-    group.check_element(g2)
-    group.check_element(g1)
-    key = group.multiply(group.inverse(g1), g2)
-    mat = c.support.get(key)
-    if mat is None:
-        return FpMatrix.zeros(c.d, c.d, c.p)
-    return mat
-
-
 def compose(c_phi: GroupRingKernel, c_psi: GroupRingKernel) -> GroupRingKernel:
     """Kernel of the composite map phi o psi (convolution of supports).
 

@@ -15,7 +15,7 @@ from operator import add
 
 import numpy as np
 
-from .digraph import LabeledDigraph
+from .digraph import LabeledDigraph, table_edges
 from .errors import ParseError, ResourceLimitError
 from .limits import DEFAULT_MAX_BALL_ELEMENTS
 
@@ -41,6 +41,10 @@ class GroupModel:
 
     def _mul(self, a, b):
         """Product of two elements already known to belong to the group, unchecked."""
+        raise NotImplementedError
+
+    def _right_multiples(self, rows: np.ndarray) -> np.ndarray:
+        """Rows g * b, shape (len(rows), |B|, width), for element rows g (Z^k: coordinates; finite: index)."""
         raise NotImplementedError
 
     def inverse(self, a):
@@ -105,6 +109,9 @@ class FreeAbelian(GroupModel):
     def _mul(self, a, b):
         return tuple(map(add, a, b))
 
+    def _right_multiples(self, rows):
+        return rows[:, None, :] + np.array(self.generators)
+
     def inverse(self, a):
         self.check_element(a)
         return tuple(-x for x in a)
@@ -161,19 +168,17 @@ class FiniteByTable(GroupModel):
     """
 
     def __init__(self, table, generators, name: str = ""):
-        rows = tuple(tuple(map(int, row)) for row in table)
-        n = len(rows)
+        malformed = "multiplication table must be n x n with entries in range"
+        try:
+            t = np.array(table, dtype=np.int64)
+        except (OverflowError, ValueError):  # an entry beyond int64, or ragged rows
+            raise ValueError(malformed) from None
+        n = len(t)
         if n == 0:
             raise ValueError("multiplication table must be nonempty")
-        malformed = "multiplication table must be n x n with entries in range"
-        if any(len(row) != n for row in rows):
+        if t.shape != (n, n) or ((t < 0) | (t >= n)).any():
             raise ValueError(malformed)
-        try:
-            t = np.array(rows, dtype=np.int64).reshape(n, n)
-        except OverflowError:  # an entry beyond int64 is out of range as well
-            raise ValueError(malformed) from None
-        if ((t < 0) | (t >= n)).any():
-            raise ValueError(malformed)
+        rows = t.tolist()
         elems = np.arange(n)
         two_sided = (t == elems).all(axis=1) & (t == elems[:, None]).all(axis=0)
         if not two_sided.any():
@@ -214,7 +219,9 @@ class FiniteByTable(GroupModel):
                 a, c = bad[0]
                 raise ValueError(f"multiplication table is not associative at ({a},{g},{c})")
 
-        self._table = rows
+        t.flags.writeable = False
+        self.table = t  # read-only int64; _rows holds it as lists for scalar products
+        self._rows = rows
         self._inv = tuple(inv)
         self._identity = ident
         self.generators = gens
@@ -223,20 +230,23 @@ class FiniteByTable(GroupModel):
 
     @property
     def size(self) -> int:
-        return len(self._table)
+        return len(self._rows)
 
     def identity(self):
         return self._identity
 
     def _mul(self, a, b):
-        return self._table[a][b]
+        return self._rows[a][b]
+
+    def _right_multiples(self, rows):
+        return self.table[rows[:, 0]][:, list(self.generators), None]
 
     def inverse(self, a):
         self.check_element(a)
         return self._inv[a]
 
     def contains(self, a) -> bool:
-        return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < len(self._table)
+        return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < len(self._rows)
 
     def element_key(self, a):
         return a
@@ -263,15 +273,15 @@ class FiniteByTable(GroupModel):
     def __eq__(self, other):
         return (
             isinstance(other, FiniteByTable)
-            and other._table == self._table
+            and np.array_equal(other.table, self.table)
             and other.generators == self.generators
         )
 
     def __hash__(self):
-        return hash(("FiniteByTable", self._table, self.generators))
+        return hash(("FiniteByTable", self.table.tobytes(), self.generators))
 
     def __repr__(self):
-        return f"FiniteByTable(order={len(self._table)}, generators={self.generators})"
+        return f"FiniteByTable(order={len(self._rows)}, generators={self.generators})"
 
 
 def cyclic_group(n: int) -> FiniteByTable:
@@ -373,19 +383,24 @@ def cayley_ball(group: GroupModel, r: int, max_elements: int = DEFAULT_MAX_BALL_
             )
         frontier = ordered
 
-    edges = []
-    for i, g in enumerate(elements):
-        for label, b in enumerate(group.generators):
-            j = index.get(mul(g, b))
-            if j is not None:
-                edges.append((i, j, label))
+    # Edges: look every product g * b up among the elements, by sorting
+    # element rows and product rows together once, each row as one opaque
+    # byte string (equal rows, equal bytes).
+    rows = np.array(elements, dtype=np.int64).reshape(len(elements), -1)
+    products = group._right_multiples(rows)
+    m, labels, width = products.shape
+    both = np.concatenate([rows, products.reshape(-1, width)])
+    keys, key_of = np.unique(both.view(np.dtype((np.void, 8 * width))).ravel(), return_inverse=True)
+    position = np.full(len(keys), -1, dtype=np.int64)
+    position[key_of[:m]] = np.arange(m)
+    heads = position[key_of[m:]].reshape(m, labels)
     ball = CayleyBall(
         group=group,
         radius=r,
         elements=tuple(elements),
         element_index=index,
         distance_from_root=tuple(dist),
-        graph=LabeledDigraph(len(elements), len(group.generators), edges),
+        graph=LabeledDigraph(m, labels, table_edges(heads)),
     )
     cache[r] = ball
     return ball
@@ -393,10 +408,8 @@ def cayley_ball(group: GroupModel, r: int, max_elements: int = DEFAULT_MAX_BALL_
 
 def write_finite_group_file(path, group: FiniteByTable) -> None:
     """Write the finite-group table format used by `group = finite:<path>` descriptors."""
-    n = group.size
-    lines = [f"finitegroup {n}"]
-    for a in range(n):
-        lines.append(" ".join(str(group.multiply(a, b)) for b in range(n)))
+    lines = [f"finitegroup {group.size}"]
+    lines.extend(" ".join(map(str, row)) for row in group.table.tolist())
     lines.append("generators " + " ".join(str(g) for g in group.generators))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -422,7 +435,7 @@ def read_finite_group_file(path) -> FiniteByTable:
     table = []
     for ln in lines[1 : n + 1]:
         try:
-            table.append([int(x) for x in ln.split()])
+            table.append(list(map(int, ln.split())))
         except ValueError:
             raise ParseError(f"{path}: non-integer table entry in {ln!r}")
     gen_line = lines[n + 1].split()

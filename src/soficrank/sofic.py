@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .digraph import LabeledDigraph, ball_charts
+from .digraph import LabeledDigraph, ball_charts, table_edges
 from .errors import AlphabetMismatch, BallMismatch, CardinalityViolation, ResourceLimitError
 from .groups import CayleyBall, FiniteByTable, FreeAbelian, GroupModel, cayley_ball
 from .limits import DEFAULT_MAX_BALL_ELEMENTS, DEFAULT_MAX_VERTICES
@@ -121,21 +121,10 @@ def torus_graph(group: FreeAbelian, n: int, max_vertices: int = DEFAULT_MAX_VERT
     total = n**k
     if total > max_vertices:
         raise ResourceLimitError(f"torus with {total} vertices exceeds limit {max_vertices}")
-    edges = []
-    for v in range(total):
-        coords = []
-        x = v
-        for _ in range(k):
-            coords.append(x % n)
-            x //= n
-        for label, gen in enumerate(group.generators):
-            w = 0
-            mult = 1
-            for i in range(k):
-                w += ((coords[i] + gen[i]) % n) * mult
-                mult *= n
-            edges.append((v, w, label))
-    return LabeledDigraph(total, len(group.generators), edges)
+    place = n ** np.arange(k)
+    coords = np.arange(total)[:, None] // place % n
+    heads = ((coords[:, None, :] + np.array(group.generators)) % n * place).sum(axis=2)
+    return LabeledDigraph(total, len(group.generators), table_edges(heads))
 
 
 def torus_approximation(
@@ -169,12 +158,8 @@ def torus_approximation(
 
 def finite_cayley_graph(group: FiniteByTable) -> LabeledDigraph:
     """Full Cayley graph of a finite group on all of its elements."""
-    n = group.size
-    edges = []
-    for a in range(n):
-        for label, b in enumerate(group.generators):
-            edges.append((a, group.multiply(a, b), label))
-    return LabeledDigraph(n, len(group.generators), edges)
+    heads = group.table[:, list(group.generators)]
+    return LabeledDigraph(group.size, len(group.generators), table_edges(heads))
 
 
 def finite_group_approximation(

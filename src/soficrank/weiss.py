@@ -19,7 +19,8 @@ which yields guarantee (1).  Out-distance suffices for the discard
 because those out-balls are symmetric within their radius, so a
 too-close survivor in either direction would already have been removed.
 Both guarantees are re-checked before returning, (2) with one
-breadth-first walk per selected vertex.
+breadth-first walk per selected vertex that stops at the nearest other
+selected vertex.
 """
 
 from __future__ import annotations
@@ -92,25 +93,24 @@ def weiss_select(approx: SoficApproximation, r0: int) -> WeissSelection:
         raise InternalInconsistency(
             f"selection density violated: {len(v1)} * 2 * {ball_size} < {n}"
         )
-    # Guarantee (2), checked in both directions: every ordered pair (u, w).
-    min_pairwise: Optional[int] = None
+    # Guarantee (2), checked in both directions: from each pick, walk only
+    # until the first other pick appears.  BFS depth never decreases, so
+    # that pick is the nearest, and the least of these depths is the least
+    # directed distance over all ordered pairs.
+    picks = set(v1)
+    nearest = []
     for u in v1:
-        depth = distances(graph, u)
-        for w in v1:
-            if w == u or w not in depth:
-                continue
-            d = depth[w]
-            if d < sep:
-                raise InternalInconsistency(
-                    f"selected vertices {u}, {w} at directed distance {d} < {sep}"
-                )
-            if min_pairwise is None or d < min_pairwise:
-                min_pairwise = d
+        for w, d in distances(graph, u):
+            if d and w in picks:
+                if d < sep:
+                    raise InternalInconsistency(f"selected vertices {u}, {w} at directed distance {d} < {sep}")
+                nearest.append(d)
+                break
 
     return WeissSelection(
         v1=v1,
         r0=r0,
         density_bound=density_bound,
         achieved_density=achieved,
-        min_pairwise_distance=min_pairwise,
+        min_pairwise_distance=min(nearest, default=None),
     )

@@ -1,16 +1,20 @@
-"""Dense reference computations that tests compare the package's chart-based checks against.
+"""Reference computations that tests compare the package's vectorised and chart-based code against.
 
-None of these runs on a verdict path: each rebuilds what the package now
-reads off the verified charts, by per-vertex walks and dense elimination.
+None of these runs on a verdict path: each rebuilds what the package
+computes another way, by per-edge loops, full BFS from every vertex,
+per-vertex walks and dense elimination.
 """
 
+from collections import deque
+from itertools import permutations
 from typing import Optional
 
 import numpy as np
 
 from soficrank.digraph import ball_isomorphism
 from soficrank.exactfield import FpMatrix, rank
-from soficrank.groups import cayley_ball
+from soficrank.groupring import GroupRingKernel
+from soficrank.groups import FiniteByTable, cayley_ball
 from soficrank.transfer import TransferInstance, build_bar_phi
 
 
@@ -53,3 +57,81 @@ def commutative_square_matrix(inst: TransferInstance, v: int) -> Optional[FpMatr
     rows = [f[i] * d + k for i in range(ball_large.size) for k in range(d)]
     sub = bar_phi.array[np.ix_(rows, cols)]
     return FpMatrix(sub, bar_phi.p, _normalized=True)
+
+
+def equivariant_entry(c: GroupRingKernel, g2, g1) -> FpMatrix:
+    """Entry of the full equivariant matrix at row g2, column g1.
+
+    Equals c(g1^{-1} * g2); the zero matrix when that element is outside
+    the support.
+    """
+    group = c.group
+    group.check_element(g2)
+    group.check_element(g1)
+    key = group.multiply(group.inverse(g1), g2)
+    mat = c.support.get(key)
+    if mat is None:
+        return FpMatrix.zeros(c.d, c.d, c.p)
+    return mat
+
+
+def digraph_by_edge_loop(vertex_count: int, num_labels: int, edges) -> tuple[list, int]:
+    """(edges ascending by (src, label), edge count) of a label-deterministic digraph, one edge at a time.
+
+    The per-edge loop LabeledDigraph's constructor used to run, with its
+    ValueError messages: a repeated line counts once, and the first edge
+    that is out of range or gives a (vertex, label) a second outgoing or
+    incoming edge is named.
+    """
+    if vertex_count < 0 or num_labels < 0:
+        raise ValueError("vertex and label counts must be nonnegative")
+    out = [[-1] * num_labels for _ in range(vertex_count)]
+    into = [[-1] * num_labels for _ in range(vertex_count)]
+    count = 0
+    for src, dst, label in edges:
+        if not (0 <= src < vertex_count and 0 <= dst < vertex_count):
+            raise ValueError(f"edge ({src},{dst},{label}) has an out-of-range vertex")
+        if not (0 <= label < num_labels):
+            raise ValueError(f"edge ({src},{dst},{label}) has an out-of-range label")
+        if out[src][label] != -1:
+            if out[src][label] == dst:
+                continue  # duplicate edge line, idempotent
+            raise ValueError(f"vertex {src} has two outgoing edges labeled {label}")
+        if into[dst][label] != -1:
+            raise ValueError(f"vertex {dst} has two incoming edges labeled {label}")
+        out[src][label] = dst
+        into[dst][label] = src
+        count += 1
+    listed = [(v, w, label) for v, row in enumerate(out) for label, w in enumerate(row) if w != -1]
+    return listed, count
+
+
+def min_pairwise_distance(graph, vertices) -> Optional[int]:
+    """Least directed distance between two distinct given vertices, by a full BFS from each; None if none reaches another."""
+    succ = [[] for _ in range(graph.vertex_count)]
+    for s, d, _ in graph.edges():
+        succ[s].append(d)
+    targets = set(vertices)
+    best = None
+    for u in targets:
+        depth = {u: 0}
+        queue = deque([u])
+        while queue:
+            x = queue.popleft()
+            for y in succ[x]:
+                if y not in depth:
+                    depth[y] = depth[x] + 1
+                    queue.append(y)
+        for w in targets - {u}:
+            if w in depth and (best is None or depth[w] < best):
+                best = depth[w]
+    return best
+
+
+def symmetric_group_5() -> FiniteByTable:
+    """S5 on its 120 permutations in lexicographic order, generated by (0 1), (0 1 2 3 4) and its inverse."""
+    perms = sorted(permutations(range(5)))
+    index = {perm: i for i, perm in enumerate(perms)}
+    table = [[index[tuple(a[b[i]] for i in range(5))] for b in perms] for a in perms]
+    gens = [index[(1, 0, 2, 3, 4)], index[(1, 2, 3, 4, 0)], index[(4, 0, 1, 2, 3)]]
+    return FiniteByTable(table, gens, name="S5")

@@ -4,14 +4,16 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from oracles import digraph_by_edge_loop, symmetric_group_5
 from soficrank.digraph import (
     LabeledDigraph,
     ball_charts,
     ball_isomorphism,
     distance,
+    distances,
     neighborhood,
     read_graph_file,
     write_graph_file,
@@ -46,6 +48,50 @@ class TestConstruction:
         g = LabeledDigraph(2, 1, [(0, 1, 0), (0, 1, 0)])
         assert g.edge_count == 1
 
+    def test_one_read_only_out_table(self):
+        g = LabeledDigraph(3, 2, [(0, 1, 0), (2, 2, 1)])
+        assert g.out.dtype == np.int64 and not g.out.flags.writeable
+        assert g.out.tolist() == [[1, -1], [-1, -1], [-1, 2]]
+
+
+@st.composite
+def edge_lists(draw):
+    """(|V|, |B|, edges) drawn from a small pool, so that lines repeat and clash.
+
+    A few pool entries get one coordinate out of range: one past either
+    end, or beyond int64.
+    """
+    n, labels = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entry = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, labels - 1))
+    pool = [list(e) for e in draw(st.lists(entry, min_size=1, max_size=6))]
+    if draw(st.booleans()):
+        k, c = draw(st.integers(0, len(pool) - 1)), draw(st.integers(0, 2))
+        pool[k][c] = draw(st.sampled_from([-1, labels if c == 2 else n, 2**63, -(2**70)]))
+    edges = draw(st.lists(st.sampled_from([tuple(e) for e in pool]), max_size=14))
+    return n, labels, edges
+
+
+class TestConstructionOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(edge_lists())
+    @example((3, 1, [(0, 1, 0), (2, 2, 0), (0, 2, 0)]))  # the last edge clashes both ways
+    def test_agrees_with_the_edge_loop(self, case):
+        n, labels, edges = case
+        inputs = [edges]
+        if all(abs(x) < 2**63 for e in edges for x in e):
+            inputs.append(np.array(edges, dtype=np.int64).reshape(-1, 3))
+        try:
+            expected = digraph_by_edge_loop(n, labels, edges)
+        except ValueError as exc:
+            for given_edges in inputs:
+                with pytest.raises(ValueError) as got:
+                    LabeledDigraph(n, labels, given_edges)
+                assert str(got.value) == str(exc)
+            return
+        for given_edges in inputs:
+            g = LabeledDigraph(n, labels, given_edges)
+            assert (list(g.edges()), g.edge_count) == expected
+
 
 class TestDistance:
     def test_self_distance_zero(self):
@@ -65,6 +111,24 @@ class TestDistance:
     def test_out_of_range_vertex(self):
         with pytest.raises(ValueError):
             distance(three_cycle(), 0, 7)
+
+
+class TestDistances:
+    def test_bfs_order_and_depths(self):
+        # labels e, -e, identity: from 0, the first layer is 1 then 5
+        pairs = list(distances(torus_graph(Z1, 6), 0, 2))
+        assert pairs == [(0, 0), (1, 1), (5, 1), (2, 2), (4, 2)]
+
+    def test_lazy(self):
+        walk = distances(torus_graph(Z1, 6), 0)
+        assert next(walk) == (0, 0)
+        assert next(walk) == (1, 1)
+
+    def test_bad_arguments_raise_at_the_call(self):
+        with pytest.raises(ValueError):
+            distances(three_cycle(), 3)
+        with pytest.raises(ValueError):
+            distances(three_cycle(), 0, -1)
 
 
 class TestNeighborhood:
@@ -148,6 +212,18 @@ class TestGraphFiles:
         write_graph_file(path, g)
         h = read_graph_file(path)
         assert h == g
+
+    @pytest.mark.parametrize("name", ["z2_torus", "s5_cayley"])
+    def test_round_trip_keeps_out_table(self, tmp_path, name):
+        if name == "z2_torus":
+            graph = torus_graph(FreeAbelian(2), 5)
+        else:
+            graph = finite_cayley_graph(symmetric_group_5())
+        path = tmp_path / f"{name}.graph"
+        write_graph_file(path, graph)
+        out = read_graph_file(path).out
+        assert out.dtype == np.int64 and out.shape == graph.out.shape
+        assert np.array_equal(out, graph.out)
 
     def test_write_is_deterministic(self, tmp_path):
         g = torus_graph(Z1, 6)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from oracles import equivariant_entry
 from soficrank import groupring
 from soficrank.errors import InternalInconsistency
 from soficrank.exactfield import FpMatrix, mat_mul, rank
@@ -13,7 +14,6 @@ from soficrank.groupring import (
     GroupRingKernel,
     check_right_inverse,
     compose,
-    equivariant_entry,
     kernel_radius,
     restriction_matrix,
     support_data,

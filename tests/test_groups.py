@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from soficrank.errors import ResourceLimitError
+from soficrank.errors import ParseError, ResourceLimitError
 from soficrank.groups import (
     FiniteByTable,
     FreeAbelian,
@@ -116,6 +116,30 @@ class TestFiniteByTable:
         write_finite_group_file(path, G)
         H = read_finite_group_file(path)
         assert H == G
+
+
+class TestFiniteGroupFileErrors:
+    def read(self, tmp_path, text):
+        path = tmp_path / "g.table"
+        path.write_text(text)
+        return read_finite_group_file(path)
+
+    def test_non_integer_entry_names_its_line(self, tmp_path):
+        # the ragged first row is reported only after every entry parses
+        with pytest.raises(ParseError, match=r"non-integer table entry in '2 x 1'$"):
+            self.read(tmp_path, "finitegroup 3\n0 1\n1 2 0\n2 x 1\ngenerators 1 2\n")
+
+    def test_row_count(self, tmp_path):
+        with pytest.raises(ParseError, match=r"expected 3 table rows plus a generators line$"):
+            self.read(tmp_path, "finitegroup 3\n0 1 2\n1 2 0\ngenerators 1 2\n")
+
+    def test_ragged_row(self, tmp_path):
+        with pytest.raises(ParseError, match=r"multiplication table must be n x n with entries in range$"):
+            self.read(tmp_path, "finitegroup 3\n0 1 2\n1 2\n2 0 1 0\ngenerators 1 2\n")
+
+    def test_entry_beyond_int64(self, tmp_path):
+        with pytest.raises(ParseError, match=r"entries in range$"):
+            self.read(tmp_path, f"finitegroup 2\n0 1\n1 {10**20}\ngenerators 1\n")
 
 
 class TestCayleyBall:

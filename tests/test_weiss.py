@@ -1,11 +1,15 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
+from oracles import min_pairwise_distance, symmetric_group_5
 from soficrank.cli import main
 from soficrank.digraph import LabeledDigraph, distance, write_graph_file
 from soficrank.errors import ApproximationTooCoarse, PreconditionDensity
-from soficrank.groups import FreeAbelian, cayley_ball, cyclic_group
+from soficrank.groups import FreeAbelian, cayley_ball, cyclic_group, read_finite_group_file
 from soficrank.sofic import finite_cayley_graph, torus_graph, verify_approximation
 from soficrank.weiss import weiss_select
 
@@ -110,3 +114,53 @@ class TestGuarantees:
         # Charts verified at a larger radius give the same discard prefixes.
         graph = torus_graph(Z1, 30)
         assert select(graph, range(30), 1, radius=6).v1 == select(graph, range(30), 1).v1
+
+
+S3 = read_finite_group_file(Path(__file__).parent / "data" / "golden" / "s3.table")
+S5 = symmetric_group_5()
+Z2 = FreeAbelian(2)
+
+
+def open_path(n):
+    """The n-cycle of Z^1 without its wrap-around edges between n-1 and 0."""
+    return LabeledDigraph(n, 3, [e for e in torus_graph(Z1, n).edges() if abs(e[0] - e[1]) <= 1])
+
+
+class TestMinPairwiseDistanceOracle:
+    """min_pairwise_distance against a full BFS from every pick."""
+
+    @pytest.mark.parametrize(
+        "graph, good, r0, group, expected",
+        [
+            (torus_graph(Z1, 12), range(12), 1, Z1, 3),
+            # picks 0, 5, 8, 11: the nearest pair (5, 8) holds neither the
+            # first pick nor, from 5 or 8, the first other pick in order
+            (torus_graph(Z1, 16), [0, 1, 2, 5, 6, 7, 8, 9, 10, 11], 1, Z1, 3),
+            (torus_graph(Z1, 30), range(30), 2, Z1, 5),
+            (torus_graph(Z2, 8), range(64), 1, Z2, 3),
+            (torus_graph(Z2, 8), range(0, 64, 2), 1, Z2, 3),
+            (finite_cayley_graph(S3), range(6), 0, S3, 1),
+            (finite_cayley_graph(S3), range(6), 1, S3, 3),
+            (finite_cayley_graph(S3), range(6), 2, S3, None),  # one pick
+            (finite_cayley_graph(S5), range(120), 1, S5, 3),
+            (finite_cayley_graph(S5), range(0, 120, 2), 0, S5, 1),
+            (finite_cayley_graph(S5), range(120), 4, S5, 9),
+            (finite_cayley_graph(S5), range(120), 5, S5, None),  # one pick
+            (torus_graph(Z1, 12), range(0, 12, 2), 1, Z1, 4),
+            (open_path(40), range(3, 37), 1, Z1, 3),
+        ],
+    )
+    def test_matches_all_pairs_bfs(self, graph, good, r0, group, expected):
+        sel = select(graph, good, r0, group=group)
+        assert sel.min_pairwise_distance == min_pairwise_distance(graph, sel.v1) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 2), st.integers(0, 1), st.data())
+    def test_random_good_sets_on_tori(self, k, r0, data):
+        group = FreeAbelian(k)
+        n = data.draw(st.integers(4 * r0 + 4, 14 if k == 1 else 8))
+        size = n**k
+        good = data.draw(st.sets(st.integers(0, size - 1), min_size=(size + 1) // 2))
+        graph = torus_graph(group, n)
+        sel = select(graph, good, r0, group=group)
+        assert sel.min_pairwise_distance == min_pairwise_distance(graph, sel.v1)
