@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .digraph import LabeledDigraph, ball_charts, ball_isomorphism, distance, neighborhood
 from .exactfield import (
     FpMatrix,
+    FpSparse,
     kernel_basis,
     mat_mul,
     rank,
@@ -50,6 +51,7 @@ from .transfer import (
     lower_bound_check,
     plan_instance,
     run_experiment,
+    sparse_bar_phi,
     upper_bound_check,
     verify_transfer_identity,
 )
@@ -59,6 +61,7 @@ __all__ = [
     "CayleyBall",
     "FiniteByTable",
     "FpMatrix",
+    "FpSparse",
     "FreeAbelian",
     "GroupRingKernel",
     "LabeledDigraph",
@@ -89,6 +92,7 @@ __all__ = [
     "rank",
     "restriction_matrix",
     "run_experiment",
+    "sparse_bar_phi",
     "support_data",
     "torus_approximation",
     "torus_graph",

@@ -1,10 +1,12 @@
-"""Exact dense-matrix arithmetic over prime fields F_p.
+"""Exact matrix arithmetic over prime fields F_p.
 
-Matrices are int64 arrays of residues in [0, p); every operation reduces
-modulo p, so nothing ever passes through floating point.  The modulus is
-capped so that a product plus accumulation always fits in int64 exactly.
-Rational quantities (densities, tolerances) use fractions.Fraction, which
-already maintains reduced form with a positive denominator.
+Matrices hold int64 residues in [0, p): FpMatrix as a dense array, FpSparse
+as coordinate (row, col, value) arrays of its nonzero entries.  Every
+operation reduces modulo p, so nothing ever passes through floating point.
+The modulus is capped so that a product plus accumulation always fits in
+int64 exactly.  Rational quantities (densities, tolerances) use
+fractions.Fraction, which already maintains reduced form with a positive
+denominator.
 """
 
 from __future__ import annotations
@@ -128,6 +130,204 @@ def mat_mul(a: FpMatrix, b: FpMatrix) -> FpMatrix:
     return FpMatrix((a.array @ b.array) % a.p, a.p, _normalized=True)
 
 
+class FpSparse:
+    """Sparse matrix over F_p in coordinate form.  Immutable after construction.
+
+    The int64 arrays row, col and val list the nonzero entries: every val
+    lies in [1, p) and no (row, col) position repeats.  Unless the caller
+    vouches for that form (_normalized), values are reduced mod p, entries
+    at a repeated position are summed and zeros dropped.
+    """
+
+    __slots__ = ("row", "col", "val", "shape", "p")
+
+    def __init__(self, row, col, val, shape, p: int, _normalized: bool = False):
+        validate_modulus(p)
+        rows, cols = (int(n) for n in shape)
+        if rows < 0 or cols < 0:
+            raise ValueError(f"matrix shape must be nonnegative, got {shape}")
+        row, col, val = (np.array(a, dtype=np.int64, copy=True).ravel() for a in (row, col, val))
+        if not row.size == col.size == val.size:
+            raise ValueError(f"coordinate arrays differ in length: {row.size}, {col.size}, {val.size}")
+        if row.size and not (0 <= row.min() and row.max() < rows and 0 <= col.min() and col.max() < cols):
+            raise ValueError(f"an entry lies outside the {rows}x{cols} shape")
+        if not _normalized:
+            row, col, val = _coalesce(row, col, val, cols, p)
+        for a in (row, col, val):
+            a.setflags(write=False)
+        for name, value in zip(self.__slots__, (row, col, val, (rows, cols), p)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FpSparse is immutable")
+
+    @classmethod
+    def from_dense(cls, m: FpMatrix) -> "FpSparse":
+        row, col = np.nonzero(m.array)
+        return cls(row, col, m.array[row, col], m.array.shape, m.p, _normalized=True)
+
+    @classmethod
+    def from_blocks(cls, block_rows, blocks, shape, p: int) -> "FpSparse":
+        """Block matrix whose column block j holds blocks[s] at row block block_rows[s][j], for every s.
+
+        The blocks are square, reduced mod p, and no two land on the same
+        (row block, column block) pair; the caller guarantees both.
+        """
+        row, col, val = [], [], []
+        for at, block in zip(block_rows, blocks):
+            at = np.asarray(at, dtype=np.int64)
+            d, j = len(block), np.arange(len(at))
+            for a, b in zip(*np.nonzero(block)):
+                row.append(at * d + a)
+                col.append(j * d + b)
+                val.append(np.full(len(at), block[a, b], dtype=np.int64))
+        coords = (np.concatenate(c) if c else np.empty(0, dtype=np.int64) for c in (row, col, val))
+        return cls(*coords, shape, p, _normalized=True)
+
+    @property
+    def rows(self) -> int:
+        return self.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.shape[1]
+
+    def dense(self) -> FpMatrix:
+        out = np.zeros(self.shape, dtype=np.int64)
+        out[self.row, self.col] = self.val
+        return FpMatrix(out, self.p, _normalized=True)
+
+
+def _coalesce(row, col, val, cols: int, p: int):
+    """Entries sorted by (row, col), those at one position summed mod p, zeros dropped.
+
+    Sums stay exact: a position collects at most as many terms as there
+    are entries, each below p.
+    """
+    if not row.size:
+        return row, col, val
+    key = row * cols + col
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], val[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    val = np.add.reduceat(val, starts) % p
+    key = key[starts]
+    keep = val != 0
+    return key[keep] // cols, key[keep] % cols, val[keep]
+
+
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise x^(p-2) mod p, the inverse of each nonzero residue; products stay below 2^40."""
+    out, power, e = np.ones_like(x), x % p, p - 2
+    while e:
+        if e & 1:
+            out = out * power % p
+        power = power * power % p
+        e >>= 1
+    return out
+
+
+# Once the active block holds more than this share of nonzero cells, sparse
+# rounds gain little over dense elimination of it.
+_DENSE_SWITCH = 0.1
+# Markowitz costs are capped before packing next to a 32-bit tie-break hash.
+_COST_CAP = (1 << 30) - 1
+
+
+def _tie_hash(row: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Fixed 32-bit hash of each (row, col), so that equal costs break ties without following index order."""
+    h = row.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15) ^ col.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
+    h ^= h >> np.uint64(29)
+    h *= np.uint64(0xBF58476D1CE4E5B9)
+    return (h >> np.uint64(32)).astype(np.int64)
+
+
+def _pivot_round(row, col, val, cols: int, p: int):
+    """Eliminate one independent set of pivots; return (pivot count, Schur complement entries).
+
+    Entries come sorted by (row, col) with no zeros.  Each row offers its
+    entry of least Markowitz cost (row nnz - 1)(col nnz - 1), ties broken
+    by _tie_hash.  A candidate is a pivot when its key is the least among
+    all candidates it conflicts with: those in its column, those whose
+    column meets its row, and those whose row meets its column (Liu's
+    multiple minimum degree).  So no pivot's row meets another pivot's
+    column, the pivots form a diagonal block, and the complement of the
+    whole round is one update: entry (r, c) loses L(r, c_i) U(r_i, c) / a_i
+    summed over the pivots (r_i, c_i, a_i).
+    """
+    starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+    per_row = np.diff(np.r_[starts, row.size])
+    per_col = np.bincount(col, minlength=cols)
+    cost = np.minimum((np.repeat(per_row, per_row) - 1) * (per_col[col] - 1), _COST_CAP)
+    key = cost << 32 | _tie_hash(row, col)
+    least = np.repeat(np.minimum.reduceat(key, starts), per_row)
+    hit = np.flatnonzero(key == least)
+    cand = hit[np.r_[True, row[hit[1:]] != row[hit[:-1]]]]  # first least entry of each row
+    # Rank the candidates by (key, row): a strict order with no ties.
+    order = np.empty(cand.size, dtype=np.int64)
+    order[np.lexsort((row[cand], key[cand]))] = np.arange(cand.size)
+    in_col = np.full(cols, cand.size)
+    np.minimum.at(in_col, col[cand], order)
+    meets_row = np.minimum.reduceat(in_col[col], starts)
+    meets_col = np.full(cols, cand.size)
+    np.minimum.at(meets_col, col, np.repeat(order, per_row))
+    is_pivot = np.minimum(meets_row, meets_col[col[cand]]) == order
+    pivots = cand[is_pivot]
+
+    # Pivots are numbered in row order, so the pivot-row entries come grouped by pivot.
+    pivot_of_row = np.repeat(np.where(is_pivot, np.cumsum(is_pivot) - 1, -1), per_row)
+    pivot_of_col = np.full(cols, -1)
+    pivot_of_col[col[pivots]] = np.arange(pivots.size)
+    pivot_of_col = pivot_of_col[col]
+    upper = np.flatnonzero((pivot_of_row >= 0) & (pivot_of_col < 0))
+    lower = np.flatnonzero((pivot_of_col >= 0) & (pivot_of_row < 0))
+    lower = lower[np.argsort(pivot_of_col[lower], kind="stable")]
+    keep = (pivot_of_row < 0) & (pivot_of_col < 0)
+
+    # Pair each lower entry of pivot i with every upper entry of pivot i.
+    n_upper = np.bincount(pivot_of_row[upper], minlength=pivots.size)
+    first_upper = np.cumsum(n_upper) - n_upper
+    of = pivot_of_col[lower]
+    reps = n_upper[of]
+    offsets = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    u = upper[np.repeat(first_upper[of], reps) + offsets]
+    factor = val[lower] * (p - _inverse_mod(val[pivots], p)[of]) % p  # -L / a_i
+    return pivots.size, (
+        np.concatenate([row[keep], np.repeat(row[lower], reps)]),
+        np.concatenate([col[keep], col[u]]),
+        np.concatenate([val[keep], np.repeat(factor, reps) * val[u] % p]),
+    )
+
+
+def rank(m) -> int:
+    """Rank of an FpSparse (or FpMatrix) by exact sparse elimination mod p.
+
+    Rounds of independent Markowitz pivots (_pivot_round) shrink the matrix
+    to its Schur complement.  Once the remaining nonzeros fill more than
+    _DENSE_SWITCH of their rows times their columns, that block is
+    eliminated densely.  The rank does not depend on the pivots chosen.
+    """
+    if isinstance(m, FpMatrix):
+        m = FpSparse.from_dense(m)
+    row, col, val = _coalesce(m.row, m.col, m.val, m.cols, m.p)
+    found = 0
+    while val.size:
+        active_rows = np.count_nonzero(np.r_[True, row[1:] != row[:-1]])
+        active_cols = np.unique(col).size
+        if val.size > _DENSE_SWITCH * active_rows * active_cols:
+            _, i = np.unique(row, return_inverse=True)
+            _, j = np.unique(col, return_inverse=True)
+            block = np.zeros((active_rows, active_cols), dtype=np.int64)
+            block[i, j] = val
+            # the elimination loops over columns, so give it the shorter side
+            block = block.T if active_rows < active_cols else block
+            return found + len(_forward_eliminate(block, m.p)[1])
+        count, entries = _pivot_round(row, col, val, m.cols, m.p)
+        found += count
+        row, col, val = _coalesce(*entries, m.cols, m.p)
+    return found
+
+
 def _forward_eliminate(arr: np.ndarray, p: int):
     """Row echelon form by exact Gaussian elimination.
 
@@ -166,11 +366,6 @@ def _reduced_echelon(arr: np.ndarray, p: int):
         if above.size:
             a[above, c:] = (a[above, c:] - np.outer(a[above, c], a[r, c:])) % p
     return a, piv_cols
-
-
-def rank(m: FpMatrix) -> int:
-    """Row rank via exact elimination mod p."""
-    return len(_forward_eliminate(m.array, m.p)[1])
 
 
 def kernel_basis(m: FpMatrix) -> list[FpMatrix]:

@@ -5,8 +5,7 @@ c: G -> Mat_d(F_p), the column of the corresponding equivariant map above
 the identity.  Equivariance determines the full column-finite matrix from
 that single column: the entry at (g2, g1) is c(g1^{-1} * g2).  Composition
 is convolution of kernels, and restricting an element to a pair of Cayley
-balls produces an ordinary finite matrix whose exact rank and kernel can
-be computed.
+balls produces a finite sparse matrix whose exact rank can be computed.
 
 Zero coefficient matrices are never stored, so kernel equality is plain
 support-map equality.
@@ -19,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalInconsistency
-from .exactfield import FpMatrix, rank, validate_modulus
+from .exactfield import FpMatrix, FpSparse, rank, validate_modulus
 from .groups import CayleyBall, GroupModel, cayley_ball
 from .limits import DEFAULT_MAX_BALL_ELEMENTS
 
@@ -152,8 +151,8 @@ def support_data(c_phi: GroupRingKernel, c_psi: Optional[GroupRingKernel] = None
     return frozenset(s), r1
 
 
-def restriction_matrix(c: GroupRingKernel, dom: CayleyBall, cod: CayleyBall) -> FpMatrix:
-    """Finite matrix of c restricted to a domain ball, landing in a codomain ball.
+def restriction_matrix(c: GroupRingKernel, dom: CayleyBall, cod: CayleyBall) -> FpSparse:
+    """Sparse matrix of c restricted to a domain ball, landing in a codomain ball.
 
     Block at (row element g2, column element g1) is c(g1^{-1} g2).  The
     codomain radius must be at least domain radius + support radius so the
@@ -168,11 +167,10 @@ def restriction_matrix(c: GroupRingKernel, dom: CayleyBall, cod: CayleyBall) -> 
             f"codomain ball radius {cod.radius} too small: need at least "
             f"domain radius {dom.radius} + support radius {rs}"
         )
-    d, p = c.d, c.p
-    out = np.zeros((d * cod.size, d * dom.size), dtype=np.int64)
     group = c.group
+    at = np.empty((len(c.support), dom.size), dtype=np.int64)  # [s, j]: row block of c(s) in column g1_j
     for j, g1 in enumerate(dom.elements):
-        for s, mat in c.support.items():
+        for k, s in enumerate(c.support):
             g2 = group._mul(g1, s)  # a ball element times a validated support element
             i = cod.element_index.get(g2)
             if i is None:
@@ -180,8 +178,10 @@ def restriction_matrix(c: GroupRingKernel, dom: CayleyBall, cod: CayleyBall) -> 
                     f"{group.format_element(g2)} = {group.format_element(g1)} * "
                     f"{group.format_element(s)} lies outside the radius-{cod.radius} codomain ball"
                 )
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = mat.array
-    return FpMatrix(out, p, _normalized=True)
+            at[k, j] = i
+    return FpSparse.from_blocks(
+        at, [mat.array for mat in c.support.values()], (c.d * cod.size, c.d * dom.size), c.p
+    )
 
 
 def kernel_radius(

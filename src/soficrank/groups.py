@@ -10,6 +10,7 @@ them.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from operator import add
 
@@ -323,6 +324,21 @@ def direct_product_table(g1: FiniteByTable, g2: FiniteByTable) -> FiniteByTable:
     return FiniteByTable(table, uniq, name=f"{g1.name}x{g2.name}")
 
 
+class _HeldWeakly:
+    """Dataclass field whose value is held through a weak reference (None once it is freed)."""
+
+    def __set_name__(self, owner, name):
+        self.slot = f"_{name}_ref"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError("the field has no default")
+        return obj.__dict__[self.slot]()
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = weakref.ref(value)
+
+
 @dataclass(eq=False)
 class CayleyBall:
     """All group elements of word length <= radius, with their labeled digraph.
@@ -331,9 +347,13 @@ class CayleyBall:
     lexicographic tie-breaking, so the element list of a smaller ball is a
     prefix of every larger ball's list.  Graph edges are exactly the pairs
     (g, g*b) with both endpoints inside the ball, labeled by the index of b.
+
+    The group's ball cache holds the ball, so the ball holds its group
+    weakly: a strong reference back would be a cycle that keeps every
+    group, with its balls, alive until a full garbage collection.
     """
 
-    group: GroupModel
+    group: GroupModel = _HeldWeakly()
     radius: int
     elements: tuple
     element_index: dict

@@ -10,12 +10,12 @@ inverse psi) and a sofic approximation of G, this module:
     is ball-isomorphic) and V'' (vertices of V' all of whose r0-neighbors
     are in V'), taking the charts of good vertices from the approximation's
     verified chart array and charting the rest in one label walk;
-  * transplants phi through those isomorphisms into a finite block matrix
-    over the graph;
+  * transplants phi through those isomorphisms into a sparse block matrix
+    over the graph, read off the charts;
   * verifies the composition identity on V'' x V'' block by block from
     the charts and evaluates both sides of the rank-counting argument with
-    exact integer and rational arithmetic, eliminating only the ranks the
-    charts leave open.
+    exact integer and rational arithmetic, eliminating (sparsely) only the
+    ranks the charts leave open.
 
 The two verdicts exclude each other: an element with a verified right
 inverse never exhibits a restricted kernel vector, so at most one of the
@@ -41,7 +41,7 @@ from .errors import (
     KernelSearchExhausted,
     ResourceLimitError,
 )
-from .exactfield import FpMatrix, json_value, rank
+from .exactfield import FpMatrix, FpSparse, json_value, rank
 from .groupring import (
     GroupRingKernel,
     check_right_inverse,
@@ -196,24 +196,33 @@ def build_instance(
     )
 
 
-def build_bar_phi(inst: TransferInstance) -> FpMatrix:
+def sparse_bar_phi(inst: TransferInstance) -> FpSparse:
     """Transplanted matrix of phi: rows indexed by V x d, columns by V' x d.
 
     The block in column v' at row vertex w is phi's coefficient at the ball
     element that w corresponds to in the chart at v'; blocks vanish outside
-    the r0-neighborhood of v'.
+    the r0-neighborhood of v'.  So column v' holds phi_s at row vertex
+    charts[v', idx[s]] for each s in supp phi, and nothing else.
     """
-    phi = inst.phi
-    d, p = phi.d, phi.p
-    k = len(inst.v_prime)
-    out = np.zeros((d * inst.vertex_count, d * k), dtype=np.int64)
-    blocks = out.reshape(inst.vertex_count, d, k, d)  # a view: blocks[w, :, j, :]
-    idx = inst.ball_r0.element_index
-    for s, mat in phi.support.items():
-        # support lies in the r0 ball since r0 >= r1; charts are injective,
-        # so no two support elements share a block
-        blocks[inst.charts[:, idx[s]], :, np.arange(k), :] = mat.array
-    return FpMatrix(out, p, _normalized=True)
+    phi, idx = inst.phi, inst.ball_r0.element_index
+    # support lies in the r0 ball since r0 >= r1; charts are injective,
+    # so no two support elements share a block
+    return FpSparse.from_blocks(
+        [inst.charts[:, idx[s]] for s in phi.support],
+        [mat.array for mat in phi.support.values()],
+        (phi.d * inst.vertex_count, phi.d * len(inst.v_prime)),
+        phi.p,
+    )
+
+
+def build_bar_phi(inst: TransferInstance) -> FpMatrix:
+    """Dense form of sparse_bar_phi.
+
+    No verdict path builds it; it stays as the dense reference that tests
+    compare against, and the benchmark's tracer (bench/spans.py) wraps it
+    by name.
+    """
+    return sparse_bar_phi(inst).dense()
 
 
 def build_bar_psi(inst: TransferInstance) -> FpMatrix:
@@ -367,7 +376,7 @@ def lower_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> 
         # The identity gives rank >= d|V''|, and bar_phi has only d|V'| columns.
         rk = d * len(inst.v_prime)
     else:
-        rk = rank(build_bar_phi(inst))
+        rk = rank(sparse_bar_phi(inst))
     if rk < d * len(inst.v_dprime):
         raise InternalInconsistency(
             f"rank {rk} < d*|V''| = {d * len(inst.v_dprime)} despite the identity"
@@ -393,7 +402,7 @@ def upper_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> 
     if inst.plan.r2 is None:
         raise ValueError("upper-bound check requires a kernel radius r2")
     weiss = weiss_select(inst.approx, inst.plan.r0)
-    rk = rank(build_bar_phi(inst))
+    rk = rank(sparse_bar_phi(inst))
     r_local = rank(check_local_slices(inst, weiss.v1))
     local_bound = inst.d * inst.ball_r0.size - 1
     if r_local > local_bound:
@@ -412,7 +421,7 @@ def upper_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> 
     return report
 
 
-def check_local_slices(inst: TransferInstance, v1) -> FpMatrix:
+def check_local_slices(inst: TransferInstance, v1) -> FpSparse:
     """Check from the charts that bar_phi's slice at each v in v1 is one restriction; return it.
 
     Each v in v1 is good, with verified chart f over the approximation's
@@ -519,6 +528,6 @@ def run_experiment(
     # mode == "both" with neither precondition: report the parameters only.
     return _report(
         inst, "both", NEITHER, torus_n,
-        bar_phi_rank=rank(build_bar_phi(inst)),
+        bar_phi_rank=rank(sparse_bar_phi(inst)),
         identity_on_vpp=verify_transfer_identity(inst) if psi is not None else None,
     )

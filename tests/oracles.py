@@ -12,10 +12,26 @@ from typing import Optional
 import numpy as np
 
 from soficrank.digraph import ball_isomorphism
-from soficrank.exactfield import FpMatrix, rank
+from soficrank.exactfield import FpMatrix
 from soficrank.groupring import GroupRingKernel
 from soficrank.groups import FiniteByTable, cayley_ball
 from soficrank.transfer import TransferInstance, build_bar_phi
+
+
+def dense_rank(m: FpMatrix) -> int:
+    """Rank by dense Gaussian elimination mod p, one column at a time, pivoting on the first nonzero row."""
+    a, p = m.array.copy(), m.p
+    r = 0
+    for c in range(m.cols):
+        nz = np.flatnonzero(a[r:, c])
+        if not nz.size:
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        below = r + 1 + np.flatnonzero(a[r + 1 :, c])
+        a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
+        r += 1
+    return r
 
 
 def slice_ranks(inst: TransferInstance, v1) -> tuple[int, ...]:
@@ -30,7 +46,7 @@ def slice_ranks(inst: TransferInstance, v1) -> tuple[int, ...]:
     ranks = []
     for v in v1:
         cols = [col_of[u] * d + k for u in inst.charts[col_of[v]].tolist() for k in range(d)]
-        ranks.append(rank(FpMatrix(bar_phi.array[:, cols], bar_phi.p, _normalized=True)))
+        ranks.append(dense_rank(FpMatrix(bar_phi.array[:, cols], bar_phi.p, _normalized=True)))
     return tuple(ranks)
 
 

@@ -182,8 +182,8 @@ def test_criterion_4_group_ring_algebra():
             dom = cayley_ball(group, 1)
             mid = cayley_ball(group, 1 + rb)
             cod = cayley_ball(group, 1 + ra + rb)
-            lhs = restriction_matrix(compose(a, b), dom, cod)
-            rhs = mat_mul(restriction_matrix(a, mid, cod), restriction_matrix(b, dom, mid))
+            lhs = restriction_matrix(compose(a, b), dom, cod).dense()
+            rhs = mat_mul(restriction_matrix(a, mid, cod).dense(), restriction_matrix(b, dom, mid).dense())
             if lhs != rhs:
                 failures.append(f"naturality failed on pair {i}")
     report(4, "group-ring algebra (500 kernels)", failures, t, 60)

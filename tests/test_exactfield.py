@@ -2,14 +2,21 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings
 import hypothesis.strategies as st
+import numpy as np
 
+from oracles import dense_rank
 from soficrank.exactfield import (
+    MAX_MODULUS,
     FpMatrix,
+    FpSparse,
+    is_prime,
     kernel_basis,
     mat_mul,
     rank,
     parse_rational,
 )
+
+LARGEST_PRIME = max(q for q in range(MAX_MODULUS - 100, MAX_MODULUS + 1) if is_prime(q))
 
 
 def F2(rows):
@@ -150,3 +157,85 @@ class TestImmutability:
         m = FpMatrix.identity(2, 5)
         with pytest.raises(AttributeError):
             m.p = 7
+
+
+def random_case(rng: np.random.Generator, kind: str, rows: int, cols: int, p: int) -> np.ndarray:
+    """Residues of one matrix kind: sparse random, all zero, full rank, or a product of rank at most k."""
+    if kind == "sparse":
+        return rng.integers(0, p, (rows, cols)) * (rng.random((rows, cols)) < rng.random())
+    if kind == "zero":
+        return np.zeros((rows, cols), dtype=np.int64)
+    if kind == "full":
+        # a nonzero diagonal with anything above it, then rows and columns shuffled
+        a = np.triu(rng.integers(0, p, (rows, cols)), 1)
+        k = min(rows, cols)
+        a[np.arange(k), np.arange(k)] = rng.integers(1, p, k)
+        return a[rng.permutation(rows)][:, rng.permutation(cols)]
+    k = int(rng.integers(0, 4))
+    left = rng.integers(0, p, (rows, k)) * (rng.random((rows, k)) < 0.5)
+    return left @ rng.integers(0, p, (k, cols)) % p
+
+
+class TestSparseRankOracle:
+    """rank (sparse elimination) against dense_rank on the same residues."""
+
+    @given(
+        st.sampled_from([2, 3, LARGEST_PRIME]),
+        st.sampled_from(["sparse", "zero", "full", "product"]),
+        st.integers(0, 40),
+        st.integers(0, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_rank(self, p, kind, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        a = random_case(rng, kind, rows, cols, p)
+        # unreduced and negative entries, some split over repeated positions
+        shift = rng.integers(-3, 4, a.shape) * p
+        row, col = np.nonzero((a != 0) | (shift != 0))
+        val = a[row, col] + shift[row, col]
+        part = rng.integers(-2 * p, 2 * p, row.size)
+        m = FpSparse(np.r_[row, row], np.r_[col, col], np.r_[val - part, part], (rows, cols), p)
+        assert m.dense() == FpMatrix(a, p)
+        expected = dense_rank(FpMatrix(a, p))
+        assert rank(m) == expected
+        if kind == "full":
+            assert expected == min(rows, cols)
+
+    def test_largest_prime_is_below_the_bound(self):
+        assert LARGEST_PRIME == 1048573 and is_prime(LARGEST_PRIME)
+
+    def test_dense_input_reads_its_nonzero_entries(self):
+        m = FpMatrix([[2, 4, 1], [3, 0, 5], [2, 4, 1]], 7)
+        assert rank(m) == rank(FpSparse.from_dense(m)) == dense_rank(m) == 2
+
+    def test_wide_banded_chain_rank(self):
+        # I + shift on Z/400 over F_2: each row and column holds two entries, and the wrap closes the chain
+        n = 400
+        v = np.arange(n)
+        m = FpSparse(np.r_[v, (v + 1) % n], np.r_[v, v], np.ones(2 * n), (n, n), 2)
+        assert rank(m) == dense_rank(m.dense()) == n - 1
+
+
+class TestFpSparse:
+    def test_shape_and_entries_checked(self):
+        with pytest.raises(ValueError):
+            FpSparse([0], [3], [1], (2, 2), 3)
+        with pytest.raises(ValueError):
+            FpSparse([0, 1], [0], [1], (2, 2), 3)
+
+    def test_read_only(self):
+        m = FpSparse([0], [1], [5], (2, 2), 3)
+        assert (m.rows, m.cols, m.val.tolist()) == (2, 2, [2])
+        with pytest.raises(ValueError):
+            m.val[0] = 1
+        with pytest.raises(AttributeError):
+            m.p = 5
+
+    def test_zeros_dropped(self):
+        m = FpSparse([0, 0, 1], [1, 1, 1], [1, 2, 3], (2, 2), 3)
+        assert m.val.size == 0 and rank(m) == 0
+
+    def test_from_blocks(self):
+        m = FpSparse.from_blocks([[1, 0]], [np.array([[1, 0], [2, 1]])], (4, 4), 3)
+        assert m.dense().array.tolist() == [[0, 0, 1, 0], [0, 0, 2, 1], [1, 0, 0, 0], [2, 1, 0, 0]]

@@ -1,11 +1,13 @@
 import dataclasses
+import gc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import commutative_square_matrix, slice_ranks
+from oracles import commutative_square_matrix, dense_rank, slice_ranks
 from soficrank.cli import parse_instance_file
 from soficrank.digraph import LabeledDigraph, ball_isomorphism
 from soficrank.errors import (
@@ -36,6 +38,7 @@ from soficrank.transfer import (
     lower_bound_check,
     plan_instance,
     run_experiment,
+    sparse_bar_phi,
     upper_bound_check,
     verify_transfer_identity,
 )
@@ -341,12 +344,46 @@ class TestForcedRank:
 
         def counting(inst):
             builds.append(inst)
-            return build_bar_phi(inst)
+            return sparse_bar_phi(inst)
 
-        monkeypatch.setattr(transfer, "build_bar_phi", counting)
+        monkeypatch.setattr(transfer, "sparse_bar_phi", counting)
         report = lower_bound_check(inst)
-        assert rank(build_bar_phi(inst)) == report.bar_phi_rank
         assert len(builds) == (0 if inst.v_dprime == inst.v_prime else 1)
+        assert dense_rank(build_bar_phi(inst)) == report.bar_phi_rank
+
+
+def radius_two_z2_element(seed):
+    """d=2, p=3: a random coefficient at every element of the radius-2 ball of Z^2."""
+    Z2 = FreeAbelian(2)
+    rng = np.random.default_rng(seed)
+    return GroupRingKernel(
+        Z2, 2, 3, {g: FpMatrix(rng.integers(0, 3, (2, 2)), 3) for g in cayley_ball(Z2, 2).elements}
+    )
+
+
+class TestSparseRank:
+    """The sparse bar_phi, ranked by sparse elimination, against its dense form and closed forms."""
+
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_oracle_cases_match_dense(self, case):
+        inst = ORACLE_CASES[case][0]()
+        sparse = sparse_bar_phi(inst)
+        assert sparse.dense() == build_bar_phi(inst)
+        assert rank(sparse) == dense_rank(build_bar_phi(inst))
+
+    def test_one_plus_t_torus_closed_form(self):
+        # (1+t) I_2 over F_2 on Z/400: gcd(1+x, x^400 - 1) = 1+x removes one dimension per coordinate
+        eye = FpMatrix.identity(2, 2)
+        phi = GroupRingKernel(Z1, 2, 2, {(0,): eye, (1,): eye})
+        inst = build_instance(phi, None, torus_approximation(Z1, 400, 5))
+        assert rank(sparse_bar_phi(inst)) == 2 * 400 - 2
+
+    def test_random_radius_two_z2_element(self):
+        phi = radius_two_z2_element(1)
+        plan = plan_instance(phi, None, max_kernel_search=1)
+        approx = torus_approximation(phi.group, 20, 2 * plan.r0 + 1)
+        inst = build_instance(phi, None, approx, plan=plan)
+        assert rank(sparse_bar_phi(inst)) == dense_rank(build_bar_phi(inst))
 
 
 def upper_instances():
@@ -421,7 +458,7 @@ class TestCommutativeSquare:
         for v in (0, 4, 7):
             square = commutative_square_matrix(inst, v)
             assert square is not None
-            assert square == restr
+            assert square == restr.dense()
 
     def test_square_for_shifted_support(self):
         phi = GroupRingKernel(
@@ -432,7 +469,7 @@ class TestCommutativeSquare:
         inst = build_instance(phi, None, approx)
         restr = restriction_matrix(phi, cayley_ball(Z1, inst.plan.r0), cayley_ball(Z1, 2 * inst.plan.r0))
         square = commutative_square_matrix(inst, 3)
-        assert square == restr
+        assert square == restr.dense()
 
     def test_square_two_dimensional(self):
         Z2 = FreeAbelian(2)
@@ -444,7 +481,7 @@ class TestCommutativeSquare:
         inst = build_instance(phi, None, approx)
         restr = restriction_matrix(phi, cayley_ball(Z2, inst.plan.r0), cayley_ball(Z2, 2 * inst.plan.r0))
         for v in (0, 17, 100):
-            assert commutative_square_matrix(inst, v) == restr
+            assert commutative_square_matrix(inst, v) == restr.dense()
 
 
 class TestRunExperiment:
@@ -542,3 +579,18 @@ def check_both(phi):
     """True when phi has both a right inverse among its own powers and a kernel."""
     sq = compose(phi, phi)
     return sq.is_identity() and kernel_radius(phi, 6) is not None
+
+
+@pytest.mark.parametrize("element, mode", [("x", "lower"), ("sigma", "upper")])
+def test_parsed_group_freed_without_cycle_collection(element, mode):
+    # Balls hold their group weakly, so dropping the instance frees the group by reference counting.
+    gc.disable()
+    try:
+        parsed = parse_instance_file(Path(__file__).parent / "data" / "golden" / "s3.ring")
+        group = weakref.ref(parsed.group)
+        phi = parsed.elements[element]
+        run_experiment(phi, phi if mode == "lower" else None, mode)
+        del parsed, phi
+        assert group() is None
+    finally:
+        gc.enable()
