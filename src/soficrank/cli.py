@@ -159,7 +159,7 @@ def format_instance(inst: InstanceFile) -> str:
     group = inst.group
     for name, kern in inst.elements.items():
         out.append(f"element {name}")
-        for g in sorted(kern.support, key=group.element_key):
+        for g in sorted(kern.support):
             mat = kern.support[g]
             mat_text = ";".join(
                 ",".join(str(int(x)) for x in row) for row in mat.array
@@ -249,10 +249,10 @@ def _parse_good(arg: Optional[str], vertex_count: int) -> list[int]:
 
 def _cmd_sofic_verify(args) -> int:
     group = parse_group_descriptor(args.group, Path.cwd())
-    graph = read_graph_file(args.graph)
+    limits = Limits.from_env()
+    graph = read_graph_file(args.graph, limits.max_vertices)
     epsilon = parse_rational(args.epsilon)
     good = _parse_good(args.good, graph.vertex_count)
-    limits = Limits.from_env()
     inputs = {
         "graph": _file_digest(args.graph),
         "group": args.group,
@@ -302,9 +302,9 @@ def _cmd_sofic_verify(args) -> int:
 
 def _cmd_weiss_select(args) -> int:
     group = parse_group_descriptor(args.group, Path.cwd())
-    graph = read_graph_file(args.graph)
-    good = _parse_good(args.good, graph.vertex_count)
     limits = Limits.from_env()
+    graph = read_graph_file(args.graph, limits.max_vertices)
+    good = _parse_good(args.good, graph.vertex_count)
     inputs = {
         "graph": _file_digest(args.graph),
         "group": args.group,

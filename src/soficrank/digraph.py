@@ -14,7 +14,8 @@ from typing import Iterator, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, ResourceLimitError
+from .limits import DEFAULT_MAX_VERTICES
 
 if TYPE_CHECKING:  # pragma: no cover
     from .groups import CayleyBall
@@ -203,20 +204,15 @@ def ball_isomorphism(graph: LabeledDigraph, v: int, ball: "CayleyBall") -> Optio
     return tuple(f)
 
 
-def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np.ndarray, np.ndarray]:
-    """The charts of many vertices at once: one numpy label walk over the ball.
+def label_walk(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> np.ndarray:
+    """Where each ball element lands when its path from the root is walked from each vertex.
 
-    Returns (charts, ok): charts is an int64 array of shape
-    (len(vertices), |ball|), and whenever ok[k] holds, row k is the tuple
-    ball_isomorphism(graph, vertices[k], ball) returns; rows with ok[k]
-    false carry no meaning.  The walk fixes each ball element's image from
-    its BFS-tree parent, one depth layer at a time, reading graph.out
-    directly; a missing edge leaves -1 in the row.  A row is then a chart
-    exactly when it holds no -1, every ball edge maps to a graph edge, it
-    is injective, and no graph edge on a label the ball lacks at an
-    element lands back in the row's image: the conditions
-    ball_isomorphism checks one vertex at a time.  Temporaries stay
-    O(len(vertices) * |ball|).
+    Returns an int64 array of shape (len(vertices), |ball|): row k, column
+    j is the end of the walk from vertices[k] along the labels of ball
+    element j's BFS-tree path, reading graph.out one depth layer at a
+    time.  A missing edge leaves -1 in the row; the steps below it read
+    the table's last row and carry no meaning, so a caller must reject
+    the whole row.  Temporaries stay O(len(vertices) * |ball|).
     """
     bgraph = ball.graph
     if bgraph.num_labels != graph.num_labels:
@@ -227,8 +223,7 @@ def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np
     outside = vertices[(vertices < 0) | (vertices >= graph.vertex_count)]
     if outside.size:
         _check_vertex(graph, int(outside[0]))
-    n, m, labels = graph.vertex_count, bgraph.vertex_count, graph.num_labels
-
+    m, labels = bgraph.vertex_count, bgraph.num_labels
     # BFS tree of the ball: j's parent is the first element, in ball order,
     # with an edge into j; it sits one layer closer to the root.
     edges = np.flatnonzero(bgraph.out.ravel() >= 0)  # i * labels + label, ascending
@@ -239,21 +234,34 @@ def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np
     depth = np.asarray(ball.distance_from_root)
     f = np.empty((len(vertices), m), dtype=np.int64)
     f[:, 0] = vertices
-    # A missing edge puts -1 into f, where it stays and fails the row; the
-    # walk below it reads the last graph row and carries no meaning.
     for layer in range(1, int(depth[-1]) + 1):
         js = np.flatnonzero(depth == layer)
         f[:, js] = graph.out[f[:, parent[js]], via[js]]
+    return f
 
+
+def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np.ndarray, np.ndarray]:
+    """The charts of many vertices at once: one label walk over the ball.
+
+    Returns (charts, ok): charts is label_walk(graph, vertices, ball), and
+    whenever ok[k] holds, row k is the tuple ball_isomorphism(graph,
+    vertices[k], ball) returns; rows with ok[k] false carry no meaning.
+    A walked row is a chart exactly when it holds no -1, every ball edge
+    maps to a graph edge, it is injective, and no graph edge on a label
+    the ball lacks at an element lands back in the row's image: the
+    conditions ball_isomorphism checks one vertex at a time.
+    """
+    f = label_walk(graph, vertices, ball)
+    bgraph, n = ball.graph, graph.vertex_count
     ordered = np.sort(f, axis=1)
     ok = ~((ordered[:, 0] < 0) | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
     # Membership in a row's image, for all rows at once: offset row k's
     # sorted image, which lies in [-1, n), by k*(n+1) so that the
     # flattened array is sorted and rows' ranges stay apart.
-    offset = np.arange(len(vertices), dtype=np.int64)[:, None] * (n + 1)
+    offset = np.arange(len(f), dtype=np.int64)[:, None] * (n + 1)
     ordered += offset
     image = ordered.ravel()
-    for label in range(labels):
+    for label in range(graph.num_labels):
         w = graph.out[f, label]
         target = bgraph.out[:, label]
         edge = target >= 0
@@ -273,8 +281,12 @@ def write_graph_file(path, graph: LabeledDigraph) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_graph_file(path) -> LabeledDigraph:
-    """Parse the graph text format; full-line # comments and blank lines are skipped."""
+def read_graph_file(path, max_vertices: int = DEFAULT_MAX_VERTICES) -> LabeledDigraph:
+    """Parse the graph text format; full-line # comments and blank lines are skipped.
+
+    A header claiming more than max_vertices vertices raises
+    ResourceLimitError before the out-table is allocated.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
     lines = [ln.strip() for ln in raw.splitlines()]
@@ -288,6 +300,8 @@ def read_graph_file(path) -> LabeledDigraph:
         n, num_labels = int(head[1]), int(head[2])
     except ValueError:
         raise ParseError(f"{path}: non-integer counts in header {lines[0]!r}")
+    if n > max_vertices:
+        raise ResourceLimitError(f"{path}: graph with {n} vertices exceeds limit {max_vertices}")
     edges = []
     for ln in lines[1:]:
         parts = ln.split()

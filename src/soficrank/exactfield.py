@@ -166,24 +166,6 @@ class FpSparse:
         row, col = np.nonzero(m.array)
         return cls(row, col, m.array[row, col], m.array.shape, m.p, _normalized=True)
 
-    @classmethod
-    def from_blocks(cls, block_rows, blocks, shape, p: int) -> "FpSparse":
-        """Block matrix whose column block j holds blocks[s] at row block block_rows[s][j], for every s.
-
-        The blocks are square, reduced mod p, and no two land on the same
-        (row block, column block) pair; the caller guarantees both.
-        """
-        row, col, val = [], [], []
-        for at, block in zip(block_rows, blocks):
-            at = np.asarray(at, dtype=np.int64)
-            d, j = len(block), np.arange(len(at))
-            for a, b in zip(*np.nonzero(block)):
-                row.append(at * d + a)
-                col.append(j * d + b)
-                val.append(np.full(len(at), block[a, b], dtype=np.int64))
-        coords = (np.concatenate(c) if c else np.empty(0, dtype=np.int64) for c in (row, col, val))
-        return cls(*coords, shape, p, _normalized=True)
-
     @property
     def rows(self) -> int:
         return self.shape[0]

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .digraph import label_walk
 from .errors import InternalInconsistency
 from .exactfield import FpMatrix, FpSparse, rank, validate_modulus
 from .groups import CayleyBall, GroupModel, cayley_ball
@@ -97,7 +98,7 @@ class GroupRingKernel:
         )
 
     def __repr__(self):
-        terms = sorted(self.support, key=self.group.element_key)
+        terms = sorted(self.support)
         return (
             f"GroupRingKernel({self.group.describe()}, d={self.d}, p={self.p}, "
             f"support={[self.group.format_element(g) for g in terms]})"
@@ -151,13 +152,34 @@ def support_data(c_phi: GroupRingKernel, c_psi: Optional[GroupRingKernel] = None
     return frozenset(s), r1
 
 
+def transplant(c: GroupRingKernel, charts: np.ndarray, ball: CayleyBall, rows: int) -> FpSparse:
+    """Sparse block matrix of c read off charts over a ball: the one builder of block matrices.
+
+    Column block j holds c(s) at row block charts[j, ball.element_index[s]]
+    for every s in supp c, and nothing else; there are `rows` row blocks.
+    The support lies in the ball, and each chart row is injective, so no
+    two blocks share a place.
+    """
+    d = c.d
+    at = charts[:, [ball.element_index[s] for s in c.support]].T  # [s, j]
+    blocks = np.array([mat.array for mat in c.support.values()], dtype=np.int64).reshape(-1, d, d)
+    s, a, b = np.nonzero(blocks)  # one entry (s, a, b) per nonzero coefficient, s-major
+    row = at[s] * d + a[:, None]
+    col = np.arange(len(charts), dtype=np.int64) * d + b[:, None]
+    val = np.broadcast_to(blocks[s, a, b][:, None], row.shape)
+    return FpSparse(row, np.broadcast_to(col, row.shape), val, (d * rows, d * len(charts)), c.p, _normalized=True)
+
+
 def restriction_matrix(c: GroupRingKernel, dom: CayleyBall, cod: CayleyBall) -> FpSparse:
     """Sparse matrix of c restricted to a domain ball, landing in a codomain ball.
 
     Block at (row element g2, column element g1) is c(g1^{-1} g2).  The
     codomain radius must be at least domain radius + support radius so the
     image is captured in full; anything smaller would silently truncate
-    rows and change kernels.
+    rows and change kernels.  A Cayley ball is its own approximation around
+    its interior: the walk of the radius-rs ball from each domain element,
+    which sits at its own position in the codomain since balls are
+    prefixes, puts g1 * s at column s of row g1, and transplant reads it.
     """
     if dom.group != c.group or cod.group != c.group:
         raise ValueError("balls must belong to the kernel's group")
@@ -167,21 +189,15 @@ def restriction_matrix(c: GroupRingKernel, dom: CayleyBall, cod: CayleyBall) -> 
             f"codomain ball radius {cod.radius} too small: need at least "
             f"domain radius {dom.radius} + support radius {rs}"
         )
-    group = c.group
-    at = np.empty((len(c.support), dom.size), dtype=np.int64)  # [s, j]: row block of c(s) in column g1_j
-    for j, g1 in enumerate(dom.elements):
-        for k, s in enumerate(c.support):
-            g2 = group._mul(g1, s)  # a ball element times a validated support element
-            i = cod.element_index.get(g2)
-            if i is None:
-                raise InternalInconsistency(
-                    f"{group.format_element(g2)} = {group.format_element(g1)} * "
-                    f"{group.format_element(s)} lies outside the radius-{cod.radius} codomain ball"
-                )
-            at[k, j] = i
-    return FpSparse.from_blocks(
-        at, [mat.array for mat in c.support.values()], (c.d * cod.size, c.d * dom.size), c.p
-    )
+    ball = cayley_ball(c.group, rs, max_elements=cod.size)
+    walk = label_walk(cod.graph, np.arange(dom.size), ball)
+    missing = np.flatnonzero((walk < 0).any(axis=1))
+    if missing.size:
+        raise InternalInconsistency(
+            f"the radius-{rs} ball walked from {c.group.format_element(dom.elements[missing[0]])} "
+            f"leaves the radius-{cod.radius} codomain ball"
+        )
+    return transplant(c, walk, ball, cod.size)
 
 
 def kernel_radius(

@@ -10,13 +10,14 @@ them.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from operator import add
 
 import numpy as np
 
-from .digraph import LabeledDigraph, table_edges
+from .digraph import LabeledDigraph, _bfs, table_edges
 from .errors import ParseError, ResourceLimitError
 from .limits import DEFAULT_MAX_BALL_ELEMENTS
 
@@ -57,10 +58,6 @@ class GroupModel:
     def check_element(self, a) -> None:
         if not self.contains(a):
             raise ValueError(f"foreign element {a!r} for group {self.describe()}")
-
-    def element_key(self, a):
-        """Deterministic sort key used for tie-breaking inside BFS layers."""
-        raise NotImplementedError
 
     def word_length(self, a) -> int:
         """Cayley-graph distance from the identity to a."""
@@ -123,9 +120,6 @@ class FreeAbelian(GroupModel):
             and len(a) == self.rank
             and all(isinstance(x, int) and not isinstance(x, bool) for x in a)
         )
-
-    def element_key(self, a):
-        return a
 
     def word_length(self, a) -> int:
         self.check_element(a)
@@ -199,19 +193,9 @@ class FiniteByTable(GroupModel):
         for g in gens:
             if inv[g] not in gen_set:
                 raise ValueError(f"generator set is not symmetric: inverse of {g} is missing")
-        dist = [-1] * n  # word lengths, by breadth-first search from the identity
-        dist[ident] = 0
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    h = rows[a][g]
-                    if dist[h] == -1:
-                        dist[h] = dist[a] + 1
-                        nxt.append(h)
-            frontier = nxt
-        if -1 in dist:
+        # word lengths: the graph BFS from the identity over a -> a * g
+        dist = dict(_bfs(t[:, list(gens)], ident, math.inf))
+        if len(dist) < n:
             raise ValueError("generators do not generate the whole group")
         for g in gens:
             # (a g) c against a (g c) for every a and c at once
@@ -227,7 +211,7 @@ class FiniteByTable(GroupModel):
         self._identity = ident
         self.generators = gens
         self.name = name or f"finite-order-{n}"
-        self._word_lengths = tuple(dist)
+        self._word_lengths = tuple(dist[a] for a in range(n))
 
     @property
     def size(self) -> int:
@@ -248,9 +232,6 @@ class FiniteByTable(GroupModel):
 
     def contains(self, a) -> bool:
         return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < len(self._rows)
-
-    def element_key(self, a):
-        return a
 
     def word_length(self, a) -> int:
         self.check_element(a)
@@ -289,7 +270,8 @@ def cyclic_group(n: int) -> FiniteByTable:
     """Z/nZ with generators {1, n-1} (just {1} when n <= 2; empty when n == 1)."""
     if n < 1:
         raise ValueError("order must be at least 1")
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
+    a = np.arange(n)
+    table = (a[:, None] + a) % n
     if n == 1:
         gens = []
     elif n == 2:
@@ -305,23 +287,13 @@ def direct_product_table(g1: FiniteByTable, g2: FiniteByTable) -> FiniteByTable:
     Generators: pairs (g, e) and (e, h) for the factors' generators.
     """
     n1, n2 = g1.size, g2.size
-    table = [[0] * (n1 * n2) for _ in range(n1 * n2)]
-    for a1 in range(n1):
-        for b1 in range(n2):
-            for a2 in range(n1):
-                for b2 in range(n2):
-                    x = a1 * n2 + b1
-                    y = a2 * n2 + b2
-                    table[x][y] = g1.multiply(a1, a2) * n2 + g2.multiply(b1, b2)
+    # [a1, b1, a2, b2] holds (a1 a2, b1 b2), encoded
+    table = g1.table[:, None, :, None] * n2 + g2.table[None, :, None, :]
     e1, e2 = g1.identity(), g2.identity()
     gens = [g * n2 + e2 for g in g1.generators] + [e1 * n2 + h for h in g2.generators]
     # Deduplicate while preserving order (identity generators can coincide).
-    seen, uniq = set(), []
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            uniq.append(g)
-    return FiniteByTable(table, uniq, name=f"{g1.name}x{g2.name}")
+    uniq = list(dict.fromkeys(gens))
+    return FiniteByTable(table.reshape(n1 * n2, n1 * n2), uniq, name=f"{g1.name}x{g2.name}")
 
 
 class _HeldWeakly:
@@ -392,7 +364,7 @@ def cayley_ball(group: GroupModel, r: int, max_elements: int = DEFAULT_MAX_BALL_
                     discovered.add(h)
         if not discovered:
             break
-        ordered = sorted(discovered, key=group.element_key)
+        ordered = sorted(discovered)
         for h in ordered:
             index[h] = len(elements)
             elements.append(h)

@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .digraph import ball_charts
+from .digraph import ball_charts, label_walk
 from .errors import (
     ApproximationTooCoarse,
     CardinalityViolation,
@@ -46,8 +46,8 @@ from .groupring import (
     GroupRingKernel,
     check_right_inverse,
     kernel_radius,
-    restriction_matrix,
     support_data,
+    transplant,
 )
 from .groups import CayleyBall, FiniteByTable, FreeAbelian, cayley_ball
 from .limits import DEFAULT_MAX_BALL_ELEMENTS, DEFAULT_MAX_VERTICES, default_kernel_search_bound
@@ -204,15 +204,8 @@ def sparse_bar_phi(inst: TransferInstance) -> FpSparse:
     the r0-neighborhood of v'.  So column v' holds phi_s at row vertex
     charts[v', idx[s]] for each s in supp phi, and nothing else.
     """
-    phi, idx = inst.phi, inst.ball_r0.element_index
-    # support lies in the r0 ball since r0 >= r1; charts are injective,
-    # so no two support elements share a block
-    return FpSparse.from_blocks(
-        [inst.charts[:, idx[s]] for s in phi.support],
-        [mat.array for mat in phi.support.values()],
-        (phi.d * inst.vertex_count, phi.d * len(inst.v_prime)),
-        phi.p,
-    )
+    # support lies in the r0 ball since r0 >= r1
+    return transplant(inst.phi, inst.charts, inst.ball_r0, inst.vertex_count)
 
 
 def build_bar_phi(inst: TransferInstance) -> FpMatrix:
@@ -426,33 +419,34 @@ def check_local_slices(inst: TransferInstance, v1) -> FpSparse:
 
     Each v in v1 is good, with verified chart f over the approximation's
     ball.  The slice at v has the columns of the vertices f(g), g in N_r0,
-    and the column of u holds phi_s in the row of u's own chart at s.  When
-    that row is f(g s) for every g and every s in supp phi, the slice is
-    restriction_matrix(phi, N_r0, ball) with rows permuted by the injective
-    f, plus zero rows, so all slices share its rank.  A mismatch raises
-    InternalInconsistency.
+    and the column of u holds phi_s in the row of u's own chart at s.  One
+    label walk of N_r0 in the ball from each g in N_r0 finds every g s.
+    When that row is f(g s) for every g and every s in supp phi, the slice
+    is the transplant of phi over that walk, restriction_matrix(phi, N_r0,
+    ball), with rows permuted by the injective f, plus zero rows, so all
+    slices share its rank.  A mismatch raises InternalInconsistency.
     """
     approx, ball, small, phi = inst.approx, inst.approx.ball, inst.ball_r0, inst.phi
-    supp = list(phi.support)
-    at_s = np.array([small.element_index[s] for s in supp], dtype=np.int64)
-    # g*s lies in N_{2r0}, since supp phi lies in N_r0
-    at_gs = np.array(
-        [[ball.element_index[phi.group._mul(g, s)] for s in supp] for g in small.elements], dtype=np.int64
-    )
+    at_s = np.array([small.element_index[s] for s in phi.support], dtype=np.int64)
+    # walk[g, h] is the ball position of g*h for g, h in N_r0; N_{2r0} lies in the ball
+    walk = label_walk(ball.graph, np.arange(small.size), small)
+    if (walk < 0).any():
+        raise InternalInconsistency(f"N_{2 * inst.plan.r0} does not fit in the radius-{ball.radius} ball")
     # good vertices and V' are sorted, and v1 lies in the one, their r0-neighbors in the other
     f = approx.charts[np.searchsorted(approx.good_vertices, v1)]
     got = inst.charts[np.searchsorted(inst.v_prime, f[:, : small.size, None]), at_s]  # [v, g, s]
-    want = f[:, at_gs]
+    want = f[:, walk[:, at_s]]
     bad = np.argwhere(got != want)
     if bad.size:
         k, i, j = bad[0].tolist()
-        fmt, g, s = phi.group.format_element, small.elements[i], supp[j]
+        fmt = phi.group.format_element
+        g, s, gs = small.elements[i], small.elements[at_s[j]], ball.elements[walk[i, at_s[j]]]
         raise InternalInconsistency(
             f"Weiss pick {v1[k]}: the column of vertex {f[k, i]} (ball position {i}, element "
             f"{fmt(g)}) holds phi's coefficient at {fmt(s)} in the row of vertex {got[k, i, j]}, "
-            f"but the pick's chart puts {fmt(phi.group._mul(g, s))} at vertex {want[k, i, j]}"
+            f"but the pick's chart puts {fmt(gs)} at vertex {want[k, i, j]}"
         )
-    return restriction_matrix(phi, small, ball)
+    return transplant(phi, walk, small, ball.size)
 
 
 def run_experiment(

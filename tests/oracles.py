@@ -91,6 +91,21 @@ def equivariant_entry(c: GroupRingKernel, g2, g1) -> FpMatrix:
     return mat
 
 
+def restriction_by_products(c: GroupRingKernel, dom, cod) -> FpMatrix:
+    """restriction_matrix by the per-pair loop: block c(s) at row g1 * s, column g1, for every g1 and s.
+
+    Each product comes from the group's checked multiply and is looked up
+    among the codomain's elements.
+    """
+    d = c.d
+    out = np.zeros((d * cod.size, d * dom.size), dtype=np.int64)
+    for j, g1 in enumerate(dom.elements):
+        for s, mat in c.support.items():
+            i = cod.element_index[c.group.multiply(g1, s)]
+            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = mat.array
+    return FpMatrix(out, c.p, _normalized=True)
+
+
 def digraph_by_edge_loop(vertex_count: int, num_labels: int, edges) -> tuple[list, int]:
     """(edges ascending by (src, label), edge count) of a label-deterministic digraph, one edge at a time.
 

@@ -269,6 +269,24 @@ class TestLimits:
         assert main(argv + ["--max-ball", "1000", "--max-vertices", "200"]) == 0
 
 
+class TestGraphFileLimit:
+    SUBCOMMANDS = [["sofic-verify", "-g", "Z^1", "-r", "2"], ["weiss-select", "-g", "Z^1", "--r0", "1"]]
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+    def test_oversized_header_exits_3(self, tmp_path, argv, capsys):
+        path = tmp_path / "huge.graph"
+        path.write_text("digraph 100000000000 3\n")
+        assert main([argv[0], str(path), *argv[1:]]) == 3
+        assert "resource limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
+    def test_environment_limit(self, c12_graph, monkeypatch, argv, capsys):
+        assert main([argv[0], str(c12_graph), *argv[1:]]) == 0
+        monkeypatch.setenv("SOFICRANK_MAX_VERTICES", "11")
+        assert main([argv[0], str(c12_graph), *argv[1:]]) == 3
+        assert "resource limit" in capsys.readouterr().err
+
+
 class TestFiniteGroupFlags:
     """S3 (order 6) is its own approximation: no torus side, and its order counts as |V|."""
 

@@ -14,11 +14,12 @@ from soficrank.digraph import (
     ball_isomorphism,
     distance,
     distances,
+    label_walk,
     neighborhood,
     read_graph_file,
     write_graph_file,
 )
-from soficrank.errors import ParseError
+from soficrank.errors import ParseError, ResourceLimitError
 from soficrank.groups import CayleyBall, FreeAbelian, cayley_ball, cyclic_group, read_finite_group_file
 from soficrank.sofic import finite_cayley_graph, torus_graph
 
@@ -244,6 +245,16 @@ class TestGraphFiles:
         # duplicate identical line is tolerated
         assert read_graph_file(bad).edge_count == 2
 
+    def test_vertex_limit_checked_before_allocation(self, tmp_path):
+        path = tmp_path / "huge.graph"
+        path.write_text("digraph 100000000000 3\n")
+        with pytest.raises(ResourceLimitError, match="100000000000 vertices exceeds limit 10000"):
+            read_graph_file(path)
+        write_graph_file(path, torus_graph(Z1, 12))
+        with pytest.raises(ResourceLimitError):
+            read_graph_file(path, max_vertices=11)
+        assert read_graph_file(path, max_vertices=12).vertex_count == 12
+
     def test_nondeterministic_graph_rejected(self, tmp_path):
         bad = tmp_path / "nondet.graph"
         bad.write_text("digraph 3 1\n0 1 0\n0 2 0\n")
@@ -366,6 +377,12 @@ class TestBallCharts:
         ball = CayleyBall(Z1, 1, (0, 1, 2), {0: 0, 1: 1, 2: 2}, (0, 1, 1), star)
         merged = LabeledDigraph(2, 2, [(0, 1, 0), (0, 1, 1)])  # both leaves land on 1
         assert not assert_charts_match(merged, [0, 1], ball).any()
+
+    def test_walk_marks_missing_edges(self):
+        # an open path 0 - 1 - 2 with Z^1 labels: +1, -1, identity self-loops
+        path = LabeledDigraph(3, 3, [(v, v, 2) for v in range(3)] + [(0, 1, 0), (1, 2, 0), (1, 0, 1), (2, 1, 1)])
+        # ball order (0,), (-1,), (1,)
+        assert label_walk(path, range(3), cayley_ball(Z1, 1)).tolist() == [[0, -1, 1], [1, 0, 2], [2, 1, -1]]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -235,7 +235,3 @@ class TestFpSparse:
     def test_zeros_dropped(self):
         m = FpSparse([0, 0, 1], [1, 1, 1], [1, 2, 3], (2, 2), 3)
         assert m.val.size == 0 and rank(m) == 0
-
-    def test_from_blocks(self):
-        m = FpSparse.from_blocks([[1, 0]], [np.array([[1, 0], [2, 1]])], (4, 4), 3)
-        assert m.dense().array.tolist() == [[0, 0, 1, 0], [0, 0, 2, 1], [1, 0, 0, 0], [2, 1, 0, 0]]

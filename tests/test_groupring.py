@@ -3,10 +3,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from oracles import equivariant_entry
+from oracles import equivariant_entry, restriction_by_products, symmetric_group_5
 from soficrank import groupring
 from soficrank.errors import InternalInconsistency
 from soficrank.exactfield import FpMatrix, mat_mul, rank
@@ -17,11 +17,13 @@ from soficrank.groupring import (
     kernel_radius,
     restriction_matrix,
     support_data,
+    transplant,
 )
 from soficrank.groups import FreeAbelian, cayley_ball, cyclic_group
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
+S5 = symmetric_group_5()
 
 
 def scalar_kernel(group, p, terms):
@@ -172,12 +174,38 @@ class TestRestrictionMatrix:
         # A ball that claims a larger radius than its elements cover passes
         # the radius check; the missing row must still be caught.
         short = dataclasses.replace(cayley_ball(Z1, 1), radius=3)
-        with pytest.raises(InternalInconsistency):
+        with pytest.raises(InternalInconsistency, match=r"walked from -1 leaves the radius-3 codomain"):
             restriction_matrix(one_plus_t(), cayley_ball(Z1, 1), short)
 
     def test_codomain_too_small(self):
         with pytest.raises(ValueError):
             restriction_matrix(one_plus_t(), cayley_ball(Z1, 2), cayley_ball(Z1, 2))
+
+    @given(st.data())
+    @example(None)
+    @settings(max_examples=60, deadline=None)
+    def test_walk_matches_products(self, data):
+        """The walked restriction against the per-pair products, on Z^1, Z^2 and S5; None is the zero kernel on S5."""
+        if data is None:
+            c, dom, cod = GroupRingKernel.zero(S5, 2, 3), cayley_ball(S5, 1), cayley_ball(S5, 1)
+        else:
+            group = data.draw(st.sampled_from([Z1, Z2, S5]))
+            d, p = data.draw(st.sampled_from([1, 2])), data.draw(st.sampled_from([2, 3, 5]))
+            coefficient = st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d)
+            terms = data.draw(st.dictionaries(st.sampled_from(cayley_ball(group, 2).elements), coefficient, max_size=4))
+            c = GroupRingKernel(group, d, p, {g: [v[i * d : (i + 1) * d] for i in range(d)] for g, v in terms.items()})
+            dom_radius = data.draw(st.integers(0, 2))
+            dom = cayley_ball(group, dom_radius)
+            cod = cayley_ball(group, dom_radius + c.support_radius() + data.draw(st.integers(0, 1)))
+        assert restriction_matrix(c, dom, cod).dense() == restriction_by_products(c, dom, cod)
+
+
+class TestTransplant:
+    def test_blocks_at_chart_rows(self):
+        # column block j holds the identity's coefficient at row block charts[j, 0]
+        c = GroupRingKernel(Z1, 2, 3, {(0,): FpMatrix([[1, 0], [2, 1]], 3)})
+        m = transplant(c, np.array([[1], [0]]), cayley_ball(Z1, 0), 2)
+        assert m.dense().array.tolist() == [[0, 0, 1, 0], [0, 0, 2, 1], [1, 0, 0, 0], [2, 1, 0, 0]]
 
 
 class TestKernelRadius:

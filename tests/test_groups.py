@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from oracles import symmetric_group_5
 from soficrank.errors import ParseError, ResourceLimitError
 from soficrank.groups import (
     FiniteByTable,
@@ -102,6 +104,25 @@ class TestFiniteByTable:
         assert G.size == 6
         a = G.multiply(1 * 3 + 0, 0 * 3 + 1)  # (1,0)*(0,1) = (1,1)
         assert a == 1 * 3 + 1
+
+    def test_direct_product_is_componentwise(self):
+        g1, g2 = symmetric_group_5(), cyclic_group(4)
+        G = direct_product_table(g1, g2)
+        x, y = np.divmod(np.arange(G.size), g2.size)
+        assert np.array_equal(G.table, g1.table[np.ix_(x, x)] * g2.size + g2.table[np.ix_(y, y)])
+        assert np.array_equal(cyclic_group(7).table, np.add.outer(range(7), range(7)) % 7)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: cyclic_group(7), symmetric_group_5, lambda: direct_product_table(cyclic_group(3), symmetric_group_5())],
+        ids=["cyclic-7", "S5", "cyclic-3xS5"],
+    )
+    def test_word_length_is_ball_depth(self, make):
+        G = make()
+        diameter = max(G.word_length(a) for a in range(G.size))
+        ball = cayley_ball(G, diameter)
+        assert ball.size == G.size
+        assert [G.word_length(g) for g in ball.elements] == list(ball.distance_from_root)
 
     def test_word_length_bfs(self):
         G = cyclic_group(6)

@@ -34,6 +34,7 @@ from soficrank.transfer import (
     build_bar_phi,
     build_bar_psi,
     build_instance,
+    check_local_slices,
     choose_epsilon,
     lower_bound_check,
     plan_instance,
@@ -408,6 +409,13 @@ class TestLocalSlices:
         report = upper_bound_check(inst)
         assert len(report.per_v1_ranks) == len(report.weiss.v1) > 0
         assert report.per_v1_ranks == slice_ranks(inst, report.weiss.v1)
+
+    @pytest.mark.parametrize("case", list(upper_instances()))
+    def test_slices_return_the_ball_restriction(self, case):
+        inst = upper_instances()[case]()
+        v1 = weiss.weiss_select(inst.approx, inst.plan.r0).v1
+        got = check_local_slices(inst, v1)
+        assert got.dense() == restriction_matrix(inst.phi, inst.ball_r0, inst.approx.ball).dense()
 
     @pytest.mark.parametrize("pick", [0, -1])
     def test_swapped_chart_entry_names_the_pick(self, pick):
