@@ -26,6 +26,7 @@ from typing import Optional
 from . import __version__
 from .digraph import read_graph_file
 from .errors import (
+    AlphabetMismatch,
     CheckFailedError,
     InternalInconsistency,
     ParseError,
@@ -36,7 +37,7 @@ from .exactfield import FpMatrix, json_value, parse_rational
 from .groupring import GroupRingKernel, compose
 from .groups import FreeAbelian, GroupModel, cayley_ball, read_finite_group_file
 from .limits import Limits
-from .sofic import verify_approximation
+from .sofic import check_preconditions, verify_approximation
 from .transfer import run_experiment
 from .weiss import weiss_select
 
@@ -247,12 +248,27 @@ def _parse_good(arg: Optional[str], vertex_count: int) -> list[int]:
     return sorted(set(good))
 
 
+def _read_graph(args, group: GroupModel, limits: Limits):
+    """(graph, vertex count, label count) of the graph file.
+
+    The graph is None when the header's label count is not the group's
+    generator count: the file is still checked, but no out-table is
+    allocated, and check_preconditions reports the mismatch where
+    verify_approximation would.
+    """
+    try:
+        graph = read_graph_file(args.graph, limits.max_vertices, num_labels=len(group.generators))
+    except AlphabetMismatch as exc:
+        return None, exc.vertex_count, exc.num_labels
+    return graph, graph.vertex_count, graph.num_labels
+
+
 def _cmd_sofic_verify(args) -> int:
     group = parse_group_descriptor(args.group, Path.cwd())
     limits = Limits.from_env()
-    graph = read_graph_file(args.graph, limits.max_vertices)
+    graph, vertex_count, num_labels = _read_graph(args, group, limits)
     epsilon = parse_rational(args.epsilon)
-    good = _parse_good(args.good, graph.vertex_count)
+    good = _parse_good(args.good, vertex_count)
     inputs = {
         "graph": _file_digest(args.graph),
         "group": args.group,
@@ -261,6 +277,8 @@ def _cmd_sofic_verify(args) -> int:
         "good": good,
     }
     try:
+        if graph is None:  # raises: the label count rules the graph out
+            check_preconditions(num_labels, epsilon, args.radius, group)
         approx = verify_approximation(
             graph, good, epsilon, args.radius, group,
             max_ball_elements=limits.max_ball_elements,
@@ -271,7 +289,7 @@ def _cmd_sofic_verify(args) -> int:
             "group": group.describe(),
             "radius": args.radius,
             "epsilon": json_value(epsilon),
-            "vertex_count": graph.vertex_count,
+            "vertex_count": vertex_count,
             "good_count": len(good),
             "failure": str(exc),
             "failing_vertex": getattr(exc, "vertex", None),
@@ -303,8 +321,8 @@ def _cmd_sofic_verify(args) -> int:
 def _cmd_weiss_select(args) -> int:
     group = parse_group_descriptor(args.group, Path.cwd())
     limits = Limits.from_env()
-    graph = read_graph_file(args.graph, limits.max_vertices)
-    good = _parse_good(args.good, graph.vertex_count)
+    graph, vertex_count, num_labels = _read_graph(args, group, limits)
+    good = _parse_good(args.good, vertex_count)
     inputs = {
         "graph": _file_digest(args.graph),
         "group": args.group,
@@ -313,6 +331,8 @@ def _cmd_weiss_select(args) -> int:
     }
     # Epsilon 1/2 is exactly Weiss's precondition |good| >= |V|/2; the
     # verified charts at radius 2*r0+1 are what the selection reads.
+    if graph is None:  # raises: the label count rules the graph out
+        check_preconditions(num_labels, Fraction(1, 2), 2 * args.r0 + 1, group)
     approx = verify_approximation(
         graph, good, Fraction(1, 2), 2 * args.r0 + 1, group,
         max_ball_elements=limits.max_ball_elements,

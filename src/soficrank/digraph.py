@@ -14,7 +14,7 @@ from typing import Iterator, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ParseError, ResourceLimitError
+from .errors import AlphabetMismatch, ParseError, ResourceLimitError
 from .limits import DEFAULT_MAX_VERTICES
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,39 +39,28 @@ class LabeledDigraph:
         label, or the first that gives a (vertex, label) a second
         outgoing or incoming edge.
         """
-        if vertex_count < 0 or num_labels < 0:
-            raise ValueError("vertex and label counts must be nonnegative")
+        src, dst, label = _checked_edges(vertex_count, num_labels, edges)
         self.vertex_count = vertex_count
         self.num_labels = num_labels
-        listed = edges if isinstance(edges, np.ndarray) else list(edges)
-        try:
-            e = np.array(listed, dtype=np.int64)
-        except OverflowError:  # out of range as well; compare as Python ints
-            e = np.array(listed, dtype=object)
-        e = e.reshape(-1, 3) if e.size == 0 else e
-        if e.ndim != 2 or e.shape[1] != 3:
-            raise ValueError("edges must be (src, dst, label) triples")
-        in_range = ((e >= 0) & (e < np.array([vertex_count, vertex_count, num_labels]))).all(axis=1)
-        first_bad = int(np.argmin(in_range)) if not in_range.all() else len(e)
-        src, dst, label = e[:first_bad].astype(np.int64).T
-        # Before the first bad edge, all edges with one (src, label) share
-        # the dst of the first of them, and all with one (dst, label) its src.
-        out_clash = dst != dst[_first_of(src * num_labels + label)]
-        in_clash = src != src[_first_of(dst * num_labels + label)]
-        clashes = np.flatnonzero(out_clash | in_clash)
-        first_bad = int(clashes[0]) if clashes.size else first_bad
-        if first_bad < len(e):
-            s, d, l = e[first_bad].tolist()
-            if first_bad < len(src):
-                v, way = (s, "outgoing") if out_clash[first_bad] else (d, "incoming")
-                raise ValueError(f"vertex {v} has two {way} edges labeled {l}")
-            what = "label" if 0 <= s < vertex_count and 0 <= d < vertex_count else "vertex"
-            raise ValueError(f"edge ({s},{d},{l}) has an out-of-range {what}")
         out = np.full((vertex_count, num_labels), -1, dtype=np.int64)
         out[src, label] = dst
         out.flags.writeable = False
         self.out = out
         self.edge_count = int(np.count_nonzero(out >= 0))
+
+    def induced_prefix(self, m: int) -> "LabeledDigraph":
+        """The subgraph induced on vertices 0..m-1: the first m rows, heads >= m dropped.
+
+        It keeps this graph's edges among those vertices, so it is
+        deterministic as well and skips the constructor's checks.
+        """
+        sub = object.__new__(LabeledDigraph)
+        sub.vertex_count, sub.num_labels = m, self.num_labels
+        out = self.out[:m]
+        sub.out = np.where(out < m, out, -1)
+        sub.out.flags.writeable = False
+        sub.edge_count = int(np.count_nonzero(sub.out >= 0))
+        return sub
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """All edges in ascending (src, label) order."""
@@ -84,6 +73,40 @@ class LabeledDigraph:
 
     def __repr__(self) -> str:
         return f"LabeledDigraph(|V|={self.vertex_count}, |B|={self.num_labels}, edges={self.edge_count})"
+
+
+def _checked_edges(vertex_count: int, num_labels: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The src, dst and label columns of an edge list, or ValueError on its first bad edge.
+
+    These are all of LabeledDigraph's checks; none allocates the out-table.
+    """
+    if vertex_count < 0 or num_labels < 0:
+        raise ValueError("vertex and label counts must be nonnegative")
+    listed = edges if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        e = np.array(listed, dtype=np.int64)
+    except OverflowError:  # out of range as well; compare as Python ints
+        e = np.array(listed, dtype=object)
+    e = e.reshape(-1, 3) if e.size == 0 else e
+    if e.ndim != 2 or e.shape[1] != 3:
+        raise ValueError("edges must be (src, dst, label) triples")
+    in_range = ((e >= 0) & (e < np.array([vertex_count, vertex_count, num_labels]))).all(axis=1)
+    first_bad = int(np.argmin(in_range)) if not in_range.all() else len(e)
+    src, dst, label = e[:first_bad].astype(np.int64).T
+    # Before the first bad edge, all edges with one (src, label) share
+    # the dst of the first of them, and all with one (dst, label) its src.
+    out_clash = dst != dst[_first_of(src * num_labels + label)]
+    in_clash = src != src[_first_of(dst * num_labels + label)]
+    clashes = np.flatnonzero(out_clash | in_clash)
+    first_bad = int(clashes[0]) if clashes.size else first_bad
+    if first_bad < len(e):
+        s, d, l = e[first_bad].tolist()
+        if first_bad < len(src):
+            v, way = (s, "outgoing") if out_clash[first_bad] else (d, "incoming")
+            raise ValueError(f"vertex {v} has two {way} edges labeled {l}")
+        what = "label" if 0 <= s < vertex_count and 0 <= d < vertex_count else "vertex"
+        raise ValueError(f"edge ({s},{d},{l}) has an out-of-range {what}")
+    return src, dst, label
 
 
 def _first_of(keys: np.ndarray) -> np.ndarray:
@@ -209,10 +232,20 @@ def label_walk(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> np.ndarra
 
     Returns an int64 array of shape (len(vertices), |ball|): row k, column
     j is the end of the walk from vertices[k] along the labels of ball
-    element j's BFS-tree path, reading graph.out one depth layer at a
-    time.  A missing edge leaves -1 in the row; the steps below it read
-    the table's last row and carry no meaning, so a caller must reject
-    the whole row.  Temporaries stay O(len(vertices) * |ball|).
+    element j's BFS-tree path.  A missing edge leaves -1 in the row; the
+    steps below it read the table's last row and carry no meaning, so a
+    caller must reject the whole row.  The array is the transpose of
+    _walk's, which is laid out one ball element per row.
+    """
+    return _walk(graph, vertices, ball).T
+
+
+def _walk(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> np.ndarray:
+    """label_walk in the (|ball|, len(vertices)) layout, one depth layer at a time.
+
+    Each layer's elements are one contiguous block of rows, filled from
+    their parents' rows through the flat out-table; temporaries stay
+    O(len(vertices) * |ball|).
     """
     bgraph = ball.graph
     if bgraph.num_labels != graph.num_labels:
@@ -223,21 +256,16 @@ def label_walk(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> np.ndarra
     outside = vertices[(vertices < 0) | (vertices >= graph.vertex_count)]
     if outside.size:
         _check_vertex(graph, int(outside[0]))
-    m, labels = bgraph.vertex_count, bgraph.num_labels
-    # BFS tree of the ball: j's parent is the first element, in ball order,
-    # with an edge into j; it sits one layer closer to the root.
-    edges = np.flatnonzero(bgraph.out.ravel() >= 0)  # i * labels + label, ascending
-    heads, first = np.unique(bgraph.out.ravel()[edges], return_index=True)
-    parent = np.zeros(m, dtype=np.int64)
-    via = np.zeros(m, dtype=np.int64)
-    parent[heads], via[heads] = np.divmod(edges[first], max(labels, 1))
-    depth = np.asarray(ball.distance_from_root)
-    f = np.empty((len(vertices), m), dtype=np.int64)
-    f[:, 0] = vertices
-    for layer in range(1, int(depth[-1]) + 1):
-        js = np.flatnonzero(depth == layer)
-        f[:, js] = graph.out[f[:, parent[js]], via[js]]
-    return f
+    labels, out = graph.num_labels, graph.out.ravel()
+    parent, via, layers = ball.parent, ball.via, ball.layers.tolist()
+    walk = np.empty((bgraph.vertex_count, len(vertices)), dtype=np.int64)
+    walk[0] = vertices
+    for lo, hi in zip(layers[1:-1], layers[2:]):
+        step = walk[parent[lo:hi]]
+        step *= labels
+        step += via[lo:hi, None]
+        np.take(out, step, out=walk[lo:hi], mode="wrap")
+    return walk
 
 
 def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np.ndarray, np.ndarray]:
@@ -246,31 +274,48 @@ def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np
     Returns (charts, ok): charts is label_walk(graph, vertices, ball), and
     whenever ok[k] holds, row k is the tuple ball_isomorphism(graph,
     vertices[k], ball) returns; rows with ok[k] false carry no meaning.
-    A walked row is a chart exactly when it holds no -1, every ball edge
-    maps to a graph edge, it is injective, and no graph edge on a label
-    the ball lacks at an element lands back in the row's image: the
-    conditions ball_isomorphism checks one vertex at a time.
+    A walked row is a chart exactly when it holds no -1, it is injective,
+    every ball edge maps to a graph edge, and no graph edge on a label the
+    ball lacks at an element lands back in the row's image: the conditions
+    ball_isomorphism checks one vertex at a time.
+
+    The walk matches every BFS-tree edge by construction, so only the
+    other ball edges are compared.  An extra edge on label l can only land
+    on the image of an element with no incoming l-edge in the ball: the
+    graph has at most one incoming l-edge per vertex, a matched ball edge
+    already supplies that edge to the image of every other element, and
+    the row is injective.  So each label's leaving edges are looked up
+    only among the images of those boundary elements.
     """
-    f = label_walk(graph, vertices, ball)
+    walk = _walk(graph, vertices, ball)  # [j, k]
     bgraph, n = ball.graph, graph.vertex_count
-    ordered = np.sort(f, axis=1)
-    ok = ~((ordered[:, 0] < 0) | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-    # Membership in a row's image, for all rows at once: offset row k's
-    # sorted image, which lies in [-1, n), by k*(n+1) so that the
-    # flattened array is sorted and rows' ranges stay apart.
-    offset = np.arange(len(f), dtype=np.int64)[:, None] * (n + 1)
-    ordered += offset
-    image = ordered.ravel()
-    for label in range(graph.num_labels):
-        w = graph.out[f, label]
+    ok = np.ones(walk.shape[1], dtype=bool)
+    # tree[i, l]: the walk reached the head of i's l-edge along that edge
+    tree = np.zeros(bgraph.out.shape, dtype=bool)
+    reached = bgraph.out[ball.parent[1:], ball.via[1:]] == np.arange(1, bgraph.vertex_count)
+    tree[ball.parent[1:][reached], ball.via[1:][reached]] = True
+    # Vertex k's boundary images are offset by k*(n+1) so that, flattened,
+    # all vertices' images sort together and stay apart (images lie in [-1, n)).
+    offset = np.arange(walk.shape[1], dtype=np.int64)[:, None] * (n + 1)
+    for label, heads in enumerate(np.ascontiguousarray(graph.out.T)):
         target = bgraph.out[:, label]
-        edge = target >= 0
-        ok &= ((w == f[:, np.maximum(target, 0)]) | ~edge).all(axis=1)
-        if image.size and not edge.all():
-            key = w[:, ~edge] + offset
+        checked = np.flatnonzero((target >= 0) & ~tree[:, label])
+        step = walk[checked]
+        np.take(heads, step, out=step, mode="wrap")
+        ok &= (step == walk[target[checked]]).all(axis=0)
+        no_in = np.ones(bgraph.vertex_count, dtype=bool)
+        no_in[target[target >= 0]] = False
+        sources, sinks = np.flatnonzero(target < 0), np.flatnonzero(no_in)
+        if sources.size and sinks.size and ok.size:
+            image = (np.sort(walk[sinks], axis=0).T + offset).ravel()
+            key = heads[walk[sources]].T + offset
             hit = image[np.minimum(np.searchsorted(image, key), image.size - 1)] == key
             ok &= ~hit.any(axis=1)
-    return f, ok
+    charts = np.ascontiguousarray(walk.T)
+    del walk  # before the sort, to keep the peak at two walk-sized arrays
+    ordered = np.sort(charts, axis=1)
+    ok &= ~((ordered[:, 0] < 0) | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+    return charts, ok
 
 
 def write_graph_file(path, graph: LabeledDigraph) -> None:
@@ -281,11 +326,17 @@ def write_graph_file(path, graph: LabeledDigraph) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_graph_file(path, max_vertices: int = DEFAULT_MAX_VERTICES) -> LabeledDigraph:
+def read_graph_file(
+    path, max_vertices: int = DEFAULT_MAX_VERTICES, num_labels: Optional[int] = None
+) -> LabeledDigraph:
     """Parse the graph text format; full-line # comments and blank lines are skipped.
 
     A header claiming more than max_vertices vertices raises
-    ResourceLimitError before the out-table is allocated.
+    ResourceLimitError before the out-table is allocated.  When num_labels
+    is given and the header declares another label count, the edges are
+    still parsed and checked against the header, and AlphabetMismatch,
+    carrying the header's vertex_count and num_labels, is raised instead
+    of allocating the out-table.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
@@ -297,7 +348,7 @@ def read_graph_file(path, max_vertices: int = DEFAULT_MAX_VERTICES) -> LabeledDi
     if len(head) != 3 or head[0] != "digraph":
         raise ParseError(f"{path}: expected header 'digraph |V| |B|', got {lines[0]!r}")
     try:
-        n, num_labels = int(head[1]), int(head[2])
+        n, labels = int(head[1]), int(head[2])
     except ValueError:
         raise ParseError(f"{path}: non-integer counts in header {lines[0]!r}")
     if n > max_vertices:
@@ -312,6 +363,11 @@ def read_graph_file(path, max_vertices: int = DEFAULT_MAX_VERTICES) -> LabeledDi
         except ValueError:
             raise ParseError(f"{path}: non-integer edge fields in {ln!r}")
     try:
-        return LabeledDigraph(n, num_labels, edges)
+        if num_labels is not None and labels != num_labels:
+            _checked_edges(n, labels, edges)
+            raise AlphabetMismatch(
+                f"{path}: graph has {labels} labels, not {num_labels}", vertex_count=n, num_labels=labels
+            )
+        return LabeledDigraph(n, labels, edges)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}")

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: parse errors exit 2, resource limits
 exit 3, internal inconsistencies exit 4, and any other failed check exit 1.
 """
 
+from typing import Optional
+
 
 class SoficRankError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -30,7 +32,16 @@ class CheckFailedError(SoficRankError):
 
 
 class AlphabetMismatch(CheckFailedError):
-    """Graph label alphabet does not match the group's generator set."""
+    """Graph label alphabet does not match the group's generator set.
+
+    Raised by digraph.read_graph_file before it allocates a graph, it also
+    carries the file header's vertex_count and num_labels.
+    """
+
+    def __init__(self, message: str, vertex_count: Optional[int] = None, num_labels: Optional[int] = None):
+        self.vertex_count = vertex_count
+        self.num_labels = num_labels
+        super().__init__(message)
 
 
 class CardinalityViolation(CheckFailedError):

@@ -219,8 +219,9 @@ def kernel_radius(
     group = c.group
 
     def has_kernel(n: int) -> bool:
-        dom = cayley_ball(group, n, max_elements=max_ball_elements)
+        # the codomain first: the domain and the support ball are then its prefixes
         cod = cayley_ball(group, n + rs, max_elements=max_ball_elements)
+        dom = cayley_ball(group, n, max_elements=max_ball_elements)
         m = restriction_matrix(c, dom, cod)
         return rank(m) < m.cols
 

@@ -320,6 +320,12 @@ class CayleyBall:
     prefix of every larger ball's list.  Graph edges are exactly the pairs
     (g, g*b) with both endpoints inside the ball, labeled by the index of b.
 
+    The BFS tree is computed once, when the ball is built: element j > 0
+    is reached from parent[j], the first element in ball order with an
+    edge into j, along the label via[j] (both are 0 at the root); the
+    elements at depth k sit at positions layers[k]:layers[k+1].  All three
+    are read-only int64 arrays, and a prefix ball takes their prefixes.
+
     The group's ball cache holds the ball, so the ball holds its group
     weakly: a strong reference back would be a cycle that keeps every
     group, with its balls, alive until a full garbage collection.
@@ -331,6 +337,13 @@ class CayleyBall:
     element_index: dict
     distance_from_root: tuple[int, ...]
     graph: LabeledDigraph
+    parent: np.ndarray = None
+    via: np.ndarray = None
+    layers: np.ndarray = None
+
+    def __post_init__(self):
+        if self.parent is None:
+            self.parent, self.via, self.layers = _bfs_tree(self.graph.out, self.distance_from_root)
 
     @property
     def size(self) -> int:
@@ -340,15 +353,65 @@ class CayleyBall:
         return f"CayleyBall({self.group.describe()}, r={self.radius}, size={self.size})"
 
 
+def _bfs_tree(out: np.ndarray, depth) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """parent, via and layer bounds of a ball's BFS tree, from its out-table and depths."""
+    m, labels = out.shape
+    edges = np.flatnonzero(out.ravel() >= 0)  # i * labels + label, ascending
+    heads, first = np.unique(out.ravel()[edges], return_index=True)
+    parent = np.zeros(m, dtype=np.int64)
+    via = np.zeros(m, dtype=np.int64)
+    parent[heads], via[heads] = np.divmod(edges[first], max(labels, 1))
+    parent[0] = via[0] = 0  # the root has no parent
+    layers = np.searchsorted(depth, np.arange(depth[-1] + 2))
+    for a in (parent, via, layers):
+        a.flags.writeable = False
+    return parent, via, layers
+
+
+def _too_large(group: GroupModel, r: int, max_elements: int) -> ResourceLimitError:
+    return ResourceLimitError(f"Cayley ball of {group.describe()} at radius {r} exceeds {max_elements} elements")
+
+
 def cayley_ball(group: GroupModel, r: int, max_elements: int = DEFAULT_MAX_BALL_ELEMENTS) -> CayleyBall:
-    """Breadth-first closure of {identity} under the generators up to depth r."""
+    """The radius-r ball: a prefix of the group's largest cached ball, or a new breadth-first closure.
+
+    Either way the ball is the same, and is cached under r.
+    """
     if r < 0:
         raise ValueError("radius must be nonnegative")
     cache = group._cache()
-    hit = cache.get(r)
-    if hit is not None and hit.size <= max_elements:
-        return hit
+    largest = max(cache, default=-1)
+    if r > largest:
+        ball = _build_ball(group, r, max_elements)
+    else:
+        ball = cache[r] if r in cache else _prefix(cache[largest], r)
+        # a build checks the limit after each layer it adds, so one element always passes
+        if ball.size > max(max_elements, 1):
+            raise _too_large(group, r, max_elements)
+    cache[r] = ball
+    return ball
 
+
+def _prefix(ball: CayleyBall, r: int) -> CayleyBall:
+    """The radius-r ball read off a larger one: its first m elements, edges among them and tree."""
+    depth = min(r, len(ball.layers) - 2)
+    m = int(ball.layers[depth + 1])
+    elements = ball.elements[:m]
+    return CayleyBall(
+        group=ball.group,
+        radius=r,
+        elements=elements,
+        element_index=dict(zip(elements, range(m))),
+        distance_from_root=ball.distance_from_root[:m],
+        graph=ball.graph.induced_prefix(m),
+        parent=ball.parent[:m],
+        via=ball.via[:m],
+        layers=ball.layers[: depth + 2],
+    )
+
+
+def _build_ball(group: GroupModel, r: int, max_elements: int) -> CayleyBall:
+    """Breadth-first closure of {identity} under the generators up to depth r."""
     mul = group._mul  # every factor below is a ball element or a generator
     ident = group.identity()
     elements = [ident]
@@ -370,9 +433,7 @@ def cayley_ball(group: GroupModel, r: int, max_elements: int = DEFAULT_MAX_BALL_
             elements.append(h)
             dist.append(layer)
         if len(elements) > max_elements:
-            raise ResourceLimitError(
-                f"Cayley ball of {group.describe()} at radius {r} exceeds {max_elements} elements"
-            )
+            raise _too_large(group, r, max_elements)
         frontier = ordered
 
     # Edges: look every product g * b up among the elements, by sorting
@@ -386,7 +447,7 @@ def cayley_ball(group: GroupModel, r: int, max_elements: int = DEFAULT_MAX_BALL_
     position = np.full(len(keys), -1, dtype=np.int64)
     position[key_of[:m]] = np.arange(m)
     heads = position[key_of[m:]].reshape(m, labels)
-    ball = CayleyBall(
+    return CayleyBall(
         group=group,
         radius=r,
         elements=tuple(elements),
@@ -394,8 +455,6 @@ def cayley_ball(group: GroupModel, r: int, max_elements: int = DEFAULT_MAX_BALL_
         distance_from_root=tuple(dist),
         graph=LabeledDigraph(m, labels, table_edges(heads)),
     )
-    cache[r] = ball
-    return ball
 
 
 def write_finite_group_file(path, group: FiniteByTable) -> None:
@@ -405,6 +464,27 @@ def write_finite_group_file(path, group: FiniteByTable) -> None:
     lines.append("generators " + " ".join(str(g) for g in group.generators))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _table_row(path, ln: str):
+    """One table row's entries, read as int() reads them.
+
+    numpy reads an unsigned ASCII row in one call and raises ValueError on
+    anything else it cannot read.  It also reads a lone sign as 0 or joins
+    it to the next entry, so a row with a sign goes to int(), as does any
+    row numpy rejects; int() then reads it or names the line.  An entry
+    beyond int64 reads as its nearest int64 value, which is just as far out
+    of range for the table.
+    """
+    if "-" not in ln and "+" not in ln:
+        try:
+            return np.fromstring(ln, dtype=np.int64, sep=" ")
+        except ValueError:
+            pass
+    try:
+        return list(map(int, ln.split()))
+    except ValueError:
+        raise ParseError(f"{path}: non-integer table entry in {ln!r}")
 
 
 def read_finite_group_file(path) -> FiniteByTable:
@@ -424,12 +504,7 @@ def read_finite_group_file(path) -> FiniteByTable:
         raise ParseError(f"{path}: non-integer order in header")
     if len(lines) != n + 2:
         raise ParseError(f"{path}: expected {n} table rows plus a generators line")
-    table = []
-    for ln in lines[1 : n + 1]:
-        try:
-            table.append(list(map(int, ln.split())))
-        except ValueError:
-            raise ParseError(f"{path}: non-integer table entry in {ln!r}")
+    table = [_table_row(path, ln) for ln in lines[1 : n + 1]]
     gen_line = lines[n + 1].split()
     if not gen_line or gen_line[0] != "generators":
         raise ParseError(f"{path}: expected final 'generators ...' line")

@@ -74,16 +74,7 @@ def verify_approximation(
     small for epsilon, and BallMismatch at the lowest failing vertex when
     some good vertex's neighborhood is not isomorphic to the Cayley ball.
     """
-    epsilon = Fraction(epsilon)
-    if not (0 < epsilon < 1):
-        raise ValueError(f"epsilon must lie strictly between 0 and 1, got {epsilon}")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if graph.num_labels != len(group.generators):
-        raise AlphabetMismatch(
-            f"graph has {graph.num_labels} labels but {group.describe()} has "
-            f"{len(group.generators)} generators"
-        )
+    epsilon = check_preconditions(graph.num_labels, epsilon, radius, group)
     good = tuple(sorted(set(int(v) for v in good_vertices)))
     for v in good:
         if not (0 <= v < graph.vertex_count):
@@ -107,6 +98,26 @@ def verify_approximation(
         ball=ball,
         charts=charts,
     )
+
+
+def check_preconditions(num_labels: int, epsilon, radius: int, group: GroupModel) -> Fraction:
+    """verify_approximation's first checks, in its order; they read only the graph's label count.
+
+    Returns epsilon as a Fraction.  The CLI runs them on a graph file whose
+    header's label count already rules the graph out, which is then never
+    allocated.
+    """
+    epsilon = Fraction(epsilon)
+    if not (0 < epsilon < 1):
+        raise ValueError(f"epsilon must lie strictly between 0 and 1, got {epsilon}")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if num_labels != len(group.generators):
+        raise AlphabetMismatch(
+            f"graph has {num_labels} labels but {group.describe()} has "
+            f"{len(group.generators)} generators"
+        )
+    return epsilon
 
 
 def torus_graph(group: FreeAbelian, n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> LabeledDigraph:

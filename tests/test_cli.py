@@ -287,6 +287,47 @@ class TestGraphFileLimit:
         assert "resource limit" in capsys.readouterr().err
 
 
+class TestGraphLabelCount:
+    """A header whose label count is not the group's generator count is ruled out before the out-table exists."""
+
+    @pytest.mark.parametrize("labels", [7, 100_000_000_000])
+    def test_sofic_verify_reports_the_mismatch(self, tmp_path, labels, capsys):
+        path, out = tmp_path / "wide.graph", tmp_path / "r.json"
+        path.write_text(f"digraph 5 {labels}\n0 1 0\n")
+        assert main(["sofic-verify", str(path), "-g", "Z^1", "-r", "2", "-e", "1/7", "--out", str(out)]) == 1
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["verified"] is False and payload["vertex_count"] == 5 and payload["good_count"] == 5
+        assert payload["failure"] == f"graph has {labels} labels but Z^1 has 3 generators"
+        assert f"failure   graph has {labels} labels" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("labels", [7, 100_000_000_000])
+    def test_weiss_select_reports_the_mismatch(self, tmp_path, labels, capsys):
+        path = tmp_path / "wide.graph"
+        path.write_text(f"digraph 5 {labels}\n")
+        assert main(["weiss-select", str(path), "-g", "Z^1", "--r0", "1"]) == 1
+        assert f"check failed: graph has {labels} labels but Z^1 has 3 generators" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, err",
+        [
+            (["-r", "-1", "-e", "1/7"], "radius must be nonnegative"),
+            (["-r", "2", "-e", "3/2"], "epsilon must lie strictly between 0 and 1"),
+            (["-r", "2", "-e", "1/7", "--good", "0,9"], "good vertex 9 out of range [0, 5)"),
+        ],
+    )
+    def test_earlier_checks_keep_their_order(self, tmp_path, args, err, capsys):
+        path = tmp_path / "wide.graph"
+        path.write_text("digraph 5 100000000000\n")
+        assert main(["sofic-verify", str(path), "-g", "Z^1", *args]) == 2
+        assert err in capsys.readouterr().err
+
+    def test_file_errors_come_first(self, tmp_path, capsys):
+        path = tmp_path / "bad.graph"
+        path.write_text("digraph 3 7\n0 1 0\n1 2 9\n")
+        assert main(["sofic-verify", str(path), "-g", "Z^1", "-r", "2", "-e", "1/7"]) == 2
+        assert "edge (1,2,9) has an out-of-range label" in capsys.readouterr().err
+
+
 class TestFiniteGroupFlags:
     """S3 (order 6) is its own approximation: no torus side, and its order counts as |V|."""
 

@@ -20,7 +20,14 @@ from soficrank.digraph import (
     write_graph_file,
 )
 from soficrank.errors import ParseError, ResourceLimitError
-from soficrank.groups import CayleyBall, FreeAbelian, cayley_ball, cyclic_group, read_finite_group_file
+from soficrank.groups import (
+    CayleyBall,
+    FreeAbelian,
+    cayley_ball,
+    cyclic_group,
+    direct_product_table,
+    read_finite_group_file,
+)
 from soficrank.sofic import finite_cayley_graph, torus_graph
 
 Z1 = FreeAbelian(1)
@@ -290,13 +297,9 @@ def _oracle_isomorphic(graph, v, ball) -> bool:
     )
 
 
-@st.composite
-def perturbed_tori(draw):
-    """A torus of Z^1 or Z^2 with some edges deleted and some same-label targets swapped."""
-    k = draw(st.integers(1, 2))
-    n = draw(st.integers(2, 9 if k == 1 else 5))
-    group = FreeAbelian(k)
-    edges = list(torus_graph(group, n).edges())
+def _perturbed(draw, group, graph):
+    """The graph with some same-label targets swapped and some edges deleted."""
+    edges = list(graph.edges())
     for _ in range(draw(st.integers(0, 3))):
         i, j = draw(st.integers(0, len(edges) - 1)), draw(st.integers(0, len(edges) - 1))
         (s1, d1, l1), (s2, d2, l2) = edges[i], edges[j]
@@ -304,7 +307,33 @@ def perturbed_tori(draw):
             edges[i], edges[j] = (s1, d2, l1), (s2, d1, l2)
     dropped = draw(st.sets(st.integers(0, len(edges) - 1), max_size=3))
     kept = [e for i, e in enumerate(edges) if i not in dropped]
-    return group, LabeledDigraph(n**k, len(group.generators), kept)
+    return group, LabeledDigraph(graph.vertex_count, graph.num_labels, kept)
+
+
+@st.composite
+def perturbed_tori(draw):
+    """A torus of Z^1 or Z^2 with some edges deleted and some same-label targets swapped."""
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 9 if k == 1 else 5))
+    group = FreeAbelian(k)
+    return _perturbed(draw, group, torus_graph(group, n))
+
+
+S5 = symmetric_group_5()
+
+
+@st.composite
+def perturbed_finite_cayley_graphs(draw):
+    """The Cayley graph of S5 or of a product of two cyclic groups, perturbed like the tori.
+
+    Balls of the small products saturate: at large radii a ball is the
+    whole group and has no boundary, so every extra edge is a wrong one.
+    """
+    if draw(st.booleans()):
+        group = S5
+    else:
+        group = direct_product_table(cyclic_group(draw(st.integers(2, 5))), cyclic_group(draw(st.integers(2, 5))))
+    return _perturbed(draw, group, finite_cayley_graph(group))
 
 
 class TestBallIsomorphismOracle:
@@ -322,6 +351,18 @@ class TestBallIsomorphismOracle:
                 assert tuple(charts[v].tolist()) == f, v
                 # onto N_r(v) although no neighborhood is computed
                 assert set(f) == set(neighborhood(graph, v, r))
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(perturbed_finite_cayley_graphs(), st.integers(0, 6), st.data())
+    def test_finite_cayley_graphs_agree_with_networkx(self, case, r, data):
+        group, graph = case
+        ball = cayley_ball(group, r)
+        # every vertex against ball_isomorphism, a sample against networkx
+        ok = assert_charts_match(graph, range(graph.vertex_count), ball)
+        sample = data.draw(st.lists(st.integers(0, graph.vertex_count - 1), min_size=1, max_size=6))
+        for v in sample:
+            assert bool(ok[v]) == _oracle_isomorphic(graph, v, ball), v
 
 
 def assert_charts_match(graph, vertices, ball):

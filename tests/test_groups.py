@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,42 @@ class TestFiniteGroupFileErrors:
             self.read(tmp_path, f"finitegroup 2\n0 1\n1 {10**20}\ngenerators 1\n")
 
 
+class TestFiniteGroupFileParse:
+    """Table rows read exactly as int() reads their whitespace-separated entries."""
+
+    CLEAN = "finitegroup 3\n0 1 2\n1 2 0\n2 0 1\ngenerators 1 2\n"
+
+    def read(self, tmp_path, text):
+        path = tmp_path / "g.table"
+        path.write_text(text, encoding="utf-8")
+        return read_finite_group_file(path)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["0\t1\t2", "1  2   0", "2 0 1 \t "],  # tabs, repeated spaces, trailing blanks
+            ["+0 +1 +2", "1 +2 0", "2 0 1"],  # explicit plus signs
+            ["0 0_1 2", "1 2 0", "2 0 1"],  # an underscore int() accepts
+            ["0 \u0661 2", "1 2 0", "2 0 \u0661"],  # ARABIC-INDIC DIGIT ONE
+            ["00 01 02", "1 2 0", "2 0 1"],  # leading zeros
+        ],
+    )
+    def test_rows_read_as_int_reads_them(self, tmp_path, rows):
+        text = "finitegroup 3\n" + "\n".join(rows) + "\ngenerators 1 2\n"
+        assert self.read(tmp_path, text) == self.read(tmp_path, self.CLEAN)
+
+    @pytest.mark.parametrize("row", ["1 - 2 0", "1 2 0 -", "1 + 2 0", "1 2 0x0", "1 2 0.0", "1,2,0"])
+    def test_rows_int_rejects_name_their_line(self, tmp_path, row):
+        text = f"finitegroup 3\n0 1 2\n{row}\n2 0 1\ngenerators 1 2\n"
+        with pytest.raises(ParseError, match=re.escape(f"non-integer table entry in {row!r}") + "$"):
+            self.read(tmp_path, text)
+
+    @pytest.mark.parametrize("entry", [str(10**20), str(2**63), f"+{10**20}", str(-(10**20))])
+    def test_entries_beyond_int64_are_out_of_range(self, tmp_path, entry):
+        with pytest.raises(ParseError, match=r"entries in range$"):
+            self.read(tmp_path, f"finitegroup 2\n0 1\n1 {entry}\ngenerators 1\n")
+
+
 class TestCayleyBall:
     def test_z1_sizes(self):
         G = FreeAbelian(1)
@@ -256,3 +294,54 @@ class TestCayleyBall:
 @settings(max_examples=13, deadline=None)
 def test_z1_ball_size_formula(n):
     assert cayley_ball(FreeAbelian(1), n).size == 2 * n + 1
+
+
+def _fresh_group(name):
+    """A new model of the named group, with an empty ball cache."""
+    if name.startswith("Z^"):
+        return FreeAbelian(int(name[2:]))
+    if name == "cyclic-3 x cyclic-4":
+        return direct_product_table(cyclic_group(3), cyclic_group(4))
+    if name.startswith("cyclic-"):
+        return cyclic_group(int(name[7:]))
+    return FiniteByTable(_S5.table, _S5.generators, name="S5")
+
+
+_S5 = symmetric_group_5()
+PREFIX_GROUPS = ["Z^1", "Z^2", "Z^3", "cyclic-1", "cyclic-2", "cyclic-7", "cyclic-3 x cyclic-4", "S5"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PREFIX_GROUPS), st.integers(1, 7), st.data())
+def test_prefix_ball_is_the_fresh_ball(name, big, data):
+    """A ball read off a larger cached ball equals one built on a fresh group, limit error included."""
+    r = data.draw(st.integers(0, big - 1), label="r")
+    group = _fresh_group(name)
+    cayley_ball(group, big)
+    got, want = cayley_ball(group, r), cayley_ball(_fresh_group(name), r)
+    assert got.radius == want.radius == r
+    assert got.elements == want.elements
+    assert got.element_index == want.element_index
+    assert got.distance_from_root == want.distance_from_root
+    assert np.array_equal(got.graph.out, want.graph.out) and not got.graph.out.flags.writeable
+    assert got.graph.edge_count == want.graph.edge_count
+    for tree in ("parent", "via", "layers"):
+        assert np.array_equal(getattr(got, tree), getattr(want, tree)), tree
+    limit = data.draw(st.integers(0, got.size), label="max_elements")
+    group = _fresh_group(name)
+    cayley_ball(group, big)
+    if want.size > max(limit, 1):
+        with pytest.raises(ResourceLimitError) as fresh:
+            cayley_ball(_fresh_group(name), r, max_elements=limit)
+        with pytest.raises(ResourceLimitError, match=f"^{re.escape(str(fresh.value))}$"):
+            cayley_ball(group, r, max_elements=limit)
+    else:  # a build never rejects a single element
+        assert cayley_ball(group, r, max_elements=limit).elements == want.elements
+
+
+def test_ball_tree_reaches_each_element_from_its_parent():
+    ball = cayley_ball(FreeAbelian(2), 3)
+    for j in range(1, ball.size):
+        assert ball.graph.out[ball.parent[j], ball.via[j]] == j
+        assert ball.distance_from_root[ball.parent[j]] == ball.distance_from_root[j] - 1
+    assert ball.layers.tolist() == [0, 1, 5, 13, 25]
