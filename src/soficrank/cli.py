@@ -20,6 +20,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -37,7 +38,7 @@ from .exactfield import FpMatrix, json_value, parse_rational
 from .groupring import GroupRingKernel, compose
 from .groups import FreeAbelian, GroupModel, cayley_ball, read_finite_group_file
 from .limits import Limits
-from .sofic import check_preconditions, verify_approximation
+from .sofic import SoficApproximation, check_preconditions, verify_approximation
 from .transfer import run_experiment
 from .weiss import weiss_select
 
@@ -248,27 +249,35 @@ def _parse_good(arg: Optional[str], vertex_count: int) -> list[int]:
     return sorted(set(good))
 
 
-def _read_graph(args, group: GroupModel, limits: Limits):
-    """(graph, vertex count, label count) of the graph file.
+def _read_graph_input(args, epsilon: str, radius: int):
+    """(group, vertex count, epsilon, good list, verify) of a graph command, read in that order.
 
-    The graph is None when the header's label count is not the group's
-    generator count: the file is still checked, but no out-table is
-    allocated, and check_preconditions reports the mismatch where
-    verify_approximation would.
+    The one path by which sofic-verify and weiss-select reach
+    verify_approximation: verify() runs it.  When the graph header's label
+    count is not the group's generator count, the file is still checked
+    but no out-table is allocated, and verify() lets check_preconditions
+    report the mismatch where verify_approximation would.
     """
+    group = parse_group_descriptor(args.group, Path.cwd())
+    limits = Limits.from_env()
     try:
         graph = read_graph_file(args.graph, limits.max_vertices, num_labels=len(group.generators))
+        vertex_count, num_labels = graph.vertex_count, graph.num_labels
     except AlphabetMismatch as exc:
-        return None, exc.vertex_count, exc.num_labels
-    return graph, graph.vertex_count, graph.num_labels
+        graph, vertex_count, num_labels = None, exc.vertex_count, exc.num_labels
+    eps = parse_rational(epsilon)
+    good = _parse_good(args.good, vertex_count)
+
+    def verify() -> SoficApproximation:
+        if graph is None:  # raises: the label count rules the graph out
+            check_preconditions(num_labels, eps, radius, group)
+        return verify_approximation(graph, good, eps, radius, group, max_ball_elements=limits.max_ball_elements)
+
+    return group, vertex_count, eps, good, verify
 
 
 def _cmd_sofic_verify(args) -> int:
-    group = parse_group_descriptor(args.group, Path.cwd())
-    limits = Limits.from_env()
-    graph, vertex_count, num_labels = _read_graph(args, group, limits)
-    epsilon = parse_rational(args.epsilon)
-    good = _parse_good(args.good, vertex_count)
+    group, vertex_count, epsilon, good, verify = _read_graph_input(args, args.epsilon, args.radius)
     inputs = {
         "graph": _file_digest(args.graph),
         "group": args.group,
@@ -276,36 +285,20 @@ def _cmd_sofic_verify(args) -> int:
         "epsilon": str(epsilon),
         "good": good,
     }
-    try:
-        if graph is None:  # raises: the label count rules the graph out
-            check_preconditions(num_labels, epsilon, args.radius, group)
-        approx = verify_approximation(
-            graph, good, epsilon, args.radius, group,
-            max_ball_elements=limits.max_ball_elements,
-        )
-    except CheckFailedError as exc:
-        payload = {
-            "verified": False,
-            "group": group.describe(),
-            "radius": args.radius,
-            "epsilon": json_value(epsilon),
-            "vertex_count": vertex_count,
-            "good_count": len(good),
-            "failure": str(exc),
-            "failing_vertex": getattr(exc, "vertex", None),
-        }
-        env = _envelope("sofic-verify", inputs, payload)
-        _emit(args, env, [("verified", False), ("failure", str(exc))])
-        return 1
     payload = {
-        "verified": True,
         "group": group.describe(),
         "radius": args.radius,
         "epsilon": json_value(epsilon),
-        "vertex_count": approx.vertex_count,
-        "good_count": len(approx.good_vertices),
-        "ball_size": approx.ball.size,
+        "vertex_count": vertex_count,
+        "good_count": len(good),
     }
+    try:
+        approx = verify()
+    except CheckFailedError as exc:
+        payload.update(verified=False, failure=str(exc), failing_vertex=getattr(exc, "vertex", None))
+        _emit(args, _envelope("sofic-verify", inputs, payload), [("verified", False), ("failure", str(exc))])
+        return 1
+    payload.update(verified=True, ball_size=approx.ball.size)
     env = _envelope("sofic-verify", inputs, payload)
     _emit(args, env, [
         ("verified", True),
@@ -319,25 +312,16 @@ def _cmd_sofic_verify(args) -> int:
 
 
 def _cmd_weiss_select(args) -> int:
-    group = parse_group_descriptor(args.group, Path.cwd())
-    limits = Limits.from_env()
-    graph, vertex_count, num_labels = _read_graph(args, group, limits)
-    good = _parse_good(args.good, vertex_count)
+    # Epsilon 1/2 is exactly Weiss's precondition |good| >= |V|/2; the
+    # verified charts at radius 2*r0+1 are what the selection reads.
+    _, _, _, good, verify = _read_graph_input(args, "1/2", 2 * args.r0 + 1)
     inputs = {
         "graph": _file_digest(args.graph),
         "group": args.group,
         "r0": args.r0,
         "good": good,
     }
-    # Epsilon 1/2 is exactly Weiss's precondition |good| >= |V|/2; the
-    # verified charts at radius 2*r0+1 are what the selection reads.
-    if graph is None:  # raises: the label count rules the graph out
-        check_preconditions(num_labels, Fraction(1, 2), 2 * args.r0 + 1, group)
-    approx = verify_approximation(
-        graph, good, Fraction(1, 2), 2 * args.r0 + 1, group,
-        max_ball_elements=limits.max_ball_elements,
-    )
-    sel = weiss_select(approx, args.r0)
+    sel = weiss_select(verify(), args.r0)
     payload = {**json_value(sel), "separation_bound": 2 * args.r0 + 1}
     env = _envelope("weiss-select", inputs, payload)
     _emit(args, env, [
@@ -452,6 +436,7 @@ def _cmd_transfer_run(args) -> int:
     return 0
 
 
+@cache  # built on first use, not at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=TOOL_NAME,
@@ -509,8 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -46,13 +46,12 @@ class FpMatrix:
 
     __slots__ = ("array", "p")
 
-    def __init__(self, entries, p: int, _normalized: bool = False):
+    def __init__(self, entries, p: int):
         validate_modulus(p)
         arr = np.array(entries, dtype=np.int64, copy=True)
         if arr.ndim != 2:
             raise ValueError(f"matrix entries must be 2-dimensional, got shape {arr.shape}")
-        if not _normalized:
-            arr %= p
+        arr %= p
         arr.setflags(write=False)
         object.__setattr__(self, "array", arr)
         object.__setattr__(self, "p", p)
@@ -62,11 +61,11 @@ class FpMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int, p: int) -> "FpMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), p, _normalized=True)
+        return cls(np.zeros((rows, cols), dtype=np.int64), p)
 
     @classmethod
     def identity(cls, n: int, p: int) -> "FpMatrix":
-        return cls(np.eye(n, dtype=np.int64), p, _normalized=True)
+        return cls(np.eye(n, dtype=np.int64), p)
 
     @property
     def rows(self) -> int:
@@ -87,16 +86,16 @@ class FpMatrix:
         self._require_same_field(other)
         if self.array.shape != other.array.shape:
             raise ValueError(f"shape mismatch: {self.array.shape} vs {other.array.shape}")
-        return FpMatrix((self.array + other.array) % self.p, self.p, _normalized=True)
+        return FpMatrix(self.array + other.array, self.p)
 
     def __sub__(self, other: "FpMatrix") -> "FpMatrix":
         self._require_same_field(other)
         if self.array.shape != other.array.shape:
             raise ValueError(f"shape mismatch: {self.array.shape} vs {other.array.shape}")
-        return FpMatrix((self.array - other.array) % self.p, self.p, _normalized=True)
+        return FpMatrix(self.array - other.array, self.p)
 
     def __neg__(self) -> "FpMatrix":
-        return FpMatrix((-self.array) % self.p, self.p, _normalized=True)
+        return FpMatrix(-self.array, self.p)
 
     def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
         return mat_mul(self, other)
@@ -127,21 +126,22 @@ def mat_mul(a: FpMatrix, b: FpMatrix) -> FpMatrix:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     if a.cols > _MAX_INNER_DIM:
         raise ValueError(f"inner dimension {a.cols} exceeds exact-arithmetic bound {_MAX_INNER_DIM}")
-    return FpMatrix((a.array @ b.array) % a.p, a.p, _normalized=True)
+    return FpMatrix(a.array @ b.array, a.p)
 
 
 class FpSparse:
     """Sparse matrix over F_p in coordinate form.  Immutable after construction.
 
-    The int64 arrays row, col and val list the nonzero entries: every val
-    lies in [1, p) and no (row, col) position repeats.  Unless the caller
-    vouches for that form (_normalized), values are reduced mod p, entries
-    at a repeated position are summed and zeros dropped.
+    The int64 arrays row, col and val list the nonzero entries in its one
+    canonical form: sorted by (row, col), every val in [1, p), no position
+    repeated.  The constructor brings any coordinate lists to that form:
+    values are reduced mod p, entries at a repeated position summed and
+    zeros dropped.
     """
 
     __slots__ = ("row", "col", "val", "shape", "p")
 
-    def __init__(self, row, col, val, shape, p: int, _normalized: bool = False):
+    def __init__(self, row, col, val, shape, p: int):
         validate_modulus(p)
         rows, cols = (int(n) for n in shape)
         if rows < 0 or cols < 0:
@@ -151,8 +151,7 @@ class FpSparse:
             raise ValueError(f"coordinate arrays differ in length: {row.size}, {col.size}, {val.size}")
         if row.size and not (0 <= row.min() and row.max() < rows and 0 <= col.min() and col.max() < cols):
             raise ValueError(f"an entry lies outside the {rows}x{cols} shape")
-        if not _normalized:
-            row, col, val = _coalesce(row, col, val, cols, p)
+        row, col, val = _coalesce(row, col, val % p, cols, p)
         for a in (row, col, val):
             a.setflags(write=False)
         for name, value in zip(self.__slots__, (row, col, val, (rows, cols), p)):
@@ -164,7 +163,7 @@ class FpSparse:
     @classmethod
     def from_dense(cls, m: FpMatrix) -> "FpSparse":
         row, col = np.nonzero(m.array)
-        return cls(row, col, m.array[row, col], m.array.shape, m.p, _normalized=True)
+        return cls(row, col, m.array[row, col], m.array.shape, m.p)
 
     @property
     def rows(self) -> int:
@@ -177,7 +176,7 @@ class FpSparse:
     def dense(self) -> FpMatrix:
         out = np.zeros(self.shape, dtype=np.int64)
         out[self.row, self.col] = self.val
-        return FpMatrix(out, self.p, _normalized=True)
+        return FpMatrix(out, self.p)
 
 
 def _coalesce(row, col, val, cols: int, p: int):
@@ -191,7 +190,7 @@ def _coalesce(row, col, val, cols: int, p: int):
     key = row * cols + col
     order = np.argsort(key, kind="stable")
     key, val = key[order], val[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     val = np.add.reduceat(val, starts) % p
     key = key[starts]
     keep = val != 0
@@ -281,17 +280,15 @@ def _pivot_round(row, col, val, cols: int, p: int):
     )
 
 
-def rank(m) -> int:
-    """Rank of an FpSparse (or FpMatrix) by exact sparse elimination mod p.
+def rank(m: FpSparse) -> int:
+    """Rank of an FpSparse by exact sparse elimination mod p, read off its canonical entries.
 
     Rounds of independent Markowitz pivots (_pivot_round) shrink the matrix
     to its Schur complement.  Once the remaining nonzeros fill more than
     _DENSE_SWITCH of their rows times their columns, that block is
     eliminated densely.  The rank does not depend on the pivots chosen.
     """
-    if isinstance(m, FpMatrix):
-        m = FpSparse.from_dense(m)
-    row, col, val = _coalesce(m.row, m.col, m.val, m.cols, m.p)
+    row, col, val = m.row, m.col, m.val
     found = 0
     while val.size:
         active_rows = np.count_nonzero(np.r_[True, row[1:] != row[:-1]])
@@ -365,7 +362,7 @@ def kernel_basis(m: FpMatrix) -> list[FpMatrix]:
         x[f, 0] = 1
         for r, c in enumerate(piv_cols):
             x[c, 0] = (-int(a[r, f])) % m.p
-        basis.append(FpMatrix(x, m.p, _normalized=True))
+        basis.append(FpMatrix(x, m.p))
     return basis
 
 

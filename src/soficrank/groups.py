@@ -173,7 +173,6 @@ class FiniteByTable(GroupModel):
             raise ValueError("multiplication table must be nonempty")
         if t.shape != (n, n) or ((t < 0) | (t >= n)).any():
             raise ValueError(malformed)
-        rows = t.tolist()
         elems = np.arange(n)
         two_sided = (t == elems).all(axis=1) & (t == elems[:, None]).all(axis=0)
         if not two_sided.any():
@@ -205,8 +204,7 @@ class FiniteByTable(GroupModel):
                 raise ValueError(f"multiplication table is not associative at ({a},{g},{c})")
 
         t.flags.writeable = False
-        self.table = t  # read-only int64; _rows holds it as lists for scalar products
-        self._rows = rows
+        self.table = t  # read-only int64
         self._inv = tuple(inv)
         self._identity = ident
         self.generators = gens
@@ -215,13 +213,13 @@ class FiniteByTable(GroupModel):
 
     @property
     def size(self) -> int:
-        return len(self._rows)
+        return len(self.table)
 
     def identity(self):
         return self._identity
 
     def _mul(self, a, b):
-        return self._rows[a][b]
+        return self.table.item(a, b)
 
     def _right_multiples(self, rows):
         return self.table[rows[:, 0]][:, list(self.generators), None]
@@ -231,7 +229,7 @@ class FiniteByTable(GroupModel):
         return self._inv[a]
 
     def contains(self, a) -> bool:
-        return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < len(self._rows)
+        return isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self.size
 
     def word_length(self, a) -> int:
         self.check_element(a)
@@ -263,7 +261,7 @@ class FiniteByTable(GroupModel):
         return hash(("FiniteByTable", self.table.tobytes(), self.generators))
 
     def __repr__(self):
-        return f"FiniteByTable(order={len(self._rows)}, generators={self.generators})"
+        return f"FiniteByTable(order={self.size}, generators={self.generators})"
 
 
 def cyclic_group(n: int) -> FiniteByTable:
@@ -323,8 +321,9 @@ class CayleyBall:
     The BFS tree is computed once, when the ball is built: element j > 0
     is reached from parent[j], the first element in ball order with an
     edge into j, along the label via[j] (both are 0 at the root); the
-    elements at depth k sit at positions layers[k]:layers[k+1].  All three
-    are read-only int64 arrays, and a prefix ball takes their prefixes.
+    elements at depth k sit at positions layers[k]:layers[k+1], the ball's
+    one record of depth.  All three are read-only int64 arrays, and a
+    prefix ball takes their prefixes.
 
     The group's ball cache holds the ball, so the ball holds its group
     weakly: a strong reference back would be a cycle that keeps every
@@ -335,15 +334,10 @@ class CayleyBall:
     radius: int
     elements: tuple
     element_index: dict
-    distance_from_root: tuple[int, ...]
     graph: LabeledDigraph
-    parent: np.ndarray = None
-    via: np.ndarray = None
-    layers: np.ndarray = None
-
-    def __post_init__(self):
-        if self.parent is None:
-            self.parent, self.via, self.layers = _bfs_tree(self.graph.out, self.distance_from_root)
+    parent: np.ndarray
+    via: np.ndarray
+    layers: np.ndarray
 
     @property
     def size(self) -> int:
@@ -351,21 +345,6 @@ class CayleyBall:
 
     def __repr__(self):
         return f"CayleyBall({self.group.describe()}, r={self.radius}, size={self.size})"
-
-
-def _bfs_tree(out: np.ndarray, depth) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """parent, via and layer bounds of a ball's BFS tree, from its out-table and depths."""
-    m, labels = out.shape
-    edges = np.flatnonzero(out.ravel() >= 0)  # i * labels + label, ascending
-    heads, first = np.unique(out.ravel()[edges], return_index=True)
-    parent = np.zeros(m, dtype=np.int64)
-    via = np.zeros(m, dtype=np.int64)
-    parent[heads], via[heads] = np.divmod(edges[first], max(labels, 1))
-    parent[0] = via[0] = 0  # the root has no parent
-    layers = np.searchsorted(depth, np.arange(depth[-1] + 2))
-    for a in (parent, via, layers):
-        a.flags.writeable = False
-    return parent, via, layers
 
 
 def _too_large(group: GroupModel, r: int, max_elements: int) -> ResourceLimitError:
@@ -402,7 +381,6 @@ def _prefix(ball: CayleyBall, r: int) -> CayleyBall:
         radius=r,
         elements=elements,
         element_index=dict(zip(elements, range(m))),
-        distance_from_root=ball.distance_from_root[:m],
         graph=ball.graph.induced_prefix(m),
         parent=ball.parent[:m],
         via=ball.via[:m],
@@ -416,9 +394,9 @@ def _build_ball(group: GroupModel, r: int, max_elements: int) -> CayleyBall:
     ident = group.identity()
     elements = [ident]
     index = {ident: 0}
-    dist = [0]
+    layers = [0, 1]  # the depth-k elements end at layers[k + 1]
     frontier = [ident]
-    for layer in range(1, r + 1):
+    for _ in range(r):
         discovered = set()
         for g in frontier:
             for b in group.generators:
@@ -431,7 +409,7 @@ def _build_ball(group: GroupModel, r: int, max_elements: int) -> CayleyBall:
         for h in ordered:
             index[h] = len(elements)
             elements.append(h)
-            dist.append(layer)
+        layers.append(len(elements))
         if len(elements) > max_elements:
             raise _too_large(group, r, max_elements)
         frontier = ordered
@@ -447,13 +425,26 @@ def _build_ball(group: GroupModel, r: int, max_elements: int) -> CayleyBall:
     position = np.full(len(keys), -1, dtype=np.int64)
     position[key_of[:m]] = np.arange(m)
     heads = position[key_of[m:]].reshape(m, labels)
+    graph = LabeledDigraph(m, labels, table_edges(heads))
+    # BFS tree: the first edge into each element, in (element, label) order
+    edges = np.flatnonzero(graph.out.ravel() >= 0)  # i * labels + label, ascending
+    reached, first = np.unique(graph.out.ravel()[edges], return_index=True)
+    parent = np.zeros(m, dtype=np.int64)
+    via = np.zeros(m, dtype=np.int64)
+    parent[reached], via[reached] = np.divmod(edges[first], max(labels, 1))
+    parent[0] = via[0] = 0  # the root has no parent
+    layers = np.array(layers, dtype=np.int64)
+    for a in (parent, via, layers):
+        a.flags.writeable = False
     return CayleyBall(
         group=group,
         radius=r,
         elements=tuple(elements),
         element_index=index,
-        distance_from_root=tuple(dist),
-        graph=LabeledDigraph(m, labels, table_edges(heads)),
+        graph=graph,
+        parent=parent,
+        via=via,
+        layers=layers,
     )
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .digraph import LabeledDigraph, ball_charts, table_edges
-from .errors import AlphabetMismatch, BallMismatch, CardinalityViolation, ResourceLimitError
+from .errors import AlphabetMismatch, ApproximationTooCoarse, BallMismatch, CardinalityViolation, ResourceLimitError
 from .groups import CayleyBall, FiniteByTable, FreeAbelian, GroupModel, cayley_ball
 from .limits import DEFAULT_MAX_BALL_ELEMENTS, DEFAULT_MAX_VERTICES
 
@@ -151,20 +151,19 @@ def torus_approximation(
     plan built on the same model is reused from its cache.  Requires
     n >= 2r + 2: at n = 2r + 1 the ball's vertex set still embeds but a
     wrap-around edge appears between the two extreme layers, which breaks
-    two-way edge correspondence.
+    two-way edge correspondence (ApproximationTooCoarse otherwise).
     """
     if n < 2 * r + 2:
-        raise ValueError(f"torus side {n} too small for radius {r}: need n >= 2r + 2 = {2 * r + 2}")
-    graph = torus_graph(group, n, max_vertices=max_vertices)
+        raise ApproximationTooCoarse(
+            f"torus side {n} cannot support verification radius {r}; need n >= {2 * r + 2}"
+        )
+    return _verify_all_good(torus_graph(group, n, max_vertices=max_vertices), r, group, max_ball_elements)
+
+
+def _verify_all_good(graph: LabeledDigraph, r: int, group: GroupModel, max_ball_elements: int) -> SoficApproximation:
+    """A builder's graph verified with every vertex good, at tolerance 1/(|V|+1)."""
     epsilon = Fraction(1, graph.vertex_count + 1)
-    return verify_approximation(
-        graph,
-        range(graph.vertex_count),
-        epsilon,
-        r,
-        group,
-        max_ball_elements=max_ball_elements,
-    )
+    return verify_approximation(graph, range(graph.vertex_count), epsilon, r, group, max_ball_elements=max_ball_elements)
 
 
 def finite_cayley_graph(group: FiniteByTable) -> LabeledDigraph:
@@ -179,13 +178,4 @@ def finite_group_approximation(
     max_ball_elements: int = DEFAULT_MAX_BALL_ELEMENTS,
 ) -> SoficApproximation:
     """A finite group approximates itself: its full Cayley graph verifies at any radius."""
-    graph = finite_cayley_graph(group)
-    epsilon = Fraction(1, graph.vertex_count + 1)
-    return verify_approximation(
-        graph,
-        range(graph.vertex_count),
-        epsilon,
-        r,
-        group,
-        max_ball_elements=max_ball_elements,
-    )
+    return _verify_all_good(finite_cayley_graph(group), r, group, max_ball_elements)

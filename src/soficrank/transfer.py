@@ -242,7 +242,7 @@ def build_bar_psi(inst: TransferInstance) -> FpMatrix:
             m = col_of.get(u)
             if m is not None:
                 out[j * d : (j + 1) * d, m * d : (m + 1) * d] = mat.array
-    return FpMatrix(out, p, _normalized=True)
+    return FpMatrix(out, p)
 
 
 def verify_transfer_identity(inst: TransferInstance) -> bool:
@@ -353,15 +353,14 @@ def _report(
 def lower_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> TransferReport:
     """Verify the lower rank chain rank >= d|V''| >= d|V0| >= (1-eps)|V|d.
 
-    Requires psi with a verified right inverse.  Every step is guaranteed
-    by theory once the composition identity holds on V'', so any violation
-    raises InternalInconsistency.  When V'' = V' the identity forces the
-    rank to d|V'|, and bar_phi is neither built nor eliminated.
+    Requires psi with a verified right inverse (CheckFailedError
+    otherwise).  Every step is guaranteed by theory once the composition
+    identity holds on V'', so any violation raises InternalInconsistency.
+    When V'' = V' the identity forces the rank to d|V'|, and bar_phi is
+    neither built nor eliminated.
     """
-    if inst.psi is None:
-        raise ValueError("lower-bound check requires psi")
-    if not inst.has_right_inverse:
-        raise CheckFailedError("psi is not a right inverse of phi")
+    if not inst.has_right_inverse:  # also when psi is absent
+        raise CheckFailedError("lower mode requires psi with phi o psi = identity")
     if not verify_transfer_identity(inst):
         raise InternalInconsistency("composition identity failed on V'' despite phi*psi = 1")
     d = inst.d
@@ -385,15 +384,18 @@ def lower_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> 
 def upper_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> TransferReport:
     """Verify the upper rank chain for an element with a restricted kernel vector.
 
-    Selects V1 by weiss_select on the instance's approximation, then checks
-    in order: (a) every selected vertex's column slice, one shared ball
+    Requires a kernel radius r2 (KernelSearchExhausted otherwise).  Selects
+    V1 by weiss_select on the instance's approximation, then checks in
+    order: (a) every selected vertex's column slice, one shared ball
     restriction by check_local_slices, has rank <= d*|N_r0(B)| - 1; (b) the
     total rank is at most d|V| - |V| / (2|N_{2r0+1}(B)|); (c) strictly below
     (1-eps)|V|d.  All three are theory-guaranteed, so failures raise
     InternalInconsistency.
     """
     if inst.plan.r2 is None:
-        raise ValueError("upper-bound check requires a kernel radius r2")
+        raise KernelSearchExhausted(
+            f"no kernel vector found up to radius {inst.plan.kernel_search_bound}; upper mode cannot run"
+        )
     weiss = weiss_select(inst.approx, inst.plan.r0)
     rk = rank(sparse_bar_phi(inst))
     r_local = rank(check_local_slices(inst, weiss.v1))
@@ -460,11 +462,12 @@ def run_experiment(
 ) -> TransferReport:
     """Plan, build and check one experiment end to end.
 
-    mode "lower" requires a verified right inverse, mode "upper" requires a
-    discovered kernel radius, and mode "both" dispatches on whichever
-    precondition holds, raising InternalInconsistency if ever both do (the
-    exclusion at the heart of the rank argument).  For Z^k the torus side
-    length defaults to the smallest valid choice 2*(2*r0+1) + 2.
+    mode "lower" runs lower_bound_check and mode "upper" upper_bound_check,
+    each of which checks its own precondition; mode "both" dispatches on
+    whichever precondition holds, raising InternalInconsistency if ever both
+    do (the exclusion at the heart of the rank argument).  For Z^k the torus
+    side length defaults to the smallest valid choice 2*(2*r0+1) + 2, and
+    torus_approximation rejects a smaller one.
     """
     if mode not in ("lower", "upper", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -474,15 +477,9 @@ def run_experiment(
     )
     radius = 2 * plan.r0 + 1
     if isinstance(group, FreeAbelian):
-        n = torus_n if torus_n is not None else 2 * radius + 2
-        if n < 2 * radius + 2:
-            raise ApproximationTooCoarse(
-                f"torus side {n} cannot support verification radius {radius}; "
-                f"need n >= {2 * radius + 2}"
-            )
-        torus_n = n
+        torus_n = torus_n if torus_n is not None else 2 * radius + 2
         approx = torus_approximation(
-            group, n, radius, max_vertices=max_vertices, max_ball_elements=max_ball_elements
+            group, torus_n, radius, max_vertices=max_vertices, max_ball_elements=max_ball_elements
         )
     elif isinstance(group, FiniteByTable):
         if torus_n is not None:
@@ -504,17 +501,10 @@ def run_experiment(
         )
 
     if mode == "lower" or (mode == "both" and has_rinv):
-        if not has_rinv:
-            raise CheckFailedError("lower mode requires psi with phi o psi = identity")
         report = lower_bound_check(inst, torus_n=torus_n)
         report.mode = mode
         return report
     if mode == "upper" or (mode == "both" and has_kernel):
-        if not has_kernel:
-            raise KernelSearchExhausted(
-                f"no kernel vector found up to radius {plan.kernel_search_bound}; "
-                "upper mode cannot run"
-            )
         report = upper_bound_check(inst, torus_n=torus_n)
         report.mode = mode
         return report

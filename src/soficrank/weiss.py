@@ -25,7 +25,6 @@ selected vertex.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -57,7 +56,8 @@ def weiss_select(approx: SoficApproximation, r0: int) -> WeissSelection:
 
     The approximation must be verified at radius >= 2*r0 + 1
     (ApproximationTooCoarse otherwise), and its good set must hold at
-    least half the vertices, exactly (PreconditionDensity otherwise).
+    least half the vertices, exactly (PreconditionDensity otherwise).  An
+    approximation with no vertices has no density and raises ValueError.
     """
     if r0 < 0:
         raise ValueError("r0 must be nonnegative")
@@ -68,14 +68,15 @@ def weiss_select(approx: SoficApproximation, r0: int) -> WeissSelection:
         )
     graph, good = approx.graph, approx.good_vertices
     n = graph.vertex_count
+    if n == 0:
+        raise ValueError("the approximation has no vertices to select from")
     if 2 * len(good) < n:
         raise PreconditionDensity(f"|good| = {len(good)} is less than |V|/2 = {Fraction(n, 2)}")
 
-    # Smaller balls are prefixes of the approximation's ball, which lists
-    # its elements by nondecreasing depth.
-    depth_of = approx.ball.distance_from_root
-    ball_size = bisect_right(depth_of, sep)
-    discard_size = bisect_right(depth_of, sep - 1)
+    # Smaller balls are prefixes of the approximation's ball, whose depth-k
+    # elements end at layers[k + 1]; a finite group's ball can stop short of sep.
+    layers = approx.ball.layers
+    ball_size, discard_size = (int(layers[min(k, len(layers) - 2) + 1]) for k in (sep, sep - 1))
     alive = np.zeros(n, dtype=bool)
     alive[list(good)] = True
     selected = []

@@ -46,7 +46,7 @@ def slice_ranks(inst: TransferInstance, v1) -> tuple[int, ...]:
     ranks = []
     for v in v1:
         cols = [col_of[u] * d + k for u in inst.charts[col_of[v]].tolist() for k in range(d)]
-        ranks.append(dense_rank(FpMatrix(bar_phi.array[:, cols], bar_phi.p, _normalized=True)))
+        ranks.append(dense_rank(FpMatrix(bar_phi.array[:, cols], bar_phi.p)))
     return tuple(ranks)
 
 
@@ -72,7 +72,7 @@ def commutative_square_matrix(inst: TransferInstance, v: int) -> Optional[FpMatr
     cols = [col_of[f[i]] * d + k for i in range(ball_small.size) for k in range(d)]
     rows = [f[i] * d + k for i in range(ball_large.size) for k in range(d)]
     sub = bar_phi.array[np.ix_(rows, cols)]
-    return FpMatrix(sub, bar_phi.p, _normalized=True)
+    return FpMatrix(sub, bar_phi.p)
 
 
 def equivariant_entry(c: GroupRingKernel, g2, g1) -> FpMatrix:
@@ -103,7 +103,7 @@ def restriction_by_products(c: GroupRingKernel, dom, cod) -> FpMatrix:
         for s, mat in c.support.items():
             i = cod.element_index[c.group.multiply(g1, s)]
             out[i * d : (i + 1) * d, j * d : (j + 1) * d] = mat.array
-    return FpMatrix(out, c.p, _normalized=True)
+    return FpMatrix(out, c.p)
 
 
 def digraph_by_edge_loop(vertex_count: int, num_labels: int, edges) -> tuple[list, int]:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from soficrank.cli import (
+    _build_parser,
     format_instance,
     main,
     parse_group_descriptor,
@@ -14,7 +18,8 @@ from soficrank.errors import ParseError
 from soficrank.groups import FreeAbelian, cyclic_group, write_finite_group_file
 from soficrank.sofic import torus_graph
 
-GOLDEN = Path(__file__).parent / "data" / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "data" / "golden"
 
 INVOLUTION_RING = """\
 ring p=2 d=2 group=Z^1
@@ -343,6 +348,70 @@ class TestFiniteGroupFlags:
 
     def test_vertex_limit_at_order(self):
         assert main(self.ARGV + ["--max-vertices", "6"]) == 0
+
+
+class TestPreconditionOwners:
+    """Each precondition is checked once, by the function that owns it; the CLI prints that function's text."""
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["x", "y", "--mode", "lower", "--torus-n", "8"], 1,
+             "check failed: torus side 8 cannot support verification radius 5; need n >= 12\n"),
+            (["x", "--mode", "lower"], 1, "check failed: lower mode requires psi with phi o psi = identity\n"),
+            (["x", "y", "--mode", "upper"], 1,
+             "check failed: no kernel vector found up to radius 6; upper mode cannot run\n"),
+        ],
+        ids=["torus-side", "lower-without-inverse", "upper-without-kernel"],
+    )
+    def test_exit_code_and_stderr(self, involution_file, argv, code, err, capsys):
+        assert main(["transfer-run", str(involution_file), *argv]) == code
+        assert capsys.readouterr().err == err
+
+    def test_finite_group_above_vertex_limit(self, capsys):
+        argv = ["transfer-run", str(GOLDEN / "s3.ring"), "x", "x", "--mode", "lower", "--max-vertices", "5"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "resource limit: Cayley graph with 6 vertices exceeds limit 5\n"
+
+
+class TestEmptyGraph:
+    def test_weiss_select_rejects_it(self, tmp_path, capsys):
+        path = tmp_path / "empty.graph"
+        path.write_text("digraph 0 3\n")
+        assert main(["weiss-select", str(path), "-g", "Z^1", "--r0", "1"]) == 2
+        assert capsys.readouterr().err == "invalid input: the approximation has no vertices to select from\n"
+
+    def test_sofic_verify_accepts_it(self, tmp_path):
+        path, out = tmp_path / "empty.graph", tmp_path / "r.json"
+        path.write_text("digraph 0 3\n")
+        assert main(["sofic-verify", str(path), "-g", "Z^1", "-r", "2", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())["payload"]
+        assert payload["verified"] is True and payload["vertex_count"] == 0
+
+
+class TestParserReuse:
+    def test_built_on_first_use_not_at_import(self):
+        code = "import soficrank.cli as cli; print(cli._build_parser.cache_info().currsize)"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout == "0\n"
+
+    def test_no_state_leaks_between_calls(self, tmp_path, capsys):
+        """A rejected argv, then golden cases of two subcommands, all in one process on the one parser."""
+        with pytest.raises(SystemExit) as bad:
+            main(["transfer-run", "--mode", "sideways"])
+        assert bad.value.code == 2
+        for name, argv, code in [
+            ("weiss_c12", ["weiss-select", str(GOLDEN / "c12.graph"), "-g", "Z^1", "--r0", "1"], 0),
+            ("transfer_z1_lower", ["transfer-run", str(GOLDEN / "z1.ring"), "x", "x", "--mode", "lower",
+                                   "--torus-n", "12"], 0),
+            ("sofic_c12_mismatch", ["sofic-verify", str(GOLDEN / "c12.graph"), "-g", "Z^1", "-r", "6"], 1),
+        ]:
+            out = tmp_path / f"{name}.json"
+            assert main(argv + ["--out", str(out)]) == code
+            assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+        assert _build_parser.cache_info().currsize == 1
 
 
 class TestDeterminism:

@@ -415,7 +415,8 @@ class TestBallCharts:
         # On Cayley balls, reverse edges already catch a repeated vertex; on
         # this hand-made two-label star only the injectivity check does.
         star = LabeledDigraph(3, 2, [(0, 1, 0), (0, 2, 1)])
-        ball = CayleyBall(Z1, 1, (0, 1, 2), {0: 0, 1: 1, 2: 2}, (0, 1, 1), star)
+        tree = {"parent": np.array([0, 0, 0]), "via": np.array([0, 0, 1]), "layers": np.array([0, 1, 3])}
+        ball = CayleyBall(Z1, 1, (0, 1, 2), {0: 0, 1: 1, 2: 2}, star, **tree)
         merged = LabeledDigraph(2, 2, [(0, 1, 0), (0, 1, 1)])  # both leaves land on 1
         assert not assert_charts_match(merged, [0, 1], ball).any()
 

@@ -56,16 +56,16 @@ class TestMatMul:
 class TestRankKernel:
     def test_identity_rank(self):
         for n in (1, 2, 5):
-            assert rank(FpMatrix.identity(n, 3)) == n
+            assert rank(FpSparse.from_dense(FpMatrix.identity(n, 3))) == n
             assert kernel_basis(FpMatrix.identity(n, 3)) == []
 
     def test_zero_matrix(self):
         z = FpMatrix.zeros(3, 3, 2)
-        assert rank(z) == 0
+        assert rank(FpSparse.from_dense(z)) == 0
         assert len(kernel_basis(z)) == 3
 
     def test_equal_rows_f2(self):
-        assert rank(F2([[1, 1], [1, 1]])) == 1
+        assert rank(FpSparse.from_dense(F2([[1, 1], [1, 1]]))) == 1
 
     def test_kernel_of_sum_row(self):
         basis = kernel_basis(F2([[1, 1]]))
@@ -90,7 +90,7 @@ class TestProperties:
     @given(matrices)
     @settings(max_examples=60, deadline=None)
     def test_rank_nullity(self, m):
-        assert rank(m) + len(kernel_basis(m)) == m.cols
+        assert rank(FpSparse.from_dense(m)) + len(kernel_basis(m)) == m.cols
 
     @given(matrices)
     @settings(max_examples=60, deadline=None)
@@ -104,7 +104,7 @@ class TestProperties:
         perm = list(range(m.rows))
         rnd.shuffle(perm)
         shuffled = FpMatrix(m.array[perm, :], m.p)
-        assert rank(shuffled) == rank(m)
+        assert rank(FpSparse.from_dense(shuffled)) == rank(FpSparse.from_dense(m))
         assert len(kernel_basis(shuffled)) == len(kernel_basis(m))
 
     @given(
@@ -132,10 +132,10 @@ class TestProperties:
 
     def test_determinism_repeated_runs(self):
         m = FpMatrix([[2, 4, 1], [3, 0, 5], [2, 4, 1]], 7)
-        first_rank = rank(m)
+        first_rank = rank(FpSparse.from_dense(m))
         first_kernel = [k.array.tolist() for k in kernel_basis(m)]
         for _ in range(5):
-            assert rank(m) == first_rank
+            assert rank(FpSparse.from_dense(m)) == first_rank
             assert [k.array.tolist() for k in kernel_basis(m)] == first_kernel
 
 
@@ -207,7 +207,7 @@ class TestSparseRankOracle:
 
     def test_dense_input_reads_its_nonzero_entries(self):
         m = FpMatrix([[2, 4, 1], [3, 0, 5], [2, 4, 1]], 7)
-        assert rank(m) == rank(FpSparse.from_dense(m)) == dense_rank(m) == 2
+        assert rank(FpSparse.from_dense(m)) == dense_rank(m) == 2
 
     def test_wide_banded_chain_rank(self):
         # I + shift on Z/400 over F_2: each row and column holds two entries, and the wrap closes the chain
@@ -235,3 +235,28 @@ class TestFpSparse:
     def test_zeros_dropped(self):
         m = FpSparse([0, 0, 1], [1, 1, 1], [1, 2, 3], (2, 2), 3)
         assert m.val.size == 0 and rank(m) == 0
+
+    @given(
+        st.sampled_from([2, 3, 7, LARGEST_PRIME]),
+        st.integers(0, 6),
+        st.integers(0, 6),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_form_from_any_coordinates(self, p, rows, cols, data):
+        """Repeats, zeros, values >= p or negative, any order, the empty list: one stored form."""
+        cells = st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, max(cols - 1, 0)))
+        value = st.one_of(st.just(0), st.integers(-3 * p, 3 * p), st.integers(-(2**40), 2**40))
+        entries = data.draw(st.lists(st.tuples(cells, value), max_size=30 if rows and cols else 0))
+        row = [r for (r, _), _ in entries]
+        col = [c for (_, c), _ in entries]
+        val = [v for _, v in entries]
+        m = FpSparse(row, col, val, (rows, cols), p)
+        key = m.row * cols + m.col
+        assert (np.diff(key) > 0).all()
+        assert ((1 <= m.val) & (m.val < p)).all()
+        want = np.zeros((rows, cols), dtype=object)
+        for r, c, v in zip(row, col, val):
+            want[r, c] += v
+        assert m.dense() == FpMatrix((want % p).astype(np.int64), p)
+        assert rank(m) == dense_rank(m.dense())

@@ -28,6 +28,11 @@ def z2_ball_size_bruteforce(n):
     )
 
 
+def depths(ball):
+    """Each ball element's word length, read off the ball's layer bounds."""
+    return np.repeat(np.arange(len(ball.layers) - 1), np.diff(ball.layers))
+
+
 class TestFreeAbelian:
     def test_multiply_is_vector_addition(self):
         G = FreeAbelian(2)
@@ -124,7 +129,7 @@ class TestFiniteByTable:
         diameter = max(G.word_length(a) for a in range(G.size))
         ball = cayley_ball(G, diameter)
         assert ball.size == G.size
-        assert [G.word_length(g) for g in ball.elements] == list(ball.distance_from_root)
+        assert [G.word_length(g) for g in ball.elements] == depths(ball).tolist()
 
     def test_word_length_bfs(self):
         G = cyclic_group(6)
@@ -238,7 +243,7 @@ class TestCayleyBall:
         ball = cayley_ball(FreeAbelian(1), 2)
         assert ball.elements[0] == (0,)
         assert ball.elements == ((0,), (-1,), (1,), (-2,), (2,))
-        assert ball.distance_from_root == (0, 1, 1, 2, 2)
+        assert depths(ball).tolist() == [0, 1, 1, 2, 2]
 
     def test_smaller_ball_is_prefix(self):
         G = FreeAbelian(2)
@@ -322,7 +327,6 @@ def test_prefix_ball_is_the_fresh_ball(name, big, data):
     assert got.radius == want.radius == r
     assert got.elements == want.elements
     assert got.element_index == want.element_index
-    assert got.distance_from_root == want.distance_from_root
     assert np.array_equal(got.graph.out, want.graph.out) and not got.graph.out.flags.writeable
     assert got.graph.edge_count == want.graph.edge_count
     for tree in ("parent", "via", "layers"):
@@ -343,5 +347,5 @@ def test_ball_tree_reaches_each_element_from_its_parent():
     ball = cayley_ball(FreeAbelian(2), 3)
     for j in range(1, ball.size):
         assert ball.graph.out[ball.parent[j], ball.via[j]] == j
-        assert ball.distance_from_root[ball.parent[j]] == ball.distance_from_root[j] - 1
+        assert depths(ball)[ball.parent[j]] == depths(ball)[j] - 1
     assert ball.layers.tolist() == [0, 1, 5, 13, 25]

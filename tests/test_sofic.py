@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from soficrank.digraph import LabeledDigraph, ball_isomorphism
-from soficrank.errors import AlphabetMismatch, BallMismatch, CardinalityViolation
+from soficrank.errors import AlphabetMismatch, ApproximationTooCoarse, BallMismatch, CardinalityViolation
 from soficrank.groups import FreeAbelian, cayley_ball, cyclic_group
 from soficrank.sofic import (
     finite_cayley_graph,
@@ -84,7 +84,8 @@ class TestTorusApproximation:
         assert approx.vertex_count == 36
 
     def test_side_too_small(self):
-        with pytest.raises(ValueError):
+        # the owner of the check raises the text the CLI prints
+        with pytest.raises(ApproximationTooCoarse, match=r"^torus side 7 cannot support verification radius 3; need n >= 8$"):
             torus_approximation(Z1, 7, 3)  # need 2*3 + 2 = 8
 
     def test_cached_map_is_translation(self):

@@ -306,7 +306,14 @@ class TestLowerBound:
         phi = scalar_kernel(Z1, 2, {(0,): 1, (1,): 1})
         approx = torus_approximation(Z1, 12, 5)
         inst = build_instance(phi, phi, approx)
-        with pytest.raises(CheckFailedError):
+        with pytest.raises(CheckFailedError, match=r"^lower mode requires psi with phi o psi = identity$"):
+            lower_bound_check(inst)
+
+    def test_absent_psi_fails_the_same_check(self):
+        # the check's owner raises the text the CLI prints, psi or not
+        x = involution()
+        inst = build_instance(x, None, torus_approximation(Z1, 12, 5))
+        with pytest.raises(CheckFailedError, match=r"^lower mode requires psi with phi o psi = identity$"):
             lower_bound_check(inst)
 
 
@@ -333,6 +340,12 @@ class TestUpperBound:
         x = involution()
         with pytest.raises(KernelSearchExhausted):
             run_experiment(x, None, "upper", torus_n=20)
+
+    def test_check_owns_the_kernel_precondition(self):
+        inst = build_instance(involution(), None, torus_approximation(Z1, 20, 5))
+        assert inst.plan.r2 is None and inst.plan.kernel_search_bound == 6
+        with pytest.raises(KernelSearchExhausted, match=r"^no kernel vector found up to radius 6; upper mode cannot run$"):
+            upper_bound_check(inst)
 
 
 class TestForcedRank:

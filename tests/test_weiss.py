@@ -79,6 +79,21 @@ class TestGreedyOnCycles:
         assert "5 generators" in capsys.readouterr().err
 
 
+class TestEdgeCases:
+    def test_empty_graph_rejected_before_any_density(self):
+        approx = verify_approximation(LabeledDigraph(0, 3, []), [], Fraction(1, 2), 3, Z1)
+        with pytest.raises(ValueError, match="^the approximation has no vertices to select from$"):
+            weiss_select(approx, 1)
+
+    def test_finite_ball_short_of_the_separation(self):
+        # C7 has diameter 3 < 2*r0 + 1 = 7: both ball sizes clamp to the whole group
+        G = cyclic_group(7)
+        sel = select(finite_cayley_graph(G), range(7), 3, group=G)
+        assert sel.v1 == (0,)
+        assert sel.density_bound == Fraction(1, 14)
+        assert sel.min_pairwise_distance is None
+
+
 class TestGuarantees:
     @pytest.mark.parametrize("n,r0", [(8, 0), (12, 1), (20, 2), (30, 1)])
     def test_torus_guarantees(self, n, r0):
