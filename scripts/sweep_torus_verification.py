@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from soficrank.errors import BallMismatch
 from soficrank.groups import FreeAbelian
-from soficrank.sofic import torus_graph, verify_approximation
+from soficrank.sofic import quotient_graph, verify_approximation
 
 Z1 = FreeAbelian(1)
 
@@ -26,7 +26,7 @@ def main():
     radii = list(range(args.max_r + 1))
     print("n\\r " + " ".join(f"{r:>2}" for r in radii))
     for n in range(1, args.max_n + 1):
-        graph = torus_graph(Z1, n)
+        graph = quotient_graph(Z1, n)
         row = []
         for r in radii:
             try:

@@ -35,10 +35,10 @@ from .groups import (
 )
 from .sofic import (
     SoficApproximation,
-    finite_cayley_graph,
     finite_group_approximation,
+    quotient_approximation,
+    quotient_graph,
     torus_approximation,
-    torus_graph,
     verify_approximation,
 )
 from .transfer import (
@@ -81,7 +81,6 @@ __all__ = [
     "cyclic_group",
     "direct_product_table",
     "distance",
-    "finite_cayley_graph",
     "finite_group_approximation",
     "kernel_basis",
     "kernel_radius",
@@ -89,13 +88,14 @@ __all__ = [
     "mat_mul",
     "neighborhood",
     "plan_instance",
+    "quotient_approximation",
+    "quotient_graph",
     "rank",
     "restriction_matrix",
     "run_experiment",
     "sparse_bar_phi",
     "support_data",
     "torus_approximation",
-    "torus_graph",
     "upper_bound_check",
     "verify_approximation",
     "verify_transfer_identity",

@@ -16,33 +16,17 @@ import numpy as np
 
 from .exactfield import FpMatrix
 from .groupring import GroupRingKernel, compose
-from .groups import FiniteByTable, FreeAbelian, GroupModel
-
-
-def _monomial_matrix(d: int, p: int, i: int, j: int, coeff: int) -> np.ndarray:
-    m = np.zeros((d, d), dtype=np.int64)
-    m[i, j] = coeff % p
-    return m
+from .groups import FreeAbelian, GroupModel
 
 
 def transvection(group: GroupModel, d: int, p: int, i: int, j: int, coeff: int, g) -> tuple:
     """I + coeff * t^g at position (i, j), i != j, with its inverse."""
     if i == j:
         raise ValueError("transvection requires i != j")
-    ident = group.identity()
-    eye = FpMatrix.identity(d, p)
-    off = FpMatrix(_monomial_matrix(d, p, i, j, coeff), p)
-    fwd_support = {ident: eye}
-    bwd_support = {ident: eye}
-    if g == ident:
-        fwd_support = {ident: eye + off}
-        bwd_support = {ident: eye - off}
-    else:
-        fwd_support[g] = off
-        bwd_support[g] = -off
-    fwd = GroupRingKernel(group, d, p, fwd_support)
-    bwd = GroupRingKernel(group, d, p, bwd_support)
-    return fwd, bwd
+    off = np.zeros((d, d), dtype=np.int64)
+    off[i, j] = coeff
+    one = GroupRingKernel.identity(group, d, p)
+    return one + GroupRingKernel(group, d, p, {g: off}), one + GroupRingKernel(group, d, p, {g: -off})
 
 
 def diagonal_unit(group: GroupModel, d: int, p: int, coeffs, elements) -> tuple:
@@ -65,22 +49,7 @@ def diagonal_unit(group: GroupModel, d: int, p: int, coeffs, elements) -> tuple:
                 m = np.zeros((d, d), dtype=np.int64)
                 target[col_g] = m
             m[i, i] = col_c
-    p_ = p
-    return (
-        GroupRingKernel(group, d, p_, fwd),
-        GroupRingKernel(group, d, p_, bwd),
-    )
-
-
-def _random_element(rng: random.Random, group: GroupModel, l1_bound: int):
-    if isinstance(group, FreeAbelian):
-        while True:
-            vec = tuple(rng.randint(-l1_bound, l1_bound) for _ in range(group.rank))
-            if sum(abs(x) for x in vec) <= l1_bound:
-                return vec
-    if isinstance(group, FiniteByTable):
-        return rng.randrange(group.size)
-    raise ValueError(f"unsupported group {group.describe()}")
+    return GroupRingKernel(group, d, p, fwd), GroupRingKernel(group, d, p, bwd)
 
 
 def random_invertible_pair(
@@ -102,11 +71,11 @@ def random_invertible_pair(
             if j >= i:
                 j += 1
             coeff = rng.randint(1, p - 1)
-            g = _random_element(rng, group, exponent_bound)
+            g = group.random_element(rng, exponent_bound)
             factors.append(transvection(group, d, p, i, j, coeff, g))
         else:
             coeffs = [rng.randint(1, p - 1) for _ in range(d)]
-            elements = [_random_element(rng, group, exponent_bound) for _ in range(d)]
+            elements = [group.random_element(rng, exponent_bound) for _ in range(d)]
             factors.append(diagonal_unit(group, d, p, coeffs, elements))
     x = factors[0][0]
     for fwd, _ in factors[1:]:
@@ -162,7 +131,7 @@ def random_singular_kernel(
     if j >= i:
         j += 1
     coeff = rng.randint(1, p - 1)
-    g = _random_element(rng, group, exponent_bound)
+    g = group.random_element(rng, exponent_bound)
     u, _ = transvection(group, d, p, i, j, coeff, g)
     if variant == "before":
         return compose(u, s)  # kernel contains the killed coordinate at the identity
@@ -180,7 +149,7 @@ def random_kernel(
     """Uniform small random kernel with support radius at most `radius`."""
     support: dict = {}
     for _ in range(rng.randint(0, max_terms)):
-        g = _random_element(rng, group, radius)
+        g = group.random_element(rng, radius)
         mat = np.array(
             [[rng.randrange(p) for _ in range(d)] for _ in range(d)], dtype=np.int64
         )

@@ -12,6 +12,7 @@ denominator.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ MAX_MODULUS = 1 << 20
 _MAX_INNER_DIM = 1 << 22
 
 
+@functools.lru_cache(maxsize=256)  # called for every FpMatrix and FpSparse; a run sees few moduli
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -169,26 +169,26 @@ def transplant(c: GroupRingKernel, charts: np.ndarray, ball: CayleyBall, rows: i
     return FpSparse(row, np.broadcast_to(col, row.shape), val, (d * rows, d * len(charts)), c.p)
 
 
-def restriction_matrix(c: GroupRingKernel, dom: CayleyBall, cod: CayleyBall) -> FpSparse:
-    """Sparse matrix of c restricted to a domain ball, landing in a codomain ball.
+def restriction_matrix(c: GroupRingKernel, n: int, m: int, max_ball_elements=DEFAULT_MAX_BALL_ELEMENTS) -> FpSparse:
+    """Sparse matrix of c restricted to its group's radius-n ball, landing in the radius-m ball.
 
     Block at (row element g2, column element g1) is c(g1^{-1} g2).  The
-    codomain radius must be at least domain radius + support radius so the
-    image is captured in full; anything smaller would silently truncate
-    rows and change kernels.  A Cayley ball is its own approximation around
-    its interior: the walk of the radius-rs ball from each domain element,
+    codomain radius m must be at least n + support radius so the image is
+    captured in full; anything smaller would silently truncate rows and
+    change kernels.  A Cayley ball is its own approximation around its
+    interior: the walk of the radius-rs ball from each domain element,
     which sits at its own position in the codomain since balls are
     prefixes, puts g1 * s at column s of row g1, and transplant reads it.
     """
-    if dom.group != c.group or cod.group != c.group:
-        raise ValueError("balls must belong to the kernel's group")
     rs = c.support_radius()
-    if cod.radius < dom.radius + rs:
+    if m < n + rs:
         raise ValueError(
-            f"codomain ball radius {cod.radius} too small: need at least "
-            f"domain radius {dom.radius} + support radius {rs}"
+            f"codomain ball radius {m} too small: need at least domain radius {n} + support radius {rs}"
         )
-    ball = cayley_ball(c.group, rs, max_elements=cod.size)
+    # the codomain first: the domain and the support ball are then its prefixes
+    cod = cayley_ball(c.group, m, max_elements=max_ball_elements)
+    dom = cayley_ball(c.group, n, max_elements=max_ball_elements)
+    ball = cayley_ball(c.group, rs, max_elements=max_ball_elements)
     walk = label_walk(cod.graph, np.arange(dom.size), ball)
     missing = np.flatnonzero((walk < 0).any(axis=1))
     if missing.size:
@@ -215,13 +215,9 @@ def kernel_radius(
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     rs = c.support_radius()
-    group = c.group
 
     def has_kernel(n: int) -> bool:
-        # the codomain first: the domain and the support ball are then its prefixes
-        cod = cayley_ball(group, n + rs, max_elements=max_ball_elements)
-        dom = cayley_ball(group, n, max_elements=max_ball_elements)
-        m = restriction_matrix(c, dom, cod)
+        m = restriction_matrix(c, n, n + rs, max_ball_elements)
         return rank(m) < m.cols
 
     if not has_kernel(max_n):

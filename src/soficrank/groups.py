@@ -5,20 +5,22 @@ generators {e_i, -e_i} plus the identity, and finite groups given by a
 multiplication table.  Both expose enough structure to build Cayley balls:
 the set of elements of word length <= r, ordered breadth-first with
 lexicographic tie-breaking, together with the labeled digraph induced on
-them.
+them.  Each model also owns what the rest of the package would otherwise
+decide by group family: the finite quotient whose Cayley graph
+approximates it (a torus for Z^k, the group itself when finite) and how
+to draw a random element.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from operator import add
 
 import numpy as np
 
 from .digraph import LabeledDigraph, _bfs, table_edges
-from .errors import ParseError, ResourceLimitError
+from .errors import ApproximationTooCoarse, ParseError, ResourceLimitError
 from .limits import DEFAULT_MAX_BALL_ELEMENTS
 
 
@@ -61,6 +63,18 @@ class GroupModel:
 
     def word_length(self, a) -> int:
         """Cayley-graph distance from the identity to a."""
+        raise NotImplementedError
+
+    def quotient_side(self, side, radius: int):
+        """The side of a finite quotient that verifies at this radius: a default for None, else side checked."""
+        raise NotImplementedError
+
+    def quotient_table(self, side, max_vertices: int) -> np.ndarray:
+        """Out-table (|V|, |B|) of the Cayley graph of the finite quotient with this side."""
+        raise NotImplementedError
+
+    def random_element(self, rng, bound: int):
+        """An element drawn with the random.Random rng; bound caps its word length where the model says so."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -124,6 +138,35 @@ class FreeAbelian(GroupModel):
     def word_length(self, a) -> int:
         self.check_element(a)
         return sum(abs(x) for x in a)
+
+    def quotient_side(self, side, radius: int):
+        """The torus side, 2r + 2 by default and never less: at 2r + 1 the ball
+        still embeds, but a wrap-around edge joins its two extreme layers."""
+        if side is None:
+            return 2 * radius + 2
+        if side < 2 * radius + 2:
+            raise ApproximationTooCoarse(
+                f"torus side {side} cannot support verification radius {radius}; need n >= {2 * radius + 2}"
+            )
+        return side
+
+    def quotient_table(self, side, max_vertices: int) -> np.ndarray:
+        """The torus (Z/nZ)^k at side n: coordinates x, x_i in [0, n), are vertex sum x_i * n^i."""
+        if side < 1:
+            raise ValueError("torus side length must be at least 1")
+        total = side**self.rank
+        if total > max_vertices:
+            raise ResourceLimitError(f"torus with {total} vertices exceeds limit {max_vertices}")
+        place = side ** np.arange(self.rank)
+        coords = np.arange(total)[:, None] // place % side
+        return (self._right_multiples(coords) % side * place).sum(axis=2)
+
+    def random_element(self, rng, bound: int):
+        """Uniform over the elements of word length <= bound, by rejection from the box [-bound, bound]^k."""
+        while True:
+            vec = tuple(rng.randint(-bound, bound) for _ in range(self.rank))
+            if sum(map(abs, vec)) <= bound:
+                return vec
 
     def describe(self) -> str:
         return f"Z^{self.rank}"
@@ -235,6 +278,22 @@ class FiniteByTable(GroupModel):
         self.check_element(a)
         return self._word_lengths[a]
 
+    def quotient_side(self, side, radius: int):
+        """A finite group is its own quotient at every radius; quotient_table rejects a side."""
+        return side
+
+    def quotient_table(self, side, max_vertices: int) -> np.ndarray:
+        """The group's own Cayley graph, which takes no side."""
+        if side is not None:
+            raise ValueError(f"a torus side applies only to Z^k, not to {self.describe()}")
+        if self.size > max_vertices:
+            raise ResourceLimitError(f"Cayley graph with {self.size} vertices exceeds limit {max_vertices}")
+        return self.table[:, list(self.generators)]
+
+    def random_element(self, rng, bound: int):
+        """Uniform over the whole group; the bound does not apply."""
+        return rng.randrange(self.size)
+
     def describe(self) -> str:
         return f"finite:{self.name}"
 
@@ -294,21 +353,6 @@ def direct_product_table(g1: FiniteByTable, g2: FiniteByTable) -> FiniteByTable:
     return FiniteByTable(table.reshape(n1 * n2, n1 * n2), uniq, name=f"{g1.name}x{g2.name}")
 
 
-class _HeldWeakly:
-    """Dataclass field whose value is held through a weak reference (None once it is freed)."""
-
-    def __set_name__(self, owner, name):
-        self.slot = f"_{name}_ref"
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError("the field has no default")
-        return obj.__dict__[self.slot]()
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.slot] = weakref.ref(value)
-
-
 @dataclass(eq=False)
 class CayleyBall:
     """All group elements of word length <= radius, with their labeled digraph.
@@ -325,12 +369,11 @@ class CayleyBall:
     one record of depth.  All three are read-only int64 arrays, and a
     prefix ball takes their prefixes.
 
-    The group's ball cache holds the ball, so the ball holds its group
-    weakly: a strong reference back would be a cycle that keeps every
-    group, with its balls, alive until a full garbage collection.
+    The group's ball cache holds the ball, and the ball does not refer back
+    to its group, so a dropped group is freed with its balls without a
+    cycle collection.
     """
 
-    group: GroupModel = _HeldWeakly()
     radius: int
     elements: tuple
     element_index: dict
@@ -344,7 +387,7 @@ class CayleyBall:
         return len(self.elements)
 
     def __repr__(self):
-        return f"CayleyBall({self.group.describe()}, r={self.radius}, size={self.size})"
+        return f"CayleyBall(r={self.radius}, size={self.size})"
 
 
 def _too_large(group: GroupModel, r: int, max_elements: int) -> ResourceLimitError:
@@ -377,7 +420,6 @@ def _prefix(ball: CayleyBall, r: int) -> CayleyBall:
     m = int(ball.layers[depth + 1])
     elements = ball.elements[:m]
     return CayleyBall(
-        group=ball.group,
         radius=r,
         elements=elements,
         element_index=dict(zip(elements, range(m))),
@@ -437,7 +479,6 @@ def _build_ball(group: GroupModel, r: int, max_elements: int) -> CayleyBall:
     for a in (parent, via, layers):
         a.flags.writeable = False
     return CayleyBall(
-        group=group,
         radius=r,
         elements=tuple(elements),
         element_index=index,

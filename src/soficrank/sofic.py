@@ -6,25 +6,27 @@ vertex set V0 such that |V0| >= (1 - epsilon) * |V| holds exactly and the
 r-neighborhood of every good vertex is isomorphic, as a rooted labeled
 digraph, to the radius-r Cayley ball of G.
 
-Builders are provided for the two supported group families: discrete tori
-(Z/nZ)^k approximating Z^k, and full Cayley graphs of finite groups, which
-approximate themselves perfectly.  Everything a builder produces is
-re-checked from scratch by the verifier, which charts every good vertex
-in one vectorised label walk (digraph.ball_charts) and keeps the charts
-as one read-only array: the transfer instance and the Weiss selection
-read their smaller-radius charts as column prefixes of it.
+One builder serves every group family: the Cayley graph of the finite
+quotient that the group model names (a discrete torus (Z/nZ)^k for Z^k,
+the full Cayley graph of a finite group, which approximates itself
+perfectly).  Everything it produces is re-checked from scratch by the
+verifier, which charts every good vertex in one vectorised label walk
+(digraph.ball_charts) and keeps the charts as one read-only array: the
+transfer instance and the Weiss selection read their smaller-radius
+charts as column prefixes of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
 from .digraph import LabeledDigraph, ball_charts, table_edges
-from .errors import AlphabetMismatch, ApproximationTooCoarse, BallMismatch, CardinalityViolation, ResourceLimitError
-from .groups import CayleyBall, FiniteByTable, FreeAbelian, GroupModel, cayley_ball
+from .errors import AlphabetMismatch, BallMismatch, CardinalityViolation
+from .groups import CayleyBall, GroupModel, cayley_ball
 from .limits import DEFAULT_MAX_BALL_ELEMENTS, DEFAULT_MAX_VERTICES
 
 
@@ -38,6 +40,10 @@ class SoficApproximation:
     vertex itself).  Its prefix over a smaller ball is the chart at that
     radius; the transfer instance and the Weiss selection take their
     charts from here instead of recomputing them.
+
+    side is the side of the group's finite quotient that the graph is
+    (quotient_approximation); None for a finite group and for a graph
+    that was handed to the verifier.
     """
 
     group: GroupModel
@@ -47,6 +53,7 @@ class SoficApproximation:
     radius: int
     ball: CayleyBall
     charts: np.ndarray
+    side: Optional[int] = None
 
     @property
     def vertex_count(self) -> int:
@@ -120,62 +127,43 @@ def check_preconditions(num_labels: int, epsilon, radius: int, group: GroupModel
     return epsilon
 
 
-def torus_graph(group: FreeAbelian, n: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> LabeledDigraph:
-    """Cayley graph of (Z/nZ)^k labeled by the generators of the given Z^k model.
+def quotient_graph(group: GroupModel, side=None, max_vertices=DEFAULT_MAX_VERTICES) -> LabeledDigraph:
+    """Cayley graph of the group's finite quotient with this side, labeled by the group's generators.
 
-    Vertex encoding: coordinates (x_0, ..., x_{k-1}) with x_i in [0, n) map
-    to sum x_i * n^i.
+    For Z^k the torus (Z/nZ)^k at side n, vertex sum x_i * n^i at
+    coordinates x; a finite group's own Cayley graph takes no side.
     """
-    if n < 1:
-        raise ValueError("torus side length must be at least 1")
-    k = group.rank
-    total = n**k
-    if total > max_vertices:
-        raise ResourceLimitError(f"torus with {total} vertices exceeds limit {max_vertices}")
-    place = n ** np.arange(k)
-    coords = np.arange(total)[:, None] // place % n
-    heads = ((coords[:, None, :] + np.array(group.generators)) % n * place).sum(axis=2)
-    return LabeledDigraph(total, len(group.generators), table_edges(heads))
+    heads = group.quotient_table(side, max_vertices)
+    return LabeledDigraph(len(heads), len(group.generators), table_edges(heads))
 
 
-def torus_approximation(
-    group: FreeAbelian,
-    n: int,
+def quotient_approximation(
+    group: GroupModel,
     r: int,
+    side: Optional[int] = None,
     max_vertices: int = DEFAULT_MAX_VERTICES,
     max_ball_elements: int = DEFAULT_MAX_BALL_ELEMENTS,
 ) -> SoficApproximation:
-    """Verified approximation of Z^k by the discrete torus (Z/nZ)^k.
+    """The group's quotient graph verified at radius r, every vertex good at tolerance 1/(|V|+1).
 
-    Takes the caller's group model, so the radius-r Cayley ball that a
-    plan built on the same model is reused from its cache.  Requires
-    n >= 2r + 2: at n = 2r + 1 the ball's vertex set still embeds but a
-    wrap-around edge appears between the two extreme layers, which breaks
-    two-way edge correspondence (ApproximationTooCoarse otherwise).
+    The group model picks the side (Z^k: 2r + 2 by default, and
+    ApproximationTooCoarse below it; a finite group takes none), which the
+    approximation records.  Takes the caller's group model, so the
+    radius-r Cayley ball that a plan built on the same model is reused
+    from its cache.
     """
-    if n < 2 * r + 2:
-        raise ApproximationTooCoarse(
-            f"torus side {n} cannot support verification radius {r}; need n >= {2 * r + 2}"
-        )
-    return _verify_all_good(torus_graph(group, n, max_vertices=max_vertices), r, group, max_ball_elements)
-
-
-def _verify_all_good(graph: LabeledDigraph, r: int, group: GroupModel, max_ball_elements: int) -> SoficApproximation:
-    """A builder's graph verified with every vertex good, at tolerance 1/(|V|+1)."""
+    side = group.quotient_side(side, r)
+    graph = quotient_graph(group, side, max_vertices)
     epsilon = Fraction(1, graph.vertex_count + 1)
-    return verify_approximation(graph, range(graph.vertex_count), epsilon, r, group, max_ball_elements=max_ball_elements)
+    approx = verify_approximation(graph, range(graph.vertex_count), epsilon, r, group, max_ball_elements)
+    return replace(approx, side=side)
 
 
-def finite_cayley_graph(group: FiniteByTable) -> LabeledDigraph:
-    """Full Cayley graph of a finite group on all of its elements."""
-    heads = group.table[:, list(group.generators)]
-    return LabeledDigraph(group.size, len(group.generators), table_edges(heads))
+def torus_approximation(group: GroupModel, n: int, r: int, **limits) -> SoficApproximation:
+    """quotient_approximation at torus side n, kept only because bench/spans.py traces it by name."""
+    return quotient_approximation(group, r, n, **limits)
 
 
-def finite_group_approximation(
-    group: FiniteByTable,
-    r: int,
-    max_ball_elements: int = DEFAULT_MAX_BALL_ELEMENTS,
-) -> SoficApproximation:
-    """A finite group approximates itself: its full Cayley graph verifies at any radius."""
-    return _verify_all_good(finite_cayley_graph(group), r, group, max_ball_elements)
+def finite_group_approximation(group: GroupModel, r: int, **limits) -> SoficApproximation:
+    """quotient_approximation of a finite group, kept only because bench/spans.py traces it by name."""
+    return quotient_approximation(group, r, **limits)

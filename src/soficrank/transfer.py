@@ -39,7 +39,6 @@ from .errors import (
     CheckFailedError,
     InternalInconsistency,
     KernelSearchExhausted,
-    ResourceLimitError,
 )
 from .exactfield import FpMatrix, FpSparse, json_value, rank
 from .groupring import (
@@ -49,9 +48,9 @@ from .groupring import (
     support_data,
     transplant,
 )
-from .groups import CayleyBall, FiniteByTable, FreeAbelian, cayley_ball
+from .groups import CayleyBall, cayley_ball
 from .limits import DEFAULT_MAX_BALL_ELEMENTS, DEFAULT_MAX_VERTICES, default_kernel_search_bound
-from .sofic import SoficApproximation, finite_group_approximation, torus_approximation
+from .sofic import SoficApproximation, quotient_approximation
 from .weiss import WeissSelection, weiss_select
 
 LOWER_HOLDS = "LOWER_HOLDS"
@@ -143,12 +142,11 @@ def build_instance(
     the radius-r0 ball (smaller Cayley balls are prefixes of larger ones),
     so only vertices outside the good set are charted here, all in one
     label walk.  Whether psi is a right inverse of phi is checked here,
-    once per instance.
+    once per instance; an incompatible psi raises there, or in
+    plan_instance when no plan is given.
     """
     if approx.group != phi.group:
         raise ValueError("approximation and element groups differ")
-    if psi is not None:
-        phi._require_compatible(psi)
     if plan is None:
         plan = plan_instance(phi, psi, max_ball_elements=max_ball_elements)
     r0 = plan.r0
@@ -326,10 +324,8 @@ class TransferReport:
         return json_value(self)
 
 
-def _report(
-    inst: TransferInstance, mode: str, verdict: str, torus_n: Optional[int], **chain
-) -> TransferReport:
-    """The instance's plan and sizes with both bounds, plus the chain's own results."""
+def _report(inst: TransferInstance, mode: str, verdict: str, **chain) -> TransferReport:
+    """The instance's plan, sizes and quotient side with both bounds, plus the chain's own results."""
     d, n, plan = inst.d, inst.vertex_count, inst.plan
     return TransferReport(
         mode=mode,
@@ -344,13 +340,13 @@ def _report(
         ball_r0_size=inst.ball_r0.size,
         lower_bound=(1 - plan.epsilon) * n * d,
         upper_bound=Fraction(d * n) - Fraction(n, 2 * plan.ball_big_size),
-        torus_n=torus_n,
+        torus_n=inst.approx.side,
         **vars(plan),
         **chain,
     )
 
 
-def lower_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> TransferReport:
+def lower_bound_check(inst: TransferInstance) -> TransferReport:
     """Verify the lower rank chain rank >= d|V''| >= d|V0| >= (1-eps)|V|d.
 
     Requires psi with a verified right inverse (CheckFailedError
@@ -375,13 +371,13 @@ def lower_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> 
         )
     if len(inst.v_dprime) < len(inst.approx.good_vertices):
         raise InternalInconsistency("|V''| < |V0|")
-    report = _report(inst, "lower", LOWER_HOLDS, torus_n, bar_phi_rank=rk, identity_on_vpp=True)
+    report = _report(inst, "lower", LOWER_HOLDS, bar_phi_rank=rk, identity_on_vpp=True)
     if Fraction(d * len(inst.approx.good_vertices)) < report.lower_bound:
         raise InternalInconsistency("d*|V0| fell below (1-eps)*|V|*d")
     return report
 
 
-def upper_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> TransferReport:
+def upper_bound_check(inst: TransferInstance) -> TransferReport:
     """Verify the upper rank chain for an element with a restricted kernel vector.
 
     Requires a kernel radius r2 (KernelSearchExhausted otherwise).  Selects
@@ -404,7 +400,7 @@ def upper_bound_check(inst: TransferInstance, torus_n: Optional[int] = None) -> 
         raise InternalInconsistency(f"rank {r_local} of phi on N_r0 exceeds d|N_r0| - 1 = {local_bound}")
 
     report = _report(
-        inst, "upper", UPPER_HOLDS, torus_n, bar_phi_rank=rk, local_rank_bound=local_bound,
+        inst, "upper", UPPER_HOLDS, bar_phi_rank=rk, local_rank_bound=local_bound,
         per_v1_ranks=(r_local,) * len(weiss.v1), weiss=weiss,
     )
     if Fraction(rk) > report.upper_bound:
@@ -424,9 +420,9 @@ def check_local_slices(inst: TransferInstance, v1) -> FpSparse:
     and the column of u holds phi_s in the row of u's own chart at s.  One
     label walk of N_r0 in the ball from each g in N_r0 finds every g s.
     When that row is f(g s) for every g and every s in supp phi, the slice
-    is the transplant of phi over that walk, restriction_matrix(phi, N_r0,
-    ball), with rows permuted by the injective f, plus zero rows, so all
-    slices share its rank.  A mismatch raises InternalInconsistency.
+    is the transplant of phi over that walk, restriction_matrix(phi, r0,
+    ball.radius), with rows permuted by the injective f, plus zero rows, so
+    all slices share its rank.  A mismatch raises InternalInconsistency.
     """
     approx, ball, small, phi = inst.approx, inst.approx.ball, inst.ball_r0, inst.phi
     at_s = np.array([small.element_index[s] for s in phi.support], dtype=np.int64)
@@ -465,32 +461,19 @@ def run_experiment(
     mode "lower" runs lower_bound_check and mode "upper" upper_bound_check,
     each of which checks its own precondition; mode "both" dispatches on
     whichever precondition holds, raising InternalInconsistency if ever both
-    do (the exclusion at the heart of the rank argument).  For Z^k the torus
-    side length defaults to the smallest valid choice 2*(2*r0+1) + 2, and
-    torus_approximation rejects a smaller one.
+    do (the exclusion at the heart of the rank argument).  The approximation
+    is the group's quotient at radius 2*r0+1 (quotient_approximation): for
+    Z^k a torus whose side torus_n defaults to the smallest valid choice
+    2*(2*r0+1) + 2 and is rejected when smaller.
     """
     if mode not in ("lower", "upper", "both"):
         raise ValueError(f"unknown mode {mode!r}")
-    group = phi.group
     plan = plan_instance(
         phi, psi, max_kernel_search=max_kernel_search, max_ball_elements=max_ball_elements
     )
-    radius = 2 * plan.r0 + 1
-    if isinstance(group, FreeAbelian):
-        torus_n = torus_n if torus_n is not None else 2 * radius + 2
-        approx = torus_approximation(
-            group, torus_n, radius, max_vertices=max_vertices, max_ball_elements=max_ball_elements
-        )
-    elif isinstance(group, FiniteByTable):
-        if torus_n is not None:
-            raise ValueError(f"a torus side applies only to Z^k, not to {group.describe()}")
-        if group.size > max_vertices:
-            raise ResourceLimitError(
-                f"Cayley graph with {group.size} vertices exceeds limit {max_vertices}"
-            )
-        approx = finite_group_approximation(group, radius, max_ball_elements=max_ball_elements)
-    else:
-        raise ValueError(f"no approximation builder for group {group.describe()}")
+    approx = quotient_approximation(
+        phi.group, 2 * plan.r0 + 1, torus_n, max_vertices=max_vertices, max_ball_elements=max_ball_elements
+    )
     inst = build_instance(phi, psi, approx, plan=plan, max_ball_elements=max_ball_elements)
 
     has_rinv = inst.has_right_inverse
@@ -501,17 +484,17 @@ def run_experiment(
         )
 
     if mode == "lower" or (mode == "both" and has_rinv):
-        report = lower_bound_check(inst, torus_n=torus_n)
+        report = lower_bound_check(inst)
         report.mode = mode
         return report
     if mode == "upper" or (mode == "both" and has_kernel):
-        report = upper_bound_check(inst, torus_n=torus_n)
+        report = upper_bound_check(inst)
         report.mode = mode
         return report
 
     # mode == "both" with neither precondition: report the parameters only.
     return _report(
-        inst, "both", NEITHER, torus_n,
+        inst, "both", NEITHER,
         bar_phi_rank=rank(sparse_bar_phi(inst)),
         identity_on_vpp=verify_transfer_identity(inst) if psi is not None else None,
     )

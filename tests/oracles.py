@@ -14,7 +14,7 @@ import numpy as np
 from soficrank.digraph import ball_isomorphism
 from soficrank.exactfield import FpMatrix
 from soficrank.groupring import GroupRingKernel
-from soficrank.groups import FiniteByTable, cayley_ball
+from soficrank.groups import FiniteByTable, FreeAbelian, cayley_ball
 from soficrank.transfer import TransferInstance, build_bar_phi
 
 
@@ -104,6 +104,31 @@ def restriction_by_products(c: GroupRingKernel, dom, cod) -> FpMatrix:
             i = cod.element_index[c.group.multiply(g1, s)]
             out[i * d : (i + 1) * d, j * d : (j + 1) * d] = mat.array
     return FpMatrix(out, c.p)
+
+
+def quotient_table_by_loop(group, side: Optional[int] = None) -> np.ndarray:
+    """Out-table of the group's finite quotient, one vertex and generator at a time.
+
+    Z^k: vertex v has coordinates x_i = v // side^i % side, and generator g
+    sends it to the vertex of the coordinates (x + g) mod side.  A finite
+    group: vertex a goes to a * g, read from its table.
+    """
+    if isinstance(group, FreeAbelian):
+        size = side**group.rank
+        place = [side**i for i in range(group.rank)]
+
+        def step(v, g):
+            return sum((v // w % side + gi) % side * w for w, gi in zip(place, g))
+    else:
+        size = group.size
+
+        def step(a, g):
+            return group.multiply(a, g)
+    out = np.empty((size, len(group.generators)), dtype=np.int64)
+    for v in range(size):
+        for j, g in enumerate(group.generators):
+            out[v, j] = step(v, g)
+    return out
 
 
 def digraph_by_edge_loop(vertex_count: int, num_labels: int, edges) -> tuple[list, int]:

@@ -31,7 +31,7 @@ from soficrank.groups import (
     direct_product_table,
 )
 from soficrank.limits import default_kernel_search_bound
-from soficrank.sofic import finite_cayley_graph, torus_graph, verify_approximation
+from soficrank.sofic import quotient_graph, verify_approximation
 from soficrank.transfer import LOWER_HOLDS, UPPER_HOLDS, plan_instance, run_experiment
 from soficrank.weiss import weiss_select
 
@@ -80,7 +80,7 @@ def test_criterion_2_sofic_verifier_torus_threshold():
     failures = []
     with Timer() as t:
         for n in range(1, 41):
-            graph = torus_graph(Z1, n)
+            graph = quotient_graph(Z1, n)
             for r in range(0, 11):
                 try:
                     verify_approximation(graph, range(n), Fraction(1, 2), r, Z1)
@@ -113,20 +113,20 @@ def test_criterion_3_weiss_guarantees_randomized():
             if kind == 0:
                 r0 = i % 3
                 n = rng.randint(4 * r0 + 4, 40)
-                group, graph = Z1, torus_graph(Z1, n)
+                group, graph = Z1, quotient_graph(Z1, n)
             elif kind == 1:
                 r0 = i % 2
                 n = rng.randint(4 * r0 + 4, 10)
-                group, graph = Z2, torus_graph(Z2, n)
+                group, graph = Z2, quotient_graph(Z2, n)
             elif kind == 2:
                 group = cyclic_group(rng.randint(1, 30))
-                graph = finite_cayley_graph(group)
+                graph = quotient_graph(group)
                 r0 = i % 3
             else:
                 group = direct_product_table(
                     cyclic_group(rng.randint(2, 5)), cyclic_group(rng.randint(2, 5))
                 )
-                graph = finite_cayley_graph(group)
+                graph = quotient_graph(group)
                 r0 = i % 2
             v = graph.vertex_count
             good_size = rng.randint((v + 1) // 2, v)
@@ -179,9 +179,7 @@ def test_criterion_4_group_ring_algebra():
             a = random_kernel(rng, group, d, p, radius=2, max_terms=3)
             b = random_kernel(rng, group, d, p, radius=2, max_terms=3)
             ra, rb = a.support_radius(), b.support_radius()
-            dom = cayley_ball(group, 1)
-            mid = cayley_ball(group, 1 + rb)
-            cod = cayley_ball(group, 1 + ra + rb)
+            dom, mid, cod = 1, 1 + rb, 1 + ra + rb
             lhs = restriction_matrix(compose(a, b), dom, cod).dense()
             rhs = mat_mul(restriction_matrix(a, mid, cod).dense(), restriction_matrix(b, dom, mid).dense())
             if lhs != rhs:
@@ -331,7 +329,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         sing = tmp_path / "sing.ring"
         sing.write_text("ring p=2 d=2 group=Z^1\nelement s\nterm 1,0;0,0 @ 0\n")
         graph = tmp_path / "c12.graph"
-        write_graph_file(graph, torus_graph(Z1, 12))
+        write_graph_file(graph, quotient_graph(Z1, 12))
         out = tmp_path / "report.json"
         cases = [
             ["cayley-ball", "-g", "Z^2", "-r", "4"],

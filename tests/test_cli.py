@@ -16,7 +16,7 @@ from soficrank.cli import (
 from soficrank.digraph import write_graph_file
 from soficrank.errors import ParseError
 from soficrank.groups import FreeAbelian, cyclic_group, write_finite_group_file
-from soficrank.sofic import torus_graph
+from soficrank.sofic import quotient_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "golden"
@@ -51,7 +51,7 @@ def involution_file(tmp_path):
 @pytest.fixture
 def c12_graph(tmp_path):
     path = tmp_path / "c12.graph"
-    write_graph_file(path, torus_graph(FreeAbelian(1), 12))
+    write_graph_file(path, quotient_graph(FreeAbelian(1), 12))
     return path
 
 
@@ -125,7 +125,7 @@ class TestSubcommands:
         assert json.loads(out.read_text())["payload"]["verified"] is True
 
         c5 = tmp_path / "c5.graph"
-        write_graph_file(c5, torus_graph(FreeAbelian(1), 5))
+        write_graph_file(c5, quotient_graph(FreeAbelian(1), 5))
         fail_out = tmp_path / "fail.json"
         assert main(["sofic-verify", str(c5), "-g", "Z^1", "-r", "2", "--out", str(fail_out)]) == 1
         fail_payload = json.loads(fail_out.read_text())["payload"]

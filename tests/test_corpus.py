@@ -1,7 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
+from oracles import symmetric_group_5
+from soficrank.cli import InstanceFile, format_instance
 from soficrank.corpus import (
     diagonal_unit,
     random_invertible_pair,
@@ -79,3 +82,28 @@ class TestRandomKernel:
         for _ in range(20):
             k = random_kernel(rng, Z2, 2, 3, radius=2, max_terms=4)
             assert k.support_radius() <= 2
+
+
+# sha256 of the instance text of each seed's draws on Z^2 and S5.  The
+# benchmark's instance files are drawn the same way, so a change of how a
+# group model consumes its random stream shows here first.
+DRAW_HASHES = {
+    ("Z^2", 0): "fa7152ad8e857c08e2eea5d084722194faddcd3532ed02021bea4af4234d03de",
+    ("Z^2", 1): "88b5fbf7ff14aef0f0fe5fdf886d284330782804b40068b306be088464d94048",
+    ("Z^2", 2): "da055db92fc09557bbec0273ffb92aff7eeb1852b5bf3de7ef8bdefb7b6f2b26",
+    ("Z^2", 3): "3aeac748e492ecbc104399b83822f030d60f6fbc3e509cc1b990647cb57e24b9",
+    ("finite:S5.table", 0): "4272cd65dc08783bf8da147491d414bc00370ec914b12093be9ea53f65b49649",
+    ("finite:S5.table", 1): "efe87ce36c13d4a685090a1ae02452505b017efb88cac5cb14339874a6896282",
+    ("finite:S5.table", 2): "d15cea1d18a8d136c038dab728a53357ff797e169c9468ac1a2627921099787a",
+    ("finite:S5.table", 3): "d5c1fd784fa53d5fbe8a078452655ae0789c2f0cbf73b02aceec8a36429a3fc3",
+}
+
+
+@pytest.mark.parametrize("desc, seed", sorted(DRAW_HASHES))
+def test_draws_are_pinned(desc, seed):
+    group = Z2 if desc == "Z^2" else symmetric_group_5()
+    rng = random.Random(seed)
+    x, y = random_invertible_pair(rng, group, 2, 5, max_factors=4, exponent_bound=2)
+    s = random_singular_kernel(rng, group, 2, 5, exponent_bound=2)
+    inst = InstanceFile(p=5, d=2, group_desc=desc, group=group, elements={"x": x, "y": y, "s": s})
+    assert hashlib.sha256(format_instance(inst).encode()).hexdigest() == DRAW_HASHES[desc, seed]

@@ -28,7 +28,7 @@ from soficrank.groups import (
     direct_product_table,
     read_finite_group_file,
 )
-from soficrank.sofic import finite_cayley_graph, torus_graph
+from soficrank.sofic import quotient_graph
 
 Z1 = FreeAbelian(1)
 
@@ -124,11 +124,11 @@ class TestDistance:
 class TestDistances:
     def test_bfs_order_and_depths(self):
         # labels e, -e, identity: from 0, the first layer is 1 then 5
-        pairs = list(distances(torus_graph(Z1, 6), 0, 2))
+        pairs = list(distances(quotient_graph(Z1, 6), 0, 2))
         assert pairs == [(0, 0), (1, 1), (5, 1), (2, 2), (4, 2)]
 
     def test_lazy(self):
-        walk = distances(torus_graph(Z1, 6), 0)
+        walk = distances(quotient_graph(Z1, 6), 0)
         assert next(walk) == (0, 0)
         assert next(walk) == (1, 1)
 
@@ -144,7 +144,7 @@ class TestNeighborhood:
         assert neighborhood(three_cycle(), 1, 0) == (1,)
 
     def test_c6_two_steps(self):
-        g = torus_graph(Z1, 6)
+        g = quotient_graph(Z1, 6)
         assert neighborhood(g, 0, 2) == (0, 1, 2, 4, 5)
 
     def test_saturation(self):
@@ -160,7 +160,7 @@ class TestBallIsomorphism:
 
     def test_c6_at_every_vertex(self):
         ball = cayley_ball(Z1, 2)
-        g = torus_graph(Z1, 6)
+        g = quotient_graph(Z1, 6)
         for v in range(6):
             f = ball_isomorphism(g, v, ball)
             assert f is not None
@@ -169,7 +169,7 @@ class TestBallIsomorphism:
 
     def test_c5_wrap_edge_fails(self):
         ball = cayley_ball(Z1, 2)
-        g = torus_graph(Z1, 5)
+        g = quotient_graph(Z1, 5)
         for v in range(5):
             assert ball_isomorphism(g, v, ball) is None
 
@@ -177,7 +177,7 @@ class TestBallIsomorphism:
         # success at radius r restricts to success at every smaller radius,
         # and the smaller map is a prefix of the larger one (smaller balls
         # are prefixes of larger balls)
-        g = torus_graph(Z1, 8)
+        g = quotient_graph(Z1, 8)
         full = ball_isomorphism(g, 0, cayley_ball(Z1, 3))
         assert full is not None
         for r in (2, 1, 0):
@@ -186,14 +186,14 @@ class TestBallIsomorphism:
             assert f == full[: ball.size]
 
     def test_map_is_deterministic(self):
-        g = torus_graph(Z1, 8)
+        g = quotient_graph(Z1, 8)
         ball = cayley_ball(Z1, 3)
         first = ball_isomorphism(g, 2, ball)
         for _ in range(3):
             assert ball_isomorphism(g, 2, ball) == first
 
     def test_image_size_matches_neighborhood(self):
-        g = torus_graph(Z1, 9)
+        g = quotient_graph(Z1, 9)
         ball = cayley_ball(Z1, 2)
         f = ball_isomorphism(g, 4, ball)
         assert f is not None
@@ -215,7 +215,7 @@ class TestBallIsomorphism:
 
 class TestGraphFiles:
     def test_round_trip(self, tmp_path):
-        g = torus_graph(Z1, 6)
+        g = quotient_graph(Z1, 6)
         path = tmp_path / "c6.graph"
         write_graph_file(path, g)
         h = read_graph_file(path)
@@ -224,9 +224,9 @@ class TestGraphFiles:
     @pytest.mark.parametrize("name", ["z2_torus", "s5_cayley"])
     def test_round_trip_keeps_out_table(self, tmp_path, name):
         if name == "z2_torus":
-            graph = torus_graph(FreeAbelian(2), 5)
+            graph = quotient_graph(FreeAbelian(2), 5)
         else:
-            graph = finite_cayley_graph(symmetric_group_5())
+            graph = quotient_graph(symmetric_group_5())
         path = tmp_path / f"{name}.graph"
         write_graph_file(path, graph)
         out = read_graph_file(path).out
@@ -234,7 +234,7 @@ class TestGraphFiles:
         assert np.array_equal(out, graph.out)
 
     def test_write_is_deterministic(self, tmp_path):
-        g = torus_graph(Z1, 6)
+        g = quotient_graph(Z1, 6)
         p1, p2 = tmp_path / "a.graph", tmp_path / "b.graph"
         write_graph_file(p1, g)
         write_graph_file(p2, g)
@@ -257,7 +257,7 @@ class TestGraphFiles:
         path.write_text("digraph 100000000000 3\n")
         with pytest.raises(ResourceLimitError, match="100000000000 vertices exceeds limit 10000"):
             read_graph_file(path)
-        write_graph_file(path, torus_graph(Z1, 12))
+        write_graph_file(path, quotient_graph(Z1, 12))
         with pytest.raises(ResourceLimitError):
             read_graph_file(path, max_vertices=11)
         assert read_graph_file(path, max_vertices=12).vertex_count == 12
@@ -316,7 +316,7 @@ def perturbed_tori(draw):
     k = draw(st.integers(1, 2))
     n = draw(st.integers(2, 9 if k == 1 else 5))
     group = FreeAbelian(k)
-    return _perturbed(draw, group, torus_graph(group, n))
+    return _perturbed(draw, group, quotient_graph(group, n))
 
 
 S5 = symmetric_group_5()
@@ -333,7 +333,7 @@ def perturbed_finite_cayley_graphs(draw):
         group = S5
     else:
         group = direct_product_table(cyclic_group(draw(st.integers(2, 5))), cyclic_group(draw(st.integers(2, 5))))
-    return _perturbed(draw, group, finite_cayley_graph(group))
+    return _perturbed(draw, group, quotient_graph(group))
 
 
 class TestBallIsomorphismOracle:
@@ -380,30 +380,30 @@ def assert_charts_match(graph, vertices, ball):
 class TestBallCharts:
     def test_s3_cayley_graph(self):
         group = read_finite_group_file(Path(__file__).parent / "data" / "golden" / "s3.table")
-        graph = finite_cayley_graph(group)
+        graph = quotient_graph(group)
         for r in range(4):
             assert assert_charts_match(graph, range(group.size), cayley_ball(group, r)).all()
 
     def test_open_path_charts_only_the_interior(self):
         # the 12-cycle without its wrap-around edges between 11 and 0
-        graph = LabeledDigraph(12, 3, [e for e in torus_graph(Z1, 12).edges() if abs(e[0] - e[1]) <= 1])
+        graph = LabeledDigraph(12, 3, [e for e in quotient_graph(Z1, 12).edges() if abs(e[0] - e[1]) <= 1])
         r = 2
         ok = assert_charts_match(graph, range(12), cayley_ball(Z1, r))
         assert list(ok) == [r <= v < 12 - r for v in range(12)]
 
     def test_vertices_in_any_order(self):
-        graph = torus_graph(FreeAbelian(2), 4)
+        graph = quotient_graph(FreeAbelian(2), 4)
         assert assert_charts_match(graph, [9, 0, 15, 9], cayley_ball(FreeAbelian(2), 1)).all()
 
     def test_empty_vertex_list(self):
         ball = cayley_ball(Z1, 2)
-        charts, ok = ball_charts(torus_graph(Z1, 6), [], ball)
+        charts, ok = ball_charts(quotient_graph(Z1, 6), [], ball)
         assert charts.shape == (0, ball.size) and charts.dtype == np.int64
         assert ok.shape == (0,)
 
     def test_radius_zero(self):
         # Z^1 carries an identity generator, so the one-point ball has a self-loop
-        charts, ok = ball_charts(torus_graph(Z1, 5), range(5), cayley_ball(Z1, 0))
+        charts, ok = ball_charts(quotient_graph(Z1, 5), range(5), cayley_ball(Z1, 0))
         assert ok.all() and charts.tolist() == [[v] for v in range(5)]
         # a self-loop on a label the one-point ball lacks is an extra edge
         c3 = cyclic_group(3)
@@ -416,7 +416,7 @@ class TestBallCharts:
         # this hand-made two-label star only the injectivity check does.
         star = LabeledDigraph(3, 2, [(0, 1, 0), (0, 2, 1)])
         tree = {"parent": np.array([0, 0, 0]), "via": np.array([0, 0, 1]), "layers": np.array([0, 1, 3])}
-        ball = CayleyBall(Z1, 1, (0, 1, 2), {0: 0, 1: 1, 2: 2}, star, **tree)
+        ball = CayleyBall(1, (0, 1, 2), {0: 0, 1: 1, 2: 2}, star, **tree)
         merged = LabeledDigraph(2, 2, [(0, 1, 0), (0, 1, 1)])  # both leaves land on 1
         assert not assert_charts_match(merged, [0, 1], ball).any()
 
@@ -430,4 +430,4 @@ class TestBallCharts:
         with pytest.raises(ValueError):
             ball_charts(LabeledDigraph(3, 1, [(0, 1, 0)]), [0], cayley_ball(Z1, 1))
         with pytest.raises(ValueError):
-            ball_charts(torus_graph(Z1, 6), [0, 6], cayley_ball(Z1, 1))
+            ball_charts(quotient_graph(Z1, 6), [0, 6], cayley_ball(Z1, 1))

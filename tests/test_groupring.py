@@ -145,17 +145,17 @@ class TestRestrictionMatrix:
     def test_identity_kernel_same_radius(self):
         ident = GroupRingKernel.identity(Z1, 1, 2)
         ball = cayley_ball(Z1, 2)
-        m = restriction_matrix(ident, ball, ball)
+        m = restriction_matrix(ident, 2, 2)
         assert m.dense() == FpMatrix.identity(ball.size, 2)
 
     def test_identity_kernel_padded(self):
         ident = GroupRingKernel.identity(Z1, 1, 2)
-        m = restriction_matrix(ident, cayley_ball(Z1, 1), cayley_ball(Z1, 2))
+        m = restriction_matrix(ident, 1, 2)
         assert m.rows == 5 and m.cols == 3
         assert rank(m) == 3
 
     def test_one_plus_t_positions(self):
-        m = restriction_matrix(one_plus_t(), cayley_ball(Z1, 1), cayley_ball(Z1, 2))
+        m = restriction_matrix(one_plus_t(), 1, 2)
         # ball order: 0, -1, 1, -2, 2; ones at (g, g) and (g + 1, g)
         expected = np.zeros((5, 3), dtype=np.int64)
         order = [(0,), (-1,), (1,), (-2,), (2,)]
@@ -167,19 +167,23 @@ class TestRestrictionMatrix:
 
     def test_zero_kernel(self):
         z = GroupRingKernel.zero(Z1, 2, 2)
-        m = restriction_matrix(z, cayley_ball(Z1, 1), cayley_ball(Z1, 1))
+        m = restriction_matrix(z, 1, 1)
         assert m.dense().is_zero()
 
-    def test_codomain_missing_elements_is_inconsistent(self):
+    def test_codomain_missing_elements_is_inconsistent(self, monkeypatch):
         # A ball that claims a larger radius than its elements cover passes
         # the radius check; the missing row must still be caught.
         short = dataclasses.replace(cayley_ball(Z1, 1), radius=3)
+        real = groupring.cayley_ball
+        monkeypatch.setattr(
+            groupring, "cayley_ball", lambda group, r, max_elements: short if r == 3 else real(group, r, max_elements)
+        )
         with pytest.raises(InternalInconsistency, match=r"walked from -1 leaves the radius-3 codomain"):
-            restriction_matrix(one_plus_t(), cayley_ball(Z1, 1), short)
+            restriction_matrix(one_plus_t(), 1, 3)
 
     def test_codomain_too_small(self):
         with pytest.raises(ValueError):
-            restriction_matrix(one_plus_t(), cayley_ball(Z1, 2), cayley_ball(Z1, 2))
+            restriction_matrix(one_plus_t(), 2, 2)
 
     @given(st.data())
     @example(None)
@@ -197,7 +201,7 @@ class TestRestrictionMatrix:
             dom_radius = data.draw(st.integers(0, 2))
             dom = cayley_ball(group, dom_radius)
             cod = cayley_ball(group, dom_radius + c.support_radius() + data.draw(st.integers(0, 1)))
-        assert restriction_matrix(c, dom, cod).dense() == restriction_by_products(c, dom, cod)
+        assert restriction_matrix(c, dom.radius, cod.radius).dense() == restriction_by_products(c, dom, cod)
 
 
 class TestTransplant:
@@ -275,9 +279,7 @@ class TestAlgebraProperties:
             )
             ra, rb = a.support_radius(), b.support_radius()
             n = 1
-            dom = cayley_ball(Z1, n)
-            mid = cayley_ball(Z1, n + rb)
-            cod = cayley_ball(Z1, n + ra + rb)
+            dom, mid, cod = n, n + rb, n + ra + rb
             lhs = restriction_matrix(compose(a, b), dom, cod).dense()
             rhs = mat_mul(restriction_matrix(a, mid, cod).dense(), restriction_matrix(b, dom, mid).dense())
             assert lhs == rhs

@@ -3,14 +3,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import quotient_table_by_loop, symmetric_group_5
 from soficrank.digraph import LabeledDigraph, ball_isomorphism
-from soficrank.errors import AlphabetMismatch, ApproximationTooCoarse, BallMismatch, CardinalityViolation
-from soficrank.groups import FreeAbelian, cayley_ball, cyclic_group
+from soficrank.errors import (
+    AlphabetMismatch,
+    ApproximationTooCoarse,
+    BallMismatch,
+    CardinalityViolation,
+    ResourceLimitError,
+)
+from soficrank.groups import FreeAbelian, cayley_ball, cyclic_group, direct_product_table
 from soficrank.sofic import (
-    finite_cayley_graph,
     finite_group_approximation,
+    quotient_approximation,
+    quotient_graph,
     torus_approximation,
-    torus_graph,
     verify_approximation,
 )
 
@@ -21,23 +28,23 @@ Z2 = FreeAbelian(2)
 class TestVerify:
     def test_finite_cayley_graph_fully_good(self):
         G = cyclic_group(5)
-        graph = finite_cayley_graph(G)
+        graph = quotient_graph(G)
         approx = verify_approximation(graph, range(5), Fraction(1, 100), 3, G)
         assert approx.good_vertices == (0, 1, 2, 3, 4)
 
     def test_c6_verifies_at_radius_two(self):
         approx = verify_approximation(
-            torus_graph(Z1, 6), range(6), Fraction(1, 10), 2, Z1
+            quotient_graph(Z1, 6), range(6), Fraction(1, 10), 2, Z1
         )
         assert approx.vertex_count == 6
 
     def test_c5_fails_with_ball_mismatch(self):
         with pytest.raises(BallMismatch) as err:
-            verify_approximation(torus_graph(Z1, 5), range(5), Fraction(1, 10), 2, Z1)
+            verify_approximation(quotient_graph(Z1, 5), range(5), Fraction(1, 10), 2, Z1)
         assert err.value.vertex == 0  # lowest failing vertex
 
     def test_several_failures_name_the_lowest(self):
-        edges = [e for e in torus_graph(Z1, 12).edges() if e[:2] not in {(2, 3), (7, 8)}]
+        edges = [e for e in quotient_graph(Z1, 12).edges() if e[:2] not in {(2, 3), (7, 8)}]
         graph = LabeledDigraph(12, 3, edges)
         ball = cayley_ball(Z1, 1)
         assert [v for v in range(12) if ball_isomorphism(graph, v, ball) is None] == [2, 3, 7, 8]
@@ -47,7 +54,7 @@ class TestVerify:
             assert err.value.vertex == lowest
 
     def test_charts_are_read_only_rows_of_good_vertices(self):
-        graph = torus_graph(Z1, 8)
+        graph = quotient_graph(Z1, 8)
         approx = verify_approximation(graph, [6, 1, 3, 4, 5], Fraction(1, 2), 2, Z1)
         assert approx.charts.shape == (5, approx.ball.size)
         assert not approx.charts.flags.writeable
@@ -56,19 +63,19 @@ class TestVerify:
 
     def test_cardinality_violation(self):
         with pytest.raises(CardinalityViolation):
-            verify_approximation(torus_graph(Z1, 8), [0, 1], Fraction(1, 10), 1, Z1)
+            verify_approximation(quotient_graph(Z1, 8), [0, 1], Fraction(1, 10), 1, Z1)
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatch):
-            verify_approximation(torus_graph(Z1, 8), range(8), Fraction(1, 10), 1, Z2)
+            verify_approximation(quotient_graph(Z1, 8), range(8), Fraction(1, 10), 1, Z2)
 
     def test_epsilon_range_enforced(self):
         with pytest.raises(ValueError):
-            verify_approximation(torus_graph(Z1, 8), range(8), Fraction(3, 2), 1, Z1)
+            verify_approximation(quotient_graph(Z1, 8), range(8), Fraction(3, 2), 1, Z1)
 
     def test_partial_good_set_passes_with_loose_epsilon(self):
         approx = verify_approximation(
-            torus_graph(Z1, 8), range(4), Fraction(1, 2), 2, Z1
+            quotient_graph(Z1, 8), range(4), Fraction(1, 2), 2, Z1
         )
         assert approx.good_vertices == (0, 1, 2, 3)
 
@@ -149,3 +156,39 @@ class TestBuilderVerifierAgreement:
             )
             assert again.good_vertices == approx.good_vertices
             assert np.array_equal(again.charts, approx.charts)
+
+
+class TestQuotient:
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("side", range(1, 8))
+    def test_torus_table_matches_loop(self, rank, side):
+        group = FreeAbelian(rank)
+        assert np.array_equal(quotient_graph(group, side).out, quotient_table_by_loop(group, side))
+
+    @pytest.mark.parametrize(
+        "group", [symmetric_group_5(), direct_product_table(cyclic_group(4), cyclic_group(6))], ids=["S5", "C4xC6"]
+    )
+    def test_finite_table_matches_loop(self, group):
+        assert np.array_equal(quotient_graph(group).out, quotient_table_by_loop(group))
+
+    def test_side_is_recorded(self):
+        torus = quotient_approximation(Z1, 3)  # default side 2r + 2
+        assert (torus.side, torus.vertex_count) == (8, 8)
+        assert quotient_approximation(Z2, 1, 5).side == 5
+        finite = quotient_approximation(cyclic_group(5), 2)
+        assert (finite.side, finite.vertex_count) == (None, 5)
+        handed = verify_approximation(quotient_graph(Z1, 8), range(8), Fraction(1, 9), 3, Z1)
+        assert handed.side is None
+
+    @pytest.mark.parametrize(
+        "group, r, side, max_vertices, error, message",
+        [
+            (Z1, 3, 7, 10**4, ApproximationTooCoarse, r"^torus side 7 cannot support verification radius 3; need n >= 8$"),
+            (Z2, 1, 101, 10**4, ResourceLimitError, r"^torus with 10201 vertices exceeds limit 10000$"),
+            (cyclic_group(5), 1, 4, 10**4, ValueError, r"^a torus side applies only to Z\^k, not to finite:cyclic-5$"),
+            (cyclic_group(5), 1, None, 4, ResourceLimitError, r"^Cayley graph with 5 vertices exceeds limit 4$"),
+        ],
+    )
+    def test_model_errors_reach_the_builder(self, group, r, side, max_vertices, error, message):
+        with pytest.raises(error, match=message):
+            quotient_approximation(group, r, side, max_vertices=max_vertices)

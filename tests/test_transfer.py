@@ -26,7 +26,7 @@ from soficrank.groupring import (
     restriction_matrix,
 )
 from soficrank.groups import FreeAbelian, cayley_ball, cyclic_group
-from soficrank.sofic import finite_group_approximation, torus_approximation, verify_approximation
+from soficrank.sofic import quotient_approximation, torus_approximation, verify_approximation
 from soficrank.transfer import (
     LOWER_HOLDS,
     NEITHER,
@@ -105,6 +105,28 @@ class TestPlanAndInstance:
             build_instance(x, x, approx)
 
 
+class TestIncompatiblePsi:
+    """plan_instance rejects a psi over another group or with other d or p; given a plan, the right-inverse check does."""
+
+    CASES = [
+        (GroupRingKernel.identity(FreeAbelian(2), 2, 2), r"^kernels live over different groups$"),
+        (GroupRingKernel.identity(Z1, 1, 3), r"^kernel parameters differ: d=2,p=2 vs d=1,p=3$"),
+    ]
+
+    @pytest.mark.parametrize("psi, message", CASES)
+    def test_plan_instance(self, psi, message):
+        with pytest.raises(ValueError, match=message):
+            plan_instance(involution(), psi)
+
+    @pytest.mark.parametrize("psi, message", CASES)
+    def test_build_instance_with_plan(self, psi, message):
+        x = involution()
+        plan = plan_instance(x)
+        approx = quotient_approximation(Z1, 2 * plan.r0 + 1)
+        with pytest.raises(ValueError, match=message):
+            build_instance(x, psi, approx, plan=plan)
+
+
 class TestBarMatrices:
     def test_identity_bar_phi_is_block_identity(self):
         ident = GroupRingKernel.identity(Z1, 1, 2)
@@ -171,12 +193,7 @@ def dense_identity_on_vpp(inst):
 def smallest_instance(phi, psi):
     """Instance on the smallest torus, or the full Cayley graph, that the pair's plan allows."""
     plan = plan_instance(phi, psi)
-    radius = 2 * plan.r0 + 1
-    if isinstance(phi.group, FreeAbelian):
-        approx = torus_approximation(phi.group, 2 * radius + 2, radius)
-    else:
-        approx = finite_group_approximation(phi.group, radius)
-    return build_instance(phi, psi, approx, plan=plan)
+    return build_instance(phi, psi, quotient_approximation(phi.group, 2 * plan.r0 + 1), plan=plan)
 
 
 def open_path_instance(phi, psi, n):
@@ -295,6 +312,11 @@ class TestLowerBound:
         report = lower_bound_check(inst)
         assert report.bar_phi_rank == 24  # full rank: 2 * |V''| = 2 * 12
         assert Fraction(report.bar_phi_rank) >= report.lower_bound
+
+    def test_report_carries_the_approximation_side(self):
+        x = involution()  # r0 = 2, so radius 5 and torus sides from 12
+        assert lower_bound_check(build_instance(x, x, quotient_approximation(Z1, 5, 14))).torus_n == 14
+        assert lower_bound_check(smallest_instance(*s3_involution())).torus_n is None
 
     def test_finite_group_identity(self):
         G = cyclic_group(3)
@@ -428,7 +450,7 @@ class TestLocalSlices:
         inst = upper_instances()[case]()
         v1 = weiss.weiss_select(inst.approx, inst.plan.r0).v1
         got = check_local_slices(inst, v1)
-        assert got.dense() == restriction_matrix(inst.phi, inst.ball_r0, inst.approx.ball).dense()
+        assert got.dense() == restriction_matrix(inst.phi, inst.plan.r0, inst.approx.radius).dense()
 
     @pytest.mark.parametrize("pick", [0, -1])
     def test_swapped_chart_entry_names_the_pick(self, pick):
@@ -475,7 +497,7 @@ class TestCommutativeSquare:
         phi = singular_diag()
         approx = torus_approximation(Z1, 12, 3)
         inst = build_instance(phi, None, approx)
-        restr = restriction_matrix(phi, cayley_ball(Z1, 1), cayley_ball(Z1, 2))
+        restr = restriction_matrix(phi, 1, 2)
         for v in (0, 4, 7):
             square = commutative_square_matrix(inst, v)
             assert square is not None
@@ -488,7 +510,7 @@ class TestCommutativeSquare:
         )
         approx = torus_approximation(Z1, 20, 5)
         inst = build_instance(phi, None, approx)
-        restr = restriction_matrix(phi, cayley_ball(Z1, inst.plan.r0), cayley_ball(Z1, 2 * inst.plan.r0))
+        restr = restriction_matrix(phi, inst.plan.r0, 2 * inst.plan.r0)
         square = commutative_square_matrix(inst, 3)
         assert square == restr.dense()
 
@@ -500,7 +522,7 @@ class TestCommutativeSquare:
         )
         approx = torus_approximation(Z2, 12, 5)
         inst = build_instance(phi, None, approx)
-        restr = restriction_matrix(phi, cayley_ball(Z2, inst.plan.r0), cayley_ball(Z2, 2 * inst.plan.r0))
+        restr = restriction_matrix(phi, inst.plan.r0, 2 * inst.plan.r0)
         for v in (0, 17, 100):
             assert commutative_square_matrix(inst, v) == restr.dense()
 
@@ -604,7 +626,7 @@ def check_both(phi):
 
 @pytest.mark.parametrize("element, mode", [("x", "lower"), ("sigma", "upper")])
 def test_parsed_group_freed_without_cycle_collection(element, mode):
-    # Balls hold their group weakly, so dropping the instance frees the group by reference counting.
+    # Balls do not refer back to their group, so dropping the instance frees the group by reference counting.
     gc.disable()
     try:
         parsed = parse_instance_file(Path(__file__).parent / "data" / "golden" / "s3.ring")

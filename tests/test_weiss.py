@@ -10,7 +10,7 @@ from soficrank.cli import main
 from soficrank.digraph import LabeledDigraph, distance, write_graph_file
 from soficrank.errors import ApproximationTooCoarse, PreconditionDensity
 from soficrank.groups import FreeAbelian, cayley_ball, cyclic_group, read_finite_group_file
-from soficrank.sofic import finite_cayley_graph, torus_graph, verify_approximation
+from soficrank.sofic import quotient_graph, verify_approximation
 from soficrank.weiss import weiss_select
 
 Z1 = FreeAbelian(1)
@@ -25,7 +25,7 @@ def select(graph, good, r0, group=Z1, radius=None):
 
 class TestGreedyOnCycles:
     def test_c12_all_good_r0_one(self):
-        graph = torus_graph(Z1, 12)
+        graph = quotient_graph(Z1, 12)
         sel = select(graph, range(12), 1)
         assert sel.v1 == (0, 3, 6, 9)
         assert sel.achieved_density == Fraction(4, 12)
@@ -35,13 +35,13 @@ class TestGreedyOnCycles:
 
     def test_single_vertex_graph(self):
         G = cyclic_group(1)
-        graph = finite_cayley_graph(G)
+        graph = quotient_graph(G)
         sel = select(graph, [0], 0, group=G)
         assert sel.v1 == (0,)
         assert sel.min_pairwise_distance is None
 
     def test_c12_even_vertices_only(self):
-        graph = torus_graph(Z1, 12)
+        graph = quotient_graph(Z1, 12)
         sel = select(graph, range(0, 12, 2), 1)
         assert 0 in sel.v1
         assert sel.v1 == (0, 4, 8)
@@ -52,13 +52,13 @@ class TestGreedyOnCycles:
                     assert distance(graph, u, w) >= 3
 
     def test_density_precondition(self):
-        graph = torus_graph(Z1, 12)
+        graph = quotient_graph(Z1, 12)
         approx = verify_approximation(graph, range(5), Fraction(3, 5), 3, Z1)
         with pytest.raises(PreconditionDensity):
             weiss_select(approx, 1)
 
     def test_ball_radius_validated(self):
-        graph = torus_graph(Z1, 12)
+        graph = quotient_graph(Z1, 12)
         with pytest.raises(ApproximationTooCoarse):
             select(graph, range(12), 1, radius=2)
 
@@ -74,7 +74,7 @@ class TestGreedyOnCycles:
 
     def test_label_count_mismatch(self, tmp_path, capsys):
         path = tmp_path / "c12.graph"
-        write_graph_file(path, torus_graph(Z1, 12))
+        write_graph_file(path, quotient_graph(Z1, 12))
         assert main(["weiss-select", str(path), "-g", "Z^2", "--r0", "1"]) == 1
         assert "5 generators" in capsys.readouterr().err
 
@@ -88,7 +88,7 @@ class TestEdgeCases:
     def test_finite_ball_short_of_the_separation(self):
         # C7 has diameter 3 < 2*r0 + 1 = 7: both ball sizes clamp to the whole group
         G = cyclic_group(7)
-        sel = select(finite_cayley_graph(G), range(7), 3, group=G)
+        sel = select(quotient_graph(G), range(7), 3, group=G)
         assert sel.v1 == (0,)
         assert sel.density_bound == Fraction(1, 14)
         assert sel.min_pairwise_distance is None
@@ -97,7 +97,7 @@ class TestEdgeCases:
 class TestGuarantees:
     @pytest.mark.parametrize("n,r0", [(8, 0), (12, 1), (20, 2), (30, 1)])
     def test_torus_guarantees(self, n, r0):
-        graph = torus_graph(Z1, n)
+        graph = quotient_graph(Z1, n)
         ball = cayley_ball(Z1, 2 * r0 + 1)
         sel = select(graph, range(n), r0)
         assert len(sel.v1) * 2 * ball.size >= n
@@ -109,7 +109,7 @@ class TestGuarantees:
 
     def test_finite_group_guarantees(self):
         G = cyclic_group(9)
-        graph = finite_cayley_graph(G)
+        graph = quotient_graph(G)
         r0 = 1
         ball = cayley_ball(G, 2 * r0 + 1)
         sel = select(graph, range(9), r0, group=G)
@@ -120,14 +120,14 @@ class TestGuarantees:
                     assert distance(graph, u, w) >= 3
 
     def test_selection_within_good_set(self):
-        graph = torus_graph(Z1, 16)
+        graph = quotient_graph(Z1, 16)
         good = list(range(0, 16, 2))
         sel = select(graph, good, 1)
         assert set(sel.v1) <= set(good)
 
     def test_larger_verified_radius_selects_the_same(self):
         # Charts verified at a larger radius give the same discard prefixes.
-        graph = torus_graph(Z1, 30)
+        graph = quotient_graph(Z1, 30)
         assert select(graph, range(30), 1, radius=6).v1 == select(graph, range(30), 1).v1
 
 
@@ -138,7 +138,7 @@ Z2 = FreeAbelian(2)
 
 def open_path(n):
     """The n-cycle of Z^1 without its wrap-around edges between n-1 and 0."""
-    return LabeledDigraph(n, 3, [e for e in torus_graph(Z1, n).edges() if abs(e[0] - e[1]) <= 1])
+    return LabeledDigraph(n, 3, [e for e in quotient_graph(Z1, n).edges() if abs(e[0] - e[1]) <= 1])
 
 
 class TestMinPairwiseDistanceOracle:
@@ -147,21 +147,21 @@ class TestMinPairwiseDistanceOracle:
     @pytest.mark.parametrize(
         "graph, good, r0, group, expected",
         [
-            (torus_graph(Z1, 12), range(12), 1, Z1, 3),
+            (quotient_graph(Z1, 12), range(12), 1, Z1, 3),
             # picks 0, 5, 8, 11: the nearest pair (5, 8) holds neither the
             # first pick nor, from 5 or 8, the first other pick in order
-            (torus_graph(Z1, 16), [0, 1, 2, 5, 6, 7, 8, 9, 10, 11], 1, Z1, 3),
-            (torus_graph(Z1, 30), range(30), 2, Z1, 5),
-            (torus_graph(Z2, 8), range(64), 1, Z2, 3),
-            (torus_graph(Z2, 8), range(0, 64, 2), 1, Z2, 3),
-            (finite_cayley_graph(S3), range(6), 0, S3, 1),
-            (finite_cayley_graph(S3), range(6), 1, S3, 3),
-            (finite_cayley_graph(S3), range(6), 2, S3, None),  # one pick
-            (finite_cayley_graph(S5), range(120), 1, S5, 3),
-            (finite_cayley_graph(S5), range(0, 120, 2), 0, S5, 1),
-            (finite_cayley_graph(S5), range(120), 4, S5, 9),
-            (finite_cayley_graph(S5), range(120), 5, S5, None),  # one pick
-            (torus_graph(Z1, 12), range(0, 12, 2), 1, Z1, 4),
+            (quotient_graph(Z1, 16), [0, 1, 2, 5, 6, 7, 8, 9, 10, 11], 1, Z1, 3),
+            (quotient_graph(Z1, 30), range(30), 2, Z1, 5),
+            (quotient_graph(Z2, 8), range(64), 1, Z2, 3),
+            (quotient_graph(Z2, 8), range(0, 64, 2), 1, Z2, 3),
+            (quotient_graph(S3), range(6), 0, S3, 1),
+            (quotient_graph(S3), range(6), 1, S3, 3),
+            (quotient_graph(S3), range(6), 2, S3, None),  # one pick
+            (quotient_graph(S5), range(120), 1, S5, 3),
+            (quotient_graph(S5), range(0, 120, 2), 0, S5, 1),
+            (quotient_graph(S5), range(120), 4, S5, 9),
+            (quotient_graph(S5), range(120), 5, S5, None),  # one pick
+            (quotient_graph(Z1, 12), range(0, 12, 2), 1, Z1, 4),
             (open_path(40), range(3, 37), 1, Z1, 3),
         ],
     )
@@ -176,6 +176,6 @@ class TestMinPairwiseDistanceOracle:
         n = data.draw(st.integers(4 * r0 + 4, 14 if k == 1 else 8))
         size = n**k
         good = data.draw(st.sets(st.integers(0, size - 1), min_size=(size + 1) // 2))
-        graph = torus_graph(group, n)
+        graph = quotient_graph(group, n)
         sel = select(graph, good, r0, group=group)
         assert sel.min_pairwise_distance == min_pairwise_distance(graph, sel.v1)
