@@ -9,12 +9,11 @@ the rank transfer is evaluated with exact integer and rational arithmetic.
 
 __version__ = "0.1.0"
 
-from .digraph import LabeledDigraph, ball_charts, ball_isomorphism, distance, neighborhood
+from .digraph import LabeledDigraph, ball_charts
 from .exactfield import (
     FpMatrix,
     FpSparse,
     kernel_basis,
-    mat_mul,
     rank,
 )
 from .groupring import (
@@ -30,22 +29,16 @@ from .groups import (
     FiniteByTable,
     FreeAbelian,
     cayley_ball,
-    cyclic_group,
-    direct_product_table,
 )
 from .sofic import (
     SoficApproximation,
-    finite_group_approximation,
     quotient_approximation,
     quotient_graph,
-    torus_approximation,
     verify_approximation,
 )
 from .transfer import (
     TransferInstance,
     TransferReport,
-    build_bar_phi,
-    build_bar_psi,
     build_instance,
     choose_epsilon,
     lower_bound_check,
@@ -70,23 +63,14 @@ __all__ = [
     "TransferReport",
     "WeissSelection",
     "ball_charts",
-    "ball_isomorphism",
-    "build_bar_phi",
-    "build_bar_psi",
     "build_instance",
     "cayley_ball",
     "check_right_inverse",
     "choose_epsilon",
     "compose",
-    "cyclic_group",
-    "direct_product_table",
-    "distance",
-    "finite_group_approximation",
     "kernel_basis",
     "kernel_radius",
     "lower_bound_check",
-    "mat_mul",
-    "neighborhood",
     "plan_instance",
     "quotient_approximation",
     "quotient_graph",
@@ -95,7 +79,6 @@ __all__ = [
     "run_experiment",
     "sparse_bar_phi",
     "support_data",
-    "torus_approximation",
     "upper_bound_check",
     "verify_approximation",
     "verify_transfer_identity",

@@ -137,24 +137,3 @@ def random_singular_kernel(
         return compose(u, s)  # kernel contains the killed coordinate at the identity
     return compose(s, u)  # kernel is u^{-1} of that coordinate, radius <= supp(u)
 
-
-def random_kernel(
-    rng: random.Random,
-    group: GroupModel,
-    d: int,
-    p: int,
-    radius: int,
-    max_terms: int,
-) -> GroupRingKernel:
-    """Uniform small random kernel with support radius at most `radius`."""
-    support: dict = {}
-    for _ in range(rng.randint(0, max_terms)):
-        g = group.random_element(rng, radius)
-        mat = np.array(
-            [[rng.randrange(p) for _ in range(d)] for _ in range(d)], dtype=np.int64
-        )
-        if g in support:
-            support[g] = (support[g] + mat) % p
-        else:
-            support[g] = mat
-    return GroupRingKernel(group, d, p, {g: FpMatrix(m, p) for g, m in support.items()})

@@ -318,14 +318,6 @@ def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np
     return charts, ok
 
 
-def write_graph_file(path, graph: LabeledDigraph) -> None:
-    """Write the text format: header `digraph |V| |B|`, one `src dst label` line per edge."""
-    lines = [f"digraph {graph.vertex_count} {graph.num_labels}"]
-    lines.extend(f"{s} {d} {l}" for s, d, l in graph.edges())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def read_graph_file(
     path, max_vertices: int = DEFAULT_MAX_VERTICES, num_labels: Optional[int] = None
 ) -> LabeledDigraph:

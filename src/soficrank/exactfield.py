@@ -37,10 +37,12 @@ def is_prime(n: int) -> bool:
 
 
 def validate_modulus(p: int) -> None:
-    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
-        raise ValueError(f"modulus must be a prime integer, got {p!r}")
-    if p > MAX_MODULUS:
+    """Accept a prime int up to MAX_MODULUS; the bound comes before the primality test, which is slow for huge p."""
+    is_int = isinstance(p, int) and not isinstance(p, bool)
+    if is_int and p > MAX_MODULUS:
         raise ValueError(f"modulus {p} exceeds the supported bound {MAX_MODULUS}")
+    if not is_int or not is_prime(p):
+        raise ValueError(f"modulus must be a prime integer, got {p!r}")
 
 
 class FpMatrix:
@@ -90,27 +92,12 @@ class FpMatrix:
             raise ValueError(f"shape mismatch: {self.array.shape} vs {other.array.shape}")
         return FpMatrix(self.array + other.array, self.p)
 
-    def __sub__(self, other: "FpMatrix") -> "FpMatrix":
-        self._require_same_field(other)
-        if self.array.shape != other.array.shape:
-            raise ValueError(f"shape mismatch: {self.array.shape} vs {other.array.shape}")
-        return FpMatrix(self.array - other.array, self.p)
-
-    def __neg__(self) -> "FpMatrix":
-        return FpMatrix(-self.array, self.p)
-
-    def __matmul__(self, other: "FpMatrix") -> "FpMatrix":
-        return mat_mul(self, other)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpMatrix):
             return NotImplemented
         return self.p == other.p and self.array.shape == other.array.shape and bool(
             np.array_equal(self.array, other.array)
         )
-
-    def __hash__(self):
-        return hash((self.p, self.array.shape, self.array.tobytes()))
 
     def __repr__(self) -> str:
         return f"FpMatrix(p={self.p}, {self.array.tolist()!r})"

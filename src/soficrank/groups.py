@@ -21,7 +21,7 @@ import numpy as np
 
 from .digraph import LabeledDigraph, _bfs, table_edges
 from .errors import ApproximationTooCoarse, ParseError, ResourceLimitError
-from .limits import DEFAULT_MAX_BALL_ELEMENTS
+from .limits import DEFAULT_MAX_BALL_ELEMENTS, MAX_BALL_PRODUCT_CELLS
 
 
 class GroupModel:
@@ -107,16 +107,11 @@ class FreeAbelian(GroupModel):
         if rank < 1:
             raise ValueError("rank must be at least 1")
         self.rank = rank
-        gens = []
-        for i in range(rank):
-            e = tuple(1 if j == i else 0 for j in range(rank))
-            gens.append(e)
-            gens.append(tuple(-x for x in e))
-        gens.append(tuple(0 for _ in range(rank)))
-        self.generators = tuple(gens)
+        zero = (0,) * rank
+        self.generators = tuple(zero[:i] + (e,) + zero[i + 1 :] for i in range(rank) for e in (1, -1)) + (zero,)
 
     def identity(self):
-        return tuple(0 for _ in range(self.rank))
+        return (0,) * self.rank
 
     def _mul(self, a, b):
         return tuple(map(add, a, b))
@@ -323,36 +318,6 @@ class FiniteByTable(GroupModel):
         return f"FiniteByTable(order={self.size}, generators={self.generators})"
 
 
-def cyclic_group(n: int) -> FiniteByTable:
-    """Z/nZ with generators {1, n-1} (just {1} when n <= 2; empty when n == 1)."""
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    a = np.arange(n)
-    table = (a[:, None] + a) % n
-    if n == 1:
-        gens = []
-    elif n == 2:
-        gens = [1]
-    else:
-        gens = [1, n - 1]
-    return FiniteByTable(table, gens, name=f"cyclic-{n}")
-
-
-def direct_product_table(g1: FiniteByTable, g2: FiniteByTable) -> FiniteByTable:
-    """Direct product with element (a, b) encoded as a * |G2| + b.
-
-    Generators: pairs (g, e) and (e, h) for the factors' generators.
-    """
-    n1, n2 = g1.size, g2.size
-    # [a1, b1, a2, b2] holds (a1 a2, b1 b2), encoded
-    table = g1.table[:, None, :, None] * n2 + g2.table[None, :, None, :]
-    e1, e2 = g1.identity(), g2.identity()
-    gens = [g * n2 + e2 for g in g1.generators] + [e1 * n2 + h for h in g2.generators]
-    # Deduplicate while preserving order (identity generators can coincide).
-    uniq = list(dict.fromkeys(gens))
-    return FiniteByTable(table.reshape(n1 * n2, n1 * n2), uniq, name=f"{g1.name}x{g2.name}")
-
-
 @dataclass(eq=False)
 class CayleyBall:
     """All group elements of word length <= radius, with their labeled digraph.
@@ -434,6 +399,7 @@ def _build_ball(group: GroupModel, r: int, max_elements: int) -> CayleyBall:
     """Breadth-first closure of {identity} under the generators up to depth r."""
     mul = group._mul  # every factor below is a ball element or a generator
     ident = group.identity()
+    cells = len(group.generators) * np.size(ident)  # per element, in _right_multiples' products
     elements = [ident]
     index = {ident: 0}
     layers = [0, 1]  # the depth-k elements end at layers[k + 1]
@@ -454,6 +420,10 @@ def _build_ball(group: GroupModel, r: int, max_elements: int) -> CayleyBall:
         layers.append(len(elements))
         if len(elements) > max_elements:
             raise _too_large(group, r, max_elements)
+        if len(elements) * cells > MAX_BALL_PRODUCT_CELLS:
+            raise ResourceLimitError(
+                f"Cayley ball of {group.describe()} at radius {r} exceeds {MAX_BALL_PRODUCT_CELLS} product cells"
+            )
         frontier = ordered
 
     # Edges: look every product g * b up among the elements, by sorting

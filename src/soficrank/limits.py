@@ -11,6 +11,9 @@ from dataclasses import dataclass
 
 DEFAULT_MAX_BALL_ELEMENTS = 10**6
 DEFAULT_MAX_VERTICES = 10**4
+# Cap on |ball| * |B| * coordinates, the int64 cells of a ball build's products: 512 MiB,
+# and a build peaks at about 4.5 times its products.  Not configurable.
+MAX_BALL_PRODUCT_CELLS = 1 << 26
 
 ENV_MAX_BALL_ELEMENTS = "SOFICRANK_MAX_BALL_ELEMENTS"
 ENV_MAX_VERTICES = "SOFICRANK_MAX_VERTICES"

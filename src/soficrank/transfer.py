@@ -130,10 +130,10 @@ def build_instance(
     phi: GroupRingKernel,
     psi: Optional[GroupRingKernel],
     approx: SoficApproximation,
-    plan: Optional[InstancePlan] = None,
+    plan: InstancePlan,
     max_ball_elements: int = DEFAULT_MAX_BALL_ELEMENTS,
 ) -> TransferInstance:
-    """Derive all radii, the tolerance, V', V'' and the per-vertex isomorphisms.
+    """Derive V', V'' and the per-vertex isomorphisms for plan's radii and tolerance.
 
     The approximation must be verified at radius >= 2*r0 + 1
     (ApproximationTooCoarse otherwise) and its good set must be large
@@ -142,13 +142,10 @@ def build_instance(
     the radius-r0 ball (smaller Cayley balls are prefixes of larger ones),
     so only vertices outside the good set are charted here, all in one
     label walk.  Whether psi is a right inverse of phi is checked here,
-    once per instance; an incompatible psi raises there, or in
-    plan_instance when no plan is given.
+    once per instance; an incompatible psi raises in that check.
     """
     if approx.group != phi.group:
         raise ValueError("approximation and element groups differ")
-    if plan is None:
-        plan = plan_instance(phi, psi, max_ball_elements=max_ball_elements)
     r0 = plan.r0
     needed = 2 * r0 + 1
     if approx.radius < needed:

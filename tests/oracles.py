@@ -1,20 +1,26 @@
-"""Reference computations that tests compare the package's vectorised and chart-based code against.
+"""Reference computations and fixtures for the tests.
 
-None of these runs on a verdict path: each rebuilds what the package
-computes another way, by per-edge loops, full BFS from every vertex,
-per-vertex walks and dense elimination.
+The references are what tests compare the package's vectorised and
+chart-based code against.  None of them runs on a verdict path: each
+rebuilds what the package computes another way, by per-edge loops, full
+BFS from every vertex, per-vertex walks and dense elimination.
+
+The fixtures build inputs that no CLI command or benchmark workload
+needs: cyclic groups, direct products, S5, random kernels and graph
+files.
 """
 
+import random
 from collections import deque
 from itertools import permutations
 from typing import Optional
 
 import numpy as np
 
-from soficrank.digraph import ball_isomorphism
+from soficrank.digraph import LabeledDigraph, ball_isomorphism
 from soficrank.exactfield import FpMatrix
 from soficrank.groupring import GroupRingKernel
-from soficrank.groups import FiniteByTable, FreeAbelian, cayley_ball
+from soficrank.groups import FiniteByTable, FreeAbelian, GroupModel, cayley_ball
 from soficrank.transfer import TransferInstance, build_bar_phi
 
 
@@ -191,3 +197,63 @@ def symmetric_group_5() -> FiniteByTable:
     table = [[index[tuple(a[b[i]] for i in range(5))] for b in perms] for a in perms]
     gens = [index[(1, 0, 2, 3, 4)], index[(1, 2, 3, 4, 0)], index[(4, 0, 1, 2, 3)]]
     return FiniteByTable(table, gens, name="S5")
+
+
+def cyclic_group(n: int) -> FiniteByTable:
+    """Z/nZ with generators {1, n-1} (just {1} when n <= 2; empty when n == 1)."""
+    if n < 1:
+        raise ValueError("order must be at least 1")
+    a = np.arange(n)
+    table = (a[:, None] + a) % n
+    if n == 1:
+        gens = []
+    elif n == 2:
+        gens = [1]
+    else:
+        gens = [1, n - 1]
+    return FiniteByTable(table, gens, name=f"cyclic-{n}")
+
+
+def direct_product_table(g1: FiniteByTable, g2: FiniteByTable) -> FiniteByTable:
+    """Direct product with element (a, b) encoded as a * |G2| + b.
+
+    Generators: pairs (g, e) and (e, h) for the factors' generators.
+    """
+    n1, n2 = g1.size, g2.size
+    # [a1, b1, a2, b2] holds (a1 a2, b1 b2), encoded
+    table = g1.table[:, None, :, None] * n2 + g2.table[None, :, None, :]
+    e1, e2 = g1.identity(), g2.identity()
+    gens = [g * n2 + e2 for g in g1.generators] + [e1 * n2 + h for h in g2.generators]
+    # Deduplicate while preserving order (identity generators can coincide).
+    uniq = list(dict.fromkeys(gens))
+    return FiniteByTable(table.reshape(n1 * n2, n1 * n2), uniq, name=f"{g1.name}x{g2.name}")
+
+
+def random_kernel(
+    rng: random.Random,
+    group: GroupModel,
+    d: int,
+    p: int,
+    radius: int,
+    max_terms: int,
+) -> GroupRingKernel:
+    """Uniform small random kernel with support radius at most `radius`."""
+    support: dict = {}
+    for _ in range(rng.randint(0, max_terms)):
+        g = group.random_element(rng, radius)
+        mat = np.array(
+            [[rng.randrange(p) for _ in range(d)] for _ in range(d)], dtype=np.int64
+        )
+        if g in support:
+            support[g] = (support[g] + mat) % p
+        else:
+            support[g] = mat
+    return GroupRingKernel(group, d, p, {g: FpMatrix(m, p) for g, m in support.items()})
+
+
+def write_graph_file(path, graph: LabeledDigraph) -> None:
+    """Write the text format: header `digraph |V| |B|`, one `src dst label` line per edge."""
+    lines = [f"digraph {graph.vertex_count} {graph.num_labels}"]
+    lines.extend(f"{s} {d} {l}" for s, d, l in graph.edges())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

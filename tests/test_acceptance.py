@@ -13,9 +13,9 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
+from oracles import cyclic_group, direct_product_table, random_kernel, write_graph_file
 from soficrank.cli import main
-from soficrank.corpus import random_invertible_pair, random_kernel, random_singular_kernel
-from soficrank.digraph import write_graph_file
+from soficrank.corpus import random_invertible_pair, random_singular_kernel
 from soficrank.errors import BallMismatch
 from soficrank.exactfield import mat_mul
 from soficrank.groupring import (
@@ -24,12 +24,7 @@ from soficrank.groupring import (
     kernel_radius,
     restriction_matrix,
 )
-from soficrank.groups import (
-    FreeAbelian,
-    cayley_ball,
-    cyclic_group,
-    direct_product_table,
-)
+from soficrank.groups import FreeAbelian, cayley_ball
 from soficrank.limits import default_kernel_search_bound
 from soficrank.sofic import quotient_graph, verify_approximation
 from soficrank.transfer import LOWER_HOLDS, UPPER_HOLDS, plan_instance, run_experiment

@@ -1,11 +1,13 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from oracles import cyclic_group, write_graph_file
 from soficrank.cli import (
     _build_parser,
     format_instance,
@@ -13,9 +15,8 @@ from soficrank.cli import (
     parse_group_descriptor,
     parse_instance_text,
 )
-from soficrank.digraph import write_graph_file
 from soficrank.errors import ParseError
-from soficrank.groups import FreeAbelian, cyclic_group, write_finite_group_file
+from soficrank.groups import FreeAbelian, write_finite_group_file
 from soficrank.sofic import quotient_graph
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -272,6 +273,49 @@ class TestLimits:
         monkeypatch.setenv("SOFICRANK_MAX_KERNEL_RADIUS", "9")
         argv = ["transfer-run", str(involution_file), "x", "y", "--mode", "lower", "--torus-n", "12"]
         assert main(argv + ["--max-ball", "1000", "--max-vertices", "200"]) == 0
+
+
+def run_capped(*argv):
+    """The CLI in a subprocess whose address space is capped at 2 GiB, so a runaway allocation cannot reach the machine."""
+    cap = 2 << 30
+
+    def limit():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "soficrank.cli", *argv],
+        env=env,
+        preexec_fn=limit,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+class TestHugeInputs:
+    """Inputs far past a bound exit with that bound's code instead of running out of time or memory."""
+
+    def test_huge_prime_modulus_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge_p.ring"
+        path.write_text(f"ring p={(1 << 61) - 1} d=1 group=Z^1\nelement x\nterm 1 @ 0\n")
+        assert main(["transfer-run", str(path), "x"]) == 2
+        assert "exceeds the supported bound 1048576" in capsys.readouterr().err
+
+    def test_huge_rank_cayley_ball_exits_3(self):
+        done = run_capped("cayley-ball", "-g", "Z^3000", "-r", "1")
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "resource limit: Cayley ball of Z^3000 at radius 1 exceeds 67108864 product cells\n"
+
+    def test_huge_rank_ring_exits_3(self, tmp_path):
+        path = tmp_path / "z3000.ring"
+        path.write_text(f"ring p=2 d=1 group=Z^3000\nelement x\nterm 1 @ {','.join(['0'] * 3000)}\n")
+        done = run_capped("transfer-run", str(path), "x")
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr.startswith("resource limit: Cayley ball of Z^3000 at radius ")
+        assert done.stderr.endswith(" exceeds 67108864 product cells\n")
 
 
 class TestGraphFileLimit:

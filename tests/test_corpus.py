@@ -3,17 +3,16 @@ import random
 
 import pytest
 
-from oracles import symmetric_group_5
+from oracles import cyclic_group, random_kernel, symmetric_group_5
 from soficrank.cli import InstanceFile, format_instance
 from soficrank.corpus import (
     diagonal_unit,
     random_invertible_pair,
-    random_kernel,
     random_singular_kernel,
     transvection,
 )
 from soficrank.groupring import check_right_inverse, kernel_radius
-from soficrank.groups import FreeAbelian, cyclic_group
+from soficrank.groups import FreeAbelian
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)

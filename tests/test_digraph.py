@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from oracles import digraph_by_edge_loop, symmetric_group_5
+from oracles import cyclic_group, digraph_by_edge_loop, direct_product_table, symmetric_group_5, write_graph_file
 from soficrank.digraph import (
     LabeledDigraph,
     ball_charts,
@@ -17,15 +17,12 @@ from soficrank.digraph import (
     label_walk,
     neighborhood,
     read_graph_file,
-    write_graph_file,
 )
 from soficrank.errors import ParseError, ResourceLimitError
 from soficrank.groups import (
     CayleyBall,
     FreeAbelian,
     cayley_ball,
-    cyclic_group,
-    direct_product_table,
     read_finite_group_file,
 )
 from soficrank.sofic import quotient_graph

@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 import numpy as np
 
 from oracles import dense_rank
+from soficrank import exactfield
 from soficrank.exactfield import (
     MAX_MODULUS,
     FpMatrix,
@@ -14,6 +15,7 @@ from soficrank.exactfield import (
     mat_mul,
     rank,
     parse_rational,
+    validate_modulus,
 )
 
 LARGEST_PRIME = max(q for q in range(MAX_MODULUS - 100, MAX_MODULUS + 1) if is_prime(q))
@@ -27,6 +29,29 @@ class TestModulus:
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError):
             FpMatrix([[1]], 6)
+
+    def test_bound_is_checked_before_primality(self, monkeypatch):
+        # Trial division of 2^61 - 1 would run for minutes.
+        def no_primality_test(n):
+            raise AssertionError(f"is_prime({n}) was called")
+
+        monkeypatch.setattr(exactfield, "is_prime", no_primality_test)
+        with pytest.raises(ValueError, match=r"^modulus 2305843009213693951 exceeds the supported bound 1048576$"):
+            validate_modulus((1 << 61) - 1)
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            (1 << 21, r"^modulus 2097152 exceeds the supported bound 1048576$"),
+            (1048583, r"^modulus 1048583 exceeds the supported bound 1048576$"),
+            (1048575, r"^modulus must be a prime integer, got 1048575$"),
+            (True, r"^modulus must be a prime integer, got True$"),
+            (7.0, r"^modulus must be a prime integer, got 7.0$"),
+        ],
+    )
+    def test_messages(self, p, message):
+        with pytest.raises(ValueError, match=message):
+            validate_modulus(p)
 
 
 class TestMatMul:

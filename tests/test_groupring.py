@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from oracles import equivariant_entry, restriction_by_products, symmetric_group_5
+from oracles import cyclic_group, equivariant_entry, restriction_by_products, symmetric_group_5
 from soficrank import groupring
 from soficrank.errors import InternalInconsistency
 from soficrank.exactfield import FpMatrix, mat_mul, rank
@@ -19,7 +19,7 @@ from soficrank.groupring import (
     support_data,
     transplant,
 )
-from soficrank.groups import FreeAbelian, cayley_ball, cyclic_group
+from soficrank.groups import FreeAbelian, cayley_ball
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)

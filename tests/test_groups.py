@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from oracles import symmetric_group_5
+from oracles import cyclic_group, direct_product_table, symmetric_group_5
 from soficrank.errors import ParseError, ResourceLimitError
 from soficrank.groups import (
     FiniteByTable,
     FreeAbelian,
     cayley_ball,
-    cyclic_group,
-    direct_product_table,
     read_finite_group_file,
     write_finite_group_file,
 )

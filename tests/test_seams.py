@@ -1,9 +1,18 @@
-"""Only the group models decide by group family; no other module of the package dispatches on it."""
+"""Seams of the package.
+
+Only the group models decide by group family; no other module of the
+package dispatches on it.  Every public definition is reached from the
+package or the benchmark, and the top level holds the user API only.
+"""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "soficrank"
+import soficrank
+from test_bench_contract import traced_names
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "soficrank"
 FAMILIES = {"FreeAbelian", "FiniteByTable"}
 # random_singular_kernel's `wide` construction shifts by a Z^k vector, so it names Z^k.
 ALLOWED = {("corpus.py", "random_singular_kernel")}
@@ -53,3 +62,83 @@ def test_only_group_models_dispatch_on_group_family():
 def test_builders_do_not_name_a_group_family():
     for name in ("sofic.py", "transfer.py"):
         assert not FAMILIES & names(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))), name
+
+
+# kernel_basis waits for its production caller, the upper-mode witnesses of ROADMAP item 8.
+UNREFERENCED = {"kernel_basis"}
+
+USER_API = {
+    "CayleyBall",
+    "FiniteByTable",
+    "FpMatrix",
+    "FpSparse",
+    "FreeAbelian",
+    "GroupRingKernel",
+    "LabeledDigraph",
+    "SoficApproximation",
+    "TransferInstance",
+    "TransferReport",
+    "WeissSelection",
+    "ball_charts",
+    "build_instance",
+    "cayley_ball",
+    "check_right_inverse",
+    "choose_epsilon",
+    "compose",
+    "kernel_basis",
+    "kernel_radius",
+    "lower_bound_check",
+    "plan_instance",
+    "quotient_approximation",
+    "quotient_graph",
+    "rank",
+    "restriction_matrix",
+    "run_experiment",
+    "sparse_bar_phi",
+    "support_data",
+    "upper_bound_check",
+    "verify_approximation",
+    "verify_transfer_identity",
+    "weiss_select",
+}
+# Benchmark-traced references and test fixtures: defined in their modules or in tests/oracles.py, not top level.
+NOT_TOP_LEVEL = {
+    "ball_isomorphism",
+    "distance",
+    "neighborhood",
+    "mat_mul",
+    "build_bar_phi",
+    "build_bar_psi",
+    "torus_approximation",
+    "finite_group_approximation",
+    "cyclic_group",
+    "direct_product_table",
+    "random_kernel",
+    "write_graph_file",
+}
+
+
+def test_every_public_definition_is_referenced_or_traced():
+    """Each public function or class of the package is named under src/ or bench/ outside its own definition, or traced.
+
+    The package's __init__ re-exports do not count as references.
+    """
+    paths = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths + sorted(ROOT.glob("bench/*.py"))}
+    allowed = {name for _, name in traced_names()} | UNREFERENCED
+    unreferenced = []
+    for path in paths:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_") or node.name in allowed:
+                continue
+            others = [tree for other, tree in trees.items() if other != path]
+            others += [n for n in trees[path].body if n is not node]
+            if not any(node.name in names(other) for other in others):
+                unreferenced.append(f"{path.name}:{node.name}")
+    assert unreferenced == []
+
+
+def test_top_level_is_the_user_api():
+    assert len(soficrank.__all__) == len(USER_API) and set(soficrank.__all__) == USER_API
+    assert all(callable(getattr(soficrank, name)) for name in USER_API)
+    assert not NOT_TOP_LEVEL & set(vars(soficrank))

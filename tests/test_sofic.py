@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import quotient_table_by_loop, symmetric_group_5
+from oracles import cyclic_group, direct_product_table, quotient_table_by_loop, symmetric_group_5
 from soficrank.digraph import LabeledDigraph, ball_isomorphism
 from soficrank.errors import (
     AlphabetMismatch,
@@ -12,7 +12,7 @@ from soficrank.errors import (
     CardinalityViolation,
     ResourceLimitError,
 )
-from soficrank.groups import FreeAbelian, cayley_ball, cyclic_group, direct_product_table
+from soficrank.groups import FreeAbelian, cayley_ball
 from soficrank.sofic import (
     finite_group_approximation,
     quotient_approximation,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import commutative_square_matrix, dense_rank, slice_ranks
+from oracles import commutative_square_matrix, cyclic_group, dense_rank, slice_ranks
 from soficrank.cli import parse_instance_file
 from soficrank.digraph import LabeledDigraph, ball_isomorphism
 from soficrank.errors import (
@@ -25,7 +25,7 @@ from soficrank.groupring import (
     kernel_radius,
     restriction_matrix,
 )
-from soficrank.groups import FreeAbelian, cayley_ball, cyclic_group
+from soficrank.groups import FreeAbelian, cayley_ball
 from soficrank.sofic import quotient_approximation, torus_approximation, verify_approximation
 from soficrank.transfer import (
     LOWER_HOLDS,
@@ -45,6 +45,11 @@ from soficrank.transfer import (
 )
 
 Z1 = FreeAbelian(1)
+
+
+def instance(phi, psi, approx):
+    """build_instance with the pair's own plan."""
+    return build_instance(phi, psi, approx, plan_instance(phi, psi))
 
 
 def scalar_kernel(group, p, terms):
@@ -93,7 +98,7 @@ class TestPlanAndInstance:
     def test_identity_instance_on_c8(self):
         ident = GroupRingKernel.identity(Z1, 1, 2)
         approx = torus_approximation(Z1, 8, 3)
-        inst = build_instance(ident, ident, approx)
+        inst = instance(ident, ident, approx)
         assert inst.plan.r0 == 1
         assert inst.v_prime == tuple(range(8))
         assert inst.v_dprime == tuple(range(8))
@@ -102,7 +107,7 @@ class TestPlanAndInstance:
         x = involution()  # r0 = 2, needs approximation radius 5
         approx = torus_approximation(Z1, 12, 3)
         with pytest.raises(ApproximationTooCoarse):
-            build_instance(x, x, approx)
+            instance(x, x, approx)
 
 
 class TestIncompatiblePsi:
@@ -131,7 +136,7 @@ class TestBarMatrices:
     def test_identity_bar_phi_is_block_identity(self):
         ident = GroupRingKernel.identity(Z1, 1, 2)
         approx = torus_approximation(Z1, 8, 3)
-        inst = build_instance(ident, ident, approx)
+        inst = instance(ident, ident, approx)
         bar = build_bar_phi(inst)
         assert bar == FpMatrix.identity(8, 2)
         assert build_bar_psi(inst) == FpMatrix.identity(8, 2)
@@ -140,7 +145,7 @@ class TestBarMatrices:
         phi = scalar_kernel(Z1, 2, {(0,): 1, (1,): 1})
         psi = scalar_kernel(Z1, 2, {(0,): 1, (1,): 1})
         approx = torus_approximation(Z1, 12, 5)
-        inst = build_instance(phi, psi, approx)
+        inst = instance(phi, psi, approx)
         bar = build_bar_phi(inst)
         n = 12
         expected = np.zeros((n, n), dtype=np.int64)
@@ -152,12 +157,12 @@ class TestBarMatrices:
     def test_zero_phi_bar_is_zero(self):
         zero = GroupRingKernel.zero(Z1, 2, 2)
         approx = torus_approximation(Z1, 8, 3)
-        inst = build_instance(zero, None, approx)
+        inst = instance(zero, None, approx)
         assert build_bar_phi(inst).is_zero()
 
     def test_bar_psi_requires_psi(self):
         approx = torus_approximation(Z1, 8, 3)
-        inst = build_instance(GroupRingKernel.identity(Z1, 1, 2), None, approx)
+        inst = instance(GroupRingKernel.identity(Z1, 1, 2), None, approx)
         with pytest.raises(ValueError):
             build_bar_psi(inst)
 
@@ -166,19 +171,19 @@ class TestTransferIdentity:
     def test_identity_pair(self):
         ident = GroupRingKernel.identity(Z1, 1, 2)
         approx = torus_approximation(Z1, 8, 3)
-        inst = build_instance(ident, ident, approx)
+        inst = instance(ident, ident, approx)
         assert verify_transfer_identity(inst)
 
     def test_involution_pair(self):
         x = involution()
         approx = torus_approximation(Z1, 12, 5)
-        inst = build_instance(x, x, approx)
+        inst = instance(x, x, approx)
         assert verify_transfer_identity(inst)
 
     def test_failure_when_not_right_inverse(self):
         phi = scalar_kernel(Z1, 2, {(0,): 1, (1,): 1})
         approx = torus_approximation(Z1, 12, 5)
-        inst = build_instance(phi, phi, approx)
+        inst = instance(phi, phi, approx)
         assert not verify_transfer_identity(inst)
 
 
@@ -299,7 +304,7 @@ class TestLowerBound:
     def test_identity_pair_on_c8(self):
         ident = GroupRingKernel.identity(Z1, 1, 2)
         approx = torus_approximation(Z1, 8, 3)
-        inst = build_instance(ident, ident, approx)
+        inst = instance(ident, ident, approx)
         report = lower_bound_check(inst)
         assert report.verdict == LOWER_HOLDS
         assert report.bar_phi_rank == 8
@@ -308,14 +313,14 @@ class TestLowerBound:
     def test_involution_on_c12(self):
         x = involution()
         approx = torus_approximation(Z1, 12, 5)
-        inst = build_instance(x, x, approx)
+        inst = instance(x, x, approx)
         report = lower_bound_check(inst)
         assert report.bar_phi_rank == 24  # full rank: 2 * |V''| = 2 * 12
         assert Fraction(report.bar_phi_rank) >= report.lower_bound
 
     def test_report_carries_the_approximation_side(self):
         x = involution()  # r0 = 2, so radius 5 and torus sides from 12
-        assert lower_bound_check(build_instance(x, x, quotient_approximation(Z1, 5, 14))).torus_n == 14
+        assert lower_bound_check(instance(x, x, quotient_approximation(Z1, 5, 14))).torus_n == 14
         assert lower_bound_check(smallest_instance(*s3_involution())).torus_n is None
 
     def test_finite_group_identity(self):
@@ -327,14 +332,14 @@ class TestLowerBound:
     def test_precondition_enforced(self):
         phi = scalar_kernel(Z1, 2, {(0,): 1, (1,): 1})
         approx = torus_approximation(Z1, 12, 5)
-        inst = build_instance(phi, phi, approx)
+        inst = instance(phi, phi, approx)
         with pytest.raises(CheckFailedError, match=r"^lower mode requires psi with phi o psi = identity$"):
             lower_bound_check(inst)
 
     def test_absent_psi_fails_the_same_check(self):
         # the check's owner raises the text the CLI prints, psi or not
         x = involution()
-        inst = build_instance(x, None, torus_approximation(Z1, 12, 5))
+        inst = instance(x, None, torus_approximation(Z1, 12, 5))
         with pytest.raises(CheckFailedError, match=r"^lower mode requires psi with phi o psi = identity$"):
             lower_bound_check(inst)
 
@@ -343,7 +348,7 @@ class TestUpperBound:
     def test_singular_diag_on_c12(self):
         phi = singular_diag()
         approx = torus_approximation(Z1, 12, 3)
-        inst = build_instance(phi, None, approx)
+        inst = instance(phi, None, approx)
         assert inst.plan.r0 == 1 and inst.plan.r2 == 1
         report = upper_bound_check(inst)
         assert report.verdict == UPPER_HOLDS
@@ -364,7 +369,7 @@ class TestUpperBound:
             run_experiment(x, None, "upper", torus_n=20)
 
     def test_check_owns_the_kernel_precondition(self):
-        inst = build_instance(involution(), None, torus_approximation(Z1, 20, 5))
+        inst = instance(involution(), None, torus_approximation(Z1, 20, 5))
         assert inst.plan.r2 is None and inst.plan.kernel_search_bound == 6
         with pytest.raises(KernelSearchExhausted, match=r"^no kernel vector found up to radius 6; upper mode cannot run$"):
             upper_bound_check(inst)
@@ -411,7 +416,7 @@ class TestSparseRank:
         # (1+t) I_2 over F_2 on Z/400: gcd(1+x, x^400 - 1) = 1+x removes one dimension per coordinate
         eye = FpMatrix.identity(2, 2)
         phi = GroupRingKernel(Z1, 2, 2, {(0,): eye, (1,): eye})
-        inst = build_instance(phi, None, torus_approximation(Z1, 400, 5))
+        inst = instance(phi, None, torus_approximation(Z1, 400, 5))
         assert rank(sparse_bar_phi(inst)) == 2 * 400 - 2
 
     def test_random_radius_two_z2_element(self):
@@ -496,7 +501,7 @@ class TestCommutativeSquare:
     def test_square_matches_restriction(self):
         phi = singular_diag()
         approx = torus_approximation(Z1, 12, 3)
-        inst = build_instance(phi, None, approx)
+        inst = instance(phi, None, approx)
         restr = restriction_matrix(phi, 1, 2)
         for v in (0, 4, 7):
             square = commutative_square_matrix(inst, v)
@@ -509,7 +514,7 @@ class TestCommutativeSquare:
             {(0,): FpMatrix([[1, 0], [0, 0]], 2), (1,): FpMatrix([[0, 0], [1, 0]], 2)},
         )
         approx = torus_approximation(Z1, 20, 5)
-        inst = build_instance(phi, None, approx)
+        inst = instance(phi, None, approx)
         restr = restriction_matrix(phi, inst.plan.r0, 2 * inst.plan.r0)
         square = commutative_square_matrix(inst, 3)
         assert square == restr.dense()
@@ -521,7 +526,7 @@ class TestCommutativeSquare:
             {(0, 0): FpMatrix([[1, 0], [0, 0]], 3), (1, 0): FpMatrix([[0, 0], [2, 0]], 3)},
         )
         approx = torus_approximation(Z2, 12, 5)
-        inst = build_instance(phi, None, approx)
+        inst = instance(phi, None, approx)
         restr = restriction_matrix(phi, inst.plan.r0, 2 * inst.plan.r0)
         for v in (0, 17, 100):
             assert commutative_square_matrix(inst, v) == restr.dense()

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from oracles import min_pairwise_distance, symmetric_group_5
+from oracles import cyclic_group, min_pairwise_distance, symmetric_group_5, write_graph_file
 from soficrank.cli import main
-from soficrank.digraph import LabeledDigraph, distance, write_graph_file
+from soficrank.digraph import LabeledDigraph, distance
 from soficrank.errors import ApproximationTooCoarse, PreconditionDensity
-from soficrank.groups import FreeAbelian, cayley_ball, cyclic_group, read_finite_group_file
+from soficrank.groups import FreeAbelian, cayley_ball, read_finite_group_file
 from soficrank.sofic import quotient_graph, verify_approximation
 from soficrank.weiss import weiss_select
 
