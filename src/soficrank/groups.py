@@ -47,10 +47,6 @@ class GroupModel:
         """Product of two elements already known to belong to the group, unchecked."""
         raise NotImplementedError
 
-    def _right_multiples(self, rows: np.ndarray) -> np.ndarray:
-        """Rows g * b, shape (len(rows), |B|, width), for element rows g (Z^k: coordinates; finite: index)."""
-        raise NotImplementedError
-
     def inverse(self, a):
         raise NotImplementedError
 
@@ -100,12 +96,18 @@ class FreeAbelian(GroupModel):
 
     The identity belongs to the canonical generator set, so Cayley graphs
     built from this model carry a self-loop at every vertex labeled by the
-    identity generator.
+    identity generator.  A rank whose radius-0 ball alone passes the
+    product-cell budget is refused before any generator is built.
     """
 
     def __init__(self, rank: int):
         if rank < 1:
             raise ValueError("rank must be at least 1")
+        # the radius-0 ball's products: as many cells as the generators, so checked before they exist
+        if (2 * rank + 1) * rank > MAX_BALL_PRODUCT_CELLS:
+            raise ResourceLimitError(
+                f"Cayley ball of Z^{rank} at radius 0 exceeds {MAX_BALL_PRODUCT_CELLS} product cells"
+            )
         self.rank = rank
         zero = (0,) * rank
         self.generators = tuple(zero[:i] + (e,) + zero[i + 1 :] for i in range(rank) for e in (1, -1)) + (zero,)
@@ -115,9 +117,6 @@ class FreeAbelian(GroupModel):
 
     def _mul(self, a, b):
         return tuple(map(add, a, b))
-
-    def _right_multiples(self, rows):
-        return rows[:, None, :] + np.array(self.generators)
 
     def inverse(self, a):
         self.check_element(a)
@@ -154,7 +153,7 @@ class FreeAbelian(GroupModel):
             raise ResourceLimitError(f"torus with {total} vertices exceeds limit {max_vertices}")
         place = side ** np.arange(self.rank)
         coords = np.arange(total)[:, None] // place % side
-        return (self._right_multiples(coords) % side * place).sum(axis=2)
+        return ((coords[:, None, :] + np.array(self.generators)) % side * place).sum(axis=2)
 
     def random_element(self, rng, bound: int):
         """Uniform over the elements of word length <= bound, by rejection from the box [-bound, bound]^k."""
@@ -258,9 +257,6 @@ class FiniteByTable(GroupModel):
 
     def _mul(self, a, b):
         return self.table.item(a, b)
-
-    def _right_multiples(self, rows):
-        return self.table[rows[:, 0]][:, list(self.generators), None]
 
     def inverse(self, a):
         self.check_element(a)
@@ -396,27 +392,41 @@ def _prefix(ball: CayleyBall, r: int) -> CayleyBall:
 
 
 def _build_ball(group: GroupModel, r: int, max_elements: int) -> CayleyBall:
-    """Breadth-first closure of {identity} under the generators up to depth r."""
+    """Breadth-first closure of {identity} under the generators up to depth r.
+
+    Each element's |B| products are computed once, by the model's _mul.
+    The first (element, label) in ball order that reaches a new element is
+    its tree edge.  Once the new layer is sorted and placed, the products of
+    the layer before it are read off element_index as that layer's
+    out-rows; the last layer's products are read one at a time, -1 for a
+    product outside the ball, and never held.
+    """
     mul = group._mul  # every factor below is a ball element or a generator
+    gens = group.generators
     ident = group.identity()
-    cells = len(group.generators) * np.size(ident)  # per element, in _right_multiples' products
+    cells = len(gens) * np.size(ident)  # per element, in its products' coordinates
     elements = [ident]
     index = {ident: 0}
+    parent, via = [0], [0]  # the root has no parent
     layers = [0, 1]  # the depth-k elements end at layers[k + 1]
-    frontier = [ident]
+    heads = []  # the out-table, row after row: the ints element_index holds, or -1
+    start = 0  # the first element of the last layer
     for _ in range(r):
-        discovered = set()
-        for g in frontier:
-            for b in group.generators:
-                h = mul(g, b)
-                if h not in index and h not in discovered:
-                    discovered.add(h)
-        if not discovered:
-            break
-        ordered = sorted(discovered)
-        for h in ordered:
+        products = [mul(g, b) for g in elements[start:] for b in gens]
+        found = {}  # new element -> its first product's position, (row - start) * |B| + label
+        for pos, h in enumerate(products):
+            if h not in index and h not in found:
+                found[h] = pos
+        for h in sorted(found):
+            row, label = divmod(found[h], len(gens))
+            parent.append(start + row)
+            via.append(label)
             index[h] = len(elements)
             elements.append(h)
+        heads.extend(map(index.__getitem__, products))
+        start = layers[-1]
+        if not found:
+            break
         layers.append(len(elements))
         if len(elements) > max_elements:
             raise _too_large(group, r, max_elements)
@@ -424,35 +434,16 @@ def _build_ball(group: GroupModel, r: int, max_elements: int) -> CayleyBall:
             raise ResourceLimitError(
                 f"Cayley ball of {group.describe()} at radius {r} exceeds {MAX_BALL_PRODUCT_CELLS} product cells"
             )
-        frontier = ordered
-
-    # Edges: look every product g * b up among the elements, by sorting
-    # element rows and product rows together once, each row as one opaque
-    # byte string (equal rows, equal bytes).
-    rows = np.array(elements, dtype=np.int64).reshape(len(elements), -1)
-    products = group._right_multiples(rows)
-    m, labels, width = products.shape
-    both = np.concatenate([rows, products.reshape(-1, width)])
-    keys, key_of = np.unique(both.view(np.dtype((np.void, 8 * width))).ravel(), return_inverse=True)
-    position = np.full(len(keys), -1, dtype=np.int64)
-    position[key_of[:m]] = np.arange(m)
-    heads = position[key_of[m:]].reshape(m, labels)
-    graph = LabeledDigraph(m, labels, table_edges(heads))
-    # BFS tree: the first edge into each element, in (element, label) order
-    edges = np.flatnonzero(graph.out.ravel() >= 0)  # i * labels + label, ascending
-    reached, first = np.unique(graph.out.ravel()[edges], return_index=True)
-    parent = np.zeros(m, dtype=np.int64)
-    via = np.zeros(m, dtype=np.int64)
-    parent[reached], via[reached] = np.divmod(edges[first], max(labels, 1))
-    parent[0] = via[0] = 0  # the root has no parent
-    layers = np.array(layers, dtype=np.int64)
+    heads.extend(index.get(mul(g, b), -1) for g in elements[start:] for b in gens)
+    m = len(elements)
+    parent, via, layers = (np.array(a, dtype=np.int64) for a in (parent, via, layers))
     for a in (parent, via, layers):
         a.flags.writeable = False
     return CayleyBall(
         radius=r,
         elements=tuple(elements),
         element_index=index,
-        graph=graph,
+        graph=LabeledDigraph(m, len(gens), table_edges(np.array(heads, dtype=np.int64).reshape(m, len(gens)))),
         parent=parent,
         via=via,
         layers=layers,

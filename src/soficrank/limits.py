@@ -11,8 +11,11 @@ from dataclasses import dataclass
 
 DEFAULT_MAX_BALL_ELEMENTS = 10**6
 DEFAULT_MAX_VERTICES = 10**4
-# Cap on |ball| * |B| * coordinates, the int64 cells of a ball build's products: 512 MiB,
-# and a build peaks at about 4.5 times its products.  Not configurable.
+# Cap on |ball| * |B| * coordinates, the cells of a ball's products: 512 MiB as int64.
+# A build holds one layer's products at a time, never the last layer's, so a high-rank
+# ball peaks far below that (Z^100 at radius 1: 0.9 MiB against 30.8 MiB).  It binds
+# at radius 1 from Z^256 on, and at radius 0 from Z^5793 on, where FreeAbelian refuses
+# the rank.  Not configurable.
 MAX_BALL_PRODUCT_CELLS = 1 << 26
 
 ENV_MAX_BALL_ELEMENTS = "SOFICRANK_MAX_BALL_ELEMENTS"

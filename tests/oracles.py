@@ -11,8 +11,8 @@ files.
 """
 
 import random
-from collections import deque
-from itertools import permutations
+from collections import Counter, deque
+from itertools import accumulate, permutations, product
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from soficrank.digraph import LabeledDigraph, ball_isomorphism
 from soficrank.exactfield import FpMatrix
 from soficrank.groupring import GroupRingKernel
-from soficrank.groups import FiniteByTable, FreeAbelian, GroupModel, cayley_ball
+from soficrank.groups import CayleyBall, FiniteByTable, FreeAbelian, GroupModel, cayley_ball
 from soficrank.transfer import TransferInstance, build_bar_phi
 
 
@@ -110,6 +110,45 @@ def restriction_by_products(c: GroupRingKernel, dom, cod) -> FpMatrix:
             i = cod.element_index[c.group.multiply(g1, s)]
             out[i * d : (i + 1) * d, j * d : (j + 1) * d] = mat.array
     return FpMatrix(out, c.p)
+
+
+def ball_by_sorting(group: GroupModel, r: int) -> CayleyBall:
+    """The radius-r Cayley ball with no BFS: every element of word length <= r, sorted.
+
+    The candidates are the box [-r, r]^k for Z^k and the whole group when
+    finite; the elements are sorted by (word length, element).  out[i, l]
+    is the position of elements[i] * generators[l], or -1.  Element j > 0
+    has as parent and via the first (i, l) in ascending order with
+    out[i, l] == j, and layers counts the elements of each word length.
+    """
+    if isinstance(group, FreeAbelian):
+        candidates = product(range(-r, r + 1), repeat=group.rank)
+    else:
+        candidates = range(group.size)
+    elements = sorted((g for g in candidates if group.word_length(g) <= r), key=lambda g: (group.word_length(g), g))
+    position = {g: i for i, g in enumerate(elements)}
+    out = np.array(
+        [[position.get(group.multiply(g, b), -1) for b in group.generators] for g in elements], dtype=np.int64
+    ).reshape(len(elements), len(group.generators))
+    parent = np.zeros(len(elements), dtype=np.int64)
+    via = np.zeros(len(elements), dtype=np.int64)
+    reached = {0}
+    for (i, label), j in np.ndenumerate(out):
+        if j >= 0 and j not in reached:
+            reached.add(int(j))
+            parent[j], via[j] = i, label
+    counts = Counter(group.word_length(g) for g in elements)
+    layers = np.array([0, *accumulate(counts[n] for n in range(len(counts)))], dtype=np.int64)
+    edges = [(i, j, label) for (i, label), j in np.ndenumerate(out) if j >= 0]
+    return CayleyBall(
+        radius=r,
+        elements=tuple(elements),
+        element_index=position,
+        graph=LabeledDigraph(len(elements), len(group.generators), edges),
+        parent=parent,
+        via=via,
+        layers=layers,
+    )
 
 
 def quotient_table_by_loop(group, side: Optional[int] = None) -> np.ndarray:

@@ -309,6 +309,12 @@ class TestHugeInputs:
         assert (done.returncode, done.stdout) == (3, "")
         assert done.stderr == "resource limit: Cayley ball of Z^3000 at radius 1 exceeds 67108864 product cells\n"
 
+    @pytest.mark.parametrize("rank", [6000, 20000])
+    def test_huge_rank_radius_zero_exits_3(self, rank):
+        done = run_capped("cayley-ball", "-g", f"Z^{rank}", "-r", "0")
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == f"resource limit: Cayley ball of Z^{rank} at radius 0 exceeds 67108864 product cells\n"
+
     def test_huge_rank_ring_exits_3(self, tmp_path):
         path = tmp_path / "z3000.ring"
         path.write_text(f"ring p=2 d=1 group=Z^3000\nelement x\nterm 1 @ {','.join(['0'] * 3000)}\n")

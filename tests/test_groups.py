@@ -1,11 +1,12 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from oracles import cyclic_group, direct_product_table, symmetric_group_5
+from oracles import ball_by_sorting, cyclic_group, direct_product_table, symmetric_group_5
 from soficrank.errors import ParseError, ResourceLimitError
 from soficrank.groups import (
     FiniteByTable,
@@ -339,6 +340,34 @@ def test_prefix_ball_is_the_fresh_ball(name, big, data):
             cayley_ball(group, r, max_elements=limit)
     else:  # a build never rejects a single element
         assert cayley_ball(group, r, max_elements=limit).elements == want.elements
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PREFIX_GROUPS), st.integers(0, 7))
+@example("Z^1", 50)  # a deep ball
+@example("S5", 31)  # a saturated ball
+def test_ball_is_the_sorted_ball(name, r):
+    """The BFS build equals the ball enumerated and sorted by (word length, element), field by field."""
+    got, want = cayley_ball(_fresh_group(name), r), ball_by_sorting(_fresh_group(name), r)
+    assert got.radius == want.radius == r
+    assert got.elements == want.elements
+    assert got.element_index == want.element_index
+    assert np.array_equal(got.graph.out, want.graph.out)
+    assert got.graph.edge_count == want.graph.edge_count
+    for tree in ("parent", "via", "layers"):
+        assert np.array_equal(getattr(got, tree), getattr(want, tree)), tree
+
+
+def test_ball_build_holds_no_second_product_table():
+    """A build of Z^100 at radius 1 peaks below twice its 201 x 201 x 100 int64 product cells."""
+    group = FreeAbelian(100)
+    tracemalloc.start()
+    try:
+        cayley_ball(group, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 201 * 201 * 100 * 8
 
 
 def test_ball_tree_reaches_each_element_from_its_parent():

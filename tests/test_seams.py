@@ -1,7 +1,8 @@
 """Seams of the package.
 
 Only the group models decide by group family; no other module of the
-package dispatches on it.  Every public definition is reached from the
+package dispatches on it, and each family implements the whole model
+interface.  Every public definition is reached from the
 package or the benchmark, and the top level holds the user API only.
 """
 
@@ -62,6 +63,36 @@ def test_only_group_models_dispatch_on_group_family():
 def test_builders_do_not_name_a_group_family():
     for name in ("sofic.py", "transfer.py"):
         assert not FAMILIES & names(ast.parse((PACKAGE / name).read_text(encoding="utf-8"))), name
+
+
+# What a group family implements: GroupModel's methods that raise NotImplementedError.
+MODEL_INTERFACE = {
+    "identity",
+    "_mul",
+    "inverse",
+    "contains",
+    "word_length",
+    "quotient_side",
+    "quotient_table",
+    "random_element",
+    "describe",
+    "format_element",
+    "parse_element",
+}
+
+
+def test_each_group_family_implements_the_model_interface():
+    tree = ast.parse((PACKAGE / "groups.py").read_text(encoding="utf-8"))
+    model = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "GroupModel")
+    required = {
+        f.name
+        for f in model.body
+        if isinstance(f, ast.FunctionDef)
+        and any(isinstance(n, ast.Raise) and "NotImplementedError" in names(n) for n in ast.walk(f))
+    }
+    assert required == MODEL_INTERFACE
+    for family in (soficrank.FreeAbelian, soficrank.FiniteByTable):
+        assert required <= set(vars(family)), (family.__name__, required - set(vars(family)))
 
 
 # kernel_basis waits for its production caller, the upper-mode witnesses of ROADMAP item 8.
