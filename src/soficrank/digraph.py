@@ -40,13 +40,27 @@ class LabeledDigraph:
         outgoing or incoming edge.
         """
         src, dst, label = _checked_edges(vertex_count, num_labels, edges)
-        self.vertex_count = vertex_count
-        self.num_labels = num_labels
         out = np.full((vertex_count, num_labels), -1, dtype=np.int64)
         out[src, label] = dst
-        out.flags.writeable = False
-        self.out = out
-        self.edge_count = int(np.count_nonzero(out >= 0))
+        self._adopt(out)
+
+    @classmethod
+    def from_table(cls, out) -> "LabeledDigraph":
+        """Build from a builder's (|V|, |B|) out-table, -1 for no edge, with checks in O(|V||B|).
+
+        The table is copied.  An entry outside [-1, |V|), or a head repeated
+        within a label column, raises the ValueError that the edge-list
+        constructor raises on table_edges(out): the first bad edge in
+        (src, label) order.
+        """
+        out = np.array(out, dtype=np.int64)
+        vertex_count, num_labels = out.shape
+        if out.size and (out.min() < -1 or out.max() >= vertex_count or _repeats_a_head(out)):
+            _checked_edges(vertex_count, num_labels, table_edges(out))
+            raise ValueError("out-table entries must be vertices or -1")  # an entry below -1
+        graph = object.__new__(cls)
+        graph._adopt(out)
+        return graph
 
     def induced_prefix(self, m: int) -> "LabeledDigraph":
         """The subgraph induced on vertices 0..m-1: the first m rows, heads >= m dropped.
@@ -55,12 +69,16 @@ class LabeledDigraph:
         deterministic as well and skips the constructor's checks.
         """
         sub = object.__new__(LabeledDigraph)
-        sub.vertex_count, sub.num_labels = m, self.num_labels
         out = self.out[:m]
-        sub.out = np.where(out < m, out, -1)
-        sub.out.flags.writeable = False
-        sub.edge_count = int(np.count_nonzero(sub.out >= 0))
+        sub._adopt(np.where(out < m, out, -1))
         return sub
+
+    def _adopt(self, out: np.ndarray) -> None:
+        """Take a checked int64 out-table, which nothing else holds, as this graph's read-only table."""
+        out.flags.writeable = False
+        self.out = out
+        self.vertex_count, self.num_labels = out.shape
+        self.edge_count = int(np.count_nonzero(out >= 0))
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """All edges in ascending (src, label) order."""
@@ -107,6 +125,14 @@ def _checked_edges(vertex_count: int, num_labels: int, edges) -> tuple[np.ndarra
         what = "label" if 0 <= s < vertex_count and 0 <= d < vertex_count else "vertex"
         raise ValueError(f"edge ({s},{d},{l}) has an out-of-range {what}")
     return src, dst, label
+
+
+def _repeats_a_head(out: np.ndarray) -> bool:
+    """Whether some head appears twice in one label column of an out-table with entries in [-1, |V|)."""
+    labels = out.shape[1]
+    # (head + 1) * |B| + label is a distinct key per (head, label); -1 heads take keys below |B|
+    counts = np.bincount(((out + 1) * labels + np.arange(labels)).ravel())
+    return bool(counts[labels:].max(initial=0) > 1)
 
 
 def _first_of(keys: np.ndarray) -> np.ndarray:
@@ -237,16 +263,11 @@ def label_walk(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> np.ndarra
     caller must reject the whole row.  The array is the transpose of
     _walk's, which is laid out one ball element per row.
     """
-    return _walk(graph, vertices, ball).T
+    return _walk(graph.out, _checked_vertices(graph, vertices, ball), ball).T
 
 
-def _walk(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> np.ndarray:
-    """label_walk in the (|ball|, len(vertices)) layout, one depth layer at a time.
-
-    Each layer's elements are one contiguous block of rows, filled from
-    their parents' rows through the flat out-table; temporaries stay
-    O(len(vertices) * |ball|).
-    """
+def _checked_vertices(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> np.ndarray:
+    """The vertices as an int64 array, after the alphabet check and a range check of each."""
     bgraph = ball.graph
     if bgraph.num_labels != graph.num_labels:
         raise ValueError(
@@ -256,15 +277,31 @@ def _walk(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> np.ndarray:
     outside = vertices[(vertices < 0) | (vertices >= graph.vertex_count)]
     if outside.size:
         _check_vertex(graph, int(outside[0]))
-    labels, out = graph.num_labels, graph.out.ravel()
-    parent, via, layers = ball.parent, ball.via, ball.layers.tolist()
-    walk = np.empty((bgraph.vertex_count, len(vertices)), dtype=np.int64)
+    return vertices
+
+
+def _walk_dtype(vertex_count: int, num_labels: int) -> type:
+    """int32 when every flat position in the out-table, |V| * |B| of them, fits in it; int64 otherwise."""
+    return np.int32 if vertex_count * num_labels < 2**31 else np.int64
+
+
+def _walk(out: np.ndarray, vertices: np.ndarray, ball: "CayleyBall") -> np.ndarray:
+    """label_walk in the (|ball|, len(vertices)) layout and in the dtype of out, the graph's out-table.
+
+    Each depth layer's elements are one contiguous block of rows, filled
+    from their parents' rows through the flat out-table; temporaries stay
+    O(len(vertices) * |ball|).
+    """
+    labels, flat = out.shape[1], out.ravel()
+    parent, layers = ball.parent, ball.layers.tolist()
+    via = ball.via.astype(out.dtype, copy=False)
+    walk = np.empty((len(parent), len(vertices)), dtype=out.dtype)
     walk[0] = vertices
     for lo, hi in zip(layers[1:-1], layers[2:]):
         step = walk[parent[lo:hi]]
         step *= labels
         step += via[lo:hi, None]
-        np.take(out, step, out=walk[lo:hi], mode="wrap")
+        np.take(flat, step, out=walk[lo:hi], mode="wrap")
     return walk
 
 
@@ -279,43 +316,135 @@ def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np
     ball lacks at an element lands back in the row's image: the conditions
     ball_isomorphism checks one vertex at a time.
 
-    The walk matches every BFS-tree edge by construction, so only the
-    other ball edges are compared.  An extra edge on label l can only land
-    on the image of an element with no incoming l-edge in the ball: the
-    graph has at most one incoming l-edge per vertex, a matched ball edge
-    already supplies that edge to the image of every other element, and
-    the row is injective.  So each label's leaving edges are looked up
-    only among the images of those boundary elements.
+    The walk matches every BFS-tree edge by construction.  The walk is
+    int32 whenever |V| * |B| < 2^31, and int64 otherwise; the charts are
+    int64 either way.  For a non-tree ball edge (i, l, j), write W_i for
+    the walked images of i, P = parent(i) and x = via(i), so that
+    W_i = T_x(W_P) where T_x is the graph's x-edge.  Three kinds of edge
+    reduce to a relation at one graph vertex u:
+
+    - a self-loop (j = i) holds at a chart exactly when out[u, l] = u at
+      u = W_i(v), for any i, the root included;
+    - a back edge (i not the root, j = P) holds exactly when
+      out[out[u, x], l] = u at u = W_P(v), since W_i = T_x(W_P);
+    - a square (i, j not the root, parent(j) = Q with via(j) = x, and
+      (P, l, Q) a ball edge) holds, given the edge (P, l, Q), exactly when
+      out[out[u, x], l] = out[out[u, l], x] at u = W_P(v), since then
+      W_j = T_x(W_Q) = T_x(T_l(W_P)).  The shallower edge (P, l, Q) is
+      itself in the conjunction, so by induction on depth the reduced
+      conjunction holds exactly when the original one does.
+
+    The element at which a relation is read (i for a self-loop, P
+    otherwise) is its anchor.  A relation is evaluated once per graph
+    vertex when the graph has no more vertices than its anchors have
+    images (anchors times charted vertices), and is gathered back through
+    the anchors' images only when it fails somewhere; otherwise its edges
+    are compared at the anchors' images, chart by chart.  So a call on a
+    handful of vertices of a large graph (sofic-verify --good) is never
+    slower than a per-chart comparison.  Every other non-tree edge is
+    compared chart by chart.
+
+    An extra edge on label l can only land on the image of an element with
+    no incoming l-edge in the ball: the graph has at most one incoming
+    l-edge per vertex, a matched ball edge already supplies that edge to
+    the image of every other element, and the row is injective.  So the
+    heads of each label's leaving edges (its sources) are compared
+    directly with the images of those boundary elements (its sinks), in
+    blocks of vertices and sources whose temporary is no larger than the
+    walk.
     """
-    walk = _walk(graph, vertices, ball)  # [j, k]
-    bgraph, n = ball.graph, graph.vertex_count
-    ok = np.ones(walk.shape[1], dtype=bool)
-    # tree[i, l]: the walk reached the head of i's l-edge along that edge
-    tree = np.zeros(bgraph.out.shape, dtype=bool)
-    reached = bgraph.out[ball.parent[1:], ball.via[1:]] == np.arange(1, bgraph.vertex_count)
-    tree[ball.parent[1:][reached], ball.via[1:][reached]] = True
-    # Vertex k's boundary images are offset by k*(n+1) so that, flattened,
-    # all vertices' images sort together and stay apart (images lie in [-1, n)).
-    offset = np.arange(walk.shape[1], dtype=np.int64)[:, None] * (n + 1)
-    for label, heads in enumerate(np.ascontiguousarray(graph.out.T)):
-        target = bgraph.out[:, label]
-        checked = np.flatnonzero((target >= 0) & ~tree[:, label])
-        step = walk[checked]
-        np.take(heads, step, out=step, mode="wrap")
-        ok &= (step == walk[target[checked]]).all(axis=0)
-        no_in = np.ones(bgraph.vertex_count, dtype=bool)
-        no_in[target[target >= 0]] = False
-        sources, sinks = np.flatnonzero(target < 0), np.flatnonzero(no_in)
-        if sources.size and sinks.size and ok.size:
-            image = (np.sort(walk[sinks], axis=0).T + offset).ravel()
-            key = heads[walk[sources]].T + offset
-            hit = image[np.minimum(np.searchsorted(image, key), image.size - 1)] == key
-            ok &= ~hit.any(axis=1)
-    charts = np.ascontiguousarray(walk.T)
-    del walk  # before the sort, to keep the peak at two walk-sized arrays
-    ordered = np.sort(charts, axis=1)
+    vertices = _checked_vertices(graph, vertices, ball)
+    m, n = ball.size, graph.vertex_count
+    if not vertices.size:
+        return np.empty((0, m), dtype=np.int64), np.empty(0, dtype=bool)
+    out = graph.out.astype(_walk_dtype(n, graph.num_labels), copy=False)
+    walk = _walk(out, vertices, ball)  # [j, k]
+    ok = np.ones(vertices.size, dtype=bool)
+    (src, label, dst, anchor, relation), (kind, x, l) = _cycle_relations(ball)
+    # a relation has one edge per anchor, so the bincount counts its anchors
+    closed = (kind < 3) & (n <= np.bincount(relation, minlength=kind.size) * vertices.size)
+    for rel in np.flatnonzero(closed).tolist():
+        holds = _relation_holds(out, kind[rel], x[rel], l[rel])
+        if not holds.all():
+            ok &= holds[walk[anchor[relation == rel]]].all(axis=0)
+    rest = ~closed[relation]
+    if rest.any():
+        step = walk[src[rest]]
+        step *= graph.num_labels
+        step += label[rest, None].astype(out.dtype)
+        np.take(out.ravel(), step, out=step, mode="wrap")
+        ok &= (step == walk[dst[rest]]).all(axis=0)
+    _check_boundary(out, walk, ball, ok)
+    charts = np.ascontiguousarray(walk.T, dtype=np.int64)
+    del walk  # before the sort, to keep the peak at the charts and one walk-sized array
+    ordered = charts.astype(out.dtype)
+    ordered.sort(axis=1)
     ok &= ~((ordered[:, 0] < 0) | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
     return charts, ok
+
+
+def _cycle_relations(ball: "CayleyBall") -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The ball's non-tree edges, each with the graph-vertex relation that checks it (see ball_charts).
+
+    Returns ((src, label, dst, anchor, relation), (kind, x, l)), arrays
+    with one entry per non-tree edge and per distinct relation.  Relation
+    r is (kind[r], x[r], l[r]): kind 0 is a self-loop on l, 1 the back
+    edge out[out[u, x], l] = u, 2 the square out[out[u, x], l] =
+    out[out[u, l], x], and one last entry of kind 3 stands for no relation.
+    Edge e is checked by relation[e], read at the images of the ball
+    element anchor[e].  Within one relation no two edges share an anchor,
+    since an anchor and the relation's labels fix the edge.
+    """
+    bout, parent, via = ball.graph.out.ravel(), ball.parent, ball.via
+    labels = ball.graph.num_labels
+    tree = np.zeros(bout.size, dtype=bool)
+    tree[parent[1:] * labels + via[1:]] = True
+    edge = np.flatnonzero((bout >= 0) & ~tree)
+    src, label = np.divmod(edge, labels)
+    dst = bout[edge]
+    up, x = parent[src], via[src]
+    loop = dst == src
+    back = (dst == up) & (src > 0) & ~loop
+    square = (via[dst] == x) & (bout[up * labels + label] == parent[dst]) & (src > 0) & (dst > 0) & ~loop & ~back
+    kind = 3 - 3 * loop - 2 * back - square  # the three masks are disjoint
+    # a self-loop's relation does not depend on the tree, and kind 3 is one column
+    key = (kind * labels + x * (back | square)) * labels + label * (kind < 3)
+    keys, relation = np.unique(key, return_inverse=True)
+    anchor = np.where(loop, src, up)
+    return (src, label, dst, anchor, relation), (keys // labels**2, keys // labels % labels, keys % labels)
+
+
+def _relation_holds(out: np.ndarray, kind: int, x: int, l: int) -> np.ndarray:
+    """One flag per graph vertex u: whether the relation (kind, x, l) of _cycle_relations holds at u.
+
+    A head of -1 indexes the table's last row, as in the walk; a chart
+    whose anchor image reaches it holds a -1 and is rejected anyway.
+    """
+    if kind == 0:
+        return out[:, l] == np.arange(len(out))
+    if kind == 1:
+        return out[out[:, x], l] == np.arange(len(out))
+    return out[out[:, x], l] == out[out[:, l], x]
+
+
+def _check_boundary(out: np.ndarray, walk: np.ndarray, ball: "CayleyBall", ok: np.ndarray) -> None:
+    """Clear ok wherever an edge leaving a source's image lands on a sink's image, label by label."""
+    bout = ball.graph.out
+    count = walk.shape[1]
+    no_out = bout < 0
+    no_in = np.ones(bout.shape, dtype=bool)
+    no_in[bout[~no_out], np.nonzero(~no_out)[1]] = False
+    for label in np.flatnonzero(no_out.any(axis=0) & no_in.any(axis=0)).tolist():
+        sources, sinks = np.flatnonzero(no_out[:, label]), np.flatnonzero(no_in[:, label])
+        # blocks of kb vertices and sb sources: sb * |sinks| * kb <= |walk| cells
+        per = max(1, walk.size // sinks.size)
+        kb = min(count, max(1, per // sources.size))
+        sb = min(sources.size, max(1, per // kb))
+        for k0 in range(0, count, kb):
+            image = walk[sinks, k0 : k0 + kb]
+            for s0 in range(0, sources.size, sb):
+                hit = out[walk[sources[s0 : s0 + sb], k0 : k0 + kb], label]
+                ok[k0 : k0 + kb] &= ~(hit[:, None] == image).any(axis=(0, 1))
 
 
 def read_graph_file(

@@ -19,7 +19,7 @@ from operator import add
 
 import numpy as np
 
-from .digraph import LabeledDigraph, _bfs, table_edges
+from .digraph import LabeledDigraph, _bfs
 from .errors import ApproximationTooCoarse, ParseError, ResourceLimitError
 from .limits import DEFAULT_MAX_BALL_ELEMENTS, MAX_BALL_PRODUCT_CELLS
 
@@ -443,7 +443,7 @@ def _build_ball(group: GroupModel, r: int, max_elements: int) -> CayleyBall:
         radius=r,
         elements=tuple(elements),
         element_index=index,
-        graph=LabeledDigraph(m, len(gens), table_edges(np.array(heads, dtype=np.int64).reshape(m, len(gens)))),
+        graph=LabeledDigraph.from_table(np.array(heads, dtype=np.int64).reshape(m, len(gens))),
         parent=parent,
         via=via,
         layers=layers,

@@ -9,11 +9,16 @@ digraph, to the radius-r Cayley ball of G.
 One builder serves every group family: the Cayley graph of the finite
 quotient that the group model names (a discrete torus (Z/nZ)^k for Z^k,
 the full Cayley graph of a finite group, which approximates itself
-perfectly).  Everything it produces is re-checked from scratch by the
-verifier, which charts every good vertex in one vectorised label walk
+perfectly).  The builder hands the quotient's out-table straight to
+LabeledDigraph.from_table, whose checks are linear in the table.
+Everything it produces is re-checked from scratch by the verifier, which
+charts every good vertex in one vectorised label walk
 (digraph.ball_charts) and keeps the charts as one read-only array: the
 transfer instance and the Weiss selection read their smaller-radius
-charts as column prefixes of it.
+charts as column prefixes of it.  The chart check reads most of the
+ball's cycles (self-loops, back edges, commuting squares) as relations
+at single graph vertices, each evaluated once per vertex of the graph
+when every vertex is charted, as it is here, instead of once per chart.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .digraph import LabeledDigraph, ball_charts, table_edges
+from .digraph import LabeledDigraph, ball_charts
 from .errors import AlphabetMismatch, BallMismatch, CardinalityViolation
 from .groups import CayleyBall, GroupModel, cayley_ball
 from .limits import DEFAULT_MAX_BALL_ELEMENTS, DEFAULT_MAX_VERTICES
@@ -133,8 +138,7 @@ def quotient_graph(group: GroupModel, side=None, max_vertices=DEFAULT_MAX_VERTIC
     For Z^k the torus (Z/nZ)^k at side n, vertex sum x_i * n^i at
     coordinates x; a finite group's own Cayley graph takes no side.
     """
-    heads = group.quotient_table(side, max_vertices)
-    return LabeledDigraph(len(heads), len(group.generators), table_edges(heads))
+    return LabeledDigraph.from_table(group.quotient_table(side, max_vertices))
 
 
 def quotient_approximation(

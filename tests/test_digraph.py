@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import networkx as nx
@@ -10,6 +11,9 @@ import hypothesis.strategies as st
 from oracles import cyclic_group, digraph_by_edge_loop, direct_product_table, symmetric_group_5, write_graph_file
 from soficrank.digraph import (
     LabeledDigraph,
+    _cycle_relations,
+    _walk,
+    _walk_dtype,
     ball_charts,
     ball_isomorphism,
     distance,
@@ -17,6 +21,7 @@ from soficrank.digraph import (
     label_walk,
     neighborhood,
     read_graph_file,
+    table_edges,
 )
 from soficrank.errors import ParseError, ResourceLimitError
 from soficrank.groups import (
@@ -76,6 +81,14 @@ def edge_lists(draw):
     return n, labels, edges
 
 
+@st.composite
+def out_tables(draw):
+    """(|V|, |B|) out-tables with heads in [-1, |V|]: columns repeat heads, and |V| is one past the end."""
+    n, labels = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    cells = draw(st.lists(st.integers(-1, n), min_size=n * labels, max_size=n * labels))
+    return np.array(cells, dtype=np.int64).reshape(n, labels)
+
+
 class TestConstructionOracle:
     @settings(max_examples=150, deadline=None)
     @given(edge_lists())
@@ -96,6 +109,38 @@ class TestConstructionOracle:
         for given_edges in inputs:
             g = LabeledDigraph(n, labels, given_edges)
             assert (list(g.edges()), g.edge_count) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(out_tables())
+    def test_from_table_agrees_with_the_edge_list(self, out):
+        n, labels = out.shape
+        try:
+            expected = LabeledDigraph(n, labels, table_edges(out))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                LabeledDigraph.from_table(out)
+            assert str(got.value) == str(exc)
+            return
+        g = LabeledDigraph.from_table(out)
+        assert g == expected and g.edge_count == expected.edge_count
+        assert (g.vertex_count, g.num_labels) == (n, labels) and not g.out.flags.writeable
+
+
+class TestFromTable:
+    def test_copies_the_table(self):
+        out = np.array([[1, -1], [0, 1]])
+        g = LabeledDigraph.from_table(out)
+        out[0, 0] = -1
+        assert g.out.tolist() == [[1, -1], [0, 1]] and g.edge_count == 3
+
+    def test_entry_below_minus_one(self):
+        with pytest.raises(ValueError, match="vertices or -1"):
+            LabeledDigraph.from_table([[0, -2]])
+
+    def test_first_bad_edge_in_table_order(self):
+        # (1, 0, 0) repeats the head of (0, 0, 0) before (2, 3, 0) leaves the range
+        with pytest.raises(ValueError, match="vertex 0 has two incoming edges labeled 0"):
+            LabeledDigraph.from_table([[0], [0], [3]])
 
 
 class TestDistance:
@@ -308,10 +353,10 @@ def _perturbed(draw, group, graph):
 
 
 @st.composite
-def perturbed_tori(draw):
-    """A torus of Z^1 or Z^2 with some edges deleted and some same-label targets swapped."""
-    k = draw(st.integers(1, 2))
-    n = draw(st.integers(2, 9 if k == 1 else 5))
+def perturbed_tori(draw, max_sides=((1, 9), (2, 5))):
+    """A torus of Z^k with some edges deleted and some same-label targets swapped; max_sides pairs k with its largest side."""
+    k, largest = draw(st.sampled_from(max_sides))
+    n = draw(st.integers(2, largest))
     group = FreeAbelian(k)
     return _perturbed(draw, group, quotient_graph(group, n))
 
@@ -360,6 +405,25 @@ class TestBallIsomorphismOracle:
         sample = data.draw(st.lists(st.integers(0, graph.vertex_count - 1), min_size=1, max_size=6))
         for v in sample:
             assert bool(ok[v]) == _oracle_isomorphic(graph, v, ball), v
+
+    @settings(max_examples=20, deadline=None)
+    @given(perturbed_tori(max_sides=((2, 10), (3, 6))), st.integers(0, 4), st.data())
+    def test_perturbed_squares(self, case, r, data):
+        # squares, back edges and self-loops fail where edges were swapped or deleted
+        group, graph = case
+        assert_charts_match(graph, data.draw(vertex_lists(graph.vertex_count)), cayley_ball(group, r))
+
+    @settings(max_examples=25, deadline=None)
+    @given(perturbed_finite_cayley_graphs(), st.integers(0, 8), st.data())
+    def test_finite_cayley_graphs_with_direct_edges(self, case, r, data):
+        # finite balls keep edges that no relation checks, compared chart by chart
+        group, graph = case
+        assert_charts_match(graph, data.draw(vertex_lists(graph.vertex_count)), cayley_ball(group, r))
+
+
+def vertex_lists(n):
+    """All n vertices in order, or a short list with repeats, possibly empty."""
+    return st.one_of(st.just(list(range(n))), st.lists(st.integers(0, n - 1), max_size=6))
 
 
 def assert_charts_match(graph, vertices, ball):
@@ -428,3 +492,108 @@ class TestBallCharts:
             ball_charts(LabeledDigraph(3, 1, [(0, 1, 0)]), [0], cayley_ball(Z1, 1))
         with pytest.raises(ValueError):
             ball_charts(quotient_graph(Z1, 6), [0, 6], cayley_ball(Z1, 1))
+        with pytest.raises(ValueError):  # an empty vertex list is checked as well
+            ball_charts(LabeledDigraph(3, 1, [(0, 1, 0)]), [], cayley_ball(Z1, 1))
+
+
+def grid_ball():
+    """The 3 x 3 directed grid, labels 0 (x + 1) and 1 (y + 1), as a hand-made ball rooted at (0, 0).
+
+    Elements are ordered (0,0), (0,1), (1,0), (0,2), (1,1), (2,0), (1,2),
+    (2,1), (2,2), so (1,1) hangs from (0,1) and (2,1) from (1,1): the edge
+    (2,0) -1-> (2,1) is a square whose parallel edge (1,0) -1-> (1,1) is
+    itself a square, not a tree edge.
+    """
+    order = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0), (1, 2), (2, 1), (2, 2)]
+    index = {p: i for i, p in enumerate(order)}
+    edges = [
+        (index[(x, y)], index[q], label)
+        for x, y in order
+        for label, q in enumerate([(x + 1, y), (x, y + 1)])
+        if q in index
+    ]
+    tree = {
+        "parent": np.array([0, 0, 0, 1, 1, 2, 3, 4, 6]),
+        "via": np.array([0, 1, 0, 1, 0, 0, 0, 0, 0]),
+        "layers": np.array([0, 1, 3, 6, 8, 9]),
+    }
+    return CayleyBall(4, tuple(order), index, LabeledDigraph(9, 2, edges), **tree)
+
+
+def directed_torus(n):
+    """(Z/nZ)^2 with only the +x (label 0) and +y (label 1) edges; vertex x + n*y."""
+    return LabeledDigraph(
+        n * n, 2, [(x + n * y, (x + 1) % n + n * y, 0) for x in range(n) for y in range(n)]
+        + [(x + n * y, x + n * ((y + 1) % n), 1) for x in range(n) for y in range(n)]
+    )
+
+
+class TestCycleRelations:
+    def test_square_on_a_square(self):
+        (src, label, dst, anchor, relation), (kind, x, l) = _cycle_relations(grid_ball())
+        assert sorted(zip(src.tolist(), label.tolist(), dst.tolist())) == [(2, 1, 4), (4, 1, 6), (5, 1, 7), (7, 1, 8)]
+        assert (kind.tolist(), x.tolist(), l.tolist()) == ([2], [0], [1])
+        assert sorted(anchor.tolist()) == [0, 1, 2, 4] and relation.tolist() == [0] * 4
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(3, 7), st.data())
+    def test_grid_ball_on_perturbed_directed_tori(self, n, data):
+        _, graph = _perturbed(data.draw, None, directed_torus(n))
+        assert_charts_match(graph, data.draw(vertex_lists(graph.vertex_count)), grid_ball())
+
+    @pytest.mark.parametrize("vertices", [range(36), [0, 7, 7, 35]])
+    def test_failing_parallel_edge(self, vertices):
+        # swapping the +y heads of (1,0) and (4,3) breaks the parallel edge
+        # at the charts rooted at (0,0) and (3,3), and the square above it
+        edges = [e for e in directed_torus(6).edges() if not (e[2] == 1 and e[0] in (1, 22))]
+        graph = LabeledDigraph(36, 2, edges + [(1, 28, 1), (22, 7, 1)])
+        ok = assert_charts_match(graph, list(vertices), grid_ball())
+        assert not ok[list(vertices).index(0)]
+
+    def test_z2_radius_13_needs_no_chart_by_chart_edge(self):
+        (src, _, _, _, relation), (kind, _, _) = _cycle_relations(cayley_ball(FreeAbelian(2), 13))
+        assert src.size == 1353
+        assert sorted(kind.tolist()) == [0] + [1] * 4 + [2] * 6
+
+    def test_closures_and_chart_by_chart_comparison_agree(self):
+        # one vertex of a large torus compares its relations chart by chart
+        group = FreeAbelian(2)
+        edges = list(quotient_graph(group, 28).edges())
+        assert edges[10][2] == edges[500][2] == 0
+        edges[10], edges[500] = (edges[10][0], edges[500][1], 0), (edges[500][0], edges[10][1], 0)
+        graph = LabeledDigraph(784, 5, edges)
+        ball = cayley_ball(group, 3)
+        for vertices in ([2, 2, 100], range(784)):
+            assert_charts_match(graph, list(vertices), ball)
+
+
+class TestWalkDtype:
+    def test_boundary(self):
+        # only the rule is consulted: no table of this size is built
+        assert _walk_dtype(2**31 - 1, 1) is np.int32
+        assert _walk_dtype(2**31, 1) is np.int64
+        assert _walk_dtype(2**30 - 1, 2) is np.int32
+        assert _walk_dtype(2**30, 2) is np.int64
+
+    def test_int32_walk_is_the_label_walk(self):
+        graph, ball = quotient_graph(FreeAbelian(2), 7), cayley_ball(FreeAbelian(2), 4)
+        walk = _walk(graph.out.astype(np.int32), np.arange(49), ball)
+        assert walk.dtype == np.int32
+        assert np.array_equal(walk.T, label_walk(graph, range(49), ball))
+
+    def test_charts_stay_int64(self):
+        charts, ok = ball_charts(quotient_graph(FreeAbelian(2), 8), range(64), cayley_ball(FreeAbelian(2), 3))
+        assert charts.dtype == np.int64 and ok.all()
+
+
+def test_chart_memory_bound():
+    """Charting the side-28 torus over the radius-13 Z^2 ball peaks below 2.5 times the charts."""
+    group = FreeAbelian(2)
+    graph, ball = quotient_graph(group, 28), cayley_ball(group, 13)
+    tracemalloc.start()
+    try:
+        charts, ok = ball_charts(graph, range(784), ball)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.all() and peak < 2.5 * charts.nbytes
