@@ -4,7 +4,8 @@ Given an element phi of Mat_d(F_p[G]) (optionally with a candidate right
 inverse psi) and a sofic approximation of G, this module:
 
   * selects the radii r1 (combined supports), r2 (smallest ball with a
-    nonzero restricted kernel, when one is found) and r0 = max(r1, r2),
+    nonzero restricted kernel, when one is found; none, with no search,
+    when psi is a left inverse of phi) and r0 = max(r1, r2),
     plus an exact rational tolerance epsilon < 1/(2 * d * |N_{2r0+1}(B)|);
   * scans the graph for the vertex sets V' (vertices whose r0-neighborhood
     is ball-isomorphic) and V'' (vertices of V' all of whose r0-neighbors
@@ -44,6 +45,7 @@ from .exactfield import FpMatrix, FpSparse, json_value, rank
 from .groupring import (
     GroupRingKernel,
     check_right_inverse,
+    compose,
     kernel_radius,
     support_data,
     transplant,
@@ -87,12 +89,26 @@ def plan_instance(
     max_kernel_search: Optional[int] = None,
     max_ball_elements: int = DEFAULT_MAX_BALL_ELEMENTS,
 ) -> InstancePlan:
-    """Compute r1, r2, r0 and epsilon for the given element(s)."""
+    """Compute r1, r2, r0 and epsilon for the given element(s).
+
+    r2 comes from kernel_radius, except when psi is given and is a left
+    inverse of phi, compose(psi, phi) being the identity: then r2 is None
+    and no search runs.  That is exact, not a guess.  compose(a, b) is the
+    kernel of a o b, and restriction_matrix(c, ...) is the operator M_c
+    whose block at (g2, g1) is c(g1^{-1} g2), so psi o phi = 1 gives
+    M_psi M_phi = id on finitely supported vectors, and no x != 0 has
+    M_phi x = 0 within any ball.  phi o psi = 1 alone proves nothing here:
+    that it forces psi o phi = 1 is the paper's theorem itself, which the
+    rank chains only illustrate, so a right inverse still searches.
+    """
     _, r1 = support_data(phi, psi)
     bound = max_kernel_search if max_kernel_search is not None else default_kernel_search_bound(
         phi.support_radius()
     )
-    r2 = kernel_radius(phi, bound, max_ball_elements=max_ball_elements)
+    if psi is not None and compose(psi, phi).is_identity():
+        r2 = None
+    else:
+        r2 = kernel_radius(phi, bound, max_ball_elements=max_ball_elements)
     r0 = max(r1, r2) if r2 is not None else r1
     ball_big = cayley_ball(phi.group, 2 * r0 + 1, max_elements=max_ball_elements)
     return InstancePlan(
@@ -165,12 +181,15 @@ def build_instance(
     in_v_prime = np.zeros(n, dtype=bool)
     in_v_prime[good] = True
     others = np.flatnonzero(~in_v_prime)
-    charts = np.empty((n, ball_r0.size), dtype=np.int64)
-    charts[good] = approx.charts[:, : ball_r0.size]
-    charts[others], in_v_prime[others] = ball_charts(approx.graph, others, ball_r0)
+    # With every vertex good, V' = V0 and the verified prefix, a read-only view, is already aligned to it.
+    charts = approx.charts[:, : ball_r0.size]
+    if others.size:
+        full = np.empty((n, ball_r0.size), dtype=np.int64)
+        full[good] = charts
+        full[others], in_v_prime[others] = ball_charts(approx.graph, others, ball_r0)
+        charts = full[in_v_prime]
+        charts.flags.writeable = False
     v_prime = np.flatnonzero(in_v_prime)
-    charts = charts[v_prime]
-    charts.flags.writeable = False
     in_v_dprime = np.zeros(n, dtype=bool)
     in_v_dprime[v_prime] = in_v_prime[charts].all(axis=1)
 

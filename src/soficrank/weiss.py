@@ -97,10 +97,11 @@ def weiss_select(approx: SoficApproximation, r0: int) -> WeissSelection:
     # Guarantee (2), checked in both directions: from each pick, walk only
     # until the first other pick appears.  BFS depth never decreases, so
     # that pick is the nearest, and the least of these depths is the least
-    # directed distance over all ordered pairs.
+    # directed distance over all ordered pairs.  A single pick has no pair
+    # and nothing to walk to.
     picks = set(v1)
     nearest = []
-    for u in v1:
+    for u in v1 if len(v1) > 1 else ():
         for w, d in distances(graph, u):
             if d and w in picks:
                 if d < sep:

@@ -34,6 +34,16 @@ experiment df-check x y
 experiment transfer x y
 """
 
+TRANSVECTION_RING = """\
+ring p=3 d=2 group=Z^1
+element x
+term 1,0;0,1 @ 0
+term 0,1;0,0 @ 2
+element y
+term 1,0;0,1 @ 0
+term 0,2;0,0 @ 2
+"""
+
 SINGULAR_RING = """\
 ring p=2 d=2 group=Z^1
 element s
@@ -268,6 +278,21 @@ class TestLimits:
         argv = ["transfer-run", str(involution_file), "x", "y", "--mode", "lower", "--torus-n", "12"]
         assert main(argv) == 2
         assert var in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limit, code", [(18, 3), (19, 0)])
+    def test_left_inverse_builds_no_kernel_ball(self, tmp_path, limit, code, capsys):
+        # y o x = 1 settles the kernel search, so the largest ball is the radius-9
+        # approximation ball (19 elements), not the search's radius-11 ball.
+        path = tmp_path / "transvection.ring"
+        path.write_text(TRANSVECTION_RING)
+        out = tmp_path / "t.json"
+        argv = ["transfer-run", str(path), "x", "y", "--mode", "lower", "--out", str(out)]
+        assert main(argv + ["--max-ball", str(limit)]) == code
+        if code == 0:
+            payload = json.loads(out.read_text())["payload"]
+            assert (payload["verdict"], payload["r2"], payload["ball_big_size"]) == ("LOWER_HOLDS", None, 19)
+        else:
+            assert "radius 9" in capsys.readouterr().err
 
     def test_positive_limits_accepted(self, involution_file, monkeypatch):
         monkeypatch.setenv("SOFICRANK_MAX_KERNEL_RADIUS", "9")

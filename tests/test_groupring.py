@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from oracles import cyclic_group, equivariant_entry, restriction_by_products, symmetric_group_5
+from soficrank.corpus import random_invertible_pair
 from soficrank import groupring
 from soficrank.errors import InternalInconsistency
 from soficrank.exactfield import FpMatrix, mat_mul, rank
@@ -283,6 +284,27 @@ class TestAlgebraProperties:
             lhs = restriction_matrix(compose(a, b), dom, cod).dense()
             rhs = mat_mul(restriction_matrix(a, mid, cod).dense(), restriction_matrix(b, dom, mid).dense())
             assert lhs == rhs
+
+    @pytest.mark.parametrize("group", [Z1, Z2, S5], ids=["Z1", "Z2", "S5"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_left_inverse_restricts_to_the_inclusion(self, group, seed):
+        """compose(psi, phi) = 1 makes M_psi M_phi, from B_n through B_{n+rs}, the inclusion of B_n.
+
+        rs is phi's support radius.  x = I + E_12 t^g is no left inverse of
+        itself (x o x = I + 2 E_12 t^(g g)), and its product is no inclusion.
+        """
+        phi, psi = random_invertible_pair(random.Random(seed), group, 2, 3, max_factors=3)
+        x = GroupRingKernel.identity(group, 2, 3) + GroupRingKernel(
+            group, 2, 3, {group.generators[0]: FpMatrix([[0, 1], [0, 0]], 3)}
+        )
+        assert compose(psi, phi).is_identity() and not compose(x, x).is_identity()
+        n = 1
+        for a, b, expected in ((psi, phi, True), (x, x, False)):
+            rb = b.support_radius()
+            dom, mid, cod = (cayley_ball(group, r) for r in (n, n + rb, n + rb + a.support_radius()))
+            product = mat_mul(restriction_by_products(a, mid, cod), restriction_by_products(b, dom, mid))
+            inclusion = np.eye(2 * cod.size, 2 * dom.size, dtype=np.int64)  # balls are prefixes
+            assert np.array_equal(product.array, inclusion) is expected
 
     def test_direct_finiteness_on_involution(self):
         x = involution()

@@ -1,15 +1,19 @@
 import dataclasses
 import gc
+import random
 import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from oracles import commutative_square_matrix, cyclic_group, dense_rank, slice_ranks
 from soficrank.cli import parse_instance_file
-from soficrank.digraph import LabeledDigraph, ball_isomorphism
+from soficrank.corpus import random_invertible_pair
+from soficrank.digraph import LabeledDigraph, ball_charts, ball_isomorphism
 from soficrank.errors import (
     ApproximationTooCoarse,
     CheckFailedError,
@@ -25,7 +29,8 @@ from soficrank.groupring import (
     kernel_radius,
     restriction_matrix,
 )
-from soficrank.groups import FreeAbelian, cayley_ball
+from soficrank.groups import FreeAbelian, cayley_ball, read_finite_group_file
+from soficrank.limits import default_kernel_search_bound
 from soficrank.sofic import quotient_approximation, torus_approximation, verify_approximation
 from soficrank.transfer import (
     LOWER_HOLDS,
@@ -45,6 +50,7 @@ from soficrank.transfer import (
 )
 
 Z1 = FreeAbelian(1)
+S3 = read_finite_group_file(Path(__file__).parent / "data" / "golden" / "s3.table")
 
 
 def instance(phi, psi, approx):
@@ -108,6 +114,56 @@ class TestPlanAndInstance:
         approx = torus_approximation(Z1, 12, 3)
         with pytest.raises(ApproximationTooCoarse):
             instance(x, x, approx)
+
+
+class TestLeftInverseSettlesKernel:
+    """A psi with psi o phi = 1 sets r2 to None without a search; anything else still searches."""
+
+    @given(st.sampled_from([Z1, FreeAbelian(2), S3]), st.integers(1, 2), st.sampled_from([2, 3]), st.integers(0, 2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_invertible_pair_skips_the_search(self, group, d, p, seed):
+        x, y = random_invertible_pair(random.Random(seed), group, d, p, max_factors=3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel_radius ran for an element with a left inverse")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(transfer, "kernel_radius", refuse)
+            plan = plan_instance(x, y)
+        assert plan.r2 is None
+        assert plan.r0 == plan.r1
+        # The search it skips would have found nothing either.
+        assert kernel_radius(x, default_kernel_search_bound(x.support_radius())) is None
+
+    @pytest.mark.parametrize(
+        "phi, psi",
+        [
+            (singular_diag(), None),
+            (singular_diag(), GroupRingKernel.identity(Z1, 2, 2)),  # psi o phi = phi != 1
+            (involution(), None),
+            (involution(), GroupRingKernel.zero(Z1, 2, 2)),
+        ],
+        ids=["singular-no-psi", "singular-identity-psi", "invertible-no-psi", "invertible-zero-psi"],
+    )
+    def test_other_elements_still_search(self, monkeypatch, phi, psi):
+        bound = default_kernel_search_bound(phi.support_radius())
+        expected = kernel_radius(phi, bound)
+        calls = []
+
+        def counting(phi, bound, **kwargs):
+            calls.append((phi, bound))
+            return kernel_radius(phi, bound, **kwargs)
+
+        monkeypatch.setattr(transfer, "kernel_radius", counting)
+        assert plan_instance(phi, psi).r2 == expected
+        assert calls == [(phi, bound)]
+
+    def test_run_experiment_keeps_the_exclusion_check(self, monkeypatch):
+        # A left inverse settles r2 only in the plan: a kernel reported anyway still trips the check.
+        monkeypatch.setattr(transfer, "compose", lambda a, b: GroupRingKernel.zero(a.group, a.d, a.p))
+        monkeypatch.setattr(transfer, "kernel_radius", lambda *args, **kwargs: 1)
+        with pytest.raises(InternalInconsistency, match="both a verified right inverse and a restricted kernel"):
+            run_experiment(involution(), involution(), "both")
 
 
 class TestIncompatiblePsi:
@@ -285,6 +341,21 @@ class TestTransferIdentityOracle:
 
 
 class TestInstanceCharts:
+    @pytest.mark.parametrize(
+        "pair",
+        [lambda: (involution(), involution()), z2_unipotent_pair, s3_involution],
+        ids=["z1-involution", "z2-unipotent", "s3-involution"],
+    )
+    def test_perfect_approximation_charts_are_a_view(self, pair):
+        inst = smallest_instance(*pair())
+        approx, n = inst.approx, inst.vertex_count
+        assert inst.v_prime == approx.good_vertices == tuple(range(n))
+        charts, ok = ball_charts(approx.graph, np.arange(n), inst.ball_r0)
+        assert ok.all()
+        assert np.array_equal(inst.charts, charts)
+        assert np.shares_memory(inst.charts, approx.charts)
+        assert not inst.charts.flags.writeable
+
     def test_open_path_rows_are_r0_charts(self):
         inst = open_path_involution()
         graph = inst.approx.graph

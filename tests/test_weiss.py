@@ -11,6 +11,7 @@ from soficrank.digraph import LabeledDigraph, distance
 from soficrank.errors import ApproximationTooCoarse, PreconditionDensity
 from soficrank.groups import FreeAbelian, cayley_ball, read_finite_group_file
 from soficrank.sofic import quotient_graph, verify_approximation
+from soficrank import weiss
 from soficrank.weiss import weiss_select
 
 Z1 = FreeAbelian(1)
@@ -92,6 +93,15 @@ class TestEdgeCases:
         assert sel.v1 == (0,)
         assert sel.density_bound == Fraction(1, 14)
         assert sel.min_pairwise_distance is None
+
+    def test_single_pick_walks_nothing(self, monkeypatch):
+        def refuse(graph, v):
+            raise AssertionError("a single pick has no other pick to walk to")
+
+        monkeypatch.setattr(weiss, "distances", refuse)
+        G = cyclic_group(7)
+        sel = select(quotient_graph(G), range(7), 3, group=G)
+        assert (sel.v1, sel.min_pairwise_distance) == ((0,), None)
 
 
 class TestGuarantees:
