@@ -261,7 +261,7 @@ def _read_graph_input(args, epsilon: str, radius: int):
     group = parse_group_descriptor(args.group, Path.cwd())
     limits = Limits.from_env()
     try:
-        graph = read_graph_file(args.graph, limits.max_vertices, num_labels=len(group.generators))
+        graph = read_graph_file(args.graph, limits.max_vertices, num_labels=group.label_count)
         vertex_count, num_labels = graph.vertex_count, graph.num_labels
     except AlphabetMismatch as exc:
         graph, vertex_count, num_labels = None, exc.vertex_count, exc.num_labels

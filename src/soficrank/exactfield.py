@@ -358,6 +358,8 @@ def kernel_basis(m: FpMatrix) -> list[FpMatrix]:
 def json_value(x):
     """JSON form of a report value: a Fraction as {"num", "den"}, a tuple as a
     list, a dataclass as {field: json_value(value)}; anything else as is."""
+    if x is None or isinstance(x, (int, str)):  # bool is an int; the commonest values first
+        return x
     if isinstance(x, Fraction):
         return {"num": x.numerator, "den": x.denominator}
     if isinstance(x, tuple):

@@ -114,10 +114,11 @@ def compose(c_phi: GroupRingKernel, c_psi: GroupRingKernel) -> GroupRingKernel:
     """
     c_phi._require_compatible(c_psi)
     group, d, p = c_phi.group, c_phi.d, c_phi.p
+    mul = group._mul  # support keys were checked when their kernels were built
     acc: dict = {}
     for h, mb in c_psi.support.items():
         for s, ma in c_phi.support.items():
-            x = group.multiply(h, s)
+            x = mul(h, s)
             prod = (ma.array @ mb.array) % p
             if x in acc:
                 acc[x] = (acc[x] + prod) % p
@@ -144,10 +145,11 @@ def support_data(c_phi: GroupRingKernel, c_psi: Optional[GroupRingKernel] = None
     if c_psi is not None:
         c_phi._require_compatible(c_psi)
         s.update(c_psi.support)
+    mul = group._mul  # support keys were checked when their kernels were built
     r1 = 1
     for a in s:
         for b in s:
-            r1 = max(r1, group.word_length(group.multiply(a, b)))
+            r1 = max(r1, group.word_length(mul(a, b)))
     return frozenset(s), r1
 
 
@@ -207,22 +209,32 @@ def kernel_radius(
     """Smallest n in [1, max_n] whose ball restriction has a nonzero kernel.
 
     A kernel vector supported in the radius-n ball stays a kernel vector in
-    every larger ball, so emptiness at max_n settles emptiness everywhere
-    below; that case costs a single rank computation.  Returns None when no
-    kernel vector exists up to max_n (which never certifies that the kernel
-    is empty, only that it was not found within the bound).
+    every larger ball, so emptiness at one radius settles emptiness
+    everywhere below; that case costs a single rank computation.  At the
+    group model's complete radius c has a kernel vector if it has one at any
+    radius, so the search stops at the smaller of max_n and that radius
+    (kernel_search_top) and returns what a scan of every n up to max_n
+    would.  Returns None when no kernel vector exists up to max_n: a proof
+    that the kernel is empty when max_n reaches the complete radius, and
+    otherwise only that none was found within the bound.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
+    top = kernel_search_top(c, max_n)
     rs = c.support_radius()
 
     def has_kernel(n: int) -> bool:
         m = restriction_matrix(c, n, n + rs, max_ball_elements)
         return rank(m) < m.cols
 
-    if not has_kernel(max_n):
+    if not has_kernel(top):
         return None
-    for n in range(1, max_n + 1):
+    for n in range(1, top + 1):
         if has_kernel(n):
             return n
-    raise InternalInconsistency(f"kernel found at radius max_n = {max_n} but at no radius n <= {max_n}")
+    raise InternalInconsistency(f"kernel found at radius top = {top} but at no radius n <= {top}")
+
+
+def kernel_search_top(c: GroupRingKernel, max_n: int) -> int:
+    """The largest radius kernel_radius(c, max_n) restricts to: max_n or, if smaller, the complete radius."""
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1")
+    return min(max_n, c.group.kernel_complete_radius(c.d, c.support_radius()))

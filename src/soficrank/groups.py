@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 
 import numpy as np
@@ -34,6 +35,11 @@ class GroupModel:
     """
 
     generators: tuple
+
+    @property
+    def label_count(self) -> int:
+        """|B|: the number of generators, and of labels in every graph built from the group."""
+        return len(self.generators)
 
     def identity(self):
         raise NotImplementedError
@@ -59,6 +65,15 @@ class GroupModel:
 
     def word_length(self, a) -> int:
         """Cayley-graph distance from the identity to a."""
+        raise NotImplementedError
+
+    def ball_size(self, r: int) -> int:
+        """Number of elements of word length <= r, without building the ball."""
+        raise NotImplementedError
+
+    def kernel_complete_radius(self, d: int, rs: int) -> int:
+        """A radius n >= 1 at which a d x d element of support radius rs has a
+        nonzero restricted kernel if it has one at any radius."""
         raise NotImplementedError
 
     def quotient_side(self, side, radius: int):
@@ -109,8 +124,16 @@ class FreeAbelian(GroupModel):
                 f"Cayley ball of Z^{rank} at radius 0 exceeds {MAX_BALL_PRODUCT_CELLS} product cells"
             )
         self.rank = rank
-        zero = (0,) * rank
-        self.generators = tuple(zero[:i] + (e,) + zero[i + 1 :] for i in range(rank) for e in (1, -1)) + (zero,)
+
+    @cached_property
+    def generators(self) -> tuple:
+        """Built at first use: for a huge rank, building them takes longer than refusing its ball."""
+        zero = (0,) * self.rank
+        return tuple(zero[:i] + (e,) + zero[i + 1 :] for i in range(self.rank) for e in (1, -1)) + (zero,)
+
+    @property
+    def label_count(self) -> int:
+        return 2 * self.rank + 1
 
     def identity(self):
         return (0,) * self.rank
@@ -132,6 +155,19 @@ class FreeAbelian(GroupModel):
     def word_length(self, a) -> int:
         self.check_element(a)
         return sum(abs(x) for x in a)
+
+    def ball_size(self, r: int) -> int:
+        """Elements of Z^k with i nonzero coordinates and L1 norm <= r: choose
+        the i axes, their signs, and positive parts summing to at most r."""
+        return sum(2**i * math.comb(self.rank, i) * math.comb(r, i) for i in range(min(self.rank, r) + 1))
+
+    def kernel_complete_radius(self, d: int, rs: int) -> int:
+        """(d-1) rs, at least 1.  F_p[Z^k] is a commutative domain, so phi has a
+        kernel vector exactly when det phi = 0.  Then phi has rank r < d over the
+        fraction field, and Cramer's rule on a nonsingular r x r minor gives a
+        kernel vector whose entries are r x r minors: sums of products of r
+        coefficients, so supported in the radius-r rs ball."""
+        return max(1, (d - 1) * rs)
 
     def quotient_side(self, side, radius: int):
         """The torus side, 2r + 2 by default and never less: at 2r + 1 the ball
@@ -247,6 +283,8 @@ class FiniteByTable(GroupModel):
         self.generators = gens
         self.name = name or f"finite-order-{n}"
         self._word_lengths = tuple(dist[a] for a in range(n))
+        # entry k: the elements of word length <= k, up to the diameter
+        self._ball_sizes = tuple(np.cumsum(np.bincount(self._word_lengths)).tolist())
 
     @property
     def size(self) -> int:
@@ -268,6 +306,14 @@ class FiniteByTable(GroupModel):
     def word_length(self, a) -> int:
         self.check_element(a)
         return self._word_lengths[a]
+
+    def ball_size(self, r: int) -> int:
+        return self._ball_sizes[min(r, len(self._ball_sizes) - 1)]
+
+    def kernel_complete_radius(self, d: int, rs: int) -> int:
+        """The diameter, at least 1: from there on the ball is the whole group
+        and the restriction no longer changes with the radius."""
+        return max(1, len(self._ball_sizes) - 1)
 
     def quotient_side(self, side, radius: int):
         """A finite group is its own quotient at every radius; quotient_table rejects a side."""
@@ -368,7 +414,7 @@ def cayley_ball(group: GroupModel, r: int, max_elements: int = DEFAULT_MAX_BALL_
         ball = _build_ball(group, r, max_elements)
     else:
         ball = cache[r] if r in cache else _prefix(cache[largest], r)
-        # a build checks the limit after each layer it adds, so one element always passes
+        # a build checks the limit before each layer it adds, so one element always passes
         if ball.size > max(max_elements, 1):
             raise _too_large(group, r, max_elements)
     cache[r] = ball
@@ -399,12 +445,23 @@ def _build_ball(group: GroupModel, r: int, max_elements: int) -> CayleyBall:
     its tree edge.  Once the new layer is sorted and placed, the products of
     the layer before it are read off element_index as that layer's
     out-rows; the last layer's products are read one at a time, -1 for a
-    product outside the ball, and never held.
+    product outside the ball, and never held.  The limits are checked
+    layer by layer on the model's ball sizes before any product is computed.
     """
+    ident = group.identity()
+    cells = group.label_count * np.size(ident)  # per element, in its products' coordinates
+    for depth in range(1, r + 1):
+        size = group.ball_size(depth)
+        if size == group.ball_size(depth - 1):  # the group is exhausted
+            break
+        if size > max_elements:
+            raise _too_large(group, r, max_elements)
+        if size * cells > MAX_BALL_PRODUCT_CELLS:
+            raise ResourceLimitError(
+                f"Cayley ball of {group.describe()} at radius {r} exceeds {MAX_BALL_PRODUCT_CELLS} product cells"
+            )
     mul = group._mul  # every factor below is a ball element or a generator
     gens = group.generators
-    ident = group.identity()
-    cells = len(gens) * np.size(ident)  # per element, in its products' coordinates
     elements = [ident]
     index = {ident: 0}
     parent, via = [0], [0]  # the root has no parent
@@ -428,12 +485,6 @@ def _build_ball(group: GroupModel, r: int, max_elements: int) -> CayleyBall:
         if not found:
             break
         layers.append(len(elements))
-        if len(elements) > max_elements:
-            raise _too_large(group, r, max_elements)
-        if len(elements) * cells > MAX_BALL_PRODUCT_CELLS:
-            raise ResourceLimitError(
-                f"Cayley ball of {group.describe()} at radius {r} exceeds {MAX_BALL_PRODUCT_CELLS} product cells"
-            )
     heads.extend(index.get(mul(g, b), -1) for g in elements[start:] for b in gens)
     m = len(elements)
     parent, via, layers = (np.array(a, dtype=np.int64) for a in (parent, via, layers))

@@ -26,9 +26,9 @@ ENV_MAX_KERNEL_RADIUS = "SOFICRANK_MAX_KERNEL_RADIUS"
 def default_kernel_search_bound(support_radius: int) -> int:
     """Search bound for kernel-radius scans: 3 * support radius + 3.
 
-    An unbounded scan cannot terminate when the kernel is trivial, so every
-    search is capped; a miss is reported as "not found up to the bound",
-    never as "kernel empty".
+    Every search is capped.  A miss proves the kernel empty only when the
+    bound reaches the group model's complete radius (for Z^k with d <= 4
+    this one does); below it, a miss means "not found up to the bound".
     """
     return 3 * support_radius + 3
 

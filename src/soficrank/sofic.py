@@ -124,10 +124,10 @@ def check_preconditions(num_labels: int, epsilon, radius: int, group: GroupModel
         raise ValueError(f"epsilon must lie strictly between 0 and 1, got {epsilon}")
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if num_labels != len(group.generators):
+    if num_labels != group.label_count:
         raise AlphabetMismatch(
             f"graph has {num_labels} labels but {group.describe()} has "
-            f"{len(group.generators)} generators"
+            f"{group.label_count} generators"
         )
     return epsilon
 

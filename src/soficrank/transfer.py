@@ -47,6 +47,7 @@ from .groupring import (
     check_right_inverse,
     compose,
     kernel_radius,
+    kernel_search_top,
     support_data,
     transplant,
 )
@@ -102,13 +103,13 @@ def plan_instance(
     rank chains only illustrate, so a right inverse still searches.
     """
     _, r1 = support_data(phi, psi)
-    bound = max_kernel_search if max_kernel_search is not None else default_kernel_search_bound(
-        phi.support_radius()
-    )
-    if psi is not None and compose(psi, phi).is_identity():
-        r2 = None
-    else:
-        r2 = kernel_radius(phi, bound, max_ball_elements=max_ball_elements)
+    rs = phi.support_radius()
+    bound = max_kernel_search if max_kernel_search is not None else default_kernel_search_bound(rs)
+    searches = psi is None or not compose(psi, phi).is_identity()
+    # The largest ball first, so that the search's balls and ball_big, unless r2 outgrows it, are its prefixes.
+    first = max(2 * r1 + 1, kernel_search_top(phi, bound) + rs) if searches else 2 * r1 + 1
+    cayley_ball(phi.group, first, max_elements=max_ball_elements)
+    r2 = kernel_radius(phi, bound, max_ball_elements=max_ball_elements) if searches else None
     r0 = max(r1, r2) if r2 is not None else r1
     ball_big = cayley_ball(phi.group, 2 * r0 + 1, max_elements=max_ball_elements)
     return InstancePlan(

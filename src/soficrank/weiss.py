@@ -18,9 +18,9 @@ radius-2*r0 Cayley ball; it has |N_{2r0}(B)| <= |N_{2r0+1}(B)| elements,
 which yields guarantee (1).  Out-distance suffices for the discard
 because those out-balls are symmetric within their radius, so a
 too-close survivor in either direction would already have been removed.
-Both guarantees are re-checked before returning, (2) with one
-breadth-first walk per selected vertex that stops at the nearest other
-selected vertex.
+Both guarantees are re-checked before returning, (2) with a breadth-first
+walk from every selected vertex that stops at the nearest other selected
+vertex; the walks advance together, a block of picks at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Optional
 
 import numpy as np
 
-from .digraph import distances
 from .errors import ApproximationTooCoarse, InternalInconsistency, PreconditionDensity
 from .sofic import SoficApproximation
 
@@ -99,15 +98,13 @@ def weiss_select(approx: SoficApproximation, r0: int) -> WeissSelection:
     # that pick is the nearest, and the least of these depths is the least
     # directed distance over all ordered pairs.  A single pick has no pair
     # and nothing to walk to.
-    picks = set(v1)
     nearest = []
-    for u in v1 if len(v1) > 1 else ():
-        for w, d in distances(graph, u):
-            if d and w in picks:
-                if d < sep:
-                    raise InternalInconsistency(f"selected vertices {u}, {w} at directed distance {d} < {sep}")
-                nearest.append(d)
-                break
+    if len(v1) > 1:
+        depth, other = _nearest_other_picks(graph.out, np.array(v1), _pick_block(approx.charts, n))
+        for u, d, w in zip(v1, depth.tolist(), other.tolist()):
+            if 0 <= d < sep:
+                raise InternalInconsistency(f"selected vertices {u}, {w} at directed distance {d} < {sep}")
+        nearest = depth[depth >= 0].tolist()
 
     return WeissSelection(
         v1=v1,
@@ -116,3 +113,56 @@ def weiss_select(approx: SoficApproximation, r0: int) -> WeissSelection:
         achieved_density=achieved,
         min_pairwise_distance=min(nearest, default=None),
     )
+
+
+def _pick_block(charts: np.ndarray, n: int) -> int:
+    """Picks that walk at once, at least one: their slot array, |V| + 1 bytes per pick, is no larger than the charts."""
+    return max(1, charts.nbytes // (n + 1))
+
+
+def _nearest_other_picks(out: np.ndarray, picks: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """Directed distance from each pick to its nearest other pick, and that pick; -1 for both when none is reachable.
+
+    The picks walk the out-table breadth first in blocks of `block`, all
+    picks of a block one layer at a time, and a pick stops at the first
+    layer that holds another pick.  Slot k * (|V| + 1) + 1 + v of the
+    block's slot array marks v as reached from the block's k-th pick, and
+    slot k * (|V| + 1), marked from the start, takes its missing edges.  A
+    layer takes its new slots one label at a time: a label is a partial
+    injection, so one label's slots are distinct, and the marks drop those
+    an earlier label or layer reached.
+    """
+    n, labels = out.shape
+    stride = n + 1
+    is_pick = np.zeros(n, dtype=bool)
+    is_pick[picks] = True
+    depth = np.full(len(picks), -1, dtype=np.int64)
+    other = np.full(len(picks), -1, dtype=np.int64)
+    for start in range(0, len(picks), block):
+        front = picks[start : start + block]
+        walking = np.ones(len(front), dtype=bool)
+        owner = np.arange(len(front))  # the pick of each frontier vertex, within the block
+        seen = np.zeros(len(front) * stride, dtype=bool)
+        seen[owner * stride] = True
+        seen[owner * stride + 1 + front] = True
+        layer = 0
+        while front.size:
+            layer += 1
+            slots = (owner * stride + 1)[:, None] + out[front]
+            fresh = []
+            for label in range(labels):
+                new = slots[:, label]
+                new = new[~seen[new]]
+                seen[new] = True
+                fresh.append(new)
+            owner, front = np.divmod(np.concatenate(fresh), stride)
+            front -= 1
+            hit = is_pick[front]
+            if hit.any():
+                done = owner[hit]
+                depth[start + done] = layer
+                other[start + done] = front[hit]
+                walking[done] = False
+                keep = walking[owner]
+                owner, front = owner[keep], front[keep]
+    return depth, other

@@ -13,13 +13,14 @@ files.
 import random
 from collections import Counter, deque
 from itertools import accumulate, permutations, product
+from math import prod
 from typing import Optional
 
 import numpy as np
 
 from soficrank.digraph import LabeledDigraph, ball_isomorphism
-from soficrank.exactfield import FpMatrix
-from soficrank.groupring import GroupRingKernel
+from soficrank.exactfield import FpMatrix, rank
+from soficrank.groupring import GroupRingKernel, restriction_matrix
 from soficrank.groups import CayleyBall, FiniteByTable, FreeAbelian, GroupModel, cayley_ball
 from soficrank.transfer import TransferInstance, build_bar_phi
 
@@ -79,6 +80,46 @@ def commutative_square_matrix(inst: TransferInstance, v: int) -> Optional[FpMatr
     rows = [f[i] * d + k for i in range(ball_large.size) for k in range(d)]
     sub = bar_phi.array[np.ix_(rows, cols)]
     return FpMatrix(sub, bar_phi.p)
+
+
+def kernel_radius_scan(c: GroupRingKernel, max_n: int) -> Optional[int]:
+    """kernel_radius with no complete radius: one elimination at max_n, then every n from 1 up."""
+    rs = c.support_radius()
+
+    def has_kernel(n: int) -> bool:
+        m = restriction_matrix(c, n, n + rs)
+        return rank(m) < m.cols
+
+    if not has_kernel(max_n):
+        return None
+    return next(n for n in range(1, max_n + 1) if has_kernel(n))
+
+
+def laurent_det(c: GroupRingKernel) -> dict:
+    """Determinant of c over F_p[Z^k] as {exponent: nonzero coefficient}, by the Leibniz sum over permutations.
+
+    Entry (i, j) of c is the Laurent polynomial sum_s c(s)[i, j] t^s.
+    """
+    d, p = c.d, c.p
+    entry = [[{s: int(mat.array[i, j]) for s, mat in c.support.items() if mat.array[i, j]} for j in range(d)] for i in range(d)]
+
+    def times(f: dict, g: dict) -> dict:
+        out: dict = {}
+        for a, x in f.items():
+            for b, y in g.items():
+                e = tuple(map(sum, zip(a, b)))
+                out[e] = (out.get(e, 0) + x * y) % p
+        return out
+
+    det: dict = {}
+    for perm in permutations(range(d)):
+        sign = prod(-1 for i in range(d) for j in range(i) if perm[j] > perm[i])
+        term = {(0,) * c.group.rank: sign % p}
+        for i in range(d):
+            term = times(term, entry[i][perm[i]])
+        for e, x in term.items():
+            det[e] = (det.get(e, 0) + x) % p
+    return {e: x for e, x in det.items() if x}
 
 
 def equivariant_entry(c: GroupRingKernel, g2, g1) -> FpMatrix:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from soficrank import groups
 from soficrank.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -48,6 +49,21 @@ def test_report_matches_golden(name, tmp_path):
     out = tmp_path / f"{name}.json"
     assert main(_argv(name, out)) == CASES[name][0]
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_builds_at_most_one_ball(name, tmp_path, monkeypatch):
+    """Every ball a run uses is a prefix of the first one it builds."""
+    built = []
+    build = groups._build_ball
+
+    def counting(group, r, max_elements):
+        built.append(r)
+        return build(group, r, max_elements)
+
+    monkeypatch.setattr(groups, "_build_ball", counting)
+    assert main(_argv(name, tmp_path / f"{name}.json")) == CASES[name][0]
+    assert len(built) <= 1, built
 
 
 if __name__ == "__main__":

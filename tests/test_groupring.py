@@ -1,12 +1,20 @@
 import dataclasses
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from oracles import cyclic_group, equivariant_entry, restriction_by_products, symmetric_group_5
+from oracles import (
+    cyclic_group,
+    equivariant_entry,
+    kernel_radius_scan,
+    laurent_det,
+    restriction_by_products,
+    symmetric_group_5,
+)
 from soficrank.corpus import random_invertible_pair
 from soficrank import groupring
 from soficrank.errors import InternalInconsistency
@@ -20,11 +28,13 @@ from soficrank.groupring import (
     support_data,
     transplant,
 )
-from soficrank.groups import FreeAbelian, cayley_ball
+from soficrank.groups import FreeAbelian, cayley_ball, read_finite_group_file
+from soficrank.limits import default_kernel_search_bound
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
 S5 = symmetric_group_5()
+S3 = read_finite_group_file(Path(__file__).parent / "data" / "golden" / "s3.table")
 
 
 def scalar_kernel(group, p, terms):
@@ -245,9 +255,103 @@ class TestKernelRadius:
             return m.cols - 1 if len(calls) == 1 else m.cols
 
         monkeypatch.setattr(groupring, "rank", first_call_singular)
-        with pytest.raises(InternalInconsistency, match=r"max_n = 3 but at no radius n <= 3"):
+        # d = 1: the complete radius of Z^1 is 1, so the search stops there
+        with pytest.raises(InternalInconsistency, match=r"top = 1 but at no radius n <= 1"):
             kernel_radius(one_plus_t(), 3)
-        assert len(calls) == 4
+        assert len(calls) == 2
+
+    def test_search_stops_at_the_complete_radius(self, monkeypatch):
+        # (1+t) I_2 over F_2[Z]: d = 2 and rs = 1 give the complete radius 1, below the bound 6
+        domains = []
+        real = groupring.restriction_matrix
+
+        def recording(c, n, m, max_ball_elements):
+            domains.append(n)
+            return real(c, n, m, max_ball_elements)
+
+        monkeypatch.setattr(groupring, "restriction_matrix", recording)
+        c = GroupRingKernel(Z1, 2, 2, {(0,): FpMatrix.identity(2, 2), (1,): FpMatrix.identity(2, 2)})
+        assert kernel_radius(c, 6) is None
+        assert domains == [1]
+
+
+def random_coefficients(draw, group, d, p, radius):
+    """A kernel with one to four random d x d coefficients on the radius-`radius` ball."""
+    coefficient = st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d)
+    terms = draw(
+        st.dictionaries(st.sampled_from(cayley_ball(group, radius).elements), coefficient, min_size=1, max_size=4)
+    )
+    return GroupRingKernel(group, d, p, {g: [v[i * d : (i + 1) * d] for i in range(d)] for g, v in terms.items()})
+
+
+def maybe_singular(draw, c):
+    """c itself, or c composed with the projector diag(1, ..., 1, 0) on either side: det 0 either way."""
+    side = draw(st.sampled_from(["none", "before", "after"]))
+    eye = np.eye(c.d, dtype=np.int64)
+    eye[-1, -1] = 0
+    proj = GroupRingKernel(c.group, c.d, c.p, {c.group.identity(): FpMatrix(eye, c.p)})
+    return {"none": c, "before": compose(proj, c), "after": compose(c, proj)}[side]
+
+
+@st.composite
+def laurent_elements(draw):
+    """Elements of Mat_d(F_p[Z^k]), k <= 3 and d <= 3, on supports that keep the search's balls small."""
+    k, d, radius = draw(st.sampled_from([(1, 1, 3), (1, 2, 3), (1, 3, 2), (2, 2, 2), (2, 3, 1), (3, 2, 1), (3, 3, 1)]))
+    c = random_coefficients(draw, FreeAbelian(k), d, draw(st.sampled_from([2, 3])), radius)
+    return maybe_singular(draw, c)
+
+
+@st.composite
+def finite_group_elements(draw):
+    """Elements of Mat_d(F_p[G]) for G = S3 or S5, d <= 2, support anywhere in the group."""
+    group = draw(st.sampled_from([S3, S5]))
+    d = draw(st.integers(1, 2))
+    c = random_coefficients(draw, group, d, draw(st.sampled_from([2, 3])), group.kernel_complete_radius(d, 0))
+    return maybe_singular(draw, c)
+
+
+# Singular elements over F_2[Z^k] whose first kernel radius is the complete radius (d-1) rs itself.
+AT_THE_COMPLETE_RADIUS = [
+    GroupRingKernel(Z1, 2, 2, {(1,): [[1, 0], [0, 0]], (2,): [[0, 1], [0, 0]], (3,): [[1, 0], [0, 0]], (-3,): [[1, 0], [0, 0]]}),
+    GroupRingKernel(
+        Z1,
+        3,
+        2,
+        {
+            (0,): [[0, 0, 0], [1, 1, 1], [0, 0, 0]],
+            (-1,): [[1, 1, 1], [1, 0, 0], [0, 0, 0]],
+            (-3,): [[1, 0, 0], [1, 0, 1], [0, 0, 0]],
+            (3,): [[1, 0, 1], [0, 1, 1], [0, 0, 0]],
+        },
+    ),
+    GroupRingKernel(Z2, 2, 2, {(-1, -1): [[0, 1], [0, 0]], (-2, 0): [[0, 1], [0, 0]], (1, 1): [[1, 1], [0, 0]]}),
+]
+
+
+class TestCompleteRadius:
+    """kernel_radius stops at the group's complete radius and returns what the full scan up to the bound returns."""
+
+    @pytest.mark.parametrize("c", AT_THE_COMPLETE_RADIUS)
+    def test_kernel_radius_can_equal_the_complete_radius(self, c):
+        rs = c.support_radius()
+        bound = default_kernel_search_bound(rs)
+        assert kernel_radius(c, bound) == kernel_radius_scan(c, bound) == c.group.kernel_complete_radius(c.d, rs)
+        assert c.group.kernel_complete_radius(c.d, rs) == (c.d - 1) * rs and not laurent_det(c)
+
+    @settings(max_examples=30, deadline=None)
+    @given(laurent_elements())
+    def test_free_abelian_matches_scan_and_determinant(self, c):
+        bound = default_kernel_search_bound(c.support_radius())
+        r2 = kernel_radius(c, bound)
+        assert r2 == kernel_radius_scan(c, bound)
+        assert (r2 is None) == bool(laurent_det(c))
+        assert r2 is None or r2 <= c.group.kernel_complete_radius(c.d, c.support_radius())
+
+    @settings(max_examples=25, deadline=None)
+    @given(finite_group_elements())
+    def test_finite_groups_match_scan(self, c):
+        bound = default_kernel_search_bound(c.support_radius())
+        assert kernel_radius(c, bound) == kernel_radius_scan(c, bound)
 
 
 kernel_strategy = st.builds(

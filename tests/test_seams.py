@@ -72,6 +72,8 @@ MODEL_INTERFACE = {
     "inverse",
     "contains",
     "word_length",
+    "ball_size",
+    "kernel_complete_radius",
     "quotient_side",
     "quotient_table",
     "random_element",

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from oracles import cyclic_group, min_pairwise_distance, symmetric_group_5, write_graph_file
+from test_digraph import perturbed_tori
 from soficrank.cli import main
+import numpy as np
+
 from soficrank.digraph import LabeledDigraph, distance
 from soficrank.errors import ApproximationTooCoarse, PreconditionDensity
 from soficrank.groups import FreeAbelian, cayley_ball, read_finite_group_file
@@ -95,10 +98,10 @@ class TestEdgeCases:
         assert sel.min_pairwise_distance is None
 
     def test_single_pick_walks_nothing(self, monkeypatch):
-        def refuse(graph, v):
+        def refuse(out, picks, block):
             raise AssertionError("a single pick has no other pick to walk to")
 
-        monkeypatch.setattr(weiss, "distances", refuse)
+        monkeypatch.setattr(weiss, "_nearest_other_picks", refuse)
         G = cyclic_group(7)
         sel = select(quotient_graph(G), range(7), 3, group=G)
         assert (sel.v1, sel.min_pairwise_distance) == ((0,), None)
@@ -189,3 +192,68 @@ class TestMinPairwiseDistanceOracle:
         graph = quotient_graph(group, n)
         sel = select(graph, good, r0, group=group)
         assert sel.min_pairwise_distance == min_pairwise_distance(graph, sel.v1)
+
+
+def two_copies(graph):
+    """Two disjoint copies of the graph, the second shifted by |V|: neither reaches the other."""
+    n = graph.vertex_count
+    return LabeledDigraph(2 * n, graph.num_labels, [(s + k, d + k, l) for k in (0, n) for s, d, l in graph.edges()])
+
+
+def forward_path(n):
+    """The path 0 -> 1 -> ... -> n-1 on label 0 alone, with the identity loops: nothing reaches back."""
+    return LabeledDigraph(n, 3, [(v, v + 1, 0) for v in range(n - 1)] + [(v, v, 2) for v in range(n)])
+
+
+class TestBatchedWalk:
+    """The pick walk, in blocks of any size, against a full BFS from every pick."""
+
+    @staticmethod
+    def check_walk(graph, picks, block):
+        depth, other = weiss._nearest_other_picks(graph.out, np.array(picks, dtype=np.int64), block)
+        for u, d, w in zip(picks, depth.tolist(), other.tolist()):
+            nearest = min((distance(graph, u, x) for x in picks if x != u), default=float("inf"))
+            if nearest == float("inf"):
+                assert (d, w) == (-1, -1), u
+            else:
+                assert d == nearest and w in picks and w != u and distance(graph, u, w) == d, u
+        assert min(depth[depth >= 0].tolist(), default=None) == min_pairwise_distance(graph, picks)
+
+    @settings(max_examples=40, deadline=None)
+    @given(perturbed_tori(), st.sampled_from([1, 2, 1000]), st.data())
+    def test_perturbed_tori(self, case, block, data):
+        _, graph = case
+        picks = sorted(data.draw(st.sets(st.integers(0, graph.vertex_count - 1), min_size=2)))
+        self.check_walk(graph, picks, block)
+
+    @pytest.mark.parametrize("block", [1, 2, 1000])
+    @pytest.mark.parametrize(
+        "graph, picks",
+        [
+            (forward_path(12), [0, 5, 11]),  # 11 reaches no pick
+            (forward_path(12), [3, 4]),
+            (open_path(20), [0, 7, 19]),
+            (two_copies(quotient_graph(Z1, 6)), [0, 6]),  # neither reaches the other
+            (two_copies(quotient_graph(Z1, 6)), [0, 3, 6, 8]),
+        ],
+    )
+    def test_open_paths_and_unreachable_picks(self, graph, picks, block):
+        self.check_walk(graph, picks, block)
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_selection_in_small_blocks(self, block, monkeypatch):
+        monkeypatch.setattr(weiss, "_pick_block", lambda charts, n: block)
+        graph = quotient_graph(Z1, 16)
+        sel = select(graph, [0, 1, 2, 5, 6, 7, 8, 9, 10, 11], 1)
+        assert sel.min_pairwise_distance == min_pairwise_distance(graph, sel.v1) == 3
+        # one pick on each copy of C7: two picks, and no distance between them
+        G = cyclic_group(7)
+        sel = select(two_copies(quotient_graph(G)), range(14), 3, group=G)
+        assert (sel.v1, sel.min_pairwise_distance) == ((0, 7), None)
+
+    def test_slot_array_is_no_larger_than_the_charts(self):
+        graph = quotient_graph(Z1, 400)
+        approx = verify_approximation(graph, range(400), Fraction(1, 2), 3, Z1)
+        block = weiss._pick_block(approx.charts, graph.vertex_count)
+        assert block * (graph.vertex_count + 1) <= approx.charts.nbytes < (block + 1) * (graph.vertex_count + 1)
+
