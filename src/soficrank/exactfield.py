@@ -269,19 +269,57 @@ def _pivot_round(row, col, val, cols: int, p: int):
     )
 
 
+def _peel_singletons(row, col, val, shape):
+    """One singleton pass of rank: return (pivot count, entries left).
+
+    Entries come sorted by (row, col), at least one, with no zeros.  If
+    some column holds a single entry, every row such a column meets is one
+    pivot and loses all its entries; otherwise, if some row holds a single
+    entry, every column such a row meets is one pivot and loses all its
+    entries.  Boolean masks keep the entries left in (row, col) order.
+    """
+    alone = np.bincount(col, minlength=shape[1])[col] == 1
+    if alone.any():
+        hit = np.zeros(shape[0], dtype=bool)
+        hit[row[alone]] = True
+        keep = ~hit[row]
+    else:
+        first = np.r_[True, row[1:] != row[:-1]]
+        alone = first & np.r_[first[1:], True]
+        if not alone.any():
+            return 0, (row, col, val)
+        hit = np.zeros(shape[1], dtype=bool)
+        hit[col[alone]] = True
+        keep = ~hit[col]
+    return int(np.count_nonzero(hit)), (row[keep], col[keep], val[keep])
+
+
 def rank(m: FpSparse) -> int:
     """Rank of an FpSparse by exact sparse elimination mod p, read off its canonical entries.
 
-    Rounds of independent Markowitz pivots (_pivot_round) shrink the matrix
-    to its Schur complement.  Once the remaining nonzeros fill more than
-    _DENSE_SWITCH of their rows times their columns, that block is
-    eliminated densely.  The rank does not depend on the pivots chosen.
+    Each round starts with one singleton pass (_peel_singletons).  It is
+    exact over any field: if column c has its only nonzero at (i, c),
+    column operations with c clear the rest of row i, so rank(A) = 1 +
+    rank(A without row i and column c).  Pivots in distinct rows are
+    independent, and a second singleton column that meets an already hit
+    row becomes zero with that row, so each hit row adds exactly one; rows
+    of one entry are the same argument on the transpose.  The pass runs
+    once a round, never to a fixpoint: on an open path each pass removes
+    only the two ends, so a loop would run a pass for every two columns.
+    Then, once the remaining nonzeros fill more than _DENSE_SWITCH of their
+    rows times their columns, that block is eliminated densely; otherwise a
+    round of independent Markowitz pivots (_pivot_round) shrinks the matrix
+    to its Schur complement.  The rank does not depend on the pivots chosen.
     """
     row, col, val = m.row, m.col, m.val
     found = 0
     while val.size:
+        count, (row, col, val) = _peel_singletons(row, col, val, m.shape)
+        found += count
+        if not val.size:
+            break
         active_rows = np.count_nonzero(np.r_[True, row[1:] != row[:-1]])
-        active_cols = np.unique(col).size
+        active_cols = np.count_nonzero(np.bincount(col))
         if val.size > _DENSE_SWITCH * active_rows * active_cols:
             _, i = np.unique(row, return_inverse=True)
             _, j = np.unique(col, return_inverse=True)

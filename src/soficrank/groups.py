@@ -270,10 +270,10 @@ class FiniteByTable(GroupModel):
         if len(dist) < n:
             raise ValueError("generators do not generate the whole group")
         for g in gens:
-            # (a g) c against a (g c) for every a and c at once
-            bad = np.argwhere(t[t[:, g]] != t[:, t[g]])
-            if bad.size:
-                a, c = bad[0]
+            # (a g) c against a (g c) for every a and c at once; argwhere is slow, so only on a mismatch
+            mismatch = t[t[:, g]] != t[:, t[g]]
+            if mismatch.any():
+                a, c = np.argwhere(mismatch)[0]
                 raise ValueError(f"multiplication table is not associative at ({a},{g},{c})")
 
         t.flags.writeable = False

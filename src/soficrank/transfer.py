@@ -451,9 +451,9 @@ def check_local_slices(inst: TransferInstance, v1) -> FpSparse:
     f = approx.charts[np.searchsorted(approx.good_vertices, v1)]
     got = inst.charts[np.searchsorted(inst.v_prime, f[:, : small.size, None]), at_s]  # [v, g, s]
     want = f[:, walk[:, at_s]]
-    bad = np.argwhere(got != want)
-    if bad.size:
-        k, i, j = bad[0].tolist()
+    mismatch = got != want
+    if mismatch.any():  # argwhere of an N-d mask is slow, so only on a mismatch
+        k, i, j = np.argwhere(mismatch)[0].tolist()
         fmt = phi.group.format_element
         g, s, gs = small.elements[i], small.elements[at_s[j]], ball.elements[walk[i, at_s[j]]]
         raise InternalInconsistency(

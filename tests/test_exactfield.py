@@ -185,7 +185,35 @@ class TestImmutability:
 
 
 def random_case(rng: np.random.Generator, kind: str, rows: int, cols: int, p: int) -> np.ndarray:
-    """Residues of one matrix kind: sparse random, all zero, full rank, or a product of rank at most k."""
+    """Residues of one matrix kind: sparse random, all zero, full rank, a product of rank at most k,
+    monomial (at most one nonzero per column) or its transpose, or a bordered dense core."""
+    if kind == "monomial":
+        # rows drawn from a few, so that several columns hit one row; some columns stay empty
+        a = np.zeros((rows, cols), dtype=np.int64)
+        if rows:
+            a[rng.integers(0, max(1, rows // 3), cols), np.arange(cols)] = rng.integers(0, p, cols)
+        return a
+    if kind == "monomial-transpose":
+        return random_case(rng, "monomial", cols, rows, p).T.copy()
+    if kind == "bordered":
+        # a dense core with trees of border columns hung off it: border column j holds a
+        # nonzero in its own row j and, on a coin flip, in an earlier row; each border row
+        # past the last column holds at most two entries.  Leaves are singletons at once;
+        # inner nodes become singletons only after a Markowitz round
+        a = np.zeros((rows, cols), dtype=np.int64)
+        if not a.size:
+            return a
+        k = min(rows, cols) // 6
+        a[:k, :k] = rng.integers(0, p, (k, k))
+        j = np.arange(k, cols)
+        own = j[j < rows]
+        a[own, own] = rng.integers(1, p, own.size)
+        earlier = j[(j > 0) & (rng.random(j.size) < 0.7)]
+        a[rng.integers(0, np.minimum(earlier, rows)), earlier] = rng.integers(1, p, earlier.size)
+        i = np.arange(cols, rows)
+        for at in (rng.integers(0, cols, i.size), rng.integers(0, cols, i.size)):
+            a[i, at] = rng.integers(0, p, i.size)
+        return a[rng.permutation(rows)][:, rng.permutation(cols)]
     if kind == "sparse":
         return rng.integers(0, p, (rows, cols)) * (rng.random((rows, cols)) < rng.random())
     if kind == "zero":
@@ -206,12 +234,12 @@ class TestSparseRankOracle:
 
     @given(
         st.sampled_from([2, 3, LARGEST_PRIME]),
-        st.sampled_from(["sparse", "zero", "full", "product"]),
+        st.sampled_from(["sparse", "zero", "full", "product", "monomial", "monomial-transpose", "bordered"]),
         st.integers(0, 40),
         st.integers(0, 40),
         st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     def test_matches_dense_rank(self, p, kind, rows, cols, seed):
         rng = np.random.default_rng(seed)
         a = random_case(rng, kind, rows, cols, p)
@@ -240,6 +268,76 @@ class TestSparseRankOracle:
         v = np.arange(n)
         m = FpSparse(np.r_[v, (v + 1) % n], np.r_[v, v], np.ones(2 * n), (n, n), 2)
         assert rank(m) == dense_rank(m.dense()) == n - 1
+
+
+def open_path(n: int, p: int) -> FpSparse:
+    """The (n+1) x n matrix of 1 - t restricted to an open path: a 1 and a -1 in each column."""
+    v = np.arange(n)
+    return FpSparse(np.r_[v, v + 1], np.r_[v, v], np.r_[np.ones(n), -np.ones(n)], (n + 1, n), p)
+
+
+def refuse(*args):
+    raise AssertionError("only singleton passes were expected")
+
+
+class TestSingletonPeel:
+    """rank's singleton pass: exact where it applies, and run once per elimination round."""
+
+    @pytest.mark.parametrize("p", [2, 3, LARGEST_PRIME])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 57])
+    def test_open_path(self, n, p):
+        m = open_path(n, p)
+        assert rank(m) == dense_rank(m.dense()) == n
+
+    @pytest.mark.parametrize(
+        "a, expected",
+        [
+            # columns 0 and 1 are singletons in one row; (1, 2) is alone in its row and its column
+            ([[1, 2, 0], [0, 0, 3], [0, 0, 0]], 2),
+            # no column singleton; rows 0 and 1 are singletons in column 0, rows 2 and 3 in column 1
+            ([[1, 0], [2, 0], [0, 3], [0, 4]], 2),
+        ],
+    )
+    def test_colliding_singletons_in_one_pass(self, monkeypatch, a, expected):
+        m = FpSparse.from_dense(FpMatrix(a, 5))
+        assert dense_rank(m.dense()) == expected
+        monkeypatch.setattr(exactfield, "_pivot_round", refuse)
+        monkeypatch.setattr(exactfield, "_forward_eliminate", refuse)
+        assert rank(m) == expected
+
+    def test_colliding_singletons_over_rounds(self):
+        # the column pass takes row 0 (columns 0 and 1, one pivot) and row 3 (column 4, alone
+        # in its row too), and leaves one column with two entries; in the transpose the
+        # singleton columns 1 and 2 share row 2 and column 3 is alone in row 4
+        a = np.array(
+            [
+                [1, 2, 0, 0, 0],
+                [0, 0, 1, 0, 0],
+                [0, 0, 2, 0, 0],
+                [0, 0, 0, 0, 3],
+                [0, 0, 0, 0, 0],
+            ]
+        )
+        for m in (FpMatrix(a, 5), FpMatrix(a.T, 5)):
+            assert rank(FpSparse.from_dense(m)) == dense_rank(m) == 3
+
+    def test_one_pass_per_round(self, monkeypatch):
+        # each pass removes only the two ends of an open path; a loop to a fixpoint would run n/2 passes
+        calls = {"_peel_singletons": 0, "_pivot_round": 0}
+
+        def counted(name):
+            inner = getattr(exactfield, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(exactfield, name, counted(name))
+        assert rank(open_path(1600, 2)) == 1600
+        assert 1 <= calls["_peel_singletons"] <= calls["_pivot_round"] + 1
 
 
 class TestFpSparse:

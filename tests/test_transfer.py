@@ -21,7 +21,7 @@ from soficrank.errors import (
     KernelSearchExhausted,
 )
 from soficrank.exactfield import MAX_MODULUS, FpMatrix, is_prime, mat_mul, rank
-from soficrank import digraph, sofic, transfer, weiss
+from soficrank import digraph, exactfield, sofic, transfer, weiss
 from soficrank.groupring import (
     GroupRingKernel,
     check_right_inverse,
@@ -489,6 +489,26 @@ class TestSparseRank:
         phi = GroupRingKernel(Z1, 2, 2, {(0,): eye, (1,): eye})
         inst = instance(phi, None, torus_approximation(Z1, 400, 5))
         assert rank(sparse_bar_phi(inst)) == 2 * 400 - 2
+
+    def test_upper_z1_ranks_need_only_singleton_passes(self, monkeypatch):
+        # diag(1, 0) on Z^1 puts at most one nonzero in each column of bar_phi, of the kernel
+        # search's restrictions and of the local slice, so the singleton pass settles each rank
+        phi = singular_diag()
+        restrictions = {n: restriction_matrix(phi, n, n) for n in (1, 2, 3)}
+        expected = {n: dense_rank(m.dense()) for n, m in restrictions.items()}
+
+        def refuse(*args):
+            raise AssertionError("only singleton passes were expected")
+
+        monkeypatch.setattr(exactfield, "_pivot_round", refuse)
+        monkeypatch.setattr(exactfield, "_forward_eliminate", refuse)
+        assert {n: rank(m) for n, m in restrictions.items()} == expected == {1: 3, 2: 5, 3: 7}
+        plan = plan_instance(phi, None)
+        assert plan.r2 == 1
+        inst = build_instance(phi, None, torus_approximation(Z1, 300, 2 * plan.r0 + 1), plan=plan)
+        assert rank(sparse_bar_phi(inst)) == 300
+        report = upper_bound_check(inst)
+        assert report.bar_phi_rank == 300 and set(report.per_v1_ranks) == {inst.ball_r0.size}
 
     def test_random_radius_two_z2_element(self):
         phi = radius_two_z2_element(1)
