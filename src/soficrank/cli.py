@@ -34,7 +34,7 @@ from .errors import (
     ResourceLimitError,
     SoficRankError,
 )
-from .exactfield import FpMatrix, json_value, parse_rational
+from .exactfield import json_value, parse_rational, validate_modulus
 from .groupring import GroupRingKernel, compose
 from .groups import FreeAbelian, GroupModel, cayley_ball, read_finite_group_file
 from .limits import Limits
@@ -84,16 +84,14 @@ def _parse_term(line: str, inst: InstanceFile, where: str) -> tuple:
     if "@" not in body:
         raise ParseError(f"{where}: term line needs '<matrix> @ <element>', got {line!r}")
     mat_text, elem_text = body.split("@", 1)
-    rows = []
-    for row in mat_text.strip().split(";"):
-        try:
-            rows.append([int(x) for x in row.split(",")])
-        except ValueError:
-            raise ParseError(f"{where}: non-integer matrix entry in {line!r}")
+    try:
+        rows = [[int(x) % inst.p for x in row.split(",")] for row in mat_text.strip().split(";")]
+    except ValueError:
+        raise ParseError(f"{where}: non-integer matrix entry in {line!r}")
     if len(rows) != inst.d or any(len(r) != inst.d for r in rows):
         raise ParseError(f"{where}: coefficient must be {inst.d}x{inst.d} in {line!r}")
     g = inst.group.parse_element(elem_text.strip())
-    return g, FpMatrix(rows, inst.p)
+    return g, rows
 
 
 def parse_instance_text(text: str, base_dir: Optional[Path] = None, where: str = "<instance>") -> InstanceFile:
@@ -106,13 +104,16 @@ def parse_instance_text(text: str, base_dir: Optional[Path] = None, where: str =
         raise ParseError(f"{where}: first line must be 'ring p=<p> d=<d> group=<desc>', got {lines[0]!r}")
     p, d, desc = int(m.group(1)), int(m.group(2)), m.group(3)
     try:
+        validate_modulus(p)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}")
+    if d < 1:
+        raise ParseError(f"{where}: module dimension d must be at least 1, got {d}")
+    try:
         group = parse_group_descriptor(desc, base_dir)
     except FileNotFoundError as exc:
         raise ParseError(f"{where}: {exc}")
-    try:
-        inst = InstanceFile(p=p, d=d, group_desc=desc, group=group)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}")
+    inst = InstanceFile(p=p, d=d, group_desc=desc, group=group)
 
     current: Optional[str] = None
     terms: dict[str, dict] = {}
@@ -161,11 +162,8 @@ def format_instance(inst: InstanceFile) -> str:
     group = inst.group
     for name, kern in inst.elements.items():
         out.append(f"element {name}")
-        for g in sorted(kern.support):
-            mat = kern.support[g]
-            mat_text = ";".join(
-                ",".join(str(int(x)) for x in row) for row in mat.array
-            )
+        for g, mat in zip(kern.support, kern.coeffs):
+            mat_text = ";".join(",".join(map(str, row)) for row in mat.tolist())
             out.append(f"term {mat_text} @ {group.format_element(g)}")
     for directive in inst.directives:
         out.append("experiment " + " ".join(directive))

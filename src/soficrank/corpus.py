@@ -14,7 +14,6 @@ import random
 
 import numpy as np
 
-from .exactfield import FpMatrix
 from .groupring import GroupRingKernel, compose
 from .groups import FreeAbelian, GroupModel
 
@@ -110,7 +109,7 @@ def random_singular_kernel(
     killed = rng.randrange(d)
     diag = np.eye(d, dtype=np.int64)
     diag[killed, killed] = 0
-    s = GroupRingKernel(group, d, p, {group.identity(): FpMatrix(diag, p)})
+    s = GroupRingKernel(group, d, p, {group.identity(): diag})
 
     if wide:
         if not isinstance(group, FreeAbelian):

@@ -82,16 +82,6 @@ class FpMatrix:
     def is_zero(self) -> bool:
         return not self.array.any()
 
-    def _require_same_field(self, other: "FpMatrix") -> None:
-        if self.p != other.p:
-            raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-
-    def __add__(self, other: "FpMatrix") -> "FpMatrix":
-        self._require_same_field(other)
-        if self.array.shape != other.array.shape:
-            raise ValueError(f"shape mismatch: {self.array.shape} vs {other.array.shape}")
-        return FpMatrix(self.array + other.array, self.p)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpMatrix):
             return NotImplemented
@@ -110,7 +100,8 @@ def mat_mul(a: FpMatrix, b: FpMatrix) -> FpMatrix:
     the reference that tests check the chart-based transfer identity
     against, and the benchmark's tracer (bench/spans.py) wraps it by name.
     """
-    a._require_same_field(b)
+    if a.p != b.p:
+        raise ValueError(f"modulus mismatch: {a.p} vs {b.p}")
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
     if a.cols > _MAX_INNER_DIM:

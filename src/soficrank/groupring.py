@@ -7,8 +7,8 @@ that single column: the entry at (g2, g1) is c(g1^{-1} * g2).  Composition
 is convolution of kernels, and restricting an element to a pair of Cayley
 balls produces a finite sparse matrix whose exact rank can be computed.
 
-Zero coefficient matrices are never stored, so kernel equality is plain
-support-map equality.
+An element is its sorted support and one (|support|, d, d) array of its
+nonzero coefficients, so kernel equality is equality of that pair.
 """
 
 from __future__ import annotations
@@ -25,36 +25,59 @@ from .limits import DEFAULT_MAX_BALL_ELEMENTS
 
 
 class GroupRingKernel:
-    """Finitely supported function G -> Mat_d(F_p), nonzero matrices only."""
+    """Finitely supported function G -> Mat_d(F_p): a sorted support and its nonzero coefficients.
 
-    __slots__ = ("group", "d", "p", "support")
+    coeffs is a read-only int64 array of shape (|support|, d, d), reduced
+    mod p; coeffs[i] is the value at support[i].  The constructor takes a
+    map from group elements to FpMatrix or array-like d x d coefficients.
+    """
+
+    __slots__ = ("group", "d", "p", "support", "coeffs")
 
     def __init__(self, group: GroupModel, d: int, p: int, support):
         validate_modulus(p)
         if d < 1:
             raise ValueError("module dimension d must be at least 1")
-        cleaned = {}
-        for g, mat in dict(support).items():
+        terms = dict(support)
+        blocks = []
+        for g, mat in terms.items():
             group.check_element(g)
-            if not isinstance(mat, FpMatrix):
-                mat = FpMatrix(mat, p)
-            if mat.p != p:
-                raise ValueError(f"coefficient modulus {mat.p} does not match kernel modulus {p}")
-            if mat.rows != d or mat.cols != d:
-                raise ValueError(f"coefficient at {g!r} is {mat.rows}x{mat.cols}, expected {d}x{d}")
-            if not mat.is_zero():
-                cleaned[g] = mat
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "support", cleaned)
+            if isinstance(mat, FpMatrix):
+                if mat.p != p:
+                    raise ValueError(f"coefficient modulus {mat.p} does not match kernel modulus {p}")
+                mat = mat.array
+            blocks.append(np.asarray(mat, dtype=np.int64))
+            if blocks[-1].shape != (d, d):
+                raise ValueError(f"coefficient at {g!r} has shape {blocks[-1].shape}, expected ({d}, {d})")
+        self._fill(group, d, p, list(terms), np.array(blocks, dtype=np.int64).reshape(-1, d, d))
+
+    def _fill(self, group: GroupModel, d: int, p: int, keys: list, blocks: np.ndarray) -> None:
+        """Set the fields: the blocks summed by key mod p, nonzero sums only, in key order."""
+        order = sorted(set(keys))
+        at = {g: i for i, g in enumerate(order)}
+        coeffs = np.zeros((len(order), d, d), dtype=np.int64)
+        np.add.at(coeffs, [at[g] for g in keys], blocks)
+        coeffs %= p
+        keep = coeffs.any(axis=(1, 2))
+        coeffs = coeffs[keep]
+        coeffs.setflags(write=False)
+        support = tuple(g for g, kept in zip(order, keep.tolist()) if kept)
+        for name, value in zip(self.__slots__, (group, d, p, support, coeffs)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _from_terms(cls, group: GroupModel, d: int, p: int, keys: list, blocks: np.ndarray) -> "GroupRingKernel":
+        """The kernel summing blocks[i] at keys[i]: checked elements, and blocks reduced mod p."""
+        kernel = object.__new__(cls)
+        kernel._fill(group, d, p, keys, blocks)
+        return kernel
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupRingKernel is immutable")
 
     @classmethod
     def identity(cls, group: GroupModel, d: int, p: int) -> "GroupRingKernel":
-        return cls(group, d, p, {group.identity(): FpMatrix.identity(d, p)})
+        return cls(group, d, p, {group.identity(): np.eye(d, dtype=np.int64)})
 
     @classmethod
     def zero(cls, group: GroupModel, d: int, p: int) -> "GroupRingKernel":
@@ -62,9 +85,7 @@ class GroupRingKernel:
 
     def support_radius(self) -> int:
         """Largest word length over the support (0 for the zero kernel)."""
-        if not self.support:
-            return 0
-        return max(self.group.word_length(g) for g in self.support)
+        return max((self.group.word_length(g) for g in self.support), default=0)
 
     def is_identity(self) -> bool:
         return self == GroupRingKernel.identity(self.group, self.d, self.p)
@@ -82,10 +103,8 @@ class GroupRingKernel:
 
     def __add__(self, other: "GroupRingKernel") -> "GroupRingKernel":
         self._require_compatible(other)
-        acc = dict(self.support)
-        for g, mat in other.support.items():
-            acc[g] = acc[g] + mat if g in acc else mat
-        return GroupRingKernel(self.group, self.d, self.p, acc)
+        blocks = np.concatenate([self.coeffs, other.coeffs])
+        return GroupRingKernel._from_terms(self.group, self.d, self.p, self.support + other.support, blocks)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GroupRingKernel):
@@ -95,13 +114,13 @@ class GroupRingKernel:
             and self.d == other.d
             and self.p == other.p
             and self.support == other.support
+            and np.array_equal(self.coeffs, other.coeffs)
         )
 
     def __repr__(self):
-        terms = sorted(self.support)
         return (
             f"GroupRingKernel({self.group.describe()}, d={self.d}, p={self.p}, "
-            f"support={[self.group.format_element(g) for g in terms]})"
+            f"support={[self.group.format_element(g) for g in self.support]})"
         )
 
 
@@ -110,21 +129,14 @@ def compose(c_phi: GroupRingKernel, c_psi: GroupRingKernel) -> GroupRingKernel:
 
     The result's value at x is the sum over h in supp(psi) of
     phi(h^{-1} x) * psi(h); equivalently the sum of phi(s) * psi(h) over
-    all factorizations x = h * s.
+    all factorizations x = h * s.  Every block product comes from one
+    einsum, reduced mod p, and the products are summed by x.
     """
     c_phi._require_compatible(c_psi)
-    group, d, p = c_phi.group, c_phi.d, c_phi.p
-    mul = group._mul  # support keys were checked when their kernels were built
-    acc: dict = {}
-    for h, mb in c_psi.support.items():
-        for s, ma in c_phi.support.items():
-            x = mul(h, s)
-            prod = (ma.array @ mb.array) % p
-            if x in acc:
-                acc[x] = (acc[x] + prod) % p
-            else:
-                acc[x] = prod
-    return GroupRingKernel(group, d, p, acc)
+    mul = c_phi.group._mul  # support keys were checked when their kernels were built
+    keys = [mul(h, s) for h in c_psi.support for s in c_phi.support]
+    blocks = np.einsum("sij,hjk->hsik", c_phi.coeffs, c_psi.coeffs) % c_phi.p
+    return GroupRingKernel._from_terms(c_phi.group, c_phi.d, c_phi.p, keys, blocks.reshape(-1, c_phi.d, c_phi.d))
 
 
 def check_right_inverse(c_phi: GroupRingKernel, c_psi: GroupRingKernel) -> bool:
@@ -163,12 +175,31 @@ def transplant(c: GroupRingKernel, charts: np.ndarray, ball: CayleyBall, rows: i
     """
     d = c.d
     at = charts[:, [ball.element_index[s] for s in c.support]].T  # [s, j]
-    blocks = np.array([mat.array for mat in c.support.values()], dtype=np.int64).reshape(-1, d, d)
-    s, a, b = np.nonzero(blocks)  # one entry (s, a, b) per nonzero coefficient, s-major
+    s, a, b = np.nonzero(c.coeffs)  # one entry (s, a, b) per nonzero coefficient, s-major
     row = at[s] * d + a[:, None]
     col = np.arange(len(charts), dtype=np.int64) * d + b[:, None]
-    val = np.broadcast_to(blocks[s, a, b][:, None], row.shape)
+    val = np.broadcast_to(c.coeffs[s, a, b][:, None], row.shape)
     return FpSparse(row, np.broadcast_to(col, row.shape), val, (d * rows, d * len(charts)), c.p)
+
+
+def support_walk(c: GroupRingKernel, cod: CayleyBall, starts: int) -> tuple[np.ndarray, CayleyBall]:
+    """The ball of c's support radius, a prefix of cod, walked inside cod from its first `starts` elements.
+
+    Returns the walk, whose entry [g, i] is the position in cod of g times
+    the ball's i-th element, and the ball: transplant(c, walk, ball,
+    cod.size) puts c(s) at row g * s of column g.  A walk that leaves cod
+    raises InternalInconsistency.
+    """
+    rs = c.support_radius()
+    ball = cayley_ball(c.group, rs, max_elements=cod.size)
+    walk = label_walk(cod.graph, np.arange(starts), ball)
+    missing = np.flatnonzero((walk < 0).any(axis=1))
+    if missing.size:
+        raise InternalInconsistency(
+            f"the radius-{rs} ball walked from {c.group.format_element(cod.elements[missing[0]])} "
+            f"leaves the radius-{cod.radius} codomain ball"
+        )
+    return walk, ball
 
 
 def restriction_matrix(c: GroupRingKernel, n: int, m: int, max_ball_elements=DEFAULT_MAX_BALL_ELEMENTS) -> FpSparse:
@@ -178,9 +209,9 @@ def restriction_matrix(c: GroupRingKernel, n: int, m: int, max_ball_elements=DEF
     codomain radius m must be at least n + support radius so the image is
     captured in full; anything smaller would silently truncate rows and
     change kernels.  A Cayley ball is its own approximation around its
-    interior: the walk of the radius-rs ball from each domain element,
-    which sits at its own position in the codomain since balls are
-    prefixes, puts g1 * s at column s of row g1, and transplant reads it.
+    interior: the support walk from each domain element, which sits at its
+    own position in the codomain since balls are prefixes, puts g1 * s at
+    column s of row g1, and transplant reads it.
     """
     rs = c.support_radius()
     if m < n + rs:
@@ -190,14 +221,7 @@ def restriction_matrix(c: GroupRingKernel, n: int, m: int, max_ball_elements=DEF
     # the codomain first: the domain and the support ball are then its prefixes
     cod = cayley_ball(c.group, m, max_elements=max_ball_elements)
     dom = cayley_ball(c.group, n, max_elements=max_ball_elements)
-    ball = cayley_ball(c.group, rs, max_elements=max_ball_elements)
-    walk = label_walk(cod.graph, np.arange(dom.size), ball)
-    missing = np.flatnonzero((walk < 0).any(axis=1))
-    if missing.size:
-        raise InternalInconsistency(
-            f"the radius-{rs} ball walked from {c.group.format_element(dom.elements[missing[0]])} "
-            f"leaves the radius-{cod.radius} codomain ball"
-        )
+    walk, ball = support_walk(c, cod, dom.size)
     return transplant(c, walk, ball, cod.size)
 
 

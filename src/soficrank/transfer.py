@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .digraph import ball_charts, label_walk
+from .digraph import ball_charts
 from .errors import (
     ApproximationTooCoarse,
     CardinalityViolation,
@@ -49,6 +49,7 @@ from .groupring import (
     kernel_radius,
     kernel_search_top,
     support_data,
+    support_walk,
     transplant,
 )
 from .groups import CayleyBall, cayley_ball
@@ -243,21 +244,19 @@ def build_bar_psi(inst: TransferInstance) -> FpMatrix:
     """
     if inst.psi is None:
         raise ValueError("psi is absent on this instance")
-    psi = inst.psi
-    group = psi.group
-    d, p = psi.d, psi.p
+    psi, d = inst.psi, inst.d
     out = np.zeros((d * len(inst.v_prime), d * len(inst.v_dprime)), dtype=np.int64)
     idx = inst.ball_r0.element_index
     col_of = {v: m for m, v in enumerate(inst.v_dprime)}
     for j, f in enumerate(inst.charts.tolist()):
-        for s, mat in psi.support.items():
+        for s, mat in zip(psi.support, psi.coeffs):
             # The (v', v'') block is psi's coefficient at s exactly when
             # v'' sits at ball position s^{-1} relative to v'.
-            u = f[idx[group.inverse(s)]]
+            u = f[idx[psi.group.inverse(s)]]
             m = col_of.get(u)
             if m is not None:
-                out[j * d : (j + 1) * d, m * d : (m + 1) * d] = mat.array
-    return FpMatrix(out, p)
+                out[j * d : (j + 1) * d, m * d : (m + 1) * d] = mat
+    return FpMatrix(out, psi.p)
 
 
 def verify_transfer_identity(inst: TransferInstance) -> bool:
@@ -266,36 +265,26 @@ def verify_transfer_identity(inst: TransferInstance) -> bool:
     Sums the (v2, v1) blocks of the product for v1, v2 in V'' from the
     charts, joining the two factors on their shared V' index: at v' the
     psi block is psi_s when v1 sits at ball position s^{-1}, and the phi
-    block is phi_t when v2 sits at position t.  Every (s, t) pair is one
-    column join keyed by v2*|V| + v1; each pair adds its one block product,
-    already reduced mod p, to the keys it hits.  A key collects at most
-    |V'| * |supp phi| * |supp psi| terms below p, far from overflowing
-    int64.  True exactly when every diagonal block is the d x d identity
-    and every other block is zero.
+    block is phi_t when v2 sits at position t.  Each (v', t, s) with both
+    in V'' adds phi_t psi_s, reduced mod p, to the key v2*|V| + v1; a key
+    collects at most |V'| * |supp phi| * |supp psi| terms below p, far
+    from overflowing int64.  True exactly when every diagonal block is the
+    d x d identity and every other block is zero.
     """
     if inst.psi is None:
         raise ValueError("psi is absent on this instance")
-    p, n, idx = inst.phi.p, inst.vertex_count, inst.ball_r0.element_index
+    phi, psi = inst.phi, inst.psi
+    n, idx = inst.vertex_count, inst.ball_r0.element_index
     in_vpp = np.zeros(n, dtype=bool)
     in_vpp[list(inst.v_dprime)] = True
-    phi_at = [(inst.charts[:, idx[t]], a.array) for t, a in inst.phi.support.items()]
-    psi_at = [
-        (inst.charts[:, idx[inst.psi.group.inverse(s)]], b.array) for s, b in inst.psi.support.items()
-    ]
-    keys, products = [], []
-    for v1, b in psi_at:
-        for v2, a in phi_at:
-            both = in_vpp[v1] & in_vpp[v2]
-            keys.append(v2[both] * n + v1[both])
-            products.append((a @ b) % p)
-    joined = np.concatenate(keys) if keys else np.empty(0, dtype=np.int64)
-    found, where = np.unique(joined, return_inverse=True)
-    blocks = np.zeros((len(found), inst.d, inst.d), dtype=np.int64)
-    start = 0
-    for key, product in zip(keys, products):
-        np.add.at(blocks, where[start : start + len(key)], product)
-        start += len(key)
-    blocks %= p
+    v2 = inst.charts[:, [idx[t] for t in phi.support]]  # [v', t]
+    v1 = inst.charts[:, [idx[psi.group.inverse(s)] for s in psi.support]]  # [v', s]
+    j, t, s = np.nonzero(in_vpp[v2][:, :, None] & in_vpp[v1][:, None, :])
+    keys = v2[j, t] * n + v1[j, s]
+    order = np.argsort(keys)
+    found, start = np.unique(keys[order], return_index=True)
+    products = np.einsum("tab,sbc->tsac", phi.coeffs, psi.coeffs) % phi.p
+    blocks = np.add.reduceat(products[t[order], s[order]], start, axis=0) % phi.p
     diagonal = found // n == found % n
     return (
         int(diagonal.sum()) == len(inst.v_dprime)
@@ -434,19 +423,17 @@ def check_local_slices(inst: TransferInstance, v1) -> FpSparse:
 
     Each v in v1 is good, with verified chart f over the approximation's
     ball.  The slice at v has the columns of the vertices f(g), g in N_r0,
-    and the column of u holds phi_s in the row of u's own chart at s.  One
-    label walk of N_r0 in the ball from each g in N_r0 finds every g s.
-    When that row is f(g s) for every g and every s in supp phi, the slice
+    and the column of u holds phi_s in the row of u's own chart at s.  The
+    support walk (support_walk) from each g in N_r0 finds every g s.  When
+    that row is f(g s) for every g and every s in supp phi, the slice
     is the transplant of phi over that walk, restriction_matrix(phi, r0,
     ball.radius), with rows permuted by the injective f, plus zero rows, so
     all slices share its rank.  A mismatch raises InternalInconsistency.
     """
     approx, ball, small, phi = inst.approx, inst.approx.ball, inst.ball_r0, inst.phi
-    at_s = np.array([small.element_index[s] for s in phi.support], dtype=np.int64)
-    # walk[g, h] is the ball position of g*h for g, h in N_r0; N_{2r0} lies in the ball
-    walk = label_walk(ball.graph, np.arange(small.size), small)
-    if (walk < 0).any():
-        raise InternalInconsistency(f"N_{2 * inst.plan.r0} does not fit in the radius-{ball.radius} ball")
+    # walk[g, i] is the ball position of g*s_i for g in N_r0 and s_i in N_rs; N_{2r0} lies in the ball
+    walk, support_ball = support_walk(phi, ball, small.size)
+    at_s = np.array([support_ball.element_index[s] for s in phi.support], dtype=np.int64)
     # good vertices and V' are sorted, and v1 lies in the one, their r0-neighbors in the other
     f = approx.charts[np.searchsorted(approx.good_vertices, v1)]
     got = inst.charts[np.searchsorted(inst.v_prime, f[:, : small.size, None]), at_s]  # [v, g, s]
@@ -455,13 +442,13 @@ def check_local_slices(inst: TransferInstance, v1) -> FpSparse:
     if mismatch.any():  # argwhere of an N-d mask is slow, so only on a mismatch
         k, i, j = np.argwhere(mismatch)[0].tolist()
         fmt = phi.group.format_element
-        g, s, gs = small.elements[i], small.elements[at_s[j]], ball.elements[walk[i, at_s[j]]]
+        g, s, gs = small.elements[i], phi.support[j], ball.elements[walk[i, at_s[j]]]
         raise InternalInconsistency(
             f"Weiss pick {v1[k]}: the column of vertex {f[k, i]} (ball position {i}, element "
             f"{fmt(g)}) holds phi's coefficient at {fmt(s)} in the row of vertex {got[k, i, j]}, "
             f"but the pick's chart puts {fmt(gs)} at vertex {want[k, i, j]}"
         )
-    return transplant(phi, walk, small, ball.size)
+    return transplant(phi, walk, support_ball, ball.size)
 
 
 def run_experiment(

@@ -101,7 +101,7 @@ def laurent_det(c: GroupRingKernel) -> dict:
     Entry (i, j) of c is the Laurent polynomial sum_s c(s)[i, j] t^s.
     """
     d, p = c.d, c.p
-    entry = [[{s: int(mat.array[i, j]) for s, mat in c.support.items() if mat.array[i, j]} for j in range(d)] for i in range(d)]
+    entry = [[{s: int(m[i, j]) for s, m in zip(c.support, c.coeffs) if m[i, j]} for j in range(d)] for i in range(d)]
 
     def times(f: dict, g: dict) -> dict:
         out: dict = {}
@@ -132,10 +132,9 @@ def equivariant_entry(c: GroupRingKernel, g2, g1) -> FpMatrix:
     group.check_element(g2)
     group.check_element(g1)
     key = group.multiply(group.inverse(g1), g2)
-    mat = c.support.get(key)
-    if mat is None:
+    if key not in c.support:
         return FpMatrix.zeros(c.d, c.d, c.p)
-    return mat
+    return FpMatrix(c.coeffs[c.support.index(key)], c.p)
 
 
 def restriction_by_products(c: GroupRingKernel, dom, cod) -> FpMatrix:
@@ -147,9 +146,9 @@ def restriction_by_products(c: GroupRingKernel, dom, cod) -> FpMatrix:
     d = c.d
     out = np.zeros((d * cod.size, d * dom.size), dtype=np.int64)
     for j, g1 in enumerate(dom.elements):
-        for s, mat in c.support.items():
+        for s, mat in zip(c.support, c.coeffs):
             i = cod.element_index[c.group.multiply(g1, s)]
-            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = mat.array
+            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = mat
     return FpMatrix(out, c.p)
 
 
@@ -328,7 +327,7 @@ def random_kernel(
             support[g] = (support[g] + mat) % p
         else:
             support[g] = mat
-    return GroupRingKernel(group, d, p, {g: FpMatrix(m, p) for g, m in support.items()})
+    return GroupRingKernel(group, d, p, support)
 
 
 def write_graph_file(path, graph: LabeledDigraph) -> None:

@@ -97,6 +97,24 @@ class TestInstanceParsing:
         with pytest.raises(ParseError):
             parse_instance_text("ring p=2 d=2 group=Z^1\nelement a\nterm 1 @ 0\n")
 
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ("ring p=3 d=0 group=Z^1\n", "module dimension d must be at least 1, got 0"),
+            ("ring p=4 d=1 group=Z^1\nelement x\nterm 1 @ 0\n", "modulus must be a prime integer, got 4"),
+        ],
+        ids=["d-zero", "composite-p"],
+    )
+    def test_header_checked_where_it_is_read(self, tmp_path, text, err, capsys):
+        path = tmp_path / "bad.ring"
+        path.write_text(text)
+        assert main(["transfer-run", str(path), "x"]) == 2
+        assert capsys.readouterr().err == f"parse error: {path}: {err}\n"
+
+    def test_entry_beyond_int64_is_reduced(self):
+        inst = parse_instance_text(f"ring p=3 d=1 group=Z^1\nelement a\nterm {10**30 + 1} @ 0\n")
+        assert inst.elements["a"].coeffs.tolist() == [[[2]]]
+
     def test_finite_group_descriptor(self, tmp_path):
         table = tmp_path / "c6.table"
         write_finite_group_file(table, cyclic_group(6))

@@ -373,15 +373,18 @@ class TestAlgebraProperties:
         assert compose(a, ident) == a
         assert compose(ident, a) == a
 
-    def test_restriction_naturality(self):
+    @pytest.mark.parametrize("group, d", [(Z1, 1), (Z2, 2), (S5, 2)], ids=["Z1", "Z2", "S5"])
+    def test_restriction_naturality(self, group, d):
+        """M_{a o b} = M_a M_b; with matrix coefficients over Z^2 and S5 a swapped factor order fails."""
         rng = random.Random(11)
+        near = cayley_ball(group, 2).elements
+
+        def draw():
+            terms = {g: [[rng.randrange(3) for _ in range(d)] for _ in range(d)] for g in near if rng.random() < 0.6}
+            return GroupRingKernel(group, d, 3, terms)
+
         for _ in range(20):
-            a = scalar_kernel(
-                Z1, 3, {(g,): rng.randrange(3) for g in range(-2, 3) if rng.random() < 0.6}
-            )
-            b = scalar_kernel(
-                Z1, 3, {(g,): rng.randrange(3) for g in range(-2, 3) if rng.random() < 0.6}
-            )
+            a, b = draw(), draw()
             ra, rb = a.support_radius(), b.support_radius()
             n = 1
             dom, mid, cod = n, n + rb, n + ra + rb

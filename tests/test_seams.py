@@ -4,13 +4,19 @@ Only the group models decide by group family; no other module of the
 package dispatches on it, and each family implements the whole model
 interface.  Every public definition is reached from the
 package or the benchmark, and the top level holds the user API only.
+No dense FpMatrix is built on the transfer-run path.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import soficrank
+from soficrank import exactfield
+from soficrank.cli import main
 from test_bench_contract import traced_names
+from test_golden import CASES, _argv
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "soficrank"
@@ -175,3 +181,14 @@ def test_top_level_is_the_user_api():
     assert len(soficrank.__all__) == len(USER_API) and set(soficrank.__all__) == USER_API
     assert all(callable(getattr(soficrank, name)) for name in USER_API)
     assert not NOT_TOP_LEVEL & set(vars(soficrank))
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, argv) in CASES.items() if argv[0] == "transfer-run"))
+def test_transfer_run_builds_no_dense_matrix(name, tmp_path, monkeypatch):
+    """The verdict path, from parsing to report, constructs no FpMatrix."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an FpMatrix was built on the transfer-run path")
+
+    monkeypatch.setattr(exactfield.FpMatrix, "__init__", refuse)
+    assert main(_argv(name, tmp_path / f"{name}.json")) == CASES[name][0]
