@@ -147,12 +147,10 @@ def parse_instance_text(text: str, base_dir: Optional[Path] = None, where: str =
     return inst
 
 
-def parse_instance_file(path) -> InstanceFile:
+def parse_instance_file(path, data: Optional[bytes] = None) -> InstanceFile:
+    """Parse the instance file at path, from `data`, its bytes, when the caller has read them."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
+    text = (_read_input(path) if data is None else data).decode("utf-8")
     return parse_instance_text(text, base_dir=path.parent, where=str(path))
 
 
@@ -174,8 +172,22 @@ def _digest(parts: dict) -> str:
     return hashlib.sha256(json.dumps(parts, sort_keys=True).encode("utf-8")).hexdigest()
 
 
-def _file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _read_input(path) -> bytes:
+    """An input file's bytes.  A command reads each input file once and parses and digests the same bytes."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}")
+
+
+def _file_digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _read_instance(path) -> tuple[InstanceFile, str]:
+    """The instance file parsed, and the digest of the bytes it was parsed from."""
+    data = _read_input(path)
+    return parse_instance_file(path, data), _file_digest(data)
 
 
 def _envelope(subcommand: str, inputs: dict, payload: dict) -> dict:
@@ -248,7 +260,7 @@ def _parse_good(arg: Optional[str], vertex_count: int) -> list[int]:
 
 
 def _read_graph_input(args, epsilon: str, radius: int):
-    """(group, vertex count, epsilon, good list, verify) of a graph command, read in that order.
+    """(group, vertex count, epsilon, good list, verify, graph digest) of a graph command, read in that order.
 
     The one path by which sofic-verify and weiss-select reach
     verify_approximation: verify() runs it.  When the graph header's label
@@ -258,8 +270,9 @@ def _read_graph_input(args, epsilon: str, radius: int):
     """
     group = parse_group_descriptor(args.group, Path.cwd())
     limits = Limits.from_env()
+    data = _read_input(args.graph)
     try:
-        graph = read_graph_file(args.graph, limits.max_vertices, num_labels=group.label_count)
+        graph = read_graph_file(args.graph, limits.max_vertices, num_labels=group.label_count, data=data)
         vertex_count, num_labels = graph.vertex_count, graph.num_labels
     except AlphabetMismatch as exc:
         graph, vertex_count, num_labels = None, exc.vertex_count, exc.num_labels
@@ -271,13 +284,13 @@ def _read_graph_input(args, epsilon: str, radius: int):
             check_preconditions(num_labels, eps, radius, group)
         return verify_approximation(graph, good, eps, radius, group, max_ball_elements=limits.max_ball_elements)
 
-    return group, vertex_count, eps, good, verify
+    return group, vertex_count, eps, good, verify, _file_digest(data)
 
 
 def _cmd_sofic_verify(args) -> int:
-    group, vertex_count, epsilon, good, verify = _read_graph_input(args, args.epsilon, args.radius)
+    group, vertex_count, epsilon, good, verify, digest = _read_graph_input(args, args.epsilon, args.radius)
     inputs = {
-        "graph": _file_digest(args.graph),
+        "graph": digest,
         "group": args.group,
         "radius": args.radius,
         "epsilon": str(epsilon),
@@ -312,9 +325,9 @@ def _cmd_sofic_verify(args) -> int:
 def _cmd_weiss_select(args) -> int:
     # Epsilon 1/2 is exactly Weiss's precondition |good| >= |V|/2; the
     # verified charts at radius 2*r0+1 are what the selection reads.
-    _, _, _, good, verify = _read_graph_input(args, "1/2", 2 * args.r0 + 1)
+    _, _, _, good, verify, digest = _read_graph_input(args, "1/2", 2 * args.r0 + 1)
     inputs = {
-        "graph": _file_digest(args.graph),
+        "graph": digest,
         "group": args.group,
         "r0": args.r0,
         "good": good,
@@ -344,7 +357,7 @@ def _require_element(inst: InstanceFile, name: str) -> GroupRingKernel:
 
 
 def _cmd_df_check(args) -> int:
-    inst = parse_instance_file(args.instance)
+    inst, digest = _read_instance(args.instance)
     x_name, y_name = args.x, args.y
     if x_name is None or y_name is None:
         fallback = _directive(inst, "df-check")
@@ -359,7 +372,7 @@ def _cmd_df_check(args) -> int:
     yx = compose(y, x)
     xy_ok = xy.is_identity()
     yx_ok = yx.is_identity()
-    inputs = {"instance": _file_digest(args.instance), "x": x_name, "y": y_name}
+    inputs = {"instance": digest, "x": x_name, "y": y_name}
     payload = {
         "x": x_name,
         "y": y_name,
@@ -380,7 +393,7 @@ def _cmd_df_check(args) -> int:
 
 
 def _cmd_transfer_run(args) -> int:
-    inst = parse_instance_file(args.instance)
+    inst, digest = _read_instance(args.instance)
     phi_name, psi_name = args.phi, args.psi
     if phi_name is None:
         fallback = _directive(inst, "transfer")
@@ -404,7 +417,7 @@ def _cmd_transfer_run(args) -> int:
         max_ball_elements=_limit(args.max_ball, "--max-ball", limits.max_ball_elements),
     )
     inputs = {
-        "instance": _file_digest(args.instance),
+        "instance": digest,
         "phi": phi_name,
         "psi": psi_name,
         "mode": args.mode,

@@ -448,19 +448,22 @@ def _check_boundary(out: np.ndarray, walk: np.ndarray, ball: "CayleyBall", ok: n
 
 
 def read_graph_file(
-    path, max_vertices: int = DEFAULT_MAX_VERTICES, num_labels: Optional[int] = None
+    path, max_vertices: int = DEFAULT_MAX_VERTICES, num_labels: Optional[int] = None, data: Optional[bytes] = None
 ) -> LabeledDigraph:
     """Parse the graph text format; full-line # comments and blank lines are skipped.
 
-    A header claiming more than max_vertices vertices raises
+    The text is the file at path, or `data`, its bytes, when the caller has
+    read them.  A header claiming more than max_vertices vertices raises
     ResourceLimitError before the out-table is allocated.  When num_labels
     is given and the header declares another label count, the edges are
     still parsed and checked against the header, and AlphabetMismatch,
     carrying the header's vertex_count and num_labels, is raised instead
     of allocating the out-table.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    raw = data.decode("utf-8")
     lines = [ln.strip() for ln in raw.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:

@@ -30,9 +30,10 @@ class GroupRingKernel:
     coeffs is a read-only int64 array of shape (|support|, d, d), reduced
     mod p; coeffs[i] is the value at support[i].  The constructor takes a
     map from group elements to FpMatrix or array-like d x d coefficients.
+    The support radius is computed once, when the fields are set.
     """
 
-    __slots__ = ("group", "d", "p", "support", "coeffs")
+    __slots__ = ("group", "d", "p", "support", "coeffs", "_support_radius")
 
     def __init__(self, group: GroupModel, d: int, p: int, support):
         validate_modulus(p)
@@ -62,7 +63,8 @@ class GroupRingKernel:
         coeffs = coeffs[keep]
         coeffs.setflags(write=False)
         support = tuple(g for g, kept in zip(order, keep.tolist()) if kept)
-        for name, value in zip(self.__slots__, (group, d, p, support, coeffs)):
+        radius = max((group.word_length(g) for g in support), default=0)
+        for name, value in zip(self.__slots__, (group, d, p, support, coeffs, radius)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -85,7 +87,7 @@ class GroupRingKernel:
 
     def support_radius(self) -> int:
         """Largest word length over the support (0 for the zero kernel)."""
-        return max((self.group.word_length(g) for g in self.support), default=0)
+        return self._support_radius
 
     def is_identity(self) -> bool:
         return self == GroupRingKernel.identity(self.group, self.d, self.p)
@@ -238,7 +240,9 @@ def kernel_radius(
     group model's complete radius c has a kernel vector if it has one at any
     radius, so the search stops at the smaller of max_n and that radius
     (kernel_search_top) and returns what a scan of every n up to max_n
-    would.  Returns None when no kernel vector exists up to max_n: a proof
+    would.  Each radius is ranked at most once: that top first, then every
+    n below it, and top itself is the answer when none of them has a
+    kernel.  Returns None when no kernel vector exists up to max_n: a proof
     that the kernel is empty when max_n reaches the complete radius, and
     otherwise only that none was found within the bound.
     """
@@ -251,10 +255,7 @@ def kernel_radius(
 
     if not has_kernel(top):
         return None
-    for n in range(1, top + 1):
-        if has_kernel(n):
-            return n
-    raise InternalInconsistency(f"kernel found at radius top = {top} but at no radius n <= {top}")
+    return next((n for n in range(1, top) if has_kernel(n)), top)
 
 
 def kernel_search_top(c: GroupRingKernel, max_n: int) -> int:

@@ -18,9 +18,14 @@ radius-2*r0 Cayley ball; it has |N_{2r0}(B)| <= |N_{2r0+1}(B)| elements,
 which yields guarantee (1).  Out-distance suffices for the discard
 because those out-balls are symmetric within their radius, so a
 too-close survivor in either direction would already have been removed.
-Both guarantees are re-checked before returning, (2) with a breadth-first
-walk from every selected vertex that stops at the nearest other selected
-vertex; the walks advance together, a block of picks at a time.
+Both guarantees are re-checked before returning.  For (2), each pick's
+verified chart is read for its nearest other pick: the chart maps the
+radius-R ball onto the pick's out-neighbourhood of radius R >= 2*r0+1,
+and maps the ball's depth-j layer onto the vertices at directed distance
+j, so the first layer holding another pick gives its exact distance.
+Only when no pick sees another within R does a breadth-first walk from
+every pick, stopping at its nearest other pick, find the least distance
+beyond R; the walks advance together, a block of picks at a time.
 """
 
 from __future__ import annotations
@@ -74,17 +79,11 @@ def weiss_select(approx: SoficApproximation, r0: int) -> WeissSelection:
 
     # Smaller balls are prefixes of the approximation's ball, whose depth-k
     # elements end at layers[k + 1]; a finite group's ball can stop short of sep.
-    layers = approx.ball.layers
-    ball_size, discard_size = (int(layers[min(k, len(layers) - 2) + 1]) for k in (sep, sep - 1))
-    alive = np.zeros(n, dtype=bool)
-    alive[list(good)] = True
-    selected = []
-    for v, chart in zip(good, approx.charts):  # ascending order
-        if alive[v]:
-            selected.append(v)
-            alive[chart[:discard_size]] = False
-
-    v1 = tuple(selected)
+    layers = approx.ball.layers.tolist()
+    ball_size, discard_size = (layers[min(k, len(layers) - 2) + 1] for k in (sep, sep - 1))
+    charts = approx.charts
+    picks, rows = _sweep(good, charts, discard_size, n)
+    v1 = tuple(picks)
     density_bound = Fraction(1, 2 * ball_size)
     achieved = Fraction(len(v1), n)
 
@@ -93,26 +92,76 @@ def weiss_select(approx: SoficApproximation, r0: int) -> WeissSelection:
         raise InternalInconsistency(
             f"selection density violated: {len(v1)} * 2 * {ball_size} < {n}"
         )
-    # Guarantee (2), checked in both directions: from each pick, walk only
-    # until the first other pick appears.  BFS depth never decreases, so
-    # that pick is the nearest, and the least of these depths is the least
-    # directed distance over all ordered pairs.  A single pick has no pair
-    # and nothing to walk to.
-    nearest = []
+    # Guarantee (2), checked in both directions: the least of the picks'
+    # nearest-pick depths is the least directed distance over all ordered
+    # pairs.  A pick that sees no other pick in its chart has none within
+    # R, so the charts settle it whenever some pick sees one; otherwise the
+    # walk measures beyond R.  A single pick has no pair and nothing to walk to.
+    nearest = None
     if len(v1) > 1:
-        depth, other = _nearest_other_picks(graph.out, np.array(v1), _pick_block(approx.charts, n))
-        for u, d, w in zip(v1, depth.tolist(), other.tolist()):
-            if 0 <= d < sep:
-                raise InternalInconsistency(f"selected vertices {u}, {w} at directed distance {d} < {sep}")
-        nearest = depth[depth >= 0].tolist()
+        depth, other = _nearest_in_charts(charts, np.array(rows), layers, n)
+        if (depth < 0).all():
+            depth, other = _nearest_other_picks(graph.out, np.array(v1), _pick_block(charts, n))
+        close = np.flatnonzero((depth >= 0) & (depth < sep))
+        if close.size:
+            k = int(close[0])
+            raise InternalInconsistency(f"selected vertices {v1[k]}, {int(other[k])} at directed distance {int(depth[k])} < {sep}")
+        nearest = min(depth[depth >= 0].tolist(), default=None)
 
     return WeissSelection(
         v1=v1,
         r0=r0,
         density_bound=density_bound,
         achieved_density=achieved,
-        min_pairwise_distance=min(nearest, default=None),
+        min_pairwise_distance=nearest,
     )
+
+
+def _sweep(good: tuple[int, ...], charts: np.ndarray, discard_size: int, n: int) -> tuple[list[int], list[int]]:
+    """The greedy picks, in ascending order, and their chart rows.
+
+    A good vertex still alive is picked and kills the first discard_size
+    vertices of its chart.  The alive flags are read per vertex from a
+    bytearray and written per pick through a numpy view of it.
+    """
+    flags = bytearray(n)
+    alive = np.frombuffer(flags, dtype=bool)
+    alive[list(good)] = True
+    discard = charts[:, :discard_size]
+    picks, rows = [], []
+    for k, v in enumerate(good):
+        if flags[v]:
+            picks.append(v)
+            rows.append(k)
+            alive[discard[k]] = False
+    return picks, rows
+
+
+def _nearest_in_charts(charts: np.ndarray, rows: np.ndarray, layers: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Directed distance from each pick to its nearest other pick, and that pick, read off the charts; -1 for both when a chart holds none.
+
+    The picks are the vertices charts[rows, 0] of a graph on n vertices.
+    Each row maps the ball onto the pick's out-neighbourhood, its depth-j
+    positions layers[j]:layers[j + 1] onto the vertices at directed
+    distance j, so the first layer that holds a pick gives the distance.
+    Layers are read one at a time, by the picks that have seen none yet.
+    """
+    is_pick = np.zeros(n, dtype=bool)
+    is_pick[charts[rows, 0]] = True
+    depth = np.full(len(rows), -1, dtype=np.int64)
+    other = np.full(len(rows), -1, dtype=np.int64)
+    todo = np.arange(len(rows))
+    for j in range(1, len(layers) - 1):
+        ring = charts[rows[todo], layers[j] : layers[j + 1]]
+        hit = is_pick[ring]
+        seen = hit.any(axis=1)
+        if seen.any():
+            depth[todo[seen]] = j
+            other[todo[seen]] = ring[seen, hit[seen].argmax(axis=1)]
+            todo = todo[~seen]
+            if not todo.size:
+                break
+    return depth, other
 
 
 def _pick_block(charts: np.ndarray, n: int) -> int:

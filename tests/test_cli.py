@@ -220,6 +220,12 @@ class TestSubcommands:
         missing = tmp_path / "missing.ring"
         assert main(["df-check", str(missing), "x", "y"]) == 2
 
+    @pytest.mark.parametrize("command", [["weiss-select", "--r0", "1"], ["sofic-verify", "-r", "1"]])
+    def test_missing_graph_file_is_a_parse_error(self, tmp_path, command, capsys):
+        missing = tmp_path / "missing.graph"
+        assert main([command[0], str(missing), "-g", "Z^1", *command[1:]]) == 2
+        assert capsys.readouterr().err.startswith(f"parse error: cannot read {missing}: ")
+
     def test_unknown_element_exit_code(self, involution_file):
         assert main(["df-check", str(involution_file), "x", "zz"]) == 2
 

@@ -7,6 +7,8 @@ Running this file as a script rewrites the expected envelopes from the
 current code; do that only at a commit whose reports are known good.
 """
 
+import builtins
+import io
 from pathlib import Path
 
 import pytest
@@ -64,6 +66,24 @@ def test_run_builds_at_most_one_ball(name, tmp_path, monkeypatch):
     monkeypatch.setattr(groups, "_build_ball", counting)
     assert main(_argv(name, tmp_path / f"{name}.json")) == CASES[name][0]
     assert len(built) <= 1, built
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, argv) in CASES.items() if not argv[1].startswith("-")))
+def test_each_input_file_is_read_once(name, tmp_path, monkeypatch):
+    """The command parses and digests one read of its input file."""
+    argv = _argv(name, tmp_path / f"{name}.json")
+    opened = []
+    real = io.open
+
+    def counting(file, *args, **kwargs):
+        if isinstance(file, (str, Path)):
+            opened.append(Path(file))
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting)
+    monkeypatch.setattr(builtins, "open", counting)
+    assert main(argv) == CASES[name][0]
+    assert opened.count(Path(argv[1])) == 1
 
 
 if __name__ == "__main__":

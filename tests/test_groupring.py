@@ -24,6 +24,7 @@ from soficrank.groupring import (
     check_right_inverse,
     compose,
     kernel_radius,
+    kernel_search_top,
     restriction_matrix,
     support_data,
     transplant,
@@ -246,20 +247,6 @@ class TestKernelRadius:
         r2 = kernel_radius(c, 6)
         assert r2 is not None and r2 <= 2
 
-    def test_kernel_at_bound_but_at_no_radius_is_inconsistent(self, monkeypatch):
-        # Only the first elimination, the one at max_n, reports a kernel.
-        calls = []
-
-        def first_call_singular(m):
-            calls.append(m)
-            return m.cols - 1 if len(calls) == 1 else m.cols
-
-        monkeypatch.setattr(groupring, "rank", first_call_singular)
-        # d = 1: the complete radius of Z^1 is 1, so the search stops there
-        with pytest.raises(InternalInconsistency, match=r"top = 1 but at no radius n <= 1"):
-            kernel_radius(one_plus_t(), 3)
-        assert len(calls) == 2
-
     def test_search_stops_at_the_complete_radius(self, monkeypatch):
         # (1+t) I_2 over F_2[Z]: d = 2 and rs = 1 give the complete radius 1, below the bound 6
         domains = []
@@ -352,6 +339,25 @@ class TestCompleteRadius:
     def test_finite_groups_match_scan(self, c):
         bound = default_kernel_search_bound(c.support_radius())
         assert kernel_radius(c, bound) == kernel_radius_scan(c, bound)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(laurent_elements(), finite_group_elements(), st.sampled_from(AT_THE_COMPLETE_RADIUS)), st.data())
+    def test_each_radius_is_ranked_once(self, c, data):
+        """The search restricts to top = kernel_search_top first, then to 1, 2, ... below it, each once."""
+        bound = data.draw(st.integers(1, default_kernel_search_bound(c.support_radius())))
+        radii = []
+        real = groupring.restriction_matrix
+
+        def recording(c, n, m, max_ball_elements):
+            radii.append(n)
+            return real(c, n, m, max_ball_elements)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groupring, "restriction_matrix", recording)
+            r2 = kernel_radius(c, bound)
+        assert r2 == kernel_radius_scan(c, bound)
+        top = kernel_search_top(c, bound)
+        assert radii == [top] + ([] if r2 is None else list(range(1, min(r2 + 1, top))))
 
 
 kernel_strategy = st.builds(

@@ -4,7 +4,8 @@ Only the group models decide by group family; no other module of the
 package dispatches on it, and each family implements the whole model
 interface.  Every public definition is reached from the
 package or the benchmark, and the top level holds the user API only.
-No dense FpMatrix is built on the transfer-run path.
+No dense FpMatrix is built on the transfer-run path, and upper mode reads
+the Weiss separation off the charts without the fallback walk.
 """
 
 import ast
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import soficrank
-from soficrank import exactfield
+from soficrank import exactfield, weiss
 from soficrank.cli import main
 from test_bench_contract import traced_names
 from test_golden import CASES, _argv
@@ -191,4 +192,20 @@ def test_transfer_run_builds_no_dense_matrix(name, tmp_path, monkeypatch):
         raise AssertionError("an FpMatrix was built on the transfer-run path")
 
     monkeypatch.setattr(exactfield.FpMatrix, "__init__", refuse)
+    assert main(_argv(name, tmp_path / f"{name}.json")) == CASES[name][0]
+
+
+def _upper_mode_cases() -> list[str]:
+    """The golden transfer-run cases whose mode runs the upper chain."""
+    return sorted(name for name, (_, argv) in CASES.items() if argv[0] == "transfer-run" and argv[argv.index("--mode") + 1] != "lower")
+
+
+@pytest.mark.parametrize("name", _upper_mode_cases())
+def test_upper_mode_reads_the_separation_off_the_charts(name, tmp_path, monkeypatch):
+    """Every golden upper-mode selection has a pick within the charts' radius of another, or a single pick."""
+
+    def refuse(out, picks, block):
+        raise AssertionError("the Weiss check fell back to the walk")
+
+    monkeypatch.setattr(weiss, "_nearest_other_picks", refuse)
     assert main(_argv(name, tmp_path / f"{name}.json")) == CASES[name][0]

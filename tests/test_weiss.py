@@ -10,8 +10,8 @@ from test_digraph import perturbed_tori
 from soficrank.cli import main
 import numpy as np
 
-from soficrank.digraph import LabeledDigraph, distance
-from soficrank.errors import ApproximationTooCoarse, PreconditionDensity
+from soficrank.digraph import LabeledDigraph, ball_charts, distance, distances
+from soficrank.errors import ApproximationTooCoarse, InternalInconsistency, PreconditionDensity
 from soficrank.groups import FreeAbelian, cayley_ball, read_finite_group_file
 from soficrank.sofic import quotient_graph, verify_approximation
 from soficrank import weiss
@@ -257,3 +257,82 @@ class TestBatchedWalk:
         block = weiss._pick_block(approx.charts, graph.vertex_count)
         assert block * (graph.vertex_count + 1) <= approx.charts.nbytes < (block + 1) * (graph.vertex_count + 1)
 
+
+
+@st.composite
+def charted_graphs(draw):
+    """(group, graph): a perturbed torus, an open path of Z^1, or the Cayley graph of S3 or S5."""
+    kind = draw(st.sampled_from(["torus", "path", "finite"]))
+    if kind == "torus":
+        return draw(perturbed_tori())
+    if kind == "path":
+        return Z1, open_path(draw(st.integers(2, 30)))
+    group = draw(st.sampled_from([S3, S5]))
+    return group, quotient_graph(group)
+
+
+def nearest_by_bfs(graph, u, picks, radius):
+    """(distance, pick) of the first other pick a BFS from u meets within radius, or None."""
+    return next(((x, depth) for x, depth in distances(graph, u, radius) if x != u and x in picks), None)
+
+
+class TestChartRead:
+    """The nearest other pick read off the charts, against a BFS from every pick."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(charted_graphs(), st.integers(0, 4), st.data())
+    def test_matches_bfs(self, case, radius, data):
+        group, graph = case
+        ball = cayley_ball(group, radius)
+        charts, ok = ball_charts(graph, range(graph.vertex_count), ball)
+        charted = np.flatnonzero(ok).tolist()  # row k of charts is vertex k
+        if not charted:
+            return
+        rows = np.array(sorted(data.draw(st.sets(st.sampled_from(charted), min_size=1))))
+        depth, other = weiss._nearest_in_charts(charts, rows, ball.layers.tolist(), graph.vertex_count)
+        picks = set(rows.tolist())
+        for u, d, w in zip(rows.tolist(), depth.tolist(), other.tolist()):
+            near = nearest_by_bfs(graph, u, picks, radius)
+            if near is None:  # none within the chart's radius: the walk's case
+                assert (d, w) == (-1, -1), u
+            else:
+                assert d == near[1] and w in picks and w != u and distance(graph, u, w) == d, u
+
+    def test_charts_settle_a_torus_without_the_walk(self, monkeypatch):
+        def refuse(out, picks, block):
+            raise AssertionError("a pick sees another within its chart")
+
+        monkeypatch.setattr(weiss, "_nearest_other_picks", refuse)
+        graph = quotient_graph(Z1, 16)
+        sel = select(graph, [0, 1, 2, 5, 6, 7, 8, 9, 10, 11], 1)
+        assert sel.min_pairwise_distance == min_pairwise_distance(graph, sel.v1) == 3
+
+    @pytest.mark.parametrize(
+        "graph, good, r0, group, v1, expected",
+        [
+            # picks 0 and 6 of C12, farther apart than the radius-3 charts
+            (quotient_graph(Z1, 12), [0, 1, 2, 6, 7, 8], 1, Z1, (0, 6), 6),
+            # one pick on each copy of C7: neither reaches the other
+            (two_copies(quotient_graph(cyclic_group(7))), range(14), 3, cyclic_group(7), (0, 7), None),
+        ],
+    )
+    def test_picks_beyond_the_charts_fall_back_to_the_walk(self, graph, good, r0, group, v1, expected, monkeypatch):
+        walks = []
+        walk = weiss._nearest_other_picks
+
+        def counting(out, picks, block):
+            walks.append(picks.tolist())
+            return walk(out, picks, block)
+
+        monkeypatch.setattr(weiss, "_nearest_other_picks", counting)
+        sel = select(graph, good, r0, group=group)
+        assert sel.v1 == v1 and walks == [list(v1)]
+        assert sel.min_pairwise_distance == min_pairwise_distance(graph, v1) == expected
+
+    def test_too_close_pair_is_inconsistent(self, monkeypatch):
+        # picks 0, 2, 6, 9 of C12: 2 is the only pick within distance 2 of 0
+        monkeypatch.setattr(weiss, "_sweep", lambda good, charts, discard_size, n: ([0, 2, 6, 9], [0, 2, 6, 9]))
+        graph = quotient_graph(Z1, 12)
+        assert nearest_by_bfs(graph, 0, {0, 2, 6, 9}, 3) == (2, 2)
+        with pytest.raises(InternalInconsistency, match=r"^selected vertices 0, 2 at directed distance 2 < 3$"):
+            select(graph, range(12), 1)
