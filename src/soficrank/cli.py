@@ -109,10 +109,7 @@ def parse_instance_text(text: str, base_dir: Optional[Path] = None, where: str =
         raise ParseError(f"{where}: {exc}")
     if d < 1:
         raise ParseError(f"{where}: module dimension d must be at least 1, got {d}")
-    try:
-        group = parse_group_descriptor(desc, base_dir)
-    except FileNotFoundError as exc:
-        raise ParseError(f"{where}: {exc}")
+    group = parse_group_descriptor(desc, base_dir)
     inst = InstanceFile(p=p, d=d, group_desc=desc, group=group)
 
     current: Optional[str] = None
@@ -326,6 +323,8 @@ def _cmd_weiss_select(args) -> int:
     # Epsilon 1/2 is exactly Weiss's precondition |good| >= |V|/2; the
     # verified charts at radius 2*r0+1 are what the selection reads.
     _, _, _, good, verify, digest = _read_graph_input(args, "1/2", 2 * args.r0 + 1)
+    if args.r0 < 0:
+        raise ValueError(f"--r0 must be nonnegative, got {args.r0}")
     inputs = {
         "graph": digest,
         "group": args.group,

@@ -157,7 +157,7 @@ def distances(graph: LabeledDigraph, v: int, radius: Optional[int] = None) -> It
 
     The single graph BFS: pairs come in BFS order, so depths never
     decrease and a caller may stop at the first vertex it looks for.
-    `distance` and `neighborhood` read it.
+    `distance`, `neighborhood` and the Weiss separation fallback read it.
     """
     _check_vertex(graph, v)
     if radius is not None and radius < 0:

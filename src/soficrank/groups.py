@@ -536,8 +536,11 @@ def _table_row(path, ln: str):
 
 def read_finite_group_file(path) -> FiniteByTable:
     """Parse the finite-group table format: header, n table rows, generators line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}")
     lines = [ln.strip() for ln in raw.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:

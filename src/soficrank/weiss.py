@@ -23,9 +23,9 @@ verified chart is read for its nearest other pick: the chart maps the
 radius-R ball onto the pick's out-neighbourhood of radius R >= 2*r0+1,
 and maps the ball's depth-j layer onto the vertices at directed distance
 j, so the first layer holding another pick gives its exact distance.
-Only when no pick sees another within R does a breadth-first walk from
-every pick, stopping at its nearest other pick, find the least distance
-beyond R; the walks advance together, a block of picks at a time.
+Only when no pick sees another within R does one `digraph.distances`
+search from each pick, stopped at its nearest other pick, find the least
+distance beyond R.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from typing import Optional
 
 import numpy as np
 
+from .digraph import LabeledDigraph, distances
 from .errors import ApproximationTooCoarse, InternalInconsistency, PreconditionDensity
 from .sofic import SoficApproximation
 
@@ -95,13 +96,13 @@ def weiss_select(approx: SoficApproximation, r0: int) -> WeissSelection:
     # Guarantee (2), checked in both directions: the least of the picks'
     # nearest-pick depths is the least directed distance over all ordered
     # pairs.  A pick that sees no other pick in its chart has none within
-    # R, so the charts settle it whenever some pick sees one; otherwise the
-    # walk measures beyond R.  A single pick has no pair and nothing to walk to.
+    # R, so the charts settle it whenever some pick sees one; otherwise a
+    # search from each pick measures beyond R.  A single pick has no pair.
     nearest = None
     if len(v1) > 1:
         depth, other = _nearest_in_charts(charts, np.array(rows), layers, n)
         if (depth < 0).all():
-            depth, other = _nearest_other_picks(graph.out, np.array(v1), _pick_block(charts, n))
+            depth, other = _nearest_by_distances(graph, v1)
         close = np.flatnonzero((depth >= 0) & (depth < sep))
         if close.size:
             k = int(close[0])
@@ -164,54 +165,9 @@ def _nearest_in_charts(charts: np.ndarray, rows: np.ndarray, layers: list, n: in
     return depth, other
 
 
-def _pick_block(charts: np.ndarray, n: int) -> int:
-    """Picks that walk at once, at least one: their slot array, |V| + 1 bytes per pick, is no larger than the charts."""
-    return max(1, charts.nbytes // (n + 1))
-
-
-def _nearest_other_picks(out: np.ndarray, picks: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """Directed distance from each pick to its nearest other pick, and that pick; -1 for both when none is reachable.
-
-    The picks walk the out-table breadth first in blocks of `block`, all
-    picks of a block one layer at a time, and a pick stops at the first
-    layer that holds another pick.  Slot k * (|V| + 1) + 1 + v of the
-    block's slot array marks v as reached from the block's k-th pick, and
-    slot k * (|V| + 1), marked from the start, takes its missing edges.  A
-    layer takes its new slots one label at a time: a label is a partial
-    injection, so one label's slots are distinct, and the marks drop those
-    an earlier label or layer reached.
-    """
-    n, labels = out.shape
-    stride = n + 1
-    is_pick = np.zeros(n, dtype=bool)
-    is_pick[picks] = True
-    depth = np.full(len(picks), -1, dtype=np.int64)
-    other = np.full(len(picks), -1, dtype=np.int64)
-    for start in range(0, len(picks), block):
-        front = picks[start : start + block]
-        walking = np.ones(len(front), dtype=bool)
-        owner = np.arange(len(front))  # the pick of each frontier vertex, within the block
-        seen = np.zeros(len(front) * stride, dtype=bool)
-        seen[owner * stride] = True
-        seen[owner * stride + 1 + front] = True
-        layer = 0
-        while front.size:
-            layer += 1
-            slots = (owner * stride + 1)[:, None] + out[front]
-            fresh = []
-            for label in range(labels):
-                new = slots[:, label]
-                new = new[~seen[new]]
-                seen[new] = True
-                fresh.append(new)
-            owner, front = np.divmod(np.concatenate(fresh), stride)
-            front -= 1
-            hit = is_pick[front]
-            if hit.any():
-                done = owner[hit]
-                depth[start + done] = layer
-                other[start + done] = front[hit]
-                walking[done] = False
-                keep = walking[owner]
-                owner, front = owner[keep], front[keep]
+def _nearest_by_distances(graph: LabeledDigraph, picks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Directed distance from each pick to its nearest other pick, and that pick, by one `distances` search per pick; -1 for both when none is reachable."""
+    others = set(picks)
+    found = [next(((d, u) for u, d in distances(graph, v) if u != v and u in others), (-1, -1)) for v in picks]
+    depth, other = np.array(found, dtype=np.int64).T
     return depth, other

@@ -226,6 +226,29 @@ class TestSubcommands:
         assert main([command[0], str(missing), "-g", "Z^1", *command[1:]]) == 2
         assert capsys.readouterr().err.startswith(f"parse error: cannot read {missing}: ")
 
+    @pytest.mark.parametrize("make", [lambda path: None, Path.mkdir], ids=["missing", "directory"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["cayley-ball", "-g", "{table}", "-r", "1"],
+            ["sofic-verify", str(GOLDEN / "c12.graph"), "-g", "{table}", "-r", "1"],
+            ["weiss-select", str(GOLDEN / "c12.graph"), "-g", "{table}", "--r0", "0"],
+            ["df-check", "{ring}", "x", "x"],
+            ["transfer-run", "{ring}", "x", "x", "--mode", "lower"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_unreadable_group_table_is_a_parse_error(self, tmp_path, make, command, capsys):
+        table, ring = tmp_path / "g.table", tmp_path / "g.ring"
+        make(table)
+        ring.write_text(f"ring p=2 d=1 group=finite:{table}\nelement x\nterm 1 @ 0\n")
+        assert main([word.format(table=f"finite:{table}", ring=ring) for word in command]) == 2
+        assert capsys.readouterr().err.startswith(f"parse error: cannot read {table}: ")
+
+    def test_negative_r0_is_named(self, c12_graph, capsys):
+        assert main(["weiss-select", str(c12_graph), "-g", "Z^1", "--r0", "-1"]) == 2
+        assert capsys.readouterr().err == "invalid input: --r0 must be nonnegative, got -1\n"
+
     def test_unknown_element_exit_code(self, involution_file):
         assert main(["df-check", str(involution_file), "x", "zz"]) == 2
 

@@ -5,7 +5,7 @@ package dispatches on it, and each family implements the whole model
 interface.  Every public definition is reached from the
 package or the benchmark, and the top level holds the user API only.
 No dense FpMatrix is built on the transfer-run path, and upper mode reads
-the Weiss separation off the charts without the fallback walk.
+the Weiss separation off the charts without the fallback search.
 """
 
 import ast
@@ -204,8 +204,23 @@ def _upper_mode_cases() -> list[str]:
 def test_upper_mode_reads_the_separation_off_the_charts(name, tmp_path, monkeypatch):
     """Every golden upper-mode selection has a pick within the charts' radius of another, or a single pick."""
 
-    def refuse(out, picks, block):
-        raise AssertionError("the Weiss check fell back to the walk")
+    def refuse(graph, picks):
+        raise AssertionError("the Weiss check fell back to the search")
 
-    monkeypatch.setattr(weiss, "_nearest_other_picks", refuse)
+    monkeypatch.setattr(weiss, "_nearest_by_distances", refuse)
     assert main(_argv(name, tmp_path / f"{name}.json")) == CASES[name][0]
+
+
+def test_only_weiss_c12_even_searches_beyond_the_charts(tmp_path, monkeypatch):
+    """Of the golden runs only weiss_c12_even searches, once: its picks 0, 4 and 8 lie 4 > R = 3 apart, beyond every chart."""
+    searches = []
+    search = weiss._nearest_by_distances
+
+    def counting(graph, picks):
+        searches.append((name, picks))
+        return search(graph, picks)
+
+    monkeypatch.setattr(weiss, "_nearest_by_distances", counting)
+    for name in sorted(CASES):
+        assert main(_argv(name, tmp_path / f"{name}.json")) == CASES[name][0]
+    assert searches == [("weiss_c12_even", (0, 4, 8))]

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -98,10 +99,10 @@ class TestEdgeCases:
         assert sel.min_pairwise_distance is None
 
     def test_single_pick_walks_nothing(self, monkeypatch):
-        def refuse(out, picks, block):
+        def refuse(graph, picks):
             raise AssertionError("a single pick has no other pick to walk to")
 
-        monkeypatch.setattr(weiss, "_nearest_other_picks", refuse)
+        monkeypatch.setattr(weiss, "_nearest_by_distances", refuse)
         G = cyclic_group(7)
         sel = select(quotient_graph(G), range(7), 3, group=G)
         assert (sel.v1, sel.min_pairwise_distance) == ((0,), None)
@@ -205,28 +206,31 @@ def forward_path(n):
     return LabeledDigraph(n, 3, [(v, v + 1, 0) for v in range(n - 1)] + [(v, v, 2) for v in range(n)])
 
 
-class TestBatchedWalk:
-    """The pick walk, in blocks of any size, against a full BFS from every pick."""
+class TestFallbackSearch:
+    """The per-pick search beyond the charts against networkx shortest paths from every pick."""
 
     @staticmethod
-    def check_walk(graph, picks, block):
-        depth, other = weiss._nearest_other_picks(graph.out, np.array(picks, dtype=np.int64), block)
+    def check_search(graph, picks):
+        depth, other = weiss._nearest_by_distances(graph, tuple(picks))
+        reference = nx.DiGraph()
+        reference.add_nodes_from(range(graph.vertex_count))
+        reference.add_edges_from((s, d) for s, d, _ in graph.edges())
         for u, d, w in zip(picks, depth.tolist(), other.tolist()):
-            nearest = min((distance(graph, u, x) for x in picks if x != u), default=float("inf"))
-            if nearest == float("inf"):
+            reach = nx.single_source_shortest_path_length(reference, u)
+            nearest = min((reach[x] for x in picks if x != u and x in reach), default=None)
+            if nearest is None:
                 assert (d, w) == (-1, -1), u
             else:
-                assert d == nearest and w in picks and w != u and distance(graph, u, w) == d, u
+                assert d == nearest and w in picks and w != u and reach[w] == d, u
         assert min(depth[depth >= 0].tolist(), default=None) == min_pairwise_distance(graph, picks)
 
     @settings(max_examples=40, deadline=None)
-    @given(perturbed_tori(), st.sampled_from([1, 2, 1000]), st.data())
-    def test_perturbed_tori(self, case, block, data):
+    @given(perturbed_tori(), st.data())
+    def test_perturbed_tori(self, case, data):
         _, graph = case
         picks = sorted(data.draw(st.sets(st.integers(0, graph.vertex_count - 1), min_size=2)))
-        self.check_walk(graph, picks, block)
+        self.check_search(graph, picks)
 
-    @pytest.mark.parametrize("block", [1, 2, 1000])
     @pytest.mark.parametrize(
         "graph, picks",
         [
@@ -237,12 +241,10 @@ class TestBatchedWalk:
             (two_copies(quotient_graph(Z1, 6)), [0, 3, 6, 8]),
         ],
     )
-    def test_open_paths_and_unreachable_picks(self, graph, picks, block):
-        self.check_walk(graph, picks, block)
+    def test_open_paths_and_unreachable_picks(self, graph, picks):
+        self.check_search(graph, picks)
 
-    @pytest.mark.parametrize("block", [1, 2])
-    def test_selection_in_small_blocks(self, block, monkeypatch):
-        monkeypatch.setattr(weiss, "_pick_block", lambda charts, n: block)
+    def test_selection(self):
         graph = quotient_graph(Z1, 16)
         sel = select(graph, [0, 1, 2, 5, 6, 7, 8, 9, 10, 11], 1)
         assert sel.min_pairwise_distance == min_pairwise_distance(graph, sel.v1) == 3
@@ -250,13 +252,6 @@ class TestBatchedWalk:
         G = cyclic_group(7)
         sel = select(two_copies(quotient_graph(G)), range(14), 3, group=G)
         assert (sel.v1, sel.min_pairwise_distance) == ((0, 7), None)
-
-    def test_slot_array_is_no_larger_than_the_charts(self):
-        graph = quotient_graph(Z1, 400)
-        approx = verify_approximation(graph, range(400), Fraction(1, 2), 3, Z1)
-        block = weiss._pick_block(approx.charts, graph.vertex_count)
-        assert block * (graph.vertex_count + 1) <= approx.charts.nbytes < (block + 1) * (graph.vertex_count + 1)
-
 
 
 @st.composite
@@ -299,10 +294,10 @@ class TestChartRead:
                 assert d == near[1] and w in picks and w != u and distance(graph, u, w) == d, u
 
     def test_charts_settle_a_torus_without_the_walk(self, monkeypatch):
-        def refuse(out, picks, block):
+        def refuse(graph, picks):
             raise AssertionError("a pick sees another within its chart")
 
-        monkeypatch.setattr(weiss, "_nearest_other_picks", refuse)
+        monkeypatch.setattr(weiss, "_nearest_by_distances", refuse)
         graph = quotient_graph(Z1, 16)
         sel = select(graph, [0, 1, 2, 5, 6, 7, 8, 9, 10, 11], 1)
         assert sel.min_pairwise_distance == min_pairwise_distance(graph, sel.v1) == 3
@@ -318,15 +313,15 @@ class TestChartRead:
     )
     def test_picks_beyond_the_charts_fall_back_to_the_walk(self, graph, good, r0, group, v1, expected, monkeypatch):
         walks = []
-        walk = weiss._nearest_other_picks
+        walk = weiss._nearest_by_distances
 
-        def counting(out, picks, block):
-            walks.append(picks.tolist())
-            return walk(out, picks, block)
+        def counting(graph, picks):
+            walks.append(picks)
+            return walk(graph, picks)
 
-        monkeypatch.setattr(weiss, "_nearest_other_picks", counting)
+        monkeypatch.setattr(weiss, "_nearest_by_distances", counting)
         sel = select(graph, good, r0, group=group)
-        assert sel.v1 == v1 and walks == [list(v1)]
+        assert sel.v1 == v1 and walks == [v1]
         assert sel.min_pairwise_distance == min_pairwise_distance(graph, v1) == expected
 
     def test_too_close_pair_is_inconsistent(self, monkeypatch):
