@@ -195,10 +195,11 @@ class TestMinPairwiseDistanceOracle:
         assert sel.min_pairwise_distance == min_pairwise_distance(graph, sel.v1)
 
 
-def two_copies(graph):
-    """Two disjoint copies of the graph, the second shifted by |V|: neither reaches the other."""
+def copies(graph, count=2):
+    """Disjoint copies of the graph, the k-th shifted by k*|V|: no copy reaches another."""
     n = graph.vertex_count
-    return LabeledDigraph(2 * n, graph.num_labels, [(s + k, d + k, l) for k in (0, n) for s, d, l in graph.edges()])
+    shifts = range(0, count * n, n)
+    return LabeledDigraph(count * n, graph.num_labels, [(s + k, d + k, l) for k in shifts for s, d, l in graph.edges()])
 
 
 def forward_path(n):
@@ -206,8 +207,8 @@ def forward_path(n):
     return LabeledDigraph(n, 3, [(v, v + 1, 0) for v in range(n - 1)] + [(v, v, 2) for v in range(n)])
 
 
-class TestFallbackSearch:
-    """The per-pick search beyond the charts against networkx shortest paths from every pick."""
+class TestBatchedWalk:
+    """The search from a batch of picks beyond the charts, one `distances` search per pick, against networkx shortest paths from every pick."""
 
     @staticmethod
     def check_search(graph, picks):
@@ -231,27 +232,32 @@ class TestFallbackSearch:
         picks = sorted(data.draw(st.sets(st.integers(0, graph.vertex_count - 1), min_size=2)))
         self.check_search(graph, picks)
 
+    @pytest.mark.parametrize("block", [1, 2, 1000])
     @pytest.mark.parametrize(
         "graph, picks",
         [
             (forward_path(12), [0, 5, 11]),  # 11 reaches no pick
             (forward_path(12), [3, 4]),
             (open_path(20), [0, 7, 19]),
-            (two_copies(quotient_graph(Z1, 6)), [0, 6]),  # neither reaches the other
-            (two_copies(quotient_graph(Z1, 6)), [0, 3, 6, 8]),
+            (copies(quotient_graph(Z1, 6)), [0, 6]),  # neither reaches the other
+            (copies(quotient_graph(Z1, 6)), [0, 3, 6, 8]),
         ],
     )
-    def test_open_paths_and_unreachable_picks(self, graph, picks):
-        self.check_search(graph, picks)
+    def test_open_paths_and_unreachable_picks(self, graph, picks, block):
+        # the first `block` picks: a lone pick, a pair, and the whole batch
+        self.check_search(graph, picks[:block])
 
-    def test_selection(self):
-        graph = quotient_graph(Z1, 16)
-        sel = select(graph, [0, 1, 2, 5, 6, 7, 8, 9, 10, 11], 1)
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_selection_in_small_blocks(self, block):
+        # the selection on a graph of `block` disjoint copies of a small graph
+        graph = copies(quotient_graph(Z1, 16), block)
+        good = [v + 16 * k for k in range(block) for v in [0, 1, 2, 5, 6, 7, 8, 9, 10, 11]]
+        sel = select(graph, good, 1)
         assert sel.min_pairwise_distance == min_pairwise_distance(graph, sel.v1) == 3
-        # one pick on each copy of C7: two picks, and no distance between them
+        # one pick on each copy of C7, and no distance between them
         G = cyclic_group(7)
-        sel = select(two_copies(quotient_graph(G)), range(14), 3, group=G)
-        assert (sel.v1, sel.min_pairwise_distance) == ((0, 7), None)
+        sel = select(copies(quotient_graph(G), block), range(7 * block), 3, group=G)
+        assert (sel.v1, sel.min_pairwise_distance) == (tuple(range(0, 7 * block, 7)), None)
 
 
 @st.composite
@@ -308,7 +314,7 @@ class TestChartRead:
             # picks 0 and 6 of C12, farther apart than the radius-3 charts
             (quotient_graph(Z1, 12), [0, 1, 2, 6, 7, 8], 1, Z1, (0, 6), 6),
             # one pick on each copy of C7: neither reaches the other
-            (two_copies(quotient_graph(cyclic_group(7))), range(14), 3, cyclic_group(7), (0, 7), None),
+            (copies(quotient_graph(cyclic_group(7))), range(14), 3, cyclic_group(7), (0, 7), None),
         ],
     )
     def test_picks_beyond_the_charts_fall_back_to_the_walk(self, graph, good, r0, group, v1, expected, monkeypatch):
