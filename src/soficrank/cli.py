@@ -33,6 +33,8 @@ from .errors import (
     ParseError,
     ResourceLimitError,
     SoficRankError,
+    content_lines,
+    read_utf8,
 )
 from .exactfield import json_value, parse_rational, validate_modulus
 from .groupring import GroupRingKernel, compose
@@ -95,8 +97,7 @@ def _parse_term(line: str, inst: InstanceFile, where: str) -> tuple:
 
 
 def parse_instance_text(text: str, base_dir: Optional[Path] = None, where: str = "<instance>") -> InstanceFile:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(text)
     if not lines:
         raise ParseError(f"{where}: empty instance file")
     m = _RING_RE.match(lines[0])
@@ -147,8 +148,7 @@ def parse_instance_text(text: str, base_dir: Optional[Path] = None, where: str =
 def parse_instance_file(path, data: Optional[bytes] = None) -> InstanceFile:
     """Parse the instance file at path, from `data`, its bytes, when the caller has read them."""
     path = Path(path)
-    text = (_read_input(path) if data is None else data).decode("utf-8")
-    return parse_instance_text(text, base_dir=path.parent, where=str(path))
+    return parse_instance_text(read_utf8(path, data), base_dir=path.parent, where=str(path))
 
 
 def format_instance(inst: InstanceFile) -> str:
@@ -165,46 +165,32 @@ def format_instance(inst: InstanceFile) -> str:
     return "\n".join(out) + "\n"
 
 
-def _digest(parts: dict) -> str:
-    return hashlib.sha256(json.dumps(parts, sort_keys=True).encode("utf-8")).hexdigest()
-
-
-def _read_input(path) -> bytes:
-    """An input file's bytes.  A command reads each input file once and parses and digests the same bytes."""
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
-
-
-def _file_digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _read_input(path) -> tuple[bytes, str]:
+    """An input file's bytes and their sha256.  A command reads each input file once and parses and digests the same bytes."""
+    data = read_utf8(path).encode("utf-8")  # strict UTF-8 gives back the file's bytes
+    return data, hashlib.sha256(data).hexdigest()
 
 
 def _read_instance(path) -> tuple[InstanceFile, str]:
     """The instance file parsed, and the digest of the bytes it was parsed from."""
-    data = _read_input(path)
-    return parse_instance_file(path, data), _file_digest(data)
+    data, digest = _read_input(path)
+    return parse_instance_file(path, data), digest
 
 
-def _envelope(subcommand: str, inputs: dict, payload: dict) -> dict:
-    return {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "subcommand": subcommand,
-        "inputs_digest": _digest(inputs),
-        "payload": payload,
-    }
-
-
-def _emit(args, envelope: dict, table: list[tuple[str, object]]) -> None:
+def _emit(args, subcommand: str, inputs: dict, payload: dict, table: list[tuple[str, object]]) -> None:
+    """Print the table, and write the report envelope when --out is given."""
     width = max((len(k) for k, _ in table), default=0)
     for key, value in table:
         print(f"{key.ljust(width)}  {value}")
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(envelope, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        envelope = {
+            "tool": TOOL_NAME,
+            "version": __version__,
+            "subcommand": subcommand,
+            "inputs_digest": hashlib.sha256(json.dumps(inputs, sort_keys=True).encode("utf-8")).hexdigest(),
+            "payload": payload,
+        }
+        Path(args.out).write_text(json.dumps(envelope, sort_keys=True, indent=2) + "\n", encoding="utf-8")
         print(f"report written to {args.out}")
 
 
@@ -232,8 +218,7 @@ def _cmd_cayley_ball(args) -> int:
         "size": ball.size,
         "edge_count": ball.graph.edge_count,
     }
-    env = _envelope("cayley-ball", {"group": args.group, "radius": args.radius}, payload)
-    _emit(args, env, [
+    _emit(args, "cayley-ball", {"group": args.group, "radius": args.radius}, payload, [
         ("group", group.describe()),
         ("radius", args.radius),
         ("ball size", ball.size),
@@ -267,7 +252,7 @@ def _read_graph_input(args, epsilon: str, radius: int):
     """
     group = parse_group_descriptor(args.group, Path.cwd())
     limits = Limits.from_env()
-    data = _read_input(args.graph)
+    data, digest = _read_input(args.graph)
     try:
         graph = read_graph_file(args.graph, limits.max_vertices, num_labels=group.label_count, data=data)
         vertex_count, num_labels = graph.vertex_count, graph.num_labels
@@ -281,7 +266,7 @@ def _read_graph_input(args, epsilon: str, radius: int):
             check_preconditions(num_labels, eps, radius, group)
         return verify_approximation(graph, good, eps, radius, group, max_ball_elements=limits.max_ball_elements)
 
-    return group, vertex_count, eps, good, verify, _file_digest(data)
+    return group, vertex_count, eps, good, verify, digest
 
 
 def _cmd_sofic_verify(args) -> int:
@@ -304,11 +289,10 @@ def _cmd_sofic_verify(args) -> int:
         approx = verify()
     except CheckFailedError as exc:
         payload.update(verified=False, failure=str(exc), failing_vertex=getattr(exc, "vertex", None))
-        _emit(args, _envelope("sofic-verify", inputs, payload), [("verified", False), ("failure", str(exc))])
+        _emit(args, "sofic-verify", inputs, payload, [("verified", False), ("failure", str(exc))])
         return 1
     payload.update(verified=True, ball_size=approx.ball.size)
-    env = _envelope("sofic-verify", inputs, payload)
-    _emit(args, env, [
+    _emit(args, "sofic-verify", inputs, payload, [
         ("verified", True),
         ("vertices", approx.vertex_count),
         ("good vertices", len(approx.good_vertices)),
@@ -333,8 +317,7 @@ def _cmd_weiss_select(args) -> int:
     }
     sel = weiss_select(verify(), args.r0)
     payload = {**json_value(sel), "separation_bound": 2 * args.r0 + 1}
-    env = _envelope("weiss-select", inputs, payload)
-    _emit(args, env, [
+    _emit(args, "weiss-select", inputs, payload, [
         ("selected", len(sel.v1)),
         ("V1", ",".join(str(v) for v in sel.v1)),
         ("density achieved", _frac_str(sel.achieved_density)),
@@ -378,8 +361,7 @@ def _cmd_df_check(args) -> int:
         "xy_is_identity": xy_ok,
         "yx_is_identity": yx_ok,
     }
-    env = _envelope("df-check", inputs, payload)
-    _emit(args, env, [
+    _emit(args, "df-check", inputs, payload, [
         ("x", x_name),
         ("y", y_name),
         ("x*y == 1", xy_ok),
@@ -425,7 +407,6 @@ def _cmd_transfer_run(args) -> int:
         "max_vertices": args.max_vertices,
         "max_ball": args.max_ball,
     }
-    env = _envelope("transfer-run", inputs, report.to_json_dict())
     table = [
         ("verdict", report.verdict),
         ("group", report.group),
@@ -442,7 +423,7 @@ def _cmd_transfer_run(args) -> int:
         table.append(("identity on V''", report.identity_on_vpp))
     if report.weiss is not None:
         table.append(("|V1|", len(report.weiss.v1)))
-    _emit(args, env, table)
+    _emit(args, "transfer-run", inputs, report.to_json_dict(), table)
     return 0
 
 

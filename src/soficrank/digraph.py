@@ -14,7 +14,7 @@ from typing import Iterator, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from .errors import AlphabetMismatch, ParseError, ResourceLimitError
+from .errors import AlphabetMismatch, ParseError, ResourceLimitError, content_lines, read_utf8
 from .limits import DEFAULT_MAX_VERTICES
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -336,13 +336,8 @@ def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np
 
     The element at which a relation is read (i for a self-loop, P
     otherwise) is its anchor.  A relation is evaluated once per graph
-    vertex when the graph has no more vertices than its anchors have
-    images (anchors times charted vertices), and is gathered back through
-    the anchors' images only when it fails somewhere; otherwise its edges
-    are compared at the anchors' images, chart by chart.  So a call on a
-    handful of vertices of a large graph (sofic-verify --good) is never
-    slower than a per-chart comparison.  Every other non-tree edge is
-    compared chart by chart.
+    vertex and is gathered back through the anchors' images only when it
+    fails somewhere.  Every other non-tree edge is compared chart by chart.
 
     An extra edge on label l can only land on the image of an element with
     no incoming l-edge in the ball: the graph has at most one incoming
@@ -361,13 +356,11 @@ def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np
     walk = _walk(out, vertices, ball)  # [j, k]
     ok = np.ones(vertices.size, dtype=bool)
     (src, label, dst, anchor, relation), (kind, x, l) = _cycle_relations(ball)
-    # a relation has one edge per anchor, so the bincount counts its anchors
-    closed = (kind < 3) & (n <= np.bincount(relation, minlength=kind.size) * vertices.size)
-    for rel in np.flatnonzero(closed).tolist():
+    for rel in np.flatnonzero(kind < 3).tolist():
         holds = _relation_holds(out, kind[rel], x[rel], l[rel])
         if not holds.all():
             ok &= holds[walk[anchor[relation == rel]]].all(axis=0)
-    rest = ~closed[relation]
+    rest = kind[relation] == 3
     if rest.any():
         step = walk[src[rest]]
         step *= graph.num_labels
@@ -453,19 +446,15 @@ def read_graph_file(
     """Parse the graph text format; full-line # comments and blank lines are skipped.
 
     The text is the file at path, or `data`, its bytes, when the caller has
-    read them.  A header claiming more than max_vertices vertices raises
-    ResourceLimitError before the out-table is allocated.  When num_labels
+    read them; an unreadable or non-UTF-8 file raises ParseError.  A header
+    claiming more than max_vertices vertices raises ResourceLimitError
+    before the out-table is allocated.  When num_labels
     is given and the header declares another label count, the edges are
     still parsed and checked against the header, and AlphabetMismatch,
     carrying the header's vertex_count and num_labels, is raised instead
     of allocating the out-table.
     """
-    if data is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    raw = data.decode("utf-8")
-    lines = [ln.strip() for ln in raw.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(read_utf8(path, data))
     if not lines:
         raise ParseError(f"{path}: empty graph file")
     head = lines[0].split()

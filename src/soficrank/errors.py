@@ -1,9 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one reader of input files.
 
 The CLI maps these onto exit codes: parse errors exit 2, resource limits
 exit 3, internal inconsistencies exit 4, and any other failed check exit 1.
 """
 
+from pathlib import Path
 from typing import Optional
 
 
@@ -13,6 +14,22 @@ class SoficRankError(Exception):
 
 class ParseError(SoficRankError):
     """Malformed instance file, graph file, or group table."""
+
+
+def read_utf8(path, data: Optional[bytes] = None) -> str:
+    """The UTF-8 text of the file at path, or of `data`, its bytes, when the caller has read them.
+
+    A file that cannot be read or is not UTF-8 raises ParseError naming path.
+    """
+    try:
+        return (Path(path).read_bytes() if data is None else data).decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}")
+
+
+def content_lines(text: str) -> list[str]:
+    """The stripped lines of text that are neither blank nor full-line # comments."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
 
 
 class ResourceLimitError(SoficRankError):

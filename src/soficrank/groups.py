@@ -21,7 +21,7 @@ from operator import add
 import numpy as np
 
 from .digraph import LabeledDigraph, _bfs
-from .errors import ApproximationTooCoarse, ParseError, ResourceLimitError
+from .errors import ApproximationTooCoarse, ParseError, ResourceLimitError, content_lines, read_utf8
 from .limits import DEFAULT_MAX_BALL_ELEMENTS, MAX_BALL_PRODUCT_CELLS
 
 
@@ -536,13 +536,7 @@ def _table_row(path, ln: str):
 
 def read_finite_group_file(path) -> FiniteByTable:
     """Parse the finite-group table format: header, n table rows, generators line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
-    lines = [ln.strip() for ln in raw.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = content_lines(read_utf8(path))
     if not lines:
         raise ParseError(f"{path}: empty group table file")
     head = lines[0].split()

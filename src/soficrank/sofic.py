@@ -18,7 +18,7 @@ transfer instance and the Weiss selection read their smaller-radius
 charts as column prefixes of it.  The chart check reads most of the
 ball's cycles (self-loops, back edges, commuting squares) as relations
 at single graph vertices, each evaluated once per vertex of the graph
-when every vertex is charted, as it is here, instead of once per chart.
+instead of once per chart.
 """
 
 from __future__ import annotations

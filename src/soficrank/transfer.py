@@ -489,16 +489,13 @@ def run_experiment(
 
     if mode == "lower" or (mode == "both" and has_rinv):
         report = lower_bound_check(inst)
-        report.mode = mode
-        return report
-    if mode == "upper" or (mode == "both" and has_kernel):
+    elif mode == "upper" or (mode == "both" and has_kernel):
         report = upper_bound_check(inst)
-        report.mode = mode
-        return report
-
-    # mode == "both" with neither precondition: report the parameters only.
-    return _report(
-        inst, "both", NEITHER,
-        bar_phi_rank=rank(sparse_bar_phi(inst)),
-        identity_on_vpp=verify_transfer_identity(inst) if psi is not None else None,
-    )
+    else:  # mode "both" with neither precondition: report the parameters only
+        report = _report(
+            inst, mode, NEITHER,
+            bar_phi_rank=rank(sparse_bar_phi(inst)),
+            identity_on_vpp=verify_transfer_identity(inst) if psi is not None else None,
+        )
+    report.mode = mode
+    return report

@@ -216,17 +216,29 @@ class TestSubcommands:
         assert payload["verdict"] == "UPPER_HOLDS"
         assert payload["weiss"]["v1"] == [0, 3, 6, 9]
 
-    def test_parse_error_exit_code(self, tmp_path):
+    def test_parse_error_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "missing.ring"
         assert main(["df-check", str(missing), "x", "y"]) == 2
+        not_utf8 = tmp_path / "not-utf8.ring"
+        not_utf8.write_bytes(b"ring p=2 d=1 group=Z^1\nelement x\nterm 1 @ 0 \xff\n")
+        for command in ["df-check", "transfer-run"]:
+            capsys.readouterr()
+            assert main([command, str(not_utf8), "x", "x"]) == 2
+            assert capsys.readouterr().err.startswith(f"parse error: cannot read {not_utf8}: ")
 
     @pytest.mark.parametrize("command", [["weiss-select", "--r0", "1"], ["sofic-verify", "-r", "1"]])
     def test_missing_graph_file_is_a_parse_error(self, tmp_path, command, capsys):
-        missing = tmp_path / "missing.graph"
-        assert main([command[0], str(missing), "-g", "Z^1", *command[1:]]) == 2
-        assert capsys.readouterr().err.startswith(f"parse error: cannot read {missing}: ")
+        missing, not_utf8 = tmp_path / "missing.graph", tmp_path / "not-utf8.graph"
+        not_utf8.write_bytes(b"digraph 1 3\n0 0 2 \xff\n")
+        for graph in (missing, not_utf8):
+            assert main([command[0], str(graph), "-g", "Z^1", *command[1:]]) == 2
+            assert capsys.readouterr().err.startswith(f"parse error: cannot read {graph}: ")
 
-    @pytest.mark.parametrize("make", [lambda path: None, Path.mkdir], ids=["missing", "directory"])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda path: None, Path.mkdir, lambda path: path.write_bytes(b"\xff\n")],
+        ids=["missing", "directory", "not-utf8"],
+    )
     @pytest.mark.parametrize(
         "command",
         [

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from oracles import cyclic_group, digraph_by_edge_loop, direct_product_table, symmetric_group_5, write_graph_file
+from soficrank import digraph
 from soficrank.digraph import (
     LabeledDigraph,
     _cycle_relations,
@@ -293,6 +294,8 @@ class TestGraphFiles:
         bad.write_text("digraph 2 1\n0 1 0\n0 1 0\n1 0 0\n")
         # duplicate identical line is tolerated
         assert read_graph_file(bad).edge_count == 2
+        with pytest.raises(ParseError, match="^cannot read "):
+            read_graph_file(tmp_path / "missing.graph")
 
     def test_vertex_limit_checked_before_allocation(self, tmp_path):
         path = tmp_path / "huge.graph"
@@ -555,8 +558,22 @@ class TestCycleRelations:
         assert src.size == 1353
         assert sorted(kind.tolist()) == [0] + [1] * 4 + [2] * 6
 
+    def test_short_vertex_list_evaluates_relations_per_graph_vertex(self, monkeypatch):
+        calls = []
+        holds = digraph._relation_holds
+
+        def counting(out, kind, x, l):
+            calls.append((kind, x, l))
+            return holds(out, kind, x, l)
+
+        monkeypatch.setattr(digraph, "_relation_holds", counting)
+        ball = cayley_ball(Z1, 3)
+        _, (kind, _, _) = _cycle_relations(ball)
+        assert_charts_match(quotient_graph(Z1, 12), [5], ball)
+        assert len(calls) == np.count_nonzero(kind < 3) > 0
+
     def test_closures_and_chart_by_chart_comparison_agree(self):
-        # one vertex of a large torus compares its relations chart by chart
+        # a few vertices of a large torus gather their relations from the per-vertex flags
         group = FreeAbelian(2)
         edges = list(quotient_graph(group, 28).edges())
         assert edges[10][2] == edges[500][2] == 0

@@ -4,6 +4,7 @@ Only the group models decide by group family; no other module of the
 package dispatches on it, and each family implements the whole model
 interface.  Every public definition is reached from the
 package or the benchmark, and the top level holds the user API only.
+Input files are read and decoded in one place, errors.read_utf8.
 No dense FpMatrix is built on the transfer-run path, and upper mode reads
 the Weiss separation off the charts without the fallback search.
 """
@@ -62,6 +63,28 @@ def family_checks(path: Path) -> list:
     return hits
 
 
+def input_reads(path: Path) -> list:
+    """(file name, line) of every call that opens a file for reading, reads a file's bytes or text, or decodes bytes."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Attribute) and node.func.attr in ("read_bytes", "read_text", "decode"):
+            hits.append((path.name, node.lineno))
+        elif isinstance(node.func, ast.Name) and node.func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next((k.value for k in node.keywords if k.arg == "mode"), None)
+            if not (isinstance(mode, ast.Constant) and not set(mode.value) & set("r+")):
+                hits.append((path.name, node.lineno))
+    return hits
+
+
+def test_input_files_are_read_in_one_place():
+    """Only errors.read_utf8 reads an input file and decodes it; writers open files for writing only."""
+    hits = [hit for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py" for hit in input_reads(path)]
+    assert hits == []
+    assert input_reads(PACKAGE / "errors.py")  # the check sees the reader itself
+
+
 def test_only_group_models_dispatch_on_group_family():
     hits = [hit for path in sorted(PACKAGE.glob("*.py")) if path.name != "groups.py" for hit in family_checks(path)]
     assert set(hits) <= ALLOWED, hits
@@ -104,7 +127,7 @@ def test_each_group_family_implements_the_model_interface():
         assert required <= set(vars(family)), (family.__name__, required - set(vars(family)))
 
 
-# kernel_basis waits for its production caller, the upper-mode witnesses of ROADMAP item 8.
+# kernel_basis waits for its production caller, the upper-mode kernel witnesses of ROADMAP item 5.
 UNREFERENCED = {"kernel_basis"}
 
 USER_API = {
