@@ -14,6 +14,7 @@ to draw a random element.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
@@ -69,6 +70,13 @@ class GroupModel:
 
     def ball_size(self, r: int) -> int:
         """Number of elements of word length <= r, without building the ball."""
+        raise NotImplementedError
+
+    def ball_table(self, r: int):
+        """The radius-r ball without a search: its elements in ball order (by word
+        length, then by element), the layer bounds (the depth-k elements sit at
+        positions layers[k]:layers[k+1]) and the out-table (|ball|, |B|) of int64
+        positions of element * generator, -1 outside the ball."""
         raise NotImplementedError
 
     def kernel_complete_radius(self, d: int, rs: int) -> int:
@@ -160,6 +168,47 @@ class FreeAbelian(GroupModel):
         """Elements of Z^k with i nonzero coordinates and L1 norm <= r: choose
         the i axes, their signs, and positive parts summing to at most r."""
         return sum(2**i * math.comb(self.rank, i) * math.comb(r, i) for i in range(min(self.rank, r) + 1))
+
+    def ball_table(self, r: int):
+        """The L1 ball enumerated one coordinate at a time, which gives lexicographic
+        order, then stably sorted by norm.
+
+        Each vector is keyed by its coordinates as radix-(2r+3) digits, first
+        coordinate first.  Digits in [-(r+1), r+1] keep the key exact and ordered
+        as the vectors on the radius-(r+1) ball, and the key is linear, so the
+        product g + b is found by searching key(g) + key(b) among the ball's keys,
+        which the enumeration leaves sorted.  The keys are Python ints where
+        (2r+3)^k passes int64.
+        """
+        base = 2 * r + 3
+        key = np.zeros(1, dtype=np.int64 if base**self.rank < 2**63 else object)
+        norm = np.zeros(1, dtype=np.int64)
+        values = np.arange(-r, r + 1)
+        magnitude = np.abs(values)
+        steps = []  # per coordinate: the vector each new one extends, and the new coordinate
+        for _ in range(self.rank):
+            rows, col = (magnitude <= (r - norm)[:, None]).nonzero()
+            x = values[col]
+            key = key[rows] * base + x
+            norm = norm[rows] + magnitude[col]
+            steps.append((rows, x))
+        order = norm.argsort(kind="stable")
+        columns, back = [], order  # the ball's coordinates, last first, traced back through the steps
+        for rows, x in reversed(steps):
+            columns.append(x[back].tolist())
+            back = rows[back]
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        unit = [base**c for c in range(self.rank - 1, -1, -1)]  # key(e_1), ..., key(e_k)
+        generator_keys = np.array([s * u for u in unit for s in (1, -1)] + [0], dtype=key.dtype)
+        products = generator_keys[:, None] + key  # (|B|, |ball|), each row ascending, which speeds the search
+        # searching all keys but the last gives a position < |ball|: the last key's own, past the others
+        at = key[:-1].searchsorted(products)
+        out = position[at]
+        out[key[at] != products] = -1
+        out = out.T[order]
+        layers = np.concatenate(([0], np.bincount(norm).cumsum()))
+        return list(zip(*reversed(columns))), layers, out
 
     def kernel_complete_radius(self, d: int, rs: int) -> int:
         """(d-1) rs, at least 1.  F_p[Z^k] is a commutative domain, so phi has a
@@ -270,11 +319,11 @@ class FiniteByTable(GroupModel):
         if len(dist) < n:
             raise ValueError("generators do not generate the whole group")
         # (a g) c against a (g c) for every a and c at once; argwhere is slow, so only on a mismatch.
-        # An int32 copy (entries are below n) makes the comparison several times faster on a
-        # table of a few hundred elements, where the column gather's layout slows the int64 one.
-        t32 = t.astype(np.int32)
+        # The narrowest copy that holds the entries (all below n) makes the comparison several
+        # times faster on a table of a few hundred elements than on the int64 table.
+        small = t.astype(np.int16 if n < 2**15 else np.int32)
         for g in gens:
-            mismatch = t32[t32[:, g]] != t32[:, t32[g]]
+            mismatch = small[small[:, g]] != small[:, small[g]]
             if mismatch.any():
                 a, c = np.argwhere(mismatch)[0]
                 raise ValueError(f"multiplication table is not associative at ({a},{g},{c})")
@@ -288,6 +337,7 @@ class FiniteByTable(GroupModel):
         self._word_lengths = tuple(dist[a] for a in range(n))
         # entry k: the elements of word length <= k, up to the diameter
         self._ball_sizes = tuple(np.cumsum(np.bincount(self._word_lengths)).tolist())
+        self._ball_order = np.argsort(self._word_lengths, kind="stable")  # by word length, then element
 
     @property
     def size(self) -> int:
@@ -312,6 +362,15 @@ class FiniteByTable(GroupModel):
 
     def ball_size(self, r: int) -> int:
         return self._ball_sizes[min(r, len(self._ball_sizes) - 1)]
+
+    def ball_table(self, r: int):
+        """The first ball_size(r) elements in ball order, and their products read
+        off the table through a dense position array."""
+        layers = np.array((0,) + self._ball_sizes[: r + 1])
+        order = self._ball_order[: layers[-1]]
+        position = np.full(self.size, -1)
+        position[order] = np.arange(order.size)
+        return order.tolist(), layers, position[self.table[order[:, None], self.generators]]
 
     def kernel_complete_radius(self, d: int, rs: int) -> int:
         """The diameter, at least 1: from there on the ball is the whole group
@@ -372,11 +431,11 @@ class CayleyBall:
     prefix of every larger ball's list.  Graph edges are exactly the pairs
     (g, g*b) with both endpoints inside the ball, labeled by the index of b.
 
-    The BFS tree is computed once, when the ball is built: element j > 0
-    is reached from parent[j], the first element in ball order with an
-    edge into j, along the label via[j] (both are 0 at the root); the
-    elements at depth k sit at positions layers[k]:layers[k+1], the ball's
-    one record of depth.  All three are read-only int64 arrays, and a
+    The BFS tree is read off the out-table once, when the ball is built:
+    element j > 0 is reached from parent[j], the first element in ball
+    order with an edge into j, along the label via[j] (both are 0 at the
+    root); the elements at depth k sit at positions layers[k]:layers[k+1],
+    the ball's one record of depth.  All three are read-only int64 arrays, and a
     prefix ball takes their prefixes.
 
     The group's ball cache holds the ball, and the ball does not refer back
@@ -405,7 +464,7 @@ def _too_large(group: GroupModel, r: int, max_elements: int) -> ResourceLimitErr
 
 
 def cayley_ball(group: GroupModel, r: int, max_elements: int = DEFAULT_MAX_BALL_ELEMENTS) -> CayleyBall:
-    """The radius-r ball: a prefix of the group's largest cached ball, or a new breadth-first closure.
+    """The radius-r ball: a prefix of the group's largest cached ball, or a new build.
 
     Either way the ball is the same, and is cached under r.
     """
@@ -417,7 +476,7 @@ def cayley_ball(group: GroupModel, r: int, max_elements: int = DEFAULT_MAX_BALL_
         ball = _build_ball(group, r, max_elements)
     else:
         ball = cache[r] if r in cache else _prefix(cache[largest], r)
-        # a build checks the limit before each layer it adds, so one element always passes
+        # a build checks the limits only at depths where the ball grows, so one element always passes
         if ball.size > max(max_elements, 1):
             raise _too_large(group, r, max_elements)
     cache[r] = ball
@@ -440,64 +499,54 @@ def _prefix(ball: CayleyBall, r: int) -> CayleyBall:
     )
 
 
-def _build_ball(group: GroupModel, r: int, max_elements: int) -> CayleyBall:
-    """Breadth-first closure of {identity} under the generators up to depth r.
+def _check_limits(group: GroupModel, r: int, max_elements: int) -> None:
+    """Refuse the radius-r ball at the first depth 1..r where the ball still grows and a limit binds.
 
-    Each element's |B| products are computed once, by the model's _mul.
-    The first (element, label) in ball order that reaches a new element is
-    its tree edge.  Once the new layer is sorted and placed, the products of
-    the layer before it are read off element_index as that layer's
-    out-rows; the last layer's products are read one at a time, -1 for a
-    product outside the ball, and never held.  The limits are checked
-    layer by layer on the model's ball sizes before any product is computed.
+    The element limit is named first when both bind at that depth.  Both
+    limits grow with the ball size, which is monotone in the depth and
+    constant past the diameter, so one binds at such a depth exactly when the
+    group is nontrivial and one binds at r; that first depth is then found by
+    bisection on the model's closed-form ball sizes, in O(log r) of them.
     """
-    ident = group.identity()
-    cells = group.label_count * np.size(ident)  # per element, in its products' coordinates
-    for depth in range(1, r + 1):
+    cells = group.label_count * np.size(group.identity())  # per element, in its products' coordinates
+
+    def binds(depth: int) -> bool:
         size = group.ball_size(depth)
-        if size == group.ball_size(depth - 1):  # the group is exhausted
-            break
-        if size > max_elements:
-            raise _too_large(group, r, max_elements)
-        if size * cells > MAX_BALL_PRODUCT_CELLS:
-            raise ResourceLimitError(
-                f"Cayley ball of {group.describe()} at radius {r} exceeds {MAX_BALL_PRODUCT_CELLS} product cells"
-            )
-    mul = group._mul  # every factor below is a ball element or a generator
-    gens = group.generators
-    elements = [ident]
-    index = {ident: 0}
-    parent, via = [0], [0]  # the root has no parent
-    layers = [0, 1]  # the depth-k elements end at layers[k + 1]
-    heads = []  # the out-table, row after row: the ints element_index holds, or -1
-    start = 0  # the first element of the last layer
-    for _ in range(r):
-        products = [mul(g, b) for g in elements[start:] for b in gens]
-        found = {}  # new element -> its first product's position, (row - start) * |B| + label
-        for pos, h in enumerate(products):
-            if h not in index and h not in found:
-                found[h] = pos
-        for h in sorted(found):
-            row, label = divmod(found[h], len(gens))
-            parent.append(start + row)
-            via.append(label)
-            index[h] = len(elements)
-            elements.append(h)
-        heads.extend(map(index.__getitem__, products))
-        start = layers[-1]
-        if not found:
-            break
-        layers.append(len(elements))
-    heads.extend(index.get(mul(g, b), -1) for g in elements[start:] for b in gens)
-    m = len(elements)
-    parent, via, layers = (np.array(a, dtype=np.int64) for a in (parent, via, layers))
+        return size > max_elements or size * cells > MAX_BALL_PRODUCT_CELLS
+
+    if r < 1 or not binds(r) or group.ball_size(1) == 1:
+        return
+    if group.ball_size(1 + bisect_left(range(1, r + 1), True, key=binds)) > max_elements:
+        raise _too_large(group, r, max_elements)
+    raise ResourceLimitError(
+        f"Cayley ball of {group.describe()} at radius {r} exceeds {MAX_BALL_PRODUCT_CELLS} product cells"
+    )
+
+
+def _build_ball(group: GroupModel, r: int, max_elements: int) -> CayleyBall:
+    """The radius-r ball from the model's ball_table, once the limits pass.
+
+    The tree needs no search: parent[j] and via[j] are the least flat
+    position parent * |B| + via in the out-table that holds j.  That is the
+    breadth-first tree edge, the first (element, label) in ball order that
+    reaches j: the elements of depth k - 1 precede those of depths k and
+    k + 1 in ball order, and each element of depth k >= 1 is reached from
+    one of depth k - 1.
+    """
+    _check_limits(group, r, max_elements)
+    elements, layers, out = group.ball_table(r)
+    m, b = out.shape
+    code = np.full(m + 1, m * b)  # a spare last entry takes the heads -1
+    np.minimum.at(code, out.ravel(), np.arange(m * b))
+    code[0] = 0  # the root has no parent
+    parent, via = divmod(code[:m], max(b, 1))
     for a in (parent, via, layers):
         a.flags.writeable = False
     return CayleyBall(
         radius=r,
         elements=tuple(elements),
-        element_index=index,
-        graph=LabeledDigraph.from_table(np.array(heads, dtype=np.int64).reshape(m, len(gens))),
+        element_index=dict(zip(elements, range(m))),
+        graph=LabeledDigraph.from_table(out),
         parent=parent,
         via=via,
         layers=layers,

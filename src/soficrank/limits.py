@@ -12,10 +12,10 @@ from dataclasses import dataclass
 DEFAULT_MAX_BALL_ELEMENTS = 10**6
 DEFAULT_MAX_VERTICES = 10**4
 # Cap on |ball| * |B| * coordinates, the cells of a ball's products: 512 MiB as int64.
-# A build holds one layer's products at a time, never the last layer's, so a high-rank
-# ball peaks far below that (Z^100 at radius 1: 0.9 MiB against 30.8 MiB).  It binds
-# at radius 1 from Z^256 on, and at radius 0 from Z^5793 on, where FreeAbelian refuses
-# the rank.  Not configurable.
+# A build holds (|ball|, |B|) tables of keys and positions, never the products'
+# coordinates, so a high-rank ball peaks far below that (Z^100 at radius 1: 3.6 MiB
+# against 30.8 MiB).  It binds at radius 1 from Z^256 on, and at radius 0 from Z^5793
+# on, where FreeAbelian refuses the rank.  Not configurable.
 MAX_BALL_PRODUCT_CELLS = 1 << 26
 
 ENV_MAX_BALL_ELEMENTS = "SOFICRANK_MAX_BALL_ELEMENTS"

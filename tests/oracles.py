@@ -5,9 +5,8 @@ chart-based code against.  None of them runs on a verdict path: each
 rebuilds what the package computes another way, by per-edge loops, full
 BFS from every vertex, per-vertex walks and dense elimination.
 
-The fixtures build inputs that no CLI command or benchmark workload
-needs: cyclic groups, direct products, S5, random kernels and graph
-files.
+The fixtures build inputs that no CLI command needs: cyclic and
+dihedral groups, direct products, S5, random kernels and graph files.
 """
 
 import random
@@ -21,6 +20,7 @@ import numpy as np
 from soficrank.digraph import LabeledDigraph, ball_isomorphism
 from soficrank.exactfield import FpMatrix, rank
 from soficrank.groupring import GroupRingKernel, restriction_matrix
+from soficrank.limits import MAX_BALL_PRODUCT_CELLS
 from soficrank.groups import CayleyBall, FiniteByTable, FreeAbelian, GroupModel, cayley_ball
 from soficrank.transfer import TransferInstance, build_bar_phi
 
@@ -191,6 +191,66 @@ def ball_by_sorting(group: GroupModel, r: int) -> CayleyBall:
     )
 
 
+def ball_by_products(group: GroupModel, r: int) -> CayleyBall:
+    """The radius-r Cayley ball by a breadth-first closure of {identity}, one product at a time.
+
+    Each element's |B| products come from the group's _mul.  The first
+    (element, label) in ball order that reaches a new element is its tree
+    edge, and each new layer is sorted before it is placed.  It needs no
+    enumeration of a box, so it reaches high ranks; it checks no limit.
+    """
+    gens = group.generators
+    elements = [group.identity()]
+    index = {elements[0]: 0}
+    parent, via = [0], [0]
+    layers = [0, 1]
+    start = 0  # the first element of the last layer
+    for _ in range(r):
+        found = {}  # new element -> its first product's position, (row - start) * |B| + label
+        for pos, h in enumerate(group._mul(g, b) for g in elements[start:] for b in gens):
+            if h not in index and h not in found:
+                found[h] = pos
+        for h in sorted(found):
+            row, label = divmod(found[h], len(gens))
+            parent.append(start + row)
+            via.append(label)
+            index[h] = len(elements)
+            elements.append(h)
+        start = layers[-1]
+        if not found:
+            break
+        layers.append(len(elements))
+    out = np.array([[index.get(group._mul(g, b), -1) for b in gens] for g in elements], dtype=np.int64)
+    return CayleyBall(
+        radius=r,
+        elements=tuple(elements),
+        element_index=index,
+        graph=LabeledDigraph.from_table(out.reshape(len(elements), len(gens))),
+        parent=np.array(parent, dtype=np.int64),
+        via=np.array(via, dtype=np.int64),
+        layers=np.array(layers, dtype=np.int64),
+    )
+
+
+def limit_error_by_depths(group: GroupModel, r: int, max_elements: int) -> Optional[str]:
+    """The message of the limit a ball build refuses at, by checking every depth 1..r in turn, or None.
+
+    Each depth at which the ball still grows is checked on the model's
+    ball sizes: the element limit first, then the product cells,
+    |ball| * |B| * coordinates.
+    """
+    cells = group.label_count * np.size(group.identity())
+    for depth in range(1, r + 1):
+        size = group.ball_size(depth)
+        if size == group.ball_size(depth - 1):
+            return None
+        if size > max_elements:
+            return f"Cayley ball of {group.describe()} at radius {r} exceeds {max_elements} elements"
+        if size * cells > MAX_BALL_PRODUCT_CELLS:
+            return f"Cayley ball of {group.describe()} at radius {r} exceeds {MAX_BALL_PRODUCT_CELLS} product cells"
+    return None
+
+
 def quotient_table_by_loop(group, side: Optional[int] = None) -> np.ndarray:
     """Out-table of the group's finite quotient, one vertex and generator at a time.
 
@@ -276,6 +336,15 @@ def symmetric_group_5() -> FiniteByTable:
     table = [[index[tuple(a[b[i]] for i in range(5))] for b in perms] for a in perms]
     gens = [index[(1, 0, 2, 3, 4)], index[(1, 2, 3, 4, 0)], index[(4, 0, 1, 2, 3)]]
     return FiniteByTable(table, gens, name="S5")
+
+
+def dihedral_group(m: int) -> FiniteByTable:
+    """The dihedral group of order 2m, m >= 3: index k + m*f is r^k s^f, generated by r, r^-1 and s."""
+    a = np.arange(2 * m)
+    k, f = a % m, a // m
+    # r^k1 s^f1 r^k2 s^f2 = r^(k1 + (-1)^f1 k2) s^(f1 + f2)
+    table = (k[:, None] + np.where(f[:, None] == 1, -k, k)) % m + m * (f[:, None] ^ f)
+    return FiniteByTable(table, [1, m - 1, m], name=f"D{2 * m}")
 
 
 def cyclic_group(n: int) -> FiniteByTable:

@@ -393,6 +393,11 @@ class TestHugeInputs:
         assert (done.returncode, done.stdout) == (3, "")
         assert done.stderr == "resource limit: Cayley ball of Z^3000 at radius 1 exceeds 67108864 product cells\n"
 
+    def test_huge_radius_cayley_ball_exits_3(self):
+        done = run_capped("cayley-ball", "-g", "Z^1", "-r", "1000000000")
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "resource limit: Cayley ball of Z^1 at radius 1000000000 exceeds 1000000 elements\n"
+
     @pytest.mark.parametrize("rank", [6000, 20000])
     def test_huge_rank_radius_zero_exits_3(self, rank):
         done = run_capped("cayley-ball", "-g", f"Z^{rank}", "-r", "0")

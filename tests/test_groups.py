@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -6,7 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from oracles import ball_by_sorting, cyclic_group, direct_product_table, symmetric_group_5
+from oracles import (
+    ball_by_products,
+    ball_by_sorting,
+    cyclic_group,
+    dihedral_group,
+    direct_product_table,
+    limit_error_by_depths,
+    symmetric_group_5,
+)
+from soficrank import groups
 from soficrank.errors import ParseError, ResourceLimitError
 from soficrank.groups import (
     FiniteByTable,
@@ -308,6 +318,8 @@ def _fresh_group(name):
         return direct_product_table(cyclic_group(3), cyclic_group(4))
     if name.startswith("cyclic-"):
         return cyclic_group(int(name[7:]))
+    if name == "D98":
+        return dihedral_group(98)
     return FiniteByTable(_S5.table, _S5.generators, name="S5")
 
 
@@ -346,16 +358,73 @@ def test_prefix_ball_is_the_fresh_ball(name, big, data):
 @given(st.sampled_from(PREFIX_GROUPS), st.integers(0, 7))
 @example("Z^1", 50)  # a deep ball
 @example("S5", 31)  # a saturated ball
+@example("S5", 17)  # S5's diameter
+@example("Z^4", 0)
+@example("Z^4", 1)
+@example("Z^4", 2)
+@example("Z^4", 3)
+@example("Z^4", 4)
+@example("Z^2", 13)
+@example("D98", 3)
+@example("D98", 50)  # D98's diameter
+@example("D98", 97)
+@example("cyclic-1", 0)
+@example("cyclic-1", 3)  # no generators
 def test_ball_is_the_sorted_ball(name, r):
-    """The BFS build equals the ball enumerated and sorted by (word length, element), field by field."""
-    got, want = cayley_ball(_fresh_group(name), r), ball_by_sorting(_fresh_group(name), r)
-    assert got.radius == want.radius == r
+    """The build equals the ball enumerated and sorted by (word length, element), field by field."""
+    assert_same_ball(cayley_ball(_fresh_group(name), r), ball_by_sorting(_fresh_group(name), r))
+
+
+def assert_same_ball(got, want):
+    """Field by field: elements, their index, the out-table and the read-only int64 tree."""
+    assert got.radius == want.radius
     assert got.elements == want.elements
     assert got.element_index == want.element_index
-    assert np.array_equal(got.graph.out, want.graph.out)
+    assert np.array_equal(got.graph.out, want.graph.out) and got.graph.out.dtype == np.int64
     assert got.graph.edge_count == want.graph.edge_count
     for tree in ("parent", "via", "layers"):
-        assert np.array_equal(getattr(got, tree), getattr(want, tree)), tree
+        got_tree = getattr(got, tree)
+        assert np.array_equal(got_tree, getattr(want, tree)), tree
+        assert got_tree.dtype == np.int64 and not got_tree.flags.writeable, tree
+
+
+@pytest.mark.parametrize("rank", [30, 100])
+@pytest.mark.parametrize("r", [0, 1])
+def test_high_rank_ball_matches_the_product_closure(rank, r):
+    """Past Z^27 the radius-1 keys leave int64; the ball is still the one a product-by-product BFS finds."""
+    assert_same_ball(cayley_ball(FreeAbelian(rank), r), ball_by_products(FreeAbelian(rank), r))
+
+
+@pytest.mark.parametrize("max_elements, binds", [(10**6, "1000000 elements"), (2 * 10**7, "20000000 elements")])
+def test_huge_radius_is_refused_after_logarithmically_many_ball_sizes(monkeypatch, max_elements, binds):
+    r = 10**9
+    calls = []
+    size = FreeAbelian.ball_size
+    monkeypatch.setattr(FreeAbelian, "ball_size", lambda self, n: calls.append(n) or size(self, n))
+    with pytest.raises(ResourceLimitError, match=f"^Cayley ball of Z\\^1 at radius {r} exceeds {binds}$"):
+        cayley_ball(FreeAbelian(1), r, max_elements=max_elements)
+    assert len(calls) <= 2 * math.log2(r)
+
+
+LIMIT_GROUPS = ["Z^1", "Z^2", "Z^3", "Z^250", "Z^255", "Z^256", "cyclic-1", "cyclic-2", "S5", "D98"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(LIMIT_GROUPS), st.integers(0, 120), st.integers(0, 3 * 10**5))
+@example("Z^255", 2, 130_000)  # both limits bind at depth 2: the element limit is named
+@example("Z^255", 2, 131_000)  # only the product cells bind
+@example("Z^256", 3, 1000)  # the cells bind at depth 1, the elements only at depth 2
+@example("cyclic-1", 5, 0)  # a trivial group never grows, so nothing binds
+@example("D98", 120, 195)  # the whole group passes the limit only at its diameter
+def test_limit_check_names_the_first_binding_limit(name, r, max_elements):
+    """The bisection refuses exactly when, and with the message with which, a depth-by-depth check does."""
+    group = _fresh_group(name)
+    want = limit_error_by_depths(group, r, max_elements)
+    if want is None:
+        groups._check_limits(group, r, max_elements)
+    else:
+        with pytest.raises(ResourceLimitError, match=f"^{re.escape(want)}$"):
+            groups._check_limits(group, r, max_elements)
 
 
 def test_ball_build_holds_no_second_product_table():

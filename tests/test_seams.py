@@ -6,7 +6,8 @@ interface.  Every public definition is reached from the
 package or the benchmark, and the top level holds the user API only.
 Input files are read and decoded in one place, errors.read_utf8.
 No dense FpMatrix is built on the transfer-run path, and upper mode reads
-the Weiss separation off the charts without the fallback search.
+the Weiss separation off the charts without the fallback search.  A
+Cayley ball is built from its model's ball_table, with no group product.
 """
 
 import ast
@@ -15,8 +16,10 @@ from pathlib import Path
 import pytest
 
 import soficrank
+from oracles import dihedral_group, symmetric_group_5
 from soficrank import exactfield, weiss
 from soficrank.cli import main
+from soficrank.groups import FiniteByTable, FreeAbelian, GroupModel, cayley_ball
 from test_bench_contract import traced_names
 from test_golden import CASES, _argv
 
@@ -103,6 +106,7 @@ MODEL_INTERFACE = {
     "contains",
     "word_length",
     "ball_size",
+    "ball_table",
     "kernel_complete_radius",
     "quotient_side",
     "quotient_table",
@@ -247,3 +251,17 @@ def test_only_weiss_c12_even_searches_beyond_the_charts(tmp_path, monkeypatch):
     for name in sorted(CASES):
         assert main(_argv(name, tmp_path / f"{name}.json")) == CASES[name][0]
     assert searches == [("weiss_c12_even", (0, 4, 8))]
+
+
+def test_ball_build_computes_no_products(monkeypatch):
+    """Fresh balls of Z^1-Z^3, S5 and D98, the last two past their diameters, come without _mul or multiply."""
+    fresh = [(FreeAbelian(k), 9 - 2 * k) for k in (1, 2, 3)] + [(symmetric_group_5(), 20), (dihedral_group(98), 97)]
+
+    def refuse(self, a, b):
+        raise AssertionError("a ball build computed a group product")
+
+    for model in (GroupModel, FreeAbelian, FiniteByTable):
+        monkeypatch.setattr(model, "_mul", refuse)
+    monkeypatch.setattr(GroupModel, "multiply", refuse)
+    for group, r in fresh:
+        assert cayley_ball(group, r).size == group.ball_size(r)
