@@ -90,7 +90,8 @@ class GroupRingKernel:
         return self._support_radius
 
     def is_identity(self) -> bool:
-        return self == GroupRingKernel.identity(self.group, self.d, self.p)
+        """Read off the support, with no second kernel: the identity element alone, valued I_d."""
+        return self.support == (self.group.identity(),) and np.array_equal(self.coeffs[0], np.eye(self.d))
 
     def is_zero(self) -> bool:
         return not self.support
@@ -185,7 +186,7 @@ def transplant(c: GroupRingKernel, charts: np.ndarray, ball: CayleyBall, rows: i
 
 
 def support_walk(c: GroupRingKernel, cod: CayleyBall, starts: int) -> tuple[np.ndarray, CayleyBall]:
-    """The ball of c's support radius, a prefix of cod, walked inside cod from its first `starts` elements.
+    """The ball of c's support radius, cut from cod, walked inside cod from its first `starts` elements.
 
     Returns the walk, whose entry [g, i] is the position in cod of g times
     the ball's i-th element, and the ball: transplant(c, walk, ball,
@@ -193,7 +194,7 @@ def support_walk(c: GroupRingKernel, cod: CayleyBall, starts: int) -> tuple[np.n
     raises InternalInconsistency.
     """
     rs = c.support_radius()
-    ball = cayley_ball(c.group, rs, max_elements=cod.size)
+    ball = cod.prefix(rs)
     walk = label_walk(cod.graph, np.arange(starts), ball)
     missing = np.flatnonzero((walk < 0).any(axis=1))
     if missing.size:
@@ -210,20 +211,18 @@ def restriction_matrix(c: GroupRingKernel, n: int, m: int, max_ball_elements=DEF
     Block at (row element g2, column element g1) is c(g1^{-1} g2).  The
     codomain radius m must be at least n + support radius so the image is
     captured in full; anything smaller would silently truncate rows and
-    change kernels.  A Cayley ball is its own approximation around its
-    interior: the support walk from each domain element, which sits at its
-    own position in the codomain since balls are prefixes, puts g1 * s at
-    column s of row g1, and transplant reads it.
+    change kernels.  The domain and support balls are cut from the
+    codomain ball, which is its own approximation around its interior: the
+    support walk from each domain element, which sits at its own position
+    there, puts g1 * s at column s of row g1, and transplant reads it.
     """
     rs = c.support_radius()
     if m < n + rs:
         raise ValueError(
             f"codomain ball radius {m} too small: need at least domain radius {n} + support radius {rs}"
         )
-    # the codomain first: the domain and the support ball are then its prefixes
     cod = cayley_ball(c.group, m, max_elements=max_ball_elements)
-    dom = cayley_ball(c.group, n, max_elements=max_ball_elements)
-    walk, ball = support_walk(c, cod, dom.size)
+    walk, ball = support_walk(c, cod, cod.prefix(n).size)
     return transplant(c, walk, ball, cod.size)
 
 

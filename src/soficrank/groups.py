@@ -105,13 +105,7 @@ class GroupModel:
     def parse_element(self, text: str):
         raise NotImplementedError
 
-    def _cache(self) -> dict:
-        # Per-instance ball cache; balls are immutable so sharing is safe.
-        cache = getattr(self, "_ball_cache", None)
-        if cache is None:
-            cache = {}
-            self._ball_cache = cache
-        return cache
+    _ball = None  # the largest Cayley ball built so far, which cayley_ball cuts smaller radii from
 
 
 class FreeAbelian(GroupModel):
@@ -428,24 +422,24 @@ class CayleyBall:
 
     Element 0 is the identity; elements are ordered layer by layer with
     lexicographic tie-breaking, so the element list of a smaller ball is a
-    prefix of every larger ball's list.  Graph edges are exactly the pairs
-    (g, g*b) with both endpoints inside the ball, labeled by the index of b.
+    prefix of every larger ball's list: prefix(r) cuts it.  Graph edges are
+    exactly the pairs (g, g*b) with both endpoints inside the ball, labeled
+    by the index of b.
 
     The BFS tree is read off the out-table once, when the ball is built:
     element j > 0 is reached from parent[j], the first element in ball
     order with an edge into j, along the label via[j] (both are 0 at the
     root); the elements at depth k sit at positions layers[k]:layers[k+1],
     the ball's one record of depth.  All three are read-only int64 arrays, and a
-    prefix ball takes their prefixes.
+    cut takes their prefixes.
 
-    The group's ball cache holds the ball, and the ball does not refer back
-    to its group, so a dropped group is freed with its balls without a
-    cycle collection.
+    The group holds its largest ball, and the ball does not refer back to
+    its group, so a dropped group is freed with its ball without a cycle
+    collection.
     """
 
     radius: int
     elements: tuple
-    element_index: dict
     graph: LabeledDigraph
     parent: np.ndarray
     via: np.ndarray
@@ -455,48 +449,43 @@ class CayleyBall:
     def size(self) -> int:
         return len(self.elements)
 
+    @cached_property  # built at the first read, so a cut makes no dict until a caller asks for a position
+    def element_index(self) -> dict:
+        return dict(zip(self.elements, range(self.size)))
+
+    def prefix(self, r: int) -> "CayleyBall":
+        """The radius-r ball, r <= radius: this ball at its own radius, else its first elements, edges and tree."""
+        if not 0 <= r <= self.radius:
+            raise ValueError(f"radius {r} is not a cut of the radius-{self.radius} ball")
+        if r == self.radius:
+            return self
+        layers = self.layers[: r + 2]  # every layer when r is past the diameter
+        m = int(layers[-1])
+        return CayleyBall(
+            radius=r,
+            elements=self.elements[:m],
+            graph=self.graph.induced_prefix(m),
+            parent=self.parent[:m],
+            via=self.via[:m],
+            layers=layers,
+        )
+
     def __repr__(self):
         return f"CayleyBall(r={self.radius}, size={self.size})"
 
 
-def _too_large(group: GroupModel, r: int, max_elements: int) -> ResourceLimitError:
-    return ResourceLimitError(f"Cayley ball of {group.describe()} at radius {r} exceeds {max_elements} elements")
-
-
 def cayley_ball(group: GroupModel, r: int, max_elements: int = DEFAULT_MAX_BALL_ELEMENTS) -> CayleyBall:
-    """The radius-r ball: a prefix of the group's largest cached ball, or a new build.
+    """The radius-r ball: a cut of the group's ball when that reaches r, else a new build that replaces it.
 
-    Either way the ball is the same, and is cached under r.
+    Either way the ball is the same, and a cut is checked against the limits as a build is.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    cache = group._cache()
-    largest = max(cache, default=-1)
-    if r > largest:
-        ball = _build_ball(group, r, max_elements)
+    if group._ball is None or r > group._ball.radius:
+        group._ball = _build_ball(group, r, max_elements)
     else:
-        ball = cache[r] if r in cache else _prefix(cache[largest], r)
-        # a build checks the limits only at depths where the ball grows, so one element always passes
-        if ball.size > max(max_elements, 1):
-            raise _too_large(group, r, max_elements)
-    cache[r] = ball
-    return ball
-
-
-def _prefix(ball: CayleyBall, r: int) -> CayleyBall:
-    """The radius-r ball read off a larger one: its first m elements, edges among them and tree."""
-    depth = min(r, len(ball.layers) - 2)
-    m = int(ball.layers[depth + 1])
-    elements = ball.elements[:m]
-    return CayleyBall(
-        radius=r,
-        elements=elements,
-        element_index=dict(zip(elements, range(m))),
-        graph=ball.graph.induced_prefix(m),
-        parent=ball.parent[:m],
-        via=ball.via[:m],
-        layers=ball.layers[: depth + 2],
-    )
+        _check_limits(group, r, max_elements)
+    return group._ball.prefix(r)
 
 
 def _check_limits(group: GroupModel, r: int, max_elements: int) -> None:
@@ -517,7 +506,7 @@ def _check_limits(group: GroupModel, r: int, max_elements: int) -> None:
     if r < 1 or not binds(r) or group.ball_size(1) == 1:
         return
     if group.ball_size(1 + bisect_left(range(1, r + 1), True, key=binds)) > max_elements:
-        raise _too_large(group, r, max_elements)
+        raise ResourceLimitError(f"Cayley ball of {group.describe()} at radius {r} exceeds {max_elements} elements")
     raise ResourceLimitError(
         f"Cayley ball of {group.describe()} at radius {r} exceeds {MAX_BALL_PRODUCT_CELLS} product cells"
     )
@@ -545,7 +534,6 @@ def _build_ball(group: GroupModel, r: int, max_elements: int) -> CayleyBall:
     return CayleyBall(
         radius=r,
         elements=tuple(elements),
-        element_index=dict(zip(elements, range(m))),
         graph=LabeledDigraph.from_table(out),
         parent=parent,
         via=via,

@@ -153,8 +153,8 @@ def quotient_approximation(
     The group model picks the side (Z^k: 2r + 2 by default, and
     ApproximationTooCoarse below it; a finite group takes none), which the
     approximation records.  Takes the caller's group model, so the
-    radius-r Cayley ball that a plan built on the same model is reused
-    from its cache.
+    radius-r Cayley ball is cut from the ball that a plan built on the
+    same model.
     """
     side = group.quotient_side(side, r)
     graph = quotient_graph(group, side, max_vertices)

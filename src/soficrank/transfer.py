@@ -149,15 +149,14 @@ def build_instance(
     psi: Optional[GroupRingKernel],
     approx: SoficApproximation,
     plan: InstancePlan,
-    max_ball_elements: int = DEFAULT_MAX_BALL_ELEMENTS,
 ) -> TransferInstance:
     """Derive V', V'' and the per-vertex isomorphisms for plan's radii and tolerance.
 
     The approximation must be verified at radius >= 2*r0 + 1
     (ApproximationTooCoarse otherwise) and its good set must be large
     enough for the instance's own epsilon (CardinalityViolation otherwise).
-    The r0-chart of a good vertex is the prefix of its verified chart over
-    the radius-r0 ball (smaller Cayley balls are prefixes of larger ones),
+    The radius-r0 ball is cut from the approximation's ball, and the
+    r0-chart of a good vertex is the prefix of its verified chart over it,
     so only vertices outside the good set are charted here, all in one
     label walk.  Whether psi is a right inverse of phi is checked here,
     once per instance; an incompatible psi raises in that check.
@@ -178,7 +177,7 @@ def build_instance(
             f"good set of size {len(approx.good_vertices)} is too small for epsilon {plan.epsilon}"
         )
 
-    ball_r0 = cayley_ball(phi.group, r0, max_elements=max_ball_elements)
+    ball_r0 = approx.ball.prefix(r0)
     good = np.asarray(approx.good_vertices, dtype=np.int64)
     in_v_prime = np.zeros(n, dtype=bool)
     in_v_prime[good] = True
@@ -478,7 +477,7 @@ def run_experiment(
     approx = quotient_approximation(
         phi.group, 2 * plan.r0 + 1, torus_n, max_vertices=max_vertices, max_ball_elements=max_ball_elements
     )
-    inst = build_instance(phi, psi, approx, plan=plan, max_ball_elements=max_ball_elements)
+    inst = build_instance(phi, psi, approx, plan=plan)
 
     has_rinv = inst.has_right_inverse
     has_kernel = plan.r2 is not None

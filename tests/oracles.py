@@ -183,7 +183,6 @@ def ball_by_sorting(group: GroupModel, r: int) -> CayleyBall:
     return CayleyBall(
         radius=r,
         elements=tuple(elements),
-        element_index=position,
         graph=LabeledDigraph(len(elements), len(group.generators), edges),
         parent=parent,
         via=via,
@@ -224,7 +223,6 @@ def ball_by_products(group: GroupModel, r: int) -> CayleyBall:
     return CayleyBall(
         radius=r,
         elements=tuple(elements),
-        element_index=index,
         graph=LabeledDigraph.from_table(out.reshape(len(elements), len(gens))),
         parent=np.array(parent, dtype=np.int64),
         via=np.array(via, dtype=np.int64),

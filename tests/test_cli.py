@@ -404,6 +404,13 @@ class TestHugeInputs:
         assert (done.returncode, done.stdout) == (3, "")
         assert done.stderr == f"resource limit: Cayley ball of Z^{rank} at radius 0 exceeds 67108864 product cells\n"
 
+    def test_huge_module_df_check_exits_0(self, tmp_path):
+        path = tmp_path / "huge_d.ring"
+        path.write_text("ring p=2 d=1000000000 group=Z^1\nelement x\n")
+        done = run_capped("df-check", str(path), "x", "x")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[-2:] == ["x*y == 1  False", "y*x == 1  False"]
+
     def test_huge_rank_ring_exits_3(self, tmp_path):
         path = tmp_path / "z3000.ring"
         path.write_text(f"ring p=2 d=1 group=Z^3000\nelement x\nterm 1 @ {','.join(['0'] * 3000)}\n")

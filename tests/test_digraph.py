@@ -480,7 +480,7 @@ class TestBallCharts:
         # this hand-made two-label star only the injectivity check does.
         star = LabeledDigraph(3, 2, [(0, 1, 0), (0, 2, 1)])
         tree = {"parent": np.array([0, 0, 0]), "via": np.array([0, 0, 1]), "layers": np.array([0, 1, 3])}
-        ball = CayleyBall(1, (0, 1, 2), {0: 0, 1: 1, 2: 2}, star, **tree)
+        ball = CayleyBall(1, (0, 1, 2), star, **tree)
         merged = LabeledDigraph(2, 2, [(0, 1, 0), (0, 1, 1)])  # both leaves land on 1
         assert not assert_charts_match(merged, [0, 1], ball).any()
 
@@ -520,7 +520,7 @@ def grid_ball():
         "via": np.array([0, 1, 0, 1, 0, 0, 0, 0, 0]),
         "layers": np.array([0, 1, 3, 6, 8, 9]),
     }
-    return CayleyBall(4, tuple(order), index, LabeledDigraph(9, 2, edges), **tree)
+    return CayleyBall(4, tuple(order), LabeledDigraph(9, 2, edges), **tree)
 
 
 def directed_torus(n):

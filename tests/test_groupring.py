@@ -114,6 +114,28 @@ class TestCompose:
             compose(one_plus_t(), scalar_kernel(Z1, 3, {(0,): 1}))
 
 
+class TestIsIdentity:
+    CASES = {
+        "identity": {(0,): [[1, 0], [0, 1]]},
+        "twice-identity": {(0,): [[2, 0], [0, 2]]},
+        "projector": {(0,): [[1, 0], [0, 0]]},
+        "swap": {(0,): [[0, 1], [1, 0]]},
+        "identity-plus-corner": {(0,): [[1, 1], [0, 1]]},
+        "shifted-identity": {(1,): [[1, 0], [0, 1]]},
+        "identity-plus-shift": {(0,): [[1, 0], [0, 1]], (1,): [[1, 0], [0, 1]]},
+        "zero": {},
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_agrees_with_comparing_to_the_identity_kernel(self, name):
+        k = GroupRingKernel(Z1, 2, 3, self.CASES[name])
+        assert k.is_identity() == (k == GroupRingKernel.identity(Z1, 2, 3)) == (name == "identity")
+
+    def test_huge_module_builds_no_identity(self):
+        # a d x d identity at d = 10^9 would take 8 EiB; the zero kernel holds no block at all
+        assert not GroupRingKernel.zero(Z1, 10**9, 2).is_identity()
+
+
 class TestRightInverse:
     def test_identity_pair(self):
         ident = GroupRingKernel.identity(Z1, 1, 2)

@@ -7,19 +7,21 @@ package or the benchmark, and the top level holds the user API only.
 Input files are read and decoded in one place, errors.read_utf8.
 No dense FpMatrix is built on the transfer-run path, and upper mode reads
 the Weiss separation off the charts without the fallback search.  A
-Cayley ball is built from its model's ball_table, with no group product.
+Cayley ball is built from its model's ball_table, with no group product,
+and each group model holds one ball, from which every smaller radius is cut.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 import soficrank
 from oracles import dihedral_group, symmetric_group_5
-from soficrank import exactfield, weiss
+from soficrank import cli, exactfield, groupring, sofic, transfer, weiss
 from soficrank.cli import main
-from soficrank.groups import FiniteByTable, FreeAbelian, GroupModel, cayley_ball
+from soficrank.groups import CayleyBall, FiniteByTable, FreeAbelian, GroupModel, cayley_ball
 from test_bench_contract import traced_names
 from test_golden import CASES, _argv
 
@@ -265,3 +267,34 @@ def test_ball_build_computes_no_products(monkeypatch):
     monkeypatch.setattr(GroupModel, "multiply", refuse)
     for group, r in fresh:
         assert cayley_ball(group, r).size == group.ball_size(r)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, argv) in CASES.items() if argv[0] == "transfer-run"))
+def test_smaller_balls_are_cut_from_the_ball_in_hand(name, tmp_path, monkeypatch):
+    """build_instance and support_walk ask cayley_ball for nothing, each group model holds one ball and no
+    per-radius store, and no run reads a position in its approximation's radius-R ball."""
+    callers, groups, approxes = [], [], []
+
+    def recording(group, *args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        groups.append(group)
+        return cayley_ball(group, *args, **kwargs)
+
+    for module in (cli, groupring, sofic, transfer):
+        if hasattr(module, "cayley_ball"):
+            monkeypatch.setattr(module, "cayley_ball", recording)
+    build = transfer.build_instance
+
+    def building(phi, psi, approx, **kwargs):
+        approxes.append(approx)
+        return build(phi, psi, approx, **kwargs)
+
+    monkeypatch.setattr(transfer, "build_instance", building)
+    assert main(_argv(name, tmp_path / f"{name}.json")) == CASES[name][0]
+    assert callers and not {"build_instance", "support_walk"} & set(callers), callers
+    for group in groups:
+        held = [v for v in vars(group).values() if isinstance(v, CayleyBall)]
+        stores = [v for v in vars(group).values() if isinstance(v, dict) and any(isinstance(b, CayleyBall) for b in v.values())]
+        assert len(held) == 1 and not stores
+    (approx,) = approxes
+    assert "element_index" not in vars(approx.ball)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from oracles import commutative_square_matrix, cyclic_group, dense_rank, slice_ranks
+from test_groups import assert_same_ball
 from soficrank.cli import parse_instance_file
 from soficrank.corpus import random_invertible_pair
 from soficrank.digraph import LabeledDigraph, ball_charts, ball_isomorphism
@@ -21,7 +22,7 @@ from soficrank.errors import (
     KernelSearchExhausted,
 )
 from soficrank.exactfield import MAX_MODULUS, FpMatrix, is_prime, mat_mul, rank
-from soficrank import digraph, exactfield, sofic, transfer, weiss
+from soficrank import digraph, exactfield, groups, sofic, transfer, weiss
 from soficrank.groupring import (
     GroupRingKernel,
     check_right_inverse,
@@ -681,17 +682,32 @@ class TestRunExperiment:
         assert calls == []
 
     def test_approximation_reuses_the_plan_ball(self, monkeypatch):
-        approxes = []
+        """No ball is built after plan_instance, and the approximation's ball is the plan's cut, field by field."""
+        approxes, built, planned = [], [], []
+        build = groups._build_ball
+
+        def counting(group, r, max_elements):
+            built.append(r)
+            return build(group, r, max_elements)
+
+        def planning(*args, **kwargs):
+            plan = plan_instance(*args, **kwargs)
+            planned.append(len(built))
+            return plan
 
         def recording(phi, psi, approx, **kwargs):
             approxes.append(approx)
             return build_instance(phi, psi, approx, **kwargs)
 
+        monkeypatch.setattr(groups, "_build_ball", counting)
+        monkeypatch.setattr(transfer, "plan_instance", planning)
         monkeypatch.setattr(transfer, "build_instance", recording)
         x = involution()
         report = run_experiment(x, x, "lower")
         (approx,) = approxes
-        assert approx.ball is cayley_ball(x.group, 2 * report.r0 + 1)
+        assert planned == [len(built)]
+        assert_same_ball(approx.ball, cayley_ball(x.group, 2 * report.r0 + 1))
+        assert planned == [len(built)]
 
     def test_auto_torus_side(self):
         report = run_experiment(involution(), involution(), "lower")
