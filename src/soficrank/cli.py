@@ -190,7 +190,10 @@ def _emit(args, subcommand: str, inputs: dict, payload: dict, table: list[tuple[
             "inputs_digest": hashlib.sha256(json.dumps(inputs, sort_keys=True).encode("utf-8")).hexdigest(),
             "payload": payload,
         }
-        Path(args.out).write_text(json.dumps(envelope, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text(json.dumps(envelope, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc}")
         print(f"report written to {args.out}")
 
 

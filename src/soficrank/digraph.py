@@ -194,63 +194,10 @@ def neighborhood(graph: LabeledDigraph, v: int, n: int) -> tuple[int, ...]:
 
 
 def ball_isomorphism(graph: LabeledDigraph, v: int, ball: "CayleyBall") -> Optional[tuple[int, ...]]:
-    """Rooted labeled-digraph isomorphism from a Cayley ball into the graph.
-
-    Returns the unique map f (as a tuple indexed by ball element position,
-    f[0] = v) such that f respects every labeled edge of the ball, is
-    injective, is onto the r-th out-neighborhood of v, and introduces no
-    extra edges among image vertices.  Returns None when no such map
-    exists.  Determinism of labels makes the candidate map unique, so the
-    result is reproducible, and the chart for a smaller ball of the same
-    group is a prefix of this one.
-
-    Onto needs no separate check: a ball element at depth < r has all of
-    its out-edges inside the ball, so once every ball edge is matched, each
-    graph edge leaving the image of such an element lands in the image,
-    and the image is all of N_r(v).
-    """
+    """The chart of v, ball_charts at one vertex: a tuple indexed by ball position, or None."""
     _check_vertex(graph, v)
-    bgraph = ball.graph
-    if bgraph.num_labels != graph.num_labels:
-        raise ValueError(
-            f"label alphabet mismatch: ball has {bgraph.num_labels} labels, graph has {graph.num_labels}"
-        )
-    m = bgraph.vertex_count
-    ball_out = bgraph.out.tolist()
-    rows = []  # rows[i] is the out-row of f[i] in the graph
-
-    f = [-1] * m
-    f[0] = v
-    image = {v}
-    # Ball elements are BFS-ordered from the root, so each element's image
-    # is fixed before its own out-edges are walked.
-    for i in range(m):
-        src = f[i]
-        if src == -1:
-            return None
-        rows.append(graph.out[src].tolist())
-        for label, j in enumerate(ball_out[i]):
-            if j == -1:
-                continue
-            w = rows[i][label]
-            if w == -1:
-                return None
-            if f[j] != -1:
-                if f[j] != w:
-                    return None
-            else:
-                if w in image:
-                    return None  # not injective
-                f[j] = w
-                image.add(w)
-
-    # No extra edges among image vertices (the inverse map must also send
-    # edges to edges).
-    for i in range(m):
-        for label, j in enumerate(ball_out[i]):
-            if j == -1 and rows[i][label] in image:
-                return None
-    return tuple(f)
+    charts, ok = ball_charts(graph, [v], ball)
+    return tuple(charts[0].tolist()) if ok[0] else None
 
 
 def label_walk(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> np.ndarray:
@@ -309,12 +256,15 @@ def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np
     """The charts of many vertices at once: one label walk over the ball.
 
     Returns (charts, ok): charts is label_walk(graph, vertices, ball), and
-    whenever ok[k] holds, row k is the tuple ball_isomorphism(graph,
-    vertices[k], ball) returns; rows with ok[k] false carry no meaning.
-    A walked row is a chart exactly when it holds no -1, it is injective,
-    every ball edge maps to a graph edge, and no graph edge on a label the
-    ball lacks at an element lands back in the row's image: the conditions
-    ball_isomorphism checks one vertex at a time.
+    ok[k] holds exactly when row k is the chart of vertices[k]: the map f
+    from ball positions to vertices, f[0] = vertices[k], that holds no -1,
+    is injective, sends every labeled ball edge to a graph edge, and adds
+    no edge, that is, no graph edge on a label the ball lacks at an
+    element lands back in the image.  Labels are deterministic, so the
+    walk is the only candidate.  A chart is onto the r-th out-neighborhood,
+    since every edge leaving the image of an element at depth < r is
+    matched, and its prefix over a smaller ball is the chart there.  Rows
+    with ok[k] false carry no meaning.
 
     The walk matches every BFS-tree edge by construction.  The walk is
     int32 whenever |V| * |B| < 2^31, and int64 otherwise; the charts are

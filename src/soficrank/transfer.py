@@ -194,10 +194,11 @@ def build_instance(
     in_v_dprime = np.zeros(n, dtype=bool)
     in_v_dprime[v_prime] = in_v_prime[charts].all(axis=1)
 
-    if not in_v_dprime[good].all():
+    outside = good[~in_v_dprime[good]]
+    if outside.size:
         # Good vertices carry (2*r0+1)-isomorphisms, which restrict to
         # r0-isomorphisms at the vertex and at each of its r0-neighbors.
-        raise InternalInconsistency("a good vertex fell outside V''")
+        raise InternalInconsistency(f"good vertex {outside[0]} fell outside V''")
     return TransferInstance(
         phi=phi,
         psi=psi,
@@ -374,11 +375,12 @@ def lower_bound_check(inst: TransferInstance) -> TransferReport:
         raise InternalInconsistency(
             f"rank {rk} < d*|V''| = {d * len(inst.v_dprime)} despite the identity"
         )
-    if len(inst.v_dprime) < len(inst.approx.good_vertices):
-        raise InternalInconsistency("|V''| < |V0|")
+    v0 = len(inst.approx.good_vertices)
+    if len(inst.v_dprime) < v0:
+        raise InternalInconsistency(f"|V''| = {len(inst.v_dprime)} < |V0| = {v0}")
     report = _report(inst, "lower", LOWER_HOLDS, bar_phi_rank=rk, identity_on_vpp=True)
-    if Fraction(d * len(inst.approx.good_vertices)) < report.lower_bound:
-        raise InternalInconsistency("d*|V0| fell below (1-eps)*|V|*d")
+    if Fraction(d * v0) < report.lower_bound:
+        raise InternalInconsistency(f"d*|V0| = {d * v0} fell below (1-eps)*|V|*d = {report.lower_bound}")
     return report
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from soficrank.digraph import LabeledDigraph, ball_isomorphism
+from soficrank.digraph import LabeledDigraph, _check_vertex
 from soficrank.exactfield import FpMatrix, rank
 from soficrank.groupring import GroupRingKernel, restriction_matrix
 from soficrank.limits import MAX_BALL_PRODUCT_CELLS
@@ -55,6 +55,66 @@ def slice_ranks(inst: TransferInstance, v1) -> tuple[int, ...]:
         cols = [col_of[u] * d + k for u in inst.charts[col_of[v]].tolist() for k in range(d)]
         ranks.append(dense_rank(FpMatrix(bar_phi.array[:, cols], bar_phi.p)))
     return tuple(ranks)
+
+
+def ball_isomorphism(graph: LabeledDigraph, v: int, ball: CayleyBall) -> Optional[tuple[int, ...]]:
+    """Rooted labeled-digraph isomorphism from a Cayley ball into the graph.
+
+    Returns the unique map f (as a tuple indexed by ball element position,
+    f[0] = v) such that f respects every labeled edge of the ball, is
+    injective, is onto the r-th out-neighborhood of v, and introduces no
+    extra edges among image vertices.  Returns None when no such map
+    exists.  Determinism of labels makes the candidate map unique, so the
+    result is reproducible, and the chart for a smaller ball of the same
+    group is a prefix of this one.
+
+    Onto needs no separate check: a ball element at depth < r has all of
+    its out-edges inside the ball, so once every ball edge is matched, each
+    graph edge leaving the image of such an element lands in the image,
+    and the image is all of N_r(v).
+    """
+    _check_vertex(graph, v)
+    bgraph = ball.graph
+    if bgraph.num_labels != graph.num_labels:
+        raise ValueError(
+            f"label alphabet mismatch: ball has {bgraph.num_labels} labels, graph has {graph.num_labels}"
+        )
+    m = bgraph.vertex_count
+    ball_out = bgraph.out.tolist()
+    rows = []  # rows[i] is the out-row of f[i] in the graph
+
+    f = [-1] * m
+    f[0] = v
+    image = {v}
+    # Ball elements are BFS-ordered from the root, so each element's image
+    # is fixed before its own out-edges are walked.
+    for i in range(m):
+        src = f[i]
+        if src == -1:
+            return None
+        rows.append(graph.out[src].tolist())
+        for label, j in enumerate(ball_out[i]):
+            if j == -1:
+                continue
+            w = rows[i][label]
+            if w == -1:
+                return None
+            if f[j] != -1:
+                if f[j] != w:
+                    return None
+            else:
+                if w in image:
+                    return None  # not injective
+                f[j] = w
+                image.add(w)
+
+    # No extra edges among image vertices (the inverse map must also send
+    # edges to edges).
+    for i in range(m):
+        for label, j in enumerate(ball_out[i]):
+            if j == -1 and rows[i][label] in image:
+                return None
+    return tuple(f)
 
 
 def commutative_square_matrix(inst: TransferInstance, v: int) -> Optional[FpMatrix]:

@@ -309,6 +309,24 @@ class TestSubcommands:
         ]) == 1
 
 
+class TestUnwritableOut:
+    COMMANDS = {
+        "cayley-ball": lambda graph, ring: ["cayley-ball", "-g", "Z^2", "-r", "2"],
+        "sofic-verify": lambda graph, ring: ["sofic-verify", str(graph), "-g", "Z^1", "-r", "2", "-e", "1/7"],
+        "weiss-select": lambda graph, ring: ["weiss-select", str(graph), "-g", "Z^1", "--r0", "1"],
+        "df-check": lambda graph, ring: ["df-check", str(ring), "x", "y"],
+        "transfer-run": lambda graph, ring: ["transfer-run", str(ring), "x", "y", "--mode", "lower", "--torus-n", "12"],
+    }
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exits_2_naming_the_path(self, tmp_path, c12_graph, involution_file, command, target, capsys):
+        out = tmp_path / "missing" / "r.json" if target == "missing-directory" else tmp_path
+        assert main(self.COMMANDS[command](c12_graph, involution_file) + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: cannot write {out}: ") and "Traceback" not in err
+
+
 class TestLimits:
     @pytest.mark.parametrize("value", ["0", "-3"])
     @pytest.mark.parametrize("flag", ["--max-ball", "--max-vertices", "--max-kernel-radius"])

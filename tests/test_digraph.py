@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from oracles import cyclic_group, digraph_by_edge_loop, direct_product_table, symmetric_group_5, write_graph_file
+from oracles import (
+    ball_isomorphism,
+    cyclic_group,
+    digraph_by_edge_loop,
+    direct_product_table,
+    symmetric_group_5,
+    write_graph_file,
+)
 from soficrank import digraph
 from soficrank.digraph import (
     LabeledDigraph,
@@ -16,7 +23,6 @@ from soficrank.digraph import (
     _walk,
     _walk_dtype,
     ball_charts,
-    ball_isomorphism,
     distance,
     distances,
     label_walk,
@@ -198,14 +204,14 @@ class TestNeighborhood:
 class TestBallIsomorphism:
     def test_ball_onto_itself(self):
         ball = cayley_ball(Z1, 2)
-        f = ball_isomorphism(ball.graph, 0, ball)
+        f = digraph.ball_isomorphism(ball.graph, 0, ball)
         assert f == tuple(range(ball.size))
 
     def test_c6_at_every_vertex(self):
         ball = cayley_ball(Z1, 2)
         g = quotient_graph(Z1, 6)
         for v in range(6):
-            f = ball_isomorphism(g, v, ball)
+            f = digraph.ball_isomorphism(g, v, ball)
             assert f is not None
             # elements are ordered 0, -1, 1, -2, 2; images are v + element mod 6
             assert f == tuple((v + e[0]) % 6 for e in ball.elements)
@@ -214,31 +220,31 @@ class TestBallIsomorphism:
         ball = cayley_ball(Z1, 2)
         g = quotient_graph(Z1, 5)
         for v in range(5):
-            assert ball_isomorphism(g, v, ball) is None
+            assert digraph.ball_isomorphism(g, v, ball) is None
 
     def test_restriction_to_smaller_radius(self):
         # success at radius r restricts to success at every smaller radius,
         # and the smaller map is a prefix of the larger one (smaller balls
         # are prefixes of larger balls)
         g = quotient_graph(Z1, 8)
-        full = ball_isomorphism(g, 0, cayley_ball(Z1, 3))
+        full = digraph.ball_isomorphism(g, 0, cayley_ball(Z1, 3))
         assert full is not None
         for r in (2, 1, 0):
             ball = cayley_ball(Z1, r)
-            f = ball_isomorphism(g, 0, ball)
+            f = digraph.ball_isomorphism(g, 0, ball)
             assert f == full[: ball.size]
 
     def test_map_is_deterministic(self):
         g = quotient_graph(Z1, 8)
         ball = cayley_ball(Z1, 3)
-        first = ball_isomorphism(g, 2, ball)
+        first = digraph.ball_isomorphism(g, 2, ball)
         for _ in range(3):
-            assert ball_isomorphism(g, 2, ball) == first
+            assert digraph.ball_isomorphism(g, 2, ball) == first
 
     def test_image_size_matches_neighborhood(self):
         g = quotient_graph(Z1, 9)
         ball = cayley_ball(Z1, 2)
-        f = ball_isomorphism(g, 4, ball)
+        f = digraph.ball_isomorphism(g, 4, ball)
         assert f is not None
         assert set(f) == set(neighborhood(g, 4, 2))
         assert len(set(f)) == ball.size
@@ -247,13 +253,20 @@ class TestBallIsomorphism:
         ball = cayley_ball(Z1, 1)
         g = LabeledDigraph(3, 1, [(0, 1, 0)])
         with pytest.raises(ValueError):
-            ball_isomorphism(g, 0, ball)
+            digraph.ball_isomorphism(g, 0, ball)
+
+    def test_vertex_checked_before_alphabet(self):
+        ball = cayley_ball(Z1, 1)
+        g = LabeledDigraph(3, 1, [(0, 1, 0)])
+        for walk in (digraph.ball_isomorphism, ball_isomorphism):
+            with pytest.raises(ValueError, match=r"vertex 3 out of range \[0, 3\)"):
+                walk(g, 3, ball)
 
     def test_missing_edge_fails(self):
         # a bare path has no self-loops, so the identity label walk fails
         g = LabeledDigraph(3, 3, [(0, 1, 0), (1, 2, 0), (2, 1, 1), (1, 0, 1)])
         ball = cayley_ball(Z1, 1)
-        assert ball_isomorphism(g, 1, ball) is None
+        assert digraph.ball_isomorphism(g, 1, ball) is None
 
 
 class TestGraphFiles:
@@ -390,6 +403,7 @@ class TestBallIsomorphismOracle:
         charts, ok = ball_charts(graph, range(graph.vertex_count), ball)
         for v in range(graph.vertex_count):
             f = ball_isomorphism(graph, v, ball)
+            assert digraph.ball_isomorphism(graph, v, ball) == f, v
             assert (f is not None) == _oracle_isomorphic(graph, v, ball), v
             assert bool(ok[v]) == (f is not None), v
             if f is not None:
@@ -403,7 +417,7 @@ class TestBallIsomorphismOracle:
     def test_finite_cayley_graphs_agree_with_networkx(self, case, r, data):
         group, graph = case
         ball = cayley_ball(group, r)
-        # every vertex against ball_isomorphism, a sample against networkx
+        # every vertex against the oracle walk, a sample against networkx
         ok = assert_charts_match(graph, range(graph.vertex_count), ball)
         sample = data.draw(st.lists(st.integers(0, graph.vertex_count - 1), min_size=1, max_size=6))
         for v in sample:
@@ -430,11 +444,12 @@ def vertex_lists(n):
 
 
 def assert_charts_match(graph, vertices, ball):
-    """ball_charts against ball_isomorphism, row for row and flag for flag."""
+    """ball_charts and digraph.ball_isomorphism against the oracle walk, row for row and flag for flag."""
     charts, ok = ball_charts(graph, vertices, ball)
     assert charts.shape == (len(vertices), ball.size) and ok.shape == (len(vertices),)
     for k, v in enumerate(vertices):
         f = ball_isomorphism(graph, v, ball)
+        assert digraph.ball_isomorphism(graph, v, ball) == f, v
         assert bool(ok[k]) == (f is not None), v
         if f is not None:
             assert tuple(charts[k].tolist()) == f, v
@@ -569,8 +584,10 @@ class TestCycleRelations:
         monkeypatch.setattr(digraph, "_relation_holds", counting)
         ball = cayley_ball(Z1, 3)
         _, (kind, _, _) = _cycle_relations(ball)
-        assert_charts_match(quotient_graph(Z1, 12), [5], ball)
+        graph = quotient_graph(Z1, 12)
+        ball_charts(graph, [5], ball)
         assert len(calls) == np.count_nonzero(kind < 3) > 0
+        assert_charts_match(graph, [5], ball)  # its alias check charts vertex 5 again
 
     def test_closures_and_chart_by_chart_comparison_agree(self):
         # a few vertices of a large torus gather their relations from the per-vertex flags

@@ -9,6 +9,7 @@ No dense FpMatrix is built on the transfer-run path, and upper mode reads
 the Weiss separation off the charts without the fallback search.  A
 Cayley ball is built from its model's ball_table, with no group product,
 and each group model holds one ball, from which every smaller radius is cut.
+digraph has one chart walker, ball_charts; ball_isomorphism answers through it.
 """
 
 import ast
@@ -18,8 +19,8 @@ from pathlib import Path
 import pytest
 
 import soficrank
-from oracles import dihedral_group, symmetric_group_5
-from soficrank import cli, exactfield, groupring, sofic, transfer, weiss
+from oracles import ball_isomorphism, dihedral_group, symmetric_group_5
+from soficrank import cli, digraph, exactfield, groupring, sofic, transfer, weiss
 from soficrank.cli import main
 from soficrank.groups import CayleyBall, FiniteByTable, FreeAbelian, GroupModel, cayley_ball
 from test_bench_contract import traced_names
@@ -298,3 +299,20 @@ def test_smaller_balls_are_cut_from_the_ball_in_hand(name, tmp_path, monkeypatch
         assert len(held) == 1 and not stores
     (approx,) = approxes
     assert "element_index" not in vars(approx.ball)
+
+
+def test_ball_isomorphism_answers_through_ball_charts(monkeypatch):
+    """digraph.ball_isomorphism is ball_charts at one vertex, so the package has no second chart walker."""
+    calls = []
+    charts = digraph.ball_charts
+
+    def recording(graph, vertices, ball):
+        calls.append(list(vertices))
+        return charts(graph, vertices, ball)
+
+    monkeypatch.setattr(digraph, "ball_charts", recording)
+    ball = cayley_ball(FreeAbelian(1), 2)
+    graph = sofic.quotient_graph(FreeAbelian(1), 6)
+    for v in (0, 5):
+        assert digraph.ball_isomorphism(graph, v, ball) == ball_isomorphism(graph, v, ball)
+    assert calls == [[0], [5]]

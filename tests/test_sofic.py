@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import cyclic_group, direct_product_table, quotient_table_by_loop, symmetric_group_5
-from soficrank.digraph import LabeledDigraph, ball_isomorphism
+from oracles import ball_isomorphism, cyclic_group, direct_product_table, quotient_table_by_loop, symmetric_group_5
+from soficrank.digraph import LabeledDigraph
 from soficrank.errors import (
     AlphabetMismatch,
     ApproximationTooCoarse,

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from oracles import commutative_square_matrix, cyclic_group, dense_rank, slice_ranks
+from oracles import ball_isomorphism, commutative_square_matrix, cyclic_group, dense_rank, slice_ranks
 from test_groups import assert_same_ball
 from soficrank.cli import parse_instance_file
 from soficrank.corpus import random_invertible_pair
-from soficrank.digraph import LabeledDigraph, ball_charts, ball_isomorphism
+from soficrank.digraph import LabeledDigraph, ball_charts, label_walk
 from soficrank.errors import (
     ApproximationTooCoarse,
     CheckFailedError,
@@ -414,6 +414,34 @@ class TestLowerBound:
         inst = instance(x, None, torus_approximation(Z1, 12, 5))
         with pytest.raises(CheckFailedError, match=r"^lower mode requires psi with phi o psi = identity$"):
             lower_bound_check(inst)
+
+
+class TestInconsistencyMessages:
+    """Hand-broken approximations, instances and plans force the theory-guaranteed checks, which state their values."""
+
+    def test_good_vertex_outside_v_dprime_is_named(self):
+        inst = open_path_involution()
+        approx = inst.approx
+        # vertex 1 passed off as good: its r0-chart reaches vertex 0, which has no r0-chart
+        fake = label_walk(approx.graph, [1], approx.ball)
+        broken = dataclasses.replace(
+            approx, good_vertices=(1, *approx.good_vertices), charts=np.vstack([fake, approx.charts])
+        )
+        with pytest.raises(InternalInconsistency, match=r"^good vertex 1 fell outside V''$"):
+            build_instance(inst.phi, inst.psi, broken, plan=inst.plan)
+
+    def test_v_dprime_below_v0_states_both_sizes(self):
+        x = involution()
+        inst = instance(x, x, torus_approximation(Z1, 12, 5))
+        broken = dataclasses.replace(inst, v_dprime=inst.v_dprime[:-1])
+        with pytest.raises(InternalInconsistency, match=r"^\|V''\| = 11 < \|V0\| = 12$"):
+            lower_bound_check(broken)
+
+    def test_good_set_below_the_bound_states_both_sides(self):
+        inst = open_path_involution()  # 440 good vertices of 450, d = 2
+        broken = dataclasses.replace(inst, plan=dataclasses.replace(inst.plan, epsilon=Fraction(0)))
+        with pytest.raises(InternalInconsistency, match=r"^d\*\|V0\| = 880 fell below \(1-eps\)\*\|V\|\*d = 900$"):
+            lower_bound_check(broken)
 
 
 class TestUpperBound:
