@@ -232,6 +232,11 @@ def _walk_dtype(vertex_count: int, num_labels: int) -> type:
     return np.int32 if vertex_count * num_labels < 2**31 else np.int64
 
 
+def _key_dtype(walk_dtype, vertex_count: int) -> type:
+    """The walk's dtype while 2|V| + 1 < 2^31, so that every key of _check_boundary fits in int32; int64 otherwise."""
+    return walk_dtype if 2 * vertex_count + 1 < 2**31 else np.int64
+
+
 def _walk(out: np.ndarray, vertices: np.ndarray, ball: "CayleyBall") -> np.ndarray:
     """label_walk in the (|ball|, len(vertices)) layout and in the dtype of out, the graph's out-table.
 
@@ -293,10 +298,10 @@ def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np
     no incoming l-edge in the ball: the graph has at most one incoming
     l-edge per vertex, a matched ball edge already supplies that edge to
     the image of every other element, and the row is injective.  So the
-    heads of each label's leaving edges (its sources) are compared
-    directly with the images of those boundary elements (its sinks), in
-    blocks of vertices and sources whose temporary is no larger than the
-    walk.
+    heads h of each label's leaving edges (its sources) are compared with
+    the images w of those boundary elements (its sinks) by one sort of the
+    keys 2h+1 and 2w along each chart: a hit is a key 2w next to 2w+1,
+    which neither a missing head (key -1) nor two equal heads can make.
     """
     vertices = _checked_vertices(graph, vertices, ball)
     m, n = ball.size, graph.vertex_count
@@ -371,23 +376,18 @@ def _relation_holds(out: np.ndarray, kind: int, x: int, l: int) -> np.ndarray:
 
 
 def _check_boundary(out: np.ndarray, walk: np.ndarray, ball: "CayleyBall", ok: np.ndarray) -> None:
-    """Clear ok wherever an edge leaving a source's image lands on a sink's image, label by label."""
+    """Clear ok wherever an edge leaving a source's image lands on a sink's image, one sort per label."""
     bout = ball.graph.out
-    count = walk.shape[1]
     no_out = bout < 0
     no_in = np.ones(bout.shape, dtype=bool)
     no_in[bout[~no_out], np.nonzero(~no_out)[1]] = False
+    dtype = _key_dtype(out.dtype, len(out))
     for label in np.flatnonzero(no_out.any(axis=0) & no_in.any(axis=0)).tolist():
-        sources, sinks = np.flatnonzero(no_out[:, label]), np.flatnonzero(no_in[:, label])
-        # blocks of kb vertices and sb sources: sb * |sinks| * kb <= |walk| cells
-        per = max(1, walk.size // sinks.size)
-        kb = min(count, max(1, per // sources.size))
-        sb = min(sources.size, max(1, per // kb))
-        for k0 in range(0, count, kb):
-            image = walk[sinks, k0 : k0 + kb]
-            for s0 in range(0, sources.size, sb):
-                hit = out[walk[sources[s0 : s0 + sb], k0 : k0 + kb], label]
-                ok[k0 : k0 + kb] &= ~(hit[:, None] == image).any(axis=(0, 1))
+        sources = np.flatnonzero(no_out[:, label])
+        keys = 2 * np.concatenate([out[walk[sources], label], walk[no_in[:, label]]], dtype=dtype)
+        keys[: sources.size] += 1
+        keys.sort(axis=0)
+        ok &= ((keys[:-1] ^ 1) != keys[1:]).all(axis=0)  # no even key 2w followed by 2w + 1
 
 
 def read_graph_file(

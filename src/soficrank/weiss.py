@@ -22,7 +22,7 @@ Both guarantees are re-checked before returning.  For (2), each pick's
 verified chart is read for its nearest other pick: the chart maps the
 radius-R ball onto the pick's out-neighbourhood of radius R >= 2*r0+1,
 and maps the ball's depth-j layer onto the vertices at directed distance
-j, so the first layer holding another pick gives its exact distance.
+j, so the first position holding another pick gives its exact distance.
 Only when no pick sees another within R does one `digraph.distances`
 search from each pick, stopped at its nearest other pick, find the least
 distance beyond R.
@@ -141,27 +141,17 @@ def _sweep(good: tuple[int, ...], charts: np.ndarray, discard_size: int, n: int)
 def _nearest_in_charts(charts: np.ndarray, rows: np.ndarray, layers: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Directed distance from each pick to its nearest other pick, and that pick, read off the charts; -1 for both when a chart holds none.
 
-    The picks are the vertices charts[rows, 0] of a graph on n vertices.
-    Each row maps the ball onto the pick's out-neighbourhood, its depth-j
-    positions layers[j]:layers[j + 1] onto the vertices at directed
-    distance j, so the first layer that holds a pick gives the distance.
-    Layers are read one at a time, by the picks that have seen none yet.
+    The picks are the vertices charts[rows, 0] of a graph on n vertices;
+    each row maps its ball's depth-j positions layers[j]:layers[j + 1]
+    onto the vertices at directed distance j from its pick, so the first
+    position that holds another pick gives the distance.
     """
-    is_pick = np.zeros(n, dtype=bool)
-    is_pick[charts[rows, 0]] = True
-    depth = np.full(len(rows), -1, dtype=np.int64)
-    other = np.full(len(rows), -1, dtype=np.int64)
-    todo = np.arange(len(rows))
-    for j in range(1, len(layers) - 1):
-        ring = charts[rows[todo], layers[j] : layers[j + 1]]
-        hit = is_pick[ring]
-        seen = hit.any(axis=1)
-        if seen.any():
-            depth[todo[seen]] = j
-            other[todo[seen]] = ring[seen, hit[seen].argmax(axis=1)]
-            todo = todo[~seen]
-            if not todo.size:
-                break
+    is_pick = np.bincount(charts[rows, 0], minlength=n) > 0
+    hit = is_pick[charts[rows]]
+    hit[:, 0] = False  # the pick itself
+    first = hit.argmax(axis=1)  # 0 where the row holds no other pick
+    depth = np.where(first > 0, np.searchsorted(layers, first, side="right") - 1, -1)
+    other = np.where(first > 0, charts[rows, first], -1)
     return depth, other
 
 

@@ -20,6 +20,7 @@ from soficrank import digraph
 from soficrank.digraph import (
     LabeledDigraph,
     _cycle_relations,
+    _key_dtype,
     _walk,
     _walk_dtype,
     ball_charts,
@@ -202,10 +203,18 @@ class TestNeighborhood:
 
 
 class TestBallIsomorphism:
-    def test_ball_onto_itself(self):
-        ball = cayley_ball(Z1, 2)
+    @pytest.mark.parametrize(
+        "group, r",
+        [(Z1, 2), (FreeAbelian(2), 3), (FreeAbelian(3), 2), (symmetric_group_5(), 2)],
+        ids=["Z1-r2", "Z2-r3", "Z3-r2", "S5-r2"],
+    )
+    def test_ball_onto_itself(self, group, r):
+        # at the root, many sources of one label have no head: missing heads must never clash
+        ball = cayley_ball(group, r)
         f = digraph.ball_isomorphism(ball.graph, 0, ball)
         assert f == tuple(range(ball.size))
+        charts, ok = ball_charts(ball.graph, [0], ball)
+        assert ok.tolist() == [True] and charts[0].tolist() == list(range(ball.size))
 
     def test_c6_at_every_vertex(self):
         ball = cayley_ball(Z1, 2)
@@ -608,6 +617,12 @@ class TestWalkDtype:
         assert _walk_dtype(2**31, 1) is np.int64
         assert _walk_dtype(2**30 - 1, 2) is np.int32
         assert _walk_dtype(2**30, 2) is np.int64
+
+    def test_key_boundary(self):
+        # the boundary check's keys reach 2|V| + 1; only the rule is consulted
+        assert _key_dtype(np.int32, 2**30 - 1) is np.int32
+        assert _key_dtype(np.int32, 2**30) is np.int64
+        assert _key_dtype(np.int64, 3) is np.int64
 
     def test_int32_walk_is_the_label_walk(self):
         graph, ball = quotient_graph(FreeAbelian(2), 7), cayley_ball(FreeAbelian(2), 4)
