@@ -13,7 +13,7 @@ import argparse
 import json
 from pathlib import Path
 
-from soficrank.exactfield import FpMatrix
+from soficrank.exactfield import FpMatrix, json_value
 from soficrank.groupring import GroupRingKernel
 from soficrank.groups import FreeAbelian
 from soficrank.transfer import run_experiment
@@ -65,7 +65,7 @@ def main():
 
     for name, rep in [("lower_involution", lower), ("upper_projector", upper)]:
         path = outdir / f"{name}.json"
-        path.write_text(json.dumps(rep.to_json_dict(), sort_keys=True, indent=2) + "\n")
+        path.write_text(json.dumps(json_value(rep), sort_keys=True, indent=2) + "\n")
         print(f"wrote {path}")
 
 

@@ -426,7 +426,7 @@ def _cmd_transfer_run(args) -> int:
         table.append(("identity on V''", report.identity_on_vpp))
     if report.weiss is not None:
         table.append(("|V1|", len(report.weiss.v1)))
-    _emit(args, "transfer-run", inputs, report.to_json_dict(), table)
+    _emit(args, "transfer-run", inputs, json_value(report), table)
     return 0
 
 

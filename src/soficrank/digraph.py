@@ -228,13 +228,8 @@ def _checked_vertices(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> np
 
 
 def _walk_dtype(vertex_count: int, num_labels: int) -> type:
-    """int32 when every flat position in the out-table, |V| * |B| of them, fits in it; int64 otherwise."""
-    return np.int32 if vertex_count * num_labels < 2**31 else np.int64
-
-
-def _key_dtype(walk_dtype, vertex_count: int) -> type:
-    """The walk's dtype while 2|V| + 1 < 2^31, so that every key of _check_boundary fits in int32; int64 otherwise."""
-    return walk_dtype if 2 * vertex_count + 1 < 2**31 else np.int64
+    """int32 when every flat out-table position (< |V||B|) and boundary key (<= 2|V|+1) fits in it; else int64."""
+    return np.int32 if max(vertex_count * num_labels, 2 * vertex_count + 1) < 2**31 else np.int64
 
 
 def _walk(out: np.ndarray, vertices: np.ndarray, ball: "CayleyBall") -> np.ndarray:
@@ -271,9 +266,10 @@ def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np
     matched, and its prefix over a smaller ball is the chart there.  Rows
     with ok[k] false carry no meaning.
 
-    The walk matches every BFS-tree edge by construction.  The walk is
-    int32 whenever |V| * |B| < 2^31, and int64 otherwise; the charts are
-    int64 either way.  For a non-tree ball edge (i, l, j), write W_i for
+    The walk matches every BFS-tree edge by construction.  One width,
+    int32 while max(|V||B|, 2|V|+1) < 2^31 and int64 otherwise, serves the
+    walk, the relations, the boundary keys and the injectivity sort; the
+    charts are int64.  For a non-tree ball edge (i, l, j), write W_i for
     the walked images of i, P = parent(i) and x = via(i), so that
     W_i = T_x(W_P) where T_x is the graph's x-edge.  Three kinds of edge
     reduce to a relation at one graph vertex u:
@@ -304,10 +300,7 @@ def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np
     which neither a missing head (key -1) nor two equal heads can make.
     """
     vertices = _checked_vertices(graph, vertices, ball)
-    m, n = ball.size, graph.vertex_count
-    if not vertices.size:
-        return np.empty((0, m), dtype=np.int64), np.empty(0, dtype=bool)
-    out = graph.out.astype(_walk_dtype(n, graph.num_labels), copy=False)
+    out = graph.out.astype(_walk_dtype(graph.vertex_count, graph.num_labels), copy=False)
     walk = _walk(out, vertices, ball)  # [j, k]
     ok = np.ones(vertices.size, dtype=bool)
     (src, label, dst, anchor, relation), (kind, x, l) = _cycle_relations(ball)
@@ -381,10 +374,9 @@ def _check_boundary(out: np.ndarray, walk: np.ndarray, ball: "CayleyBall", ok: n
     no_out = bout < 0
     no_in = np.ones(bout.shape, dtype=bool)
     no_in[bout[~no_out], np.nonzero(~no_out)[1]] = False
-    dtype = _key_dtype(out.dtype, len(out))
     for label in np.flatnonzero(no_out.any(axis=0) & no_in.any(axis=0)).tolist():
         sources = np.flatnonzero(no_out[:, label])
-        keys = 2 * np.concatenate([out[walk[sources], label], walk[no_in[:, label]]], dtype=dtype)
+        keys = 2 * np.concatenate([out[walk[sources], label], walk[no_in[:, label]]])
         keys[: sources.size] += 1
         keys.sort(axis=0)
         ok &= ((keys[:-1] ^ 1) != keys[1:]).all(axis=0)  # no even key 2w followed by 2w + 1

@@ -23,6 +23,7 @@ instead of once per chart.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -87,11 +88,10 @@ def verify_approximation(
     some good vertex's neighborhood is not isomorphic to the Cayley ball.
     """
     epsilon = check_preconditions(graph.num_labels, epsilon, radius, group)
-    good = tuple(sorted(set(int(v) for v in good_vertices)))
-    for v in good:
-        if not (0 <= v < graph.vertex_count):
-            raise ValueError(f"good vertex {v} out of range")
+    good = tuple(sorted(set(map(int, good_vertices))))
     n = graph.vertex_count
+    if good and (good[0] < 0 or good[-1] >= n):  # name the first vertex out of range
+        raise ValueError(f"good vertex {good[0] if good[0] < 0 else good[bisect_left(good, n)]} out of range")
     if Fraction(len(good)) < (1 - epsilon) * n:
         raise CardinalityViolation(
             f"|V0| = {len(good)} < (1 - {epsilon}) * {n} = {(1 - epsilon) * n}"

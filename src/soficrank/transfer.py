@@ -41,7 +41,7 @@ from .errors import (
     InternalInconsistency,
     KernelSearchExhausted,
 )
-from .exactfield import FpMatrix, FpSparse, json_value, rank
+from .exactfield import FpMatrix, FpSparse, rank
 from .groupring import (
     GroupRingKernel,
     check_right_inverse,
@@ -325,9 +325,6 @@ class TransferReport:
     local_rank_bound: Optional[int] = None
     per_v1_ranks: Optional[tuple[int, ...]] = None
     weiss: Optional[WeissSelection] = None
-
-    def to_json_dict(self) -> dict:
-        return json_value(self)
 
 
 def _report(inst: TransferInstance, mode: str, verdict: str, **chain) -> TransferReport:

@@ -20,7 +20,6 @@ from soficrank import digraph
 from soficrank.digraph import (
     LabeledDigraph,
     _cycle_relations,
-    _key_dtype,
     _walk,
     _walk_dtype,
     ball_charts,
@@ -485,9 +484,10 @@ class TestBallCharts:
 
     def test_empty_vertex_list(self):
         ball = cayley_ball(Z1, 2)
-        charts, ok = ball_charts(quotient_graph(Z1, 6), [], ball)
-        assert charts.shape == (0, ball.size) and charts.dtype == np.int64
-        assert ok.shape == (0,)
+        for graph in (quotient_graph(Z1, 6), LabeledDigraph(0, 3, [])):
+            charts, ok = ball_charts(graph, [], ball)
+            assert charts.shape == (0, ball.size) and charts.dtype == np.int64
+            assert ok.shape == (0,) and ok.dtype == bool
 
     def test_radius_zero(self):
         # Z^1 carries an identity generator, so the one-point ball has a self-loop
@@ -612,17 +612,13 @@ class TestCycleRelations:
 
 class TestWalkDtype:
     def test_boundary(self):
-        # only the rule is consulted: no table of this size is built
-        assert _walk_dtype(2**31 - 1, 1) is np.int32
-        assert _walk_dtype(2**31, 1) is np.int64
+        # int32 exactly when max(|V||B|, 2|V| + 1) < 2^31; only the rule is consulted, no table is built
+        assert _walk_dtype(2**30 - 1, 1) is np.int32
+        assert _walk_dtype(2**30, 1) is np.int64
         assert _walk_dtype(2**30 - 1, 2) is np.int32
         assert _walk_dtype(2**30, 2) is np.int64
-
-    def test_key_boundary(self):
-        # the boundary check's keys reach 2|V| + 1; only the rule is consulted
-        assert _key_dtype(np.int32, 2**30 - 1) is np.int32
-        assert _key_dtype(np.int32, 2**30) is np.int64
-        assert _key_dtype(np.int64, 3) is np.int64
+        assert _walk_dtype(715827882, 3) is np.int32
+        assert _walk_dtype(715827883, 3) is np.int64
 
     def test_int32_walk_is_the_label_walk(self):
         graph, ball = quotient_graph(FreeAbelian(2), 7), cayley_ball(FreeAbelian(2), 4)

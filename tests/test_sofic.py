@@ -61,6 +61,13 @@ class TestVerify:
         for row, v in zip(approx.charts.tolist(), approx.good_vertices):
             assert tuple(row) == ball_isomorphism(graph, v, approx.ball)
 
+    def test_out_of_range_names_the_first_bad_vertex(self):
+        # unsorted and repeated good lists are read as sets, in ascending order
+        graph = quotient_graph(Z1, 5)
+        for good, bad in (([-3, 2, 7, 9], -3), ([0, 9, 7, 7], 7)):
+            with pytest.raises(ValueError, match=f"^good vertex {bad} out of range$"):
+                verify_approximation(graph, good, Fraction(1, 2), 1, Z1)
+
     def test_cardinality_violation(self):
         with pytest.raises(CardinalityViolation):
             verify_approximation(quotient_graph(Z1, 8), [0, 1], Fraction(1, 10), 1, Z1)

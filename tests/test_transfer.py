@@ -21,7 +21,7 @@ from soficrank.errors import (
     InternalInconsistency,
     KernelSearchExhausted,
 )
-from soficrank.exactfield import MAX_MODULUS, FpMatrix, is_prime, mat_mul, rank
+from soficrank.exactfield import MAX_MODULUS, FpMatrix, is_prime, json_value, mat_mul, rank
 from soficrank import digraph, exactfield, groups, sofic, transfer, weiss
 from soficrank.groupring import (
     GroupRingKernel,
@@ -750,7 +750,7 @@ class TestRunExperiment:
         import json
 
         report = run_experiment(singular_diag(), None, "upper", torus_n=12)
-        payload = report.to_json_dict()
+        payload = json_value(report)
         text = json.dumps(payload, sort_keys=True)
         again = json.loads(text)
         assert again["verdict"] == UPPER_HOLDS
