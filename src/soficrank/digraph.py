@@ -227,6 +227,9 @@ def _checked_vertices(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> np
     return vertices
 
 
+_BLOCK_ENTRIES = 2**16  # walk entries ball_charts holds at once
+
+
 def _walk_dtype(vertex_count: int, num_labels: int) -> type:
     """int32 when every flat out-table position (< |V||B|) and boundary key (<= 2|V|+1) fits in it; else int64."""
     return np.int32 if max(vertex_count * num_labels, 2 * vertex_count + 1) < 2**31 else np.int64
@@ -255,24 +258,29 @@ def _walk(out: np.ndarray, vertices: np.ndarray, ball: "CayleyBall") -> np.ndarr
 def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np.ndarray, np.ndarray]:
     """The charts of many vertices at once: one label walk over the ball.
 
-    Returns (charts, ok): charts is label_walk(graph, vertices, ball), and
-    ok[k] holds exactly when row k is the chart of vertices[k]: the map f
-    from ball positions to vertices, f[0] = vertices[k], that holds no -1,
-    is injective, sends every labeled ball edge to a graph edge, and adds
-    no edge, that is, no graph edge on a label the ball lacks at an
-    element lands back in the image.  Labels are deterministic, so the
-    walk is the only candidate.  A chart is onto the r-th out-neighborhood,
-    since every edge leaving the image of an element at depth < r is
-    matched, and its prefix over a smaller ball is the chart there.  Rows
-    with ok[k] false carry no meaning.
+    Returns (charts, ok): charts is label_walk(graph, vertices, ball) in
+    the walk's width (below), and ok[k] holds exactly when row k is the
+    chart of vertices[k]: the map f from ball positions to vertices, f[0]
+    = vertices[k], that holds no -1, is injective, sends every labeled
+    ball edge to a graph edge, and adds no edge, that is, no graph edge on
+    a label the ball lacks at an element lands back in the image.  Labels
+    are deterministic, so the walk is the only candidate.  A chart is onto
+    the r-th out-neighborhood, since every edge leaving the image of an
+    element at depth < r is matched, and its prefix over a smaller ball is
+    the chart there.  Rows with ok[k] false carry no meaning.
 
     The walk matches every BFS-tree edge by construction.  One width,
     int32 while max(|V||B|, 2|V|+1) < 2^31 and int64 otherwise, serves the
-    walk, the relations, the boundary keys and the injectivity sort; the
-    charts are int64.  For a non-tree ball edge (i, l, j), write W_i for
-    the walked images of i, P = parent(i) and x = via(i), so that
-    W_i = T_x(W_P) where T_x is the graph's x-edge.  Three kinds of edge
-    reduce to a relation at one graph vertex u:
+    walk, the charts, the relations, the boundary keys and the injectivity
+    sort.  The vertices are charted in blocks of _BLOCK_ENTRIES walk
+    entries: each block is walked, checked and transposed into the one
+    chart array, and its walk is freed before its rows are sorted, so the
+    peak stays near the charts plus one block.
+
+    For a non-tree ball edge (i, l, j), write W_i for the walked images of
+    i, P = parent(i) and x = via(i), so that W_i = T_x(W_P) where T_x is
+    the graph's x-edge.  Three kinds of edge reduce to a relation at one
+    graph vertex u:
 
     - a self-loop (j = i) holds at a chart exactly when out[u, l] = u at
       u = W_i(v), for any i, the root included;
@@ -301,27 +309,65 @@ def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np
     """
     vertices = _checked_vertices(graph, vertices, ball)
     out = graph.out.astype(_walk_dtype(graph.vertex_count, graph.num_labels), copy=False)
-    walk = _walk(out, vertices, ball)  # [j, k]
+    checks = _chart_checks(out, ball)
+    charts = np.empty((vertices.size, ball.size), dtype=out.dtype)
     ok = np.ones(vertices.size, dtype=bool)
+    rows = max(1, _BLOCK_ENTRIES // ball.size)
+    for lo in range(0, vertices.size, rows):
+        block = slice(lo, lo + rows)
+        walk = _walk(out, vertices[block], ball)  # [j, k]
+        _check_walk(out, walk, checks, ok[block])
+        charts[block] = walk.T
+        del walk  # before the sort, to keep the peak at the charts and one block
+        ordered = np.sort(charts[block], axis=1)
+        ok[block] &= (ordered[:, 0] >= 0) & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+    return charts, ok
+
+
+def _chart_checks(out: np.ndarray, ball: "CayleyBall") -> tuple[list, tuple, list]:
+    """What _check_walk compares in every block: the ball's failing relations, kind-3 edges and boundary.
+
+    Returns (relations, direct, boundary): a (flags, anchors) pair per
+    relation of kind < 3 that fails at some graph vertex, the (src,
+    label, dst) columns of the kind-3 edges, and a (label, sources,
+    sinks) triple per label that has both.
+    """
     (src, label, dst, anchor, relation), (kind, x, l) = _cycle_relations(ball)
+    relations = []
     for rel in np.flatnonzero(kind < 3).tolist():
         holds = _relation_holds(out, kind[rel], x[rel], l[rel])
         if not holds.all():
-            ok &= holds[walk[anchor[relation == rel]]].all(axis=0)
+            relations.append((holds, anchor[relation == rel]))
     rest = kind[relation] == 3
-    if rest.any():
-        step = walk[src[rest]]
-        step *= graph.num_labels
-        step += label[rest, None].astype(out.dtype)
+    direct = (src[rest], label[rest, None].astype(out.dtype), dst[rest])
+    bout = ball.graph.out
+    no_out = bout < 0
+    no_in = np.ones(bout.shape, dtype=bool)
+    no_in[bout[~no_out], np.nonzero(~no_out)[1]] = False
+    boundary = [
+        (b, np.flatnonzero(no_out[:, b]), np.flatnonzero(no_in[:, b]))
+        for b in np.flatnonzero(no_out.any(axis=0) & no_in.any(axis=0)).tolist()
+    ]
+    return relations, direct, boundary
+
+
+def _check_walk(out: np.ndarray, walk: np.ndarray, checks: tuple[list, tuple, list], ok: np.ndarray) -> None:
+    """Clear ok at every column of a block of the walk that breaks a relation, a kind-3 edge or the boundary."""
+    relations, (src, label, dst), boundary = checks
+    for holds, anchors in relations:
+        ok &= holds[walk[anchors]].all(axis=0)
+    if src.size:
+        step = walk[src]
+        step *= out.shape[1]
+        step += label
         np.take(out.ravel(), step, out=step, mode="wrap")
-        ok &= (step == walk[dst[rest]]).all(axis=0)
-    _check_boundary(out, walk, ball, ok)
-    charts = np.ascontiguousarray(walk.T, dtype=np.int64)
-    del walk  # before the sort, to keep the peak at the charts and one walk-sized array
-    ordered = charts.astype(out.dtype)
-    ordered.sort(axis=1)
-    ok &= ~((ordered[:, 0] < 0) | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-    return charts, ok
+        ok &= (step == walk[dst]).all(axis=0)
+    # An edge leaving a source's image must not land on a sink's image: one sort per label.
+    for b, sources, sinks in boundary:
+        keys = 2 * np.concatenate([out[walk[sources], b], walk[sinks]])
+        keys[: sources.size] += 1
+        keys.sort(axis=0)
+        ok &= ((keys[:-1] ^ 1) != keys[1:]).all(axis=0)  # no even key 2w followed by 2w + 1
 
 
 def _cycle_relations(ball: "CayleyBall") -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
@@ -366,20 +412,6 @@ def _relation_holds(out: np.ndarray, kind: int, x: int, l: int) -> np.ndarray:
     if kind == 1:
         return out[out[:, x], l] == np.arange(len(out))
     return out[out[:, x], l] == out[out[:, l], x]
-
-
-def _check_boundary(out: np.ndarray, walk: np.ndarray, ball: "CayleyBall", ok: np.ndarray) -> None:
-    """Clear ok wherever an edge leaving a source's image lands on a sink's image, one sort per label."""
-    bout = ball.graph.out
-    no_out = bout < 0
-    no_in = np.ones(bout.shape, dtype=bool)
-    no_in[bout[~no_out], np.nonzero(~no_out)[1]] = False
-    for label in np.flatnonzero(no_out.any(axis=0) & no_in.any(axis=0)).tolist():
-        sources = np.flatnonzero(no_out[:, label])
-        keys = 2 * np.concatenate([out[walk[sources], label], walk[no_in[:, label]]])
-        keys[: sources.size] += 1
-        keys.sort(axis=0)
-        ok &= ((keys[:-1] ^ 1) != keys[1:]).all(axis=0)  # no even key 2w followed by 2w + 1
 
 
 def read_graph_file(

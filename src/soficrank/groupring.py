@@ -174,10 +174,11 @@ def transplant(c: GroupRingKernel, charts: np.ndarray, ball: CayleyBall, rows: i
     Column block j holds c(s) at row block charts[j, ball.element_index[s]]
     for every s in supp c, and nothing else; there are `rows` row blocks.
     The support lies in the ball, and each chart row is injective, so no
-    two blocks share a place.
+    two blocks share a place.  The row indices vertex*d + a are int64
+    whatever the width of the charts.
     """
     d = c.d
-    at = charts[:, [ball.element_index[s] for s in c.support]].T  # [s, j]
+    at = charts[:, [ball.element_index[s] for s in c.support]].astype(np.int64).T  # [s, j]
     s, a, b = np.nonzero(c.coeffs)  # one entry (s, a, b) per nonzero coefficient, s-major
     row = at[s] * d + a[:, None]
     col = np.arange(len(charts), dtype=np.int64) * d + b[:, None]

@@ -40,7 +40,8 @@ from .limits import DEFAULT_MAX_BALL_ELEMENTS, DEFAULT_MAX_VERTICES
 class SoficApproximation:
     """A verified approximation: graph, good vertices, tolerance, radius.
 
-    charts is a read-only int64 array with one row per good vertex: row k
+    charts is a read-only array with one row per good vertex, in the width
+    of ball_charts' walk (int32 while max(|V||B|, 2|V|+1) < 2^31): row k
     is the rooted isomorphism from the radius-r Cayley ball into the graph
     at good_vertices[k], indexed by ball element position (entry 0 is the
     vertex itself).  Its prefix over a smaller ball is the chart at that

@@ -131,7 +131,7 @@ class TransferInstance:
     plan: InstancePlan
     v_prime: tuple[int, ...]
     v_dprime: tuple[int, ...]
-    charts: np.ndarray  # row k: ball_r0 position -> graph vertex, at v_prime[k]
+    charts: np.ndarray  # row k: ball_r0 position -> graph vertex, at v_prime[k]; the approximation's width
     ball_r0: CayleyBall
     has_right_inverse: bool  # psi is given and phi * psi = 1
 
@@ -185,7 +185,7 @@ def build_instance(
     # With every vertex good, V' = V0 and the verified prefix, a read-only view, is already aligned to it.
     charts = approx.charts[:, : ball_r0.size]
     if others.size:
-        full = np.empty((n, ball_r0.size), dtype=np.int64)
+        full = np.empty((n, ball_r0.size), dtype=charts.dtype)
         full[good] = charts
         full[others], in_v_prime[others] = ball_charts(approx.graph, others, ball_r0)
         charts = full[in_v_prime]
@@ -266,31 +266,49 @@ def verify_transfer_identity(inst: TransferInstance) -> bool:
     charts, joining the two factors on their shared V' index: at v' the
     psi block is psi_s when v1 sits at ball position s^{-1}, and the phi
     block is phi_t when v2 sits at position t.  Each (v', t, s) with both
-    in V'' adds phi_t psi_s, reduced mod p, to the key v2*|V| + v1; a key
+    in V'' is a term phi_t psi_s of the block keyed v2*|V| + v1
+    (_pair_keys).  The terms are sorted by key once, each carrying the
+    code t*|supp psi| + s of its product, and every entry (a, c) of the
+    blocks is summed over the sorted codes in one 1-D pass.  A key
     collects at most |V'| * |supp phi| * |supp psi| terms below p, far
     from overflowing int64.  True exactly when every diagonal block is the
     d x d identity and every other block is zero.
     """
     if inst.psi is None:
         raise ValueError("psi is absent on this instance")
-    phi, psi = inst.phi, inst.psi
+    phi, psi, p = inst.phi, inst.psi, inst.phi.p
     n, idx = inst.vertex_count, inst.ball_r0.element_index
     in_vpp = np.zeros(n, dtype=bool)
     in_vpp[list(inst.v_dprime)] = True
     v2 = inst.charts[:, [idx[t] for t in phi.support]]  # [v', t]
     v1 = inst.charts[:, [idx[psi.group.inverse(s)] for s in psi.support]]  # [v', s]
-    j, t, s = np.nonzero(in_vpp[v2][:, :, None] & in_vpp[v1][:, None, :])
-    keys = v2[j, t] * n + v1[j, s]
+    term = in_vpp[v2][:, :, None] & in_vpp[v1][:, None, :]  # [v', t, s]
+    pairs = v2.shape[1] * v1.shape[1]
+    codes = np.arange(pairs, dtype=np.min_scalar_type(max(pairs - 1, 0))).reshape(v2.shape[1], -1)
+    keys = _pair_keys(v2, v1, n)[term]
     order = np.argsort(keys)
-    found, start = np.unique(keys[order], return_index=True)
-    products = np.einsum("tab,sbc->tsac", phi.coeffs, psi.coeffs) % phi.p
-    blocks = np.add.reduceat(products[t[order], s[order]], start, axis=0) % phi.p
+    keys, codes = keys[order], np.broadcast_to(codes, term.shape)[term][order]
+    del term, order
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    start = np.flatnonzero(first)
+    found = keys[start]
     diagonal = found // n == found % n
-    return (
-        int(diagonal.sum()) == len(inst.v_dprime)
-        and bool((blocks[diagonal] == np.eye(inst.d, dtype=np.int64)).all())
-        and not blocks[~diagonal].any()
-    )
+    del keys, first  # the entry sums read only the codes and the group starts
+    if int(np.count_nonzero(diagonal)) != len(inst.v_dprime):
+        return False
+    # products[a, c, code] is entry (a, c) of phi_t psi_s
+    products = np.einsum("tab,sbc->acts", phi.coeffs, psi.coeffs).reshape(inst.d, inst.d, -1) % p
+    for a, c in np.ndindex(inst.d, inst.d):
+        sums = np.add.reduceat(products[a, c][codes], start) % p
+        if (sums != (diagonal & (a == c))).any():
+            return False
+    return True
+
+
+def _pair_keys(v2: np.ndarray, v1: np.ndarray, n: int) -> np.ndarray:
+    """The int64 block keys v2*n + v1, [v', t, s], of chart columns v2 [v', t] and v1 [v', s] of any width."""
+    return v2.astype(np.int64)[:, :, None] * n + v1[:, None, :]
 
 
 @dataclass(eq=False)

@@ -41,6 +41,9 @@ from .errors import ApproximationTooCoarse, InternalInconsistency, PreconditionD
 from .sofic import SoficApproximation
 
 
+_BLOCK_ENTRIES = 2**16  # bounds the discard entries _sweep converts to intp at once
+
+
 @dataclass(eq=False)
 class WeissSelection:
     v1: tuple[int, ...]
@@ -123,18 +126,27 @@ def _sweep(good: tuple[int, ...], charts: np.ndarray, discard_size: int, n: int)
 
     A good vertex still alive is picked and kills the first discard_size
     vertices of its chart.  The alive flags are read per vertex from a
-    bytearray and written per pick through a numpy view of it.
+    bytearray and written per pick through a numpy view of it, indexed by
+    intp rows, since numpy casts an index of any other width on every
+    write.  The discard rows are converted in blocks, each starting at a
+    pick, of _BLOCK_ENTRIES // discard_size^2 rows: about one row in
+    discard_size is a pick, so narrow rows are converted many picks at a
+    time and wide ones about one pick at a time, never many rows per pick.
     """
     flags = bytearray(n)
     alive = np.frombuffer(flags, dtype=bool)
     alive[list(good)] = True
-    discard = charts[:, :discard_size]
+    step = max(1, _BLOCK_ENTRIES // discard_size**2)
+    lo = hi = 0
     picks, rows = [], []
     for k, v in enumerate(good):
         if flags[v]:
             picks.append(v)
             rows.append(k)
-            alive[discard[k]] = False
+            if k >= hi:
+                lo, hi = k, k + step
+                discard = charts[lo:hi, :discard_size].astype(np.intp)
+            alive[discard[k - lo]] = False
     return picks, rows
 
 

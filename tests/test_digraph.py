@@ -486,7 +486,7 @@ class TestBallCharts:
         ball = cayley_ball(Z1, 2)
         for graph in (quotient_graph(Z1, 6), LabeledDigraph(0, 3, [])):
             charts, ok = ball_charts(graph, [], ball)
-            assert charts.shape == (0, ball.size) and charts.dtype == np.int64
+            assert charts.shape == (0, ball.size) and charts.dtype == _walk_dtype(graph.vertex_count, 3)
             assert ok.shape == (0,) and ok.dtype == bool
 
     def test_radius_zero(self):
@@ -626,13 +626,29 @@ class TestWalkDtype:
         assert walk.dtype == np.int32
         assert np.array_equal(walk.T, label_walk(graph, range(49), ball))
 
-    def test_charts_stay_int64(self):
+    def test_charts_take_the_walk_width(self):
         charts, ok = ball_charts(quotient_graph(FreeAbelian(2), 8), range(64), cayley_ball(FreeAbelian(2), 3))
-        assert charts.dtype == np.int64 and ok.all()
+        assert charts.dtype == np.int32 and ok.all()
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_blocks_chart_as_one(monkeypatch, rows):
+    """Charting in blocks of a few vertices gives the rows and flags of a single block, failures included."""
+    group = FreeAbelian(2)
+    edges = list(quotient_graph(group, 6).edges())
+    edges[10], edges[20] = (edges[10][0], edges[20][1], 0), (edges[20][0], edges[10][1], 0)
+    graph, ball = LabeledDigraph(36, 5, edges), cayley_ball(group, 2)
+    vertices = [*range(36), 4, 4]
+    whole, whole_ok = ball_charts(graph, vertices, ball)
+    monkeypatch.setattr(digraph, "_BLOCK_ENTRIES", rows * ball.size)
+    charts, ok = ball_charts(graph, vertices, ball)
+    assert not whole_ok.all() and whole_ok.any()
+    assert np.array_equal(ok, whole_ok) and np.array_equal(charts[ok], whole[whole_ok])
+    assert_charts_match(graph, vertices, ball)
 
 
 def test_chart_memory_bound():
-    """Charting the side-28 torus over the radius-13 Z^2 ball peaks below 2.5 times the charts."""
+    """Charting the side-28 torus over the radius-13 Z^2 ball peaks below 2.5 times its int32 charts."""
     group = FreeAbelian(2)
     graph, ball = quotient_graph(group, 28), cayley_ball(group, 13)
     tracemalloc.start()

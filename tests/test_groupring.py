@@ -245,6 +245,22 @@ class TestTransplant:
         m = transplant(c, np.array([[1], [0]]), cayley_ball(Z1, 0), 2)
         assert m.dense().array.tolist() == [[0, 0, 1, 0], [0, 0, 2, 1], [1, 0, 0, 0], [2, 1, 0, 0]]
 
+    def test_int32_charts_past_the_int32_row_range(self):
+        # vertex * d passes 2^31 on int32 charts of 2^31 vertices; no graph is built
+        diag, row = FpMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]], 5), FpMatrix([[0, 4, 0]] * 3, 5)
+        c = GroupRingKernel(Z1, 3, 5, {(0,): diag, (1,): row})
+        ball = cayley_ball(Z1, 1)
+        charts = np.array([[2**31 - 1, 2**30, 0], [2**30 + 7, 2**31 - 2, 9]], dtype=np.int32)
+        m = transplant(c, charts, ball, 2**31)
+        want = sorted(
+            (int(charts[j, ball.element_index[g]]) * 3 + a, j * 3 + b, int(coeff[a, b]))
+            for j in range(2)
+            for g, coeff in zip(c.support, c.coeffs)
+            for a, b in zip(*np.nonzero(coeff))
+        )
+        assert m.shape == (3 * 2**31, 6) and max(want)[0] > 3 * 2**30
+        assert list(zip(m.row.tolist(), m.col.tolist(), m.val.tolist())) == want
+
 
 class TestKernelRadius:
     def test_block_diagonal_singular(self):

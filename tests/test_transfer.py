@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -242,6 +243,30 @@ class TestTransferIdentity:
         approx = torus_approximation(Z1, 12, 5)
         inst = instance(phi, phi, approx)
         assert not verify_transfer_identity(inst)
+
+
+def test_pair_keys_past_int32():
+    # v2 * |V| + v1 from int32 chart columns on 2^31 vertices; no graph is built
+    v2 = np.array([[2**31 - 1, 7]], dtype=np.int32)
+    v1 = np.array([[2**31 - 2, 0, 1]], dtype=np.int32)
+    keys = transfer._pair_keys(v2, v1, 2**31)
+    assert keys.shape == (1, 2, 3)
+    assert keys.tolist() == [[[a * 2**31 + b for b in v1[0].tolist()] for a in v2[0].tolist()]]
+
+
+def test_identity_check_memory_bound():
+    """The identity check peaks below 100 bytes per (v', t, s) term on a torus instance."""
+    phi, psi = random_invertible_pair(random.Random(10), FreeAbelian(2), 3, 3)
+    inst = smallest_instance(phi, psi)
+    terms = len(inst.v_prime) * len(phi.support) * len(psi.support)
+    tracemalloc.start()
+    try:
+        holds = verify_transfer_identity(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert holds and inst.v_dprime == inst.v_prime and terms >= 10**4
+    assert peak < 100 * terms
 
 
 def dense_identity_on_vpp(inst):

@@ -139,6 +139,15 @@ class TestGuarantees:
         sel = select(graph, good, 1)
         assert set(sel.v1) <= set(good)
 
+    @pytest.mark.parametrize("rows", [1, 4, 9])
+    def test_sweep_in_small_blocks_picks_the_same(self, monkeypatch, rows):
+        # the five-vertex discard rows converted one, four or nine at a time, on a good set with gaps
+        graph, good = quotient_graph(Z1, 40), [v for v in range(40) if v % 7 != 3]
+        whole = select(graph, good, 1)
+        monkeypatch.setattr(weiss, "_BLOCK_ENTRIES", rows * 5**2)
+        sel = select(graph, good, 1)
+        assert (sel.v1, sel.min_pairwise_distance) == (whole.v1, whole.min_pairwise_distance)
+
     def test_larger_verified_radius_selects_the_same(self):
         # Charts verified at a larger radius give the same discard prefixes.
         graph = quotient_graph(Z1, 30)
