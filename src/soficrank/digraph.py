@@ -231,7 +231,7 @@ _BLOCK_ENTRIES = 2**16  # walk entries ball_charts holds at once
 
 
 def _walk_dtype(vertex_count: int, num_labels: int) -> type:
-    """int32 when every flat out-table position (< |V||B|) and boundary key (<= 2|V|+1) fits in it; else int64."""
+    """int32 when every flat out-table position (< |V||B|) and sort key (<= 2|V|+1) fits in it; else int64."""
     return np.int32 if max(vertex_count * num_labels, 2 * vertex_count + 1) < 2**31 else np.int64
 
 
@@ -271,11 +271,11 @@ def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np
 
     The walk matches every BFS-tree edge by construction.  One width,
     int32 while max(|V||B|, 2|V|+1) < 2^31 and int64 otherwise, serves the
-    walk, the charts, the relations, the boundary keys and the injectivity
-    sort.  The vertices are charted in blocks of _BLOCK_ENTRIES walk
-    entries: each block is walked, checked and transposed into the one
-    chart array, and its walk is freed before its rows are sorted, so the
-    peak stays near the charts plus one block.
+    walk, the charts, the relations and the sort keys.  The vertices are
+    charted in blocks of _BLOCK_ENTRIES walk entries: each block is walked,
+    checked and transposed into the one chart array, and its walk is freed
+    before its rows are sorted, so the peak stays near the charts plus one
+    block.
 
     For a non-tree ball edge (i, l, j), write W_i for the walked images of
     i, P = parent(i) and x = via(i), so that W_i = T_x(W_P) where T_x is
@@ -298,39 +298,54 @@ def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np
     vertex and is gathered back through the anchors' images only when it
     fails somewhere.  Every other non-tree edge is compared chart by chart.
 
-    An extra edge on label l can only land on the image of an element with
-    no incoming l-edge in the ball: the graph has at most one incoming
-    l-edge per vertex, a matched ball edge already supplies that edge to
-    the image of every other element, and the row is injective.  So the
-    heads h of each label's leaving edges (its sources) are compared with
-    the images w of those boundary elements (its sinks) by one sort of the
-    keys 2h+1 and 2w along each chart: a hit is a key 2w next to 2w+1,
-    which neither a missing head (key -1) nor two equal heads can make.
+    Each row is then sorted once, as the keys 2w of its images w and 2h+1
+    of the heads h (-1 for none) of the graph's edges on every (element,
+    label) the ball lacks.  A row fails on a key -2, an image -1; on an
+    even key followed by itself, a repeated image; and on an even key
+    followed by its successor, a head on an image, that is, an extra edge.
+    Two heads may meet outside the image, so odd keys may repeat.  Once the
+    other checks pass, a head on label l lands only on the image of an
+    element with no incoming l-edge in the ball: if the head on l from f(i)
+    lands on f(j) and the ball has an l-edge (k, j), the matched edge gives
+    f(i) = f(k), as the graph has at most one incoming l-edge per vertex,
+    and injectivity gives i = k, which lacks l.
     """
     vertices = _checked_vertices(graph, vertices, ball)
     out = graph.out.astype(_walk_dtype(graph.vertex_count, graph.num_labels), copy=False)
-    checks = _chart_checks(out, ball)
+    relations, (src, label, dst) = _chart_checks(out, ball)
     charts = np.empty((vertices.size, ball.size), dtype=out.dtype)
     ok = np.ones(vertices.size, dtype=bool)
     rows = max(1, _BLOCK_ENTRIES // ball.size)
     for lo in range(0, vertices.size, rows):
-        block = slice(lo, lo + rows)
+        block, fine = slice(lo, lo + rows), ok[lo : lo + rows]
         walk = _walk(out, vertices[block], ball)  # [j, k]
-        _check_walk(out, walk, checks, ok[block])
+        for holds, anchors in relations:
+            fine &= holds[walk[anchors]].all(axis=0)
+        heads = walk[src]
+        heads *= out.shape[1]
+        heads += label
+        np.take(out.ravel(), heads, out=heads, mode="wrap")
+        fine &= (heads[: dst.size] == walk[dst]).all(axis=0)
         charts[block] = walk.T
-        del walk  # before the sort, to keep the peak at the charts and one block
-        ordered = np.sort(charts[block], axis=1)
-        ok[block] &= (ordered[:, 0] >= 0) & (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+        del walk  # before the keys, to keep the peak at the charts and one block
+        keys = np.concatenate([charts[block], heads[dst.size :].T], axis=1)
+        del heads
+        keys *= 2
+        keys[:, ball.size :] += 1
+        keys.sort(axis=1)
+        fine &= keys[:, 0] != -2
+        fine &= (keys[:, 1:] > keys[:, :-1] ^ 1).all(axis=1)  # no even key 2w followed by 2w or 2w + 1
     return charts, ok
 
 
-def _chart_checks(out: np.ndarray, ball: "CayleyBall") -> tuple[list, tuple, list]:
-    """What _check_walk compares in every block: the ball's failing relations, kind-3 edges and boundary.
+def _chart_checks(out: np.ndarray, ball: "CayleyBall") -> tuple[list, tuple]:
+    """What ball_charts compares in every block: the ball's failing relations and the heads it gathers.
 
-    Returns (relations, direct, boundary): a (flags, anchors) pair per
-    relation of kind < 3 that fails at some graph vertex, the (src,
-    label, dst) columns of the kind-3 edges, and a (label, sources,
-    sinks) triple per label that has both.
+    Returns (relations, (src, label, dst)): a (flags, anchors) pair per
+    relation of kind < 3 that fails at some graph vertex, and the (element,
+    label) pairs whose heads each chart gathers, first the kind-3 edges,
+    whose heads must be the images of dst, then every pair at which the
+    ball has no edge, whose heads become the odd sort keys.
     """
     (src, label, dst, anchor, relation), (kind, x, l) = _cycle_relations(ball)
     relations = []
@@ -339,35 +354,9 @@ def _chart_checks(out: np.ndarray, ball: "CayleyBall") -> tuple[list, tuple, lis
         if not holds.all():
             relations.append((holds, anchor[relation == rel]))
     rest = kind[relation] == 3
-    direct = (src[rest], label[rest, None].astype(out.dtype), dst[rest])
-    bout = ball.graph.out
-    no_out = bout < 0
-    no_in = np.ones(bout.shape, dtype=bool)
-    no_in[bout[~no_out], np.nonzero(~no_out)[1]] = False
-    boundary = [
-        (b, np.flatnonzero(no_out[:, b]), np.flatnonzero(no_in[:, b]))
-        for b in np.flatnonzero(no_out.any(axis=0) & no_in.any(axis=0)).tolist()
-    ]
-    return relations, direct, boundary
-
-
-def _check_walk(out: np.ndarray, walk: np.ndarray, checks: tuple[list, tuple, list], ok: np.ndarray) -> None:
-    """Clear ok at every column of a block of the walk that breaks a relation, a kind-3 edge or the boundary."""
-    relations, (src, label, dst), boundary = checks
-    for holds, anchors in relations:
-        ok &= holds[walk[anchors]].all(axis=0)
-    if src.size:
-        step = walk[src]
-        step *= out.shape[1]
-        step += label
-        np.take(out.ravel(), step, out=step, mode="wrap")
-        ok &= (step == walk[dst]).all(axis=0)
-    # An edge leaving a source's image must not land on a sink's image: one sort per label.
-    for b, sources, sinks in boundary:
-        keys = 2 * np.concatenate([out[walk[sources], b], walk[sinks]])
-        keys[: sources.size] += 1
-        keys.sort(axis=0)
-        ok &= ((keys[:-1] ^ 1) != keys[1:]).all(axis=0)  # no even key 2w followed by 2w + 1
+    element, lacked = np.nonzero(ball.graph.out < 0)
+    labels = np.concatenate([label[rest], lacked])[:, None].astype(out.dtype)
+    return relations, (np.concatenate([src[rest], element]), labels, dst[rest])
 
 
 def _cycle_relations(ball: "CayleyBall") -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:

@@ -36,12 +36,9 @@ from typing import Optional
 
 import numpy as np
 
-from .digraph import LabeledDigraph, distances
+from .digraph import _BLOCK_ENTRIES, LabeledDigraph, distances
 from .errors import ApproximationTooCoarse, InternalInconsistency, PreconditionDensity
 from .sofic import SoficApproximation
-
-
-_BLOCK_ENTRIES = 2**16  # bounds the discard entries _sweep converts to intp at once
 
 
 @dataclass(eq=False)

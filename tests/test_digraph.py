@@ -208,7 +208,7 @@ class TestBallIsomorphism:
         ids=["Z1-r2", "Z2-r3", "Z3-r2", "S5-r2"],
     )
     def test_ball_onto_itself(self, group, r):
-        # at the root, many sources of one label have no head: missing heads must never clash
+        # at the root, many elements lacking a label have no edge on it: their -1 heads must never clash
         ball = cayley_ball(group, r)
         f = digraph.ball_isomorphism(ball.graph, 0, ball)
         assert f == tuple(range(ball.size))
@@ -507,6 +507,36 @@ class TestBallCharts:
         ball = CayleyBall(1, (0, 1, 2), star, **tree)
         merged = LabeledDigraph(2, 2, [(0, 1, 0), (0, 1, 1)])  # both leaves land on 1
         assert not assert_charts_match(merged, [0, 1], ball).any()
+
+    def test_missing_label_looping_back_to_its_image(self):
+        # the radius-1 Z^2 ball as a graph; its element (1, 0) at 4 has no +y edge (label 2), in or out
+        ball = cayley_ball(FreeAbelian(2), 1)
+        plus = list(ball.graph.edges())
+        assert assert_charts_match(LabeledDigraph(5, 5, plus), [0], ball).all()
+        assert not assert_charts_match(LabeledDigraph(5, 5, plus + [(4, 4, 2)]), [0], ball).any()
+
+    def test_missing_label_onto_another_boundary_image(self):
+        # the open path 0 - 1 - 2 with Z^1 labels (+1, -1, identity), then a +1 edge from 2 onto 0
+        path = [(v, v, 2) for v in range(3)] + [(0, 1, 0), (1, 2, 0), (1, 0, 1), (2, 1, 1)]
+        ball = cayley_ball(Z1, 1)
+        # at 1 both ends' missing edges have head -1, a repeated key that is no clash
+        assert list(assert_charts_match(LabeledDigraph(3, 3, path), range(3), ball)) == [False, True, False]
+        # at 1 the +1 edge leaving the image of +1 lands on the image of -1
+        assert not assert_charts_match(LabeledDigraph(3, 3, path + [(2, 0, 0)]), range(3), ball).any()
+
+    def test_boundary_heads_meeting_outside_the_chart(self):
+        # on the 4-cycle, the +1 edge from v+1 and the -1 edge from v-1 both end at v+2, outside the radius-1 chart
+        cycle = [(v, v, 2) for v in range(4)] + [(v, (v + 1) % 4, 0) for v in range(4)]
+        cycle += [(v, (v - 1) % 4, 1) for v in range(4)]
+        assert assert_charts_match(LabeledDigraph(4, 3, cycle), range(4), cayley_ball(Z1, 1)).all()
+
+    def test_missing_edge_whose_wrapped_reads_match(self):
+        # a 5-cycle whose vertex 0 lacks its -1 edge: the walk from 0 reads the last row for the missing
+        # image, where 4's +1 edge back to 0 satisfies the back edge, so only the -1 image rejects the chart
+        cycle = [(v, v, 2) for v in range(5)] + [(v, (v + 1) % 5, 0) for v in range(5)]
+        cycle += [(v, v - 1, 1) for v in range(1, 5)]
+        ok = assert_charts_match(LabeledDigraph(5, 3, cycle), range(5), cayley_ball(Z1, 1))
+        assert list(ok) == [False, True, True, True, False]
 
     def test_walk_marks_missing_edges(self):
         # an open path 0 - 1 - 2 with Z^1 labels: +1, -1, identity self-loops
