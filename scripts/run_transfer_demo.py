@@ -10,10 +10,9 @@ is impossible; the demo prints which verdict each element earns.
 """
 
 import argparse
-import json
 from pathlib import Path
 
-from soficrank.exactfield import FpMatrix, json_value
+from soficrank.exactfield import FpMatrix, json_text
 from soficrank.groupring import GroupRingKernel
 from soficrank.groups import FreeAbelian
 from soficrank.transfer import run_experiment
@@ -65,7 +64,7 @@ def main():
 
     for name, rep in [("lower_involution", lower), ("upper_projector", upper)]:
         path = outdir / f"{name}.json"
-        path.write_text(json.dumps(json_value(rep), sort_keys=True, indent=2) + "\n")
+        path.write_text(json_text(rep) + "\n")
         print(f"wrote {path}")
 
 

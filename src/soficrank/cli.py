@@ -18,7 +18,7 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -36,7 +36,7 @@ from .errors import (
     content_lines,
     read_utf8,
 )
-from .exactfield import json_value, parse_rational, validate_modulus
+from .exactfield import json_text, parse_rational, validate_modulus
 from .groupring import GroupRingKernel, compose
 from .groups import FreeAbelian, GroupModel, cayley_ball, read_finite_group_file
 from .limits import Limits
@@ -177,8 +177,8 @@ def _read_instance(path) -> tuple[InstanceFile, str]:
     return parse_instance_file(path, data), digest
 
 
-def _emit(args, subcommand: str, inputs: dict, payload: dict, table: list[tuple[str, object]]) -> None:
-    """Print the table, and write the report envelope when --out is given."""
+def _emit(args, subcommand: str, inputs: dict, payload, table: list[tuple[str, object]]) -> None:
+    """Print the table, and write the report envelope when --out is given; the payload is a dict or a report dataclass."""
     width = max((len(k) for k, _ in table), default=0)
     for key, value in table:
         print(f"{key.ljust(width)}  {value}")
@@ -191,7 +191,7 @@ def _emit(args, subcommand: str, inputs: dict, payload: dict, table: list[tuple[
             "payload": payload,
         }
         try:
-            Path(args.out).write_text(json.dumps(envelope, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+            Path(args.out).write_text(json_text(envelope) + "\n", encoding="utf-8")
         except OSError as exc:
             raise ValueError(f"cannot write {args.out}: {exc}")
         print(f"report written to {args.out}")
@@ -284,7 +284,7 @@ def _cmd_sofic_verify(args) -> int:
     payload = {
         "group": group.describe(),
         "radius": args.radius,
-        "epsilon": json_value(epsilon),
+        "epsilon": epsilon,
         "vertex_count": vertex_count,
         "good_count": len(good),
     }
@@ -319,7 +319,7 @@ def _cmd_weiss_select(args) -> int:
         "good": good,
     }
     sel = weiss_select(verify(), args.r0)
-    payload = {**json_value(sel), "separation_bound": 2 * args.r0 + 1}
+    payload = {**asdict(sel), "separation_bound": 2 * args.r0 + 1}
     _emit(args, "weiss-select", inputs, payload, [
         ("selected", len(sel.v1)),
         ("V1", ",".join(str(v) for v in sel.v1)),
@@ -426,7 +426,7 @@ def _cmd_transfer_run(args) -> int:
         table.append(("identity on V''", report.identity_on_vpp))
     if report.weiss is not None:
         table.append(("|V1|", len(report.weiss.v1)))
-    _emit(args, "transfer-run", inputs, json_value(report), table)
+    _emit(args, "transfer-run", inputs, report, table)
     return 0
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -116,7 +117,9 @@ class FpSparse:
     canonical form: sorted by (row, col), every val in [1, p), no position
     repeated.  The constructor brings any coordinate lists to that form:
     values are reduced mod p, entries at a repeated position summed and
-    zeros dropped.
+    zeros dropped.  Lists already in that form, which it checks in one
+    pass, skip the sort and the summing.  It keeps copies, so the caller's
+    arrays stay the caller's.
     """
 
     __slots__ = ("row", "col", "val", "shape", "p")
@@ -131,7 +134,8 @@ class FpSparse:
             raise ValueError(f"coordinate arrays differ in length: {row.size}, {col.size}, {val.size}")
         if row.size and not (0 <= row.min() and row.max() < rows and 0 <= col.min() and col.max() < cols):
             raise ValueError(f"an entry lies outside the {rows}x{cols} shape")
-        row, col, val = _coalesce(row, col, val % p, cols, p)
+        if not _is_canonical(row, col, val, cols, p):
+            row, col, val = _coalesce(row, col, val % p, cols, p)
         for a in (row, col, val):
             a.setflags(write=False)
         for name, value in zip(self.__slots__, (row, col, val, (rows, cols), p)):
@@ -157,6 +161,14 @@ class FpSparse:
         out = np.zeros(self.shape, dtype=np.int64)
         out[self.row, self.col] = self.val
         return FpMatrix(out, self.p)
+
+
+def _is_canonical(row, col, val, cols: int, p: int) -> bool:
+    """Whether entries inside the shape are sorted by strictly increasing (row, col), with every val in [1, p)."""
+    if not row.size:
+        return True
+    key = row * cols + col
+    return bool((key[1:] > key[:-1]).all() and val.min() >= 1 and val.max() < p)
 
 
 def _coalesce(row, col, val, cols: int, p: int):
@@ -384,18 +396,50 @@ def kernel_basis(m: FpMatrix) -> list[FpMatrix]:
     return basis
 
 
-def json_value(x):
-    """JSON form of a report value: a Fraction as {"num", "den"}, a tuple as a
-    list, a dataclass as {field: json_value(value)}; anything else as is."""
-    if x is None or isinstance(x, (int, str)):  # bool is an int; the commonest values first
-        return x
+def json_text(x) -> str:
+    """The report x as JSON text: json.dumps(..., sort_keys=True, indent=2) of its JSON form, without json's Python indenter.
+
+    The JSON form of a Fraction is {"den", "num"}, of a tuple a list, of a
+    dataclass the dict of its fields; dicts with str keys, lists, str, int,
+    bool and None are their own.  Anything else, a float included, raises
+    TypeError: reports are exact.  An all-int list is joined in one call.
+    """
+    return _json_text(x, "\n")
+
+
+def _json_text(x, nl: str) -> str:
+    """x as JSON text whose nested lines start with nl, a newline and the indent of x's own line."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = nl + "  "
+    if isinstance(x, (tuple, list)):
+        if not x:
+            return "[]"
+        if set(map(type, x)) == {int}:
+            body = map(int.__repr__, x)
+        else:
+            body = [_json_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(body) + nl + "]"
     if isinstance(x, Fraction):
-        return {"num": x.numerator, "den": x.denominator}
-    if isinstance(x, tuple):
-        return [json_value(v) for v in x]
-    if dataclasses.is_dataclass(x):
-        return {f.name: json_value(getattr(x, f.name)) for f in dataclasses.fields(x)}
-    return x
+        items = [("den", x.denominator), ("num", x.numerator)]
+    elif isinstance(x, dict):
+        items = sorted(x.items())  # a key that is not a str is refused by encode_basestring_ascii
+    elif dataclasses.is_dataclass(x) and not isinstance(x, type):
+        items = sorted((f.name, getattr(x, f.name)) for f in dataclasses.fields(x))
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    if not items:
+        return "{}"
+    body = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in items]
+    return "{" + inner + ("," + inner).join(body) + nl + "}"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -174,16 +174,19 @@ def transplant(c: GroupRingKernel, charts: np.ndarray, ball: CayleyBall, rows: i
     Column block j holds c(s) at row block charts[j, ball.element_index[s]]
     for every s in supp c, and nothing else; there are `rows` row blocks.
     The support lies in the ball, and each chart row is injective, so no
-    two blocks share a place.  The row indices vertex*d + a are int64
-    whatever the width of the charts.
+    two blocks share a place: the entries, sorted once by position, are
+    already in FpSparse's canonical form.  The row indices vertex*d + a
+    are int64 whatever the width of the charts.
     """
-    d = c.d
+    d, n = c.d, len(charts)
     at = charts[:, [ball.element_index[s] for s in c.support]].astype(np.int64).T  # [s, j]
     s, a, b = np.nonzero(c.coeffs)  # one entry (s, a, b) per nonzero coefficient, s-major
-    row = at[s] * d + a[:, None]
-    col = np.arange(len(charts), dtype=np.int64) * d + b[:, None]
-    val = np.broadcast_to(c.coeffs[s, a, b][:, None], row.shape)
-    return FpSparse(row, np.broadcast_to(col, row.shape), val, (d * rows, d * len(charts)), c.p)
+    key = ((at[s] * d + a[:, None]) * (d * n) + np.arange(n, dtype=np.int64) * d + b[:, None]).ravel()
+    # Positions are distinct, so any sort gives this order; numpy's stable
+    # sort (timsort on int64) gains from the sorted runs the charts leave in the keys.
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    return FpSparse(key // (d * n), key % (d * n), c.coeffs[s, a, b][order // n], (d * rows, d * n), c.p)
 
 
 def support_walk(c: GroupRingKernel, cod: CayleyBall, starts: int) -> tuple[np.ndarray, CayleyBall]:

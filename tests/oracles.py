@@ -9,8 +9,10 @@ The fixtures build inputs that no CLI command needs: cyclic and
 dihedral groups, direct products, S5, random kernels and graph files.
 """
 
+import dataclasses
 import random
 from collections import Counter, deque
+from fractions import Fraction
 from itertools import accumulate, permutations, product
 from math import prod
 from typing import Optional
@@ -39,6 +41,32 @@ def dense_rank(m: FpMatrix) -> int:
         a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
         r += 1
     return r
+
+
+def sparse_by_accumulation(row, col, val, shape, p: int) -> FpMatrix:
+    """The dense matrix that coordinate lists stand for: each value added at its place with Python ints, then reduced mod p."""
+    want = np.zeros(shape, dtype=object)
+    for r, c, v in zip(row, col, val):
+        want[r, c] += int(v)
+    return FpMatrix((want % p).astype(np.int64), p)
+
+
+def json_value(x):
+    """JSON form of a report value, the reference for exactfield.json_text.
+
+    A Fraction becomes {"num", "den"}, a tuple or list a list, a dataclass
+    {field: value}, a dict {key: value}, each value converted in turn;
+    anything else is left as is for json to write or refuse.
+    """
+    if isinstance(x, Fraction):
+        return {"num": x.numerator, "den": x.denominator}
+    if isinstance(x, (tuple, list)):
+        return [json_value(v) for v in x]
+    if isinstance(x, dict):
+        return {k: json_value(v) for k, v in x.items()}
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return {f.name: json_value(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    return x
 
 
 def slice_ranks(inst: TransferInstance, v1) -> tuple[int, ...]:

@@ -1,16 +1,19 @@
+import json
 import pytest
+from dataclasses import dataclass
 from fractions import Fraction
 from hypothesis import given, settings
 import hypothesis.strategies as st
 import numpy as np
 
-from oracles import dense_rank
+from oracles import dense_rank, json_value, sparse_by_accumulation
 from soficrank import exactfield
 from soficrank.exactfield import (
     MAX_MODULUS,
     FpMatrix,
     FpSparse,
     is_prime,
+    json_text,
     kernel_basis,
     mat_mul,
     rank,
@@ -363,23 +366,117 @@ class TestFpSparse:
         st.sampled_from([2, 3, 7, LARGEST_PRIME]),
         st.integers(0, 6),
         st.integers(0, 6),
+        st.booleans(),
+        st.booleans(),
         st.data(),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_canonical_form_from_any_coordinates(self, p, rows, cols, data):
-        """Repeats, zeros, values >= p or negative, any order, the empty list: one stored form."""
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_form_from_any_coordinates(self, p, rows, cols, in_order, as_arrays, data):
+        """Repeats, zeros, values >= p or negative, any order or sorted, the empty list: one stored form."""
         cells = st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, max(cols - 1, 0)))
-        value = st.one_of(st.just(0), st.integers(-3 * p, 3 * p), st.integers(-(2**40), 2**40))
+        value = st.one_of(st.integers(1, p - 1), st.just(0), st.integers(-3 * p, 3 * p), st.integers(-(2**40), 2**40))
         entries = data.draw(st.lists(st.tuples(cells, value), max_size=30 if rows and cols else 0))
+        if in_order:  # sorted by place, so that repeats, zeros and values outside [1, p) are the only faults
+            entries.sort(key=lambda e: e[0])
         row = [r for (r, _), _ in entries]
         col = [c for (_, c), _ in entries]
         val = [v for _, v in entries]
-        m = FpSparse(row, col, val, (rows, cols), p)
+        args = [np.array(a, dtype=np.int64) for a in (row, col, val)] if as_arrays else [row, col, val]
+        m = FpSparse(*args, (rows, cols), p)
         key = m.row * cols + m.col
         assert (np.diff(key) > 0).all()
         assert ((1 <= m.val) & (m.val < p)).all()
-        want = np.zeros((rows, cols), dtype=object)
-        for r, c, v in zip(row, col, val):
-            want[r, c] += v
-        assert m.dense() == FpMatrix((want % p).astype(np.int64), p)
+        assert m.dense() == sparse_by_accumulation(row, col, val, (rows, cols), p)
         assert rank(m) == dense_rank(m.dense())
+
+    @pytest.mark.parametrize(
+        "row, col, val, want",
+        [
+            ([0, 0], [1, 1], [1, 1], [(0, 1, 2)]),  # a repeated place
+            ([0, 0], [1, 1], [1, 2], []),  # a repeated place that sums to 0
+            ([0, 1], [0, 0], [0, 1], [(1, 0, 1)]),  # a zero value
+            ([0, 1], [0, 1], [3, 1], [(1, 1, 1)]),  # a value equal to p
+            ([0, 1], [0, 1], [4, -1], [(0, 0, 1), (1, 1, 2)]),  # values above p and below 0
+        ],
+    )
+    def test_sorted_but_not_canonical_is_coalesced(self, row, col, val, want):
+        m = FpSparse(row, col, val, (2, 2), 3)
+        assert list(zip(m.row.tolist(), m.col.tolist(), m.val.tolist())) == want
+        assert m.dense() == sparse_by_accumulation(row, col, val, (2, 2), 3)
+
+    def test_canonical_input_kept_and_not_shared(self):
+        row, col, val = np.array([0, 0, 2]), np.array([1, 2, 0]), np.array([1, 2, 1])
+        m = FpSparse(row, col, val, (3, 3), 3)
+        assert (m.row.tolist(), m.col.tolist(), m.val.tolist()) == ([0, 0, 2], [1, 2, 0], [1, 2, 1])
+        row[0] = col[0] = val[0] = 2  # the caller's arrays stay the caller's
+        assert (m.row[0], m.col[0], m.val[0]) == (0, 1, 1)
+        with pytest.raises(ValueError):
+            m.row[0] = 1
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
+    def test_empty_shapes(self, shape):
+        m = FpSparse([], [], [], shape, 5)
+        assert m.shape == shape and m.val.size == 0 and rank(m) == 0
+        with pytest.raises(ValueError):
+            FpSparse([0], [0], [1], shape, 5)
+
+
+@dataclass
+class Pair:
+    second: object
+    first: object
+
+
+@dataclass
+class Empty:
+    pass
+
+
+_SPECIAL_CHARACTERS = st.sampled_from(['"', "\\", "/", "\x00", "\n", "\t", "\x1f", "\x7f", "é", "\u2028", "\U0001f600"])
+JSON_TEXT = st.text(st.one_of(st.characters(), _SPECIAL_CHARACTERS), max_size=8)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.integers(-3, 3),
+    st.fractions(),
+    JSON_TEXT,
+    st.lists(st.integers(), max_size=6).map(tuple),  # the all-int join
+    st.lists(st.one_of(st.integers(-2, 2), st.booleans()), max_size=6).map(tuple),
+    st.builds(Empty),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=4),
+        st.dictionaries(JSON_TEXT, inner, max_size=4),
+        st.builds(Pair, inner, inner),
+    ),
+    max_leaves=24,
+)
+
+
+class TestJsonText:
+    @given(JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_of_json_indent_two(self, x):
+        assert json_text(x) == json.dumps(json_value(x), sort_keys=True, indent=2)
+
+    def test_fixed_layout(self):
+        x = {"b": (1, -2, 10**30), "a": Pair(Fraction(-3, 4), {}), "c": [True, None, ()], "d": Empty()}
+        assert json_text(x) == (
+            '{\n  "a": {\n    "first": {},\n    "second": {\n      "den": 4,\n      "num": -3\n    }\n  },\n'
+            '  "b": [\n    1,\n    -2,\n    1000000000000000000000000000000\n  ],\n'
+            '  "c": [\n    true,\n    null,\n    []\n  ],\n  "d": {}\n}'
+        )
+
+    @pytest.mark.parametrize(
+        "x",
+        [{(1, 2): 0}, {1: 0}, np.int64(3), (np.int64(3),), 0.5, {"a": 0.5}, {1, 2}, b"x", Empty, object()],
+        ids=["tuple-key", "int-key", "numpy-scalar", "numpy-in-tuple", "float", "nested-float", "set", "bytes",
+             "dataclass-type", "object"],
+    )
+    def test_refuses_what_json_or_exactness_refuses(self, x):
+        with pytest.raises(TypeError):
+            json_text(x)

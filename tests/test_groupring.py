@@ -18,7 +18,7 @@ from oracles import (
 from soficrank.corpus import random_invertible_pair
 from soficrank import groupring
 from soficrank.errors import InternalInconsistency
-from soficrank.exactfield import FpMatrix, mat_mul, rank
+from soficrank.exactfield import FpMatrix, FpSparse, mat_mul, rank
 from soficrank.groupring import (
     GroupRingKernel,
     check_right_inverse,
@@ -260,6 +260,33 @@ class TestTransplant:
         )
         assert m.shape == (3 * 2**31, 6) and max(want)[0] > 3 * 2**30
         assert list(zip(m.row.tolist(), m.col.tolist(), m.val.tolist())) == want
+
+    @given(st.sampled_from([Z1, Z2, S5]), st.sampled_from([1, 2, 3]), st.sampled_from([2, 3, 7]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_injective_charts_against_shuffled_entries(self, group, d, p, data):
+        """transplant sorts its entries itself; FpSparse given them in any order must store the same matrix."""
+        ball = cayley_ball(group, data.draw(st.integers(0, 2)))
+        coefficient = st.lists(st.integers(0, p - 1), min_size=d * d, max_size=d * d)
+        terms = data.draw(st.dictionaries(st.sampled_from(ball.elements), coefficient, max_size=4))
+        c = GroupRingKernel(group, d, p, {g: [v[i * d : (i + 1) * d] for i in range(d)] for g, v in terms.items()})
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rows, n = ball.size + data.draw(st.integers(0, 5)), data.draw(st.integers(0, 6))
+        charts = np.array([rng.permutation(rows)[: ball.size] for _ in range(n)], dtype=data.draw(
+            st.sampled_from([np.int32, np.int64])
+        )).reshape(n, ball.size)
+        entries = [
+            (int(charts[j, ball.element_index[g]]) * d + a, j * d + b, int(coeff[a, b]))
+            for j in range(n)
+            for g, coeff in zip(c.support, c.coeffs)
+            for a, b in zip(*np.nonzero(coeff))
+        ]
+        rng.shuffle(entries)
+        row, col, val = (np.array([e[k] for e in entries], dtype=np.int64) for k in range(3))
+        want = FpSparse(row, col, val, (d * rows, d * n), p)
+        m = transplant(c, charts, ball, rows)
+        assert m.shape == want.shape
+        for got, expected in zip((m.row, m.col, m.val), (want.row, want.col, want.val)):
+            assert np.array_equal(got, expected)
 
 
 class TestKernelRadius:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from oracles import ball_isomorphism, commutative_square_matrix, cyclic_group, dense_rank, slice_ranks
+from oracles import ball_isomorphism, commutative_square_matrix, cyclic_group, dense_rank, json_value, slice_ranks
 from test_groups import assert_same_ball
 from soficrank.cli import parse_instance_file
 from soficrank.corpus import random_invertible_pair
@@ -22,7 +22,7 @@ from soficrank.errors import (
     InternalInconsistency,
     KernelSearchExhausted,
 )
-from soficrank.exactfield import MAX_MODULUS, FpMatrix, is_prime, json_value, mat_mul, rank
+from soficrank.exactfield import MAX_MODULUS, FpMatrix, is_prime, json_text, mat_mul, rank
 from soficrank import digraph, exactfield, groups, sofic, transfer, weiss
 from soficrank.groupring import (
     GroupRingKernel,
@@ -775,9 +775,10 @@ class TestRunExperiment:
         import json
 
         report = run_experiment(singular_diag(), None, "upper", torus_n=12)
-        payload = json_value(report)
-        text = json.dumps(payload, sort_keys=True)
+        text = json_text(report)
         again = json.loads(text)
+        assert again == json_value(report)
+        assert text == json.dumps(again, sort_keys=True, indent=2)
         assert again["verdict"] == UPPER_HOLDS
         assert again["epsilon"] == {"num": 1, "den": 29}
         assert again["weiss"]["v1"] == [0, 3, 6, 9]
