@@ -14,6 +14,7 @@ to draw a random element.
 from __future__ import annotations
 
 import math
+import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -287,18 +288,9 @@ class FiniteByTable(GroupModel):
         n = len(t)
         if n == 0:
             raise ValueError("multiplication table must be nonempty")
-        if t.shape != (n, n) or ((t < 0) | (t >= n)).any():
+        if t.shape != (n, n) or t.min() < 0 or t.max() >= n:
             raise ValueError(malformed)
-        elems = np.arange(n)
-        two_sided = (t == elems).all(axis=1) & (t == elems[:, None]).all(axis=0)
-        if not two_sided.any():
-            raise ValueError("multiplication table has no two-sided identity")
-        ident = int(np.argmax(two_sided))
-        inverse_pair = (t == ident) & (t.T == ident)
-        missing = np.flatnonzero(~inverse_pair.any(axis=1))
-        if missing.size:
-            raise ValueError(f"element {missing[0]} has no two-sided inverse")
-        inv = np.argmax(inverse_pair, axis=1).tolist()
+        ident, inv = _identity_and_inverses(t)
         gens = tuple(int(g) for g in generators)
         if any(not (0 <= g < n) for g in gens):
             raise ValueError("generator out of range")
@@ -403,7 +395,7 @@ class FiniteByTable(GroupModel):
         return a
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, FiniteByTable)
             and np.array_equal(other.table, self.table)
             and other.generators == self.generators
@@ -414,6 +406,32 @@ class FiniteByTable(GroupModel):
 
     def __repr__(self):
         return f"FiniteByTable(order={self.size}, generators={self.generators})"
+
+
+def _identity_and_inverses(t: np.ndarray) -> tuple[int, list]:
+    """The two-sided identity e of an n x n table with entries in range, and
+    each element's least two-sided inverse, with one n x n comparison.
+
+    Only a row with e 0 = 0 can be e, so only those rows and their columns
+    are compared.  The least b with a b = e is a's least two-sided inverse
+    whenever b a = e too, as in every group; otherwise the full two-sided
+    mask decides, and names the least element without an inverse.
+    """
+    n = len(t)
+    elems = np.arange(n)
+    for e in np.flatnonzero(t[:, 0] == 0).tolist():
+        if (t[e] == elems).all() and (t[:, e] == elems).all():
+            break
+    else:
+        raise ValueError("multiplication table has no two-sided identity")
+    inv = np.argmax(t == e, axis=1)
+    if not ((t[elems, inv] == e).all() and (t[inv, elems] == e).all()):
+        inverse_pair = (t == e) & (t.T == e)
+        missing = np.flatnonzero(~inverse_pair.any(axis=1))
+        if missing.size:
+            raise ValueError(f"element {missing[0]} has no two-sided inverse")
+        inv = np.argmax(inverse_pair, axis=1)
+    return e, inv.tolist()
 
 
 @dataclass(eq=False)
@@ -550,25 +568,30 @@ def write_finite_group_file(path, group: FiniteByTable) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _table_row(path, ln: str):
-    """One table row's entries, read as int() reads them.
+def _table_rows(path, rows: list):
+    """The table rows' entries, read as int() reads them.
 
-    numpy reads an unsigned ASCII row in one call and raises ValueError on
-    anything else it cannot read.  It also reads a lone sign as 0 or joins
-    it to the next entry, so a row with a sign goes to int(), as does any
-    row numpy rejects; int() then reads it or names the line.  An entry
-    beyond int64 reads as its nearest int64 value, which is just as far out
-    of range for the table.
+    One loadtxt call reads rows of ASCII integers.  Whatever it refuses or
+    warns about goes to int() row by row, which then reads it or names the
+    first line it cannot read: a lone sign, an underscore, a non-ASCII
+    digit, a ragged row, an entry beyond int64, or the integral float (such
+    as 0.0) that NumPy 1.x only deprecates in an integer column.  An empty
+    row list skips loadtxt, which warns on it.
     """
-    if "-" not in ln and "+" not in ln:
+    if rows:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                return np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2)
+            except (ValueError, OverflowError, Warning):
+                pass
+    table = []
+    for ln in rows:
         try:
-            return np.fromstring(ln, dtype=np.int64, sep=" ")
+            table.append(list(map(int, ln.split())))
         except ValueError:
-            pass
-    try:
-        return list(map(int, ln.split()))
-    except ValueError:
-        raise ParseError(f"{path}: non-integer table entry in {ln!r}")
+            raise ParseError(f"{path}: non-integer table entry in {ln!r}") from None
+    return table
 
 
 def read_finite_group_file(path) -> FiniteByTable:
@@ -585,7 +608,7 @@ def read_finite_group_file(path) -> FiniteByTable:
         raise ParseError(f"{path}: non-integer order in header")
     if len(lines) != n + 2:
         raise ParseError(f"{path}: expected {n} table rows plus a generators line")
-    table = [_table_row(path, ln) for ln in lines[1 : n + 1]]
+    table = _table_rows(path, lines[1 : n + 1])
     gen_line = lines[n + 1].split()
     if not gen_line or gen_line[0] != "generators":
         raise ParseError(f"{path}: expected final 'generators ...' line")

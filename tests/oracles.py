@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from soficrank.digraph import LabeledDigraph, _check_vertex
+from soficrank.errors import ParseError
 from soficrank.exactfield import FpMatrix, rank
 from soficrank.groupring import GroupRingKernel, restriction_matrix
 from soficrank.limits import MAX_BALL_PRODUCT_CELLS
@@ -413,6 +414,35 @@ def min_pairwise_distance(graph, vertices) -> Optional[int]:
             if w in depth and (best is None or depth[w] < best):
                 best = depth[w]
     return best
+
+
+def table_rows_by_int(path, rows) -> list:
+    """Each table row's entries read by int(), the reference for the table
+    parse of read_finite_group_file; the first row int() cannot read is named."""
+    table = []
+    for ln in rows:
+        try:
+            table.append([int(x) for x in ln.split()])
+        except ValueError:
+            raise ParseError(f"{path}: non-integer table entry in {ln!r}") from None
+    return table
+
+
+def identity_and_inverses_by_masks(table) -> tuple:
+    """The least two-sided identity and each element's least two-sided inverse,
+    from full n x n masks, the reference for FiniteByTable's identity and
+    inverse checks, with their error texts."""
+    t = np.asarray(table)
+    elems = np.arange(len(t))
+    two_sided = (t == elems).all(axis=1) & (t == elems[:, None]).all(axis=0)
+    if not two_sided.any():
+        raise ValueError("multiplication table has no two-sided identity")
+    ident = int(np.argmax(two_sided))
+    inverse_pair = (t == ident) & (t.T == ident)
+    missing = np.flatnonzero(~inverse_pair.any(axis=1))
+    if missing.size:
+        raise ValueError(f"element {missing[0]} has no two-sided inverse")
+    return ident, tuple(np.argmax(inverse_pair, axis=1).tolist())
 
 
 def symmetric_group_5() -> FiniteByTable:

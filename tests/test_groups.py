@@ -1,6 +1,8 @@
+import functools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +15,10 @@ from oracles import (
     cyclic_group,
     dihedral_group,
     direct_product_table,
+    identity_and_inverses_by_masks,
     limit_error_by_depths,
     symmetric_group_5,
+    table_rows_by_int,
 )
 from soficrank import groups
 from soficrank.errors import ParseError, ResourceLimitError
@@ -154,6 +158,15 @@ class TestFiniteByTable:
         H = read_finite_group_file(path)
         assert H == G
 
+    def test_equal_tables_compare_by_content(self):
+        G = symmetric_group_5()
+        H = FiniteByTable(G.table.copy(), G.generators)
+        assert H is not G and H.table is not G.table
+        assert G == G and H == G and G == H
+        assert hash(H) == hash(G)
+        assert FiniteByTable(G.table, G.generators[::-1]) != G
+        assert cyclic_group(5) != cyclic_group(6)
+
 
 class TestFiniteGroupFileErrors:
     def read(self, tmp_path, text):
@@ -213,6 +226,134 @@ class TestFiniteGroupFileParse:
     def test_entries_beyond_int64_are_out_of_range(self, tmp_path, entry):
         with pytest.raises(ParseError, match=r"entries in range$"):
             self.read(tmp_path, f"finitegroup 2\n0 1\n1 {entry}\ngenerators 1\n")
+
+
+# Renderings of a table entry v: int() reads the first five as v, rejects the
+# next three, and the last is beyond int64.
+ENTRY_FORMS = (
+    str,
+    "+{}".format,
+    "00{}".format,
+    "0_{}".format,
+    lambda v: chr(0x660 + v),  # ARABIC-INDIC DIGIT v
+    "{}.0".format,
+    "{}e0".format,
+    "{}_".format,
+    lambda v: str(2**63 + v),
+)
+TABLE_ALPHABET = "0123456789+-_.e١\t  "
+
+
+@st.composite
+def table_rows(draw):
+    """The rows of a cyclic group's table of order n <= 4, each entry in one of
+    a few forms drawn per table, between tabs and runs of spaces; a row may be
+    one entry short or long, or text drawn from the alphabet."""
+    n = draw(st.integers(0, 4))
+    forms = draw(st.lists(st.sampled_from(ENTRY_FORMS), min_size=1, max_size=3, unique=True))
+    rows = []
+    for a in range(n):
+        if draw(st.integers(0, 9)) == 0:
+            rows.append(draw(st.text(TABLE_ALPHABET, min_size=1, max_size=12).filter(str.strip)))
+            continue
+        width = n + draw(st.sampled_from((0, 0, 0, 0, -1, 1)))
+        cells = [draw(st.sampled_from(forms))((a + b) % n) for b in range(width)]
+        gaps = draw(st.lists(st.sampled_from((" ", "  ", "\t", " \t ")), min_size=width, max_size=width))
+        row = "".join(c + g for c, g in zip(cells, gaps))
+        rows.append(row if row.strip() else "0")
+    return n, rows
+
+
+def outcome(read):
+    """A read's group as its table and generators, or its ParseError text."""
+    try:
+        group = read()
+    except ParseError as exc:
+        return str(exc)
+    return group.table.tolist(), group.generators
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_rows())
+@example((0, []))
+@example((1, ["0"]))
+@example((1, ["0.0"]))
+@example((2, ["0 1", "1 1e0"]))
+@example((2, ["0 1", f"1 {2**63}"]))
+@example((3, ["0 1", "1 2 0", "2 x 1"]))
+def test_reader_matches_the_int_oracle(tmp_path_factory, case):
+    n, rows = case
+    gens = list(cyclic_group(n).generators) if n else []
+    path = tmp_path_factory.getbasetemp() / "oracle.table"
+    path.write_text("\n".join([f"finitegroup {n}", *rows, "generators " + " ".join(map(str, gens))]), encoding="utf-8")
+
+    def read_by_int():
+        table = table_rows_by_int(path, [row.strip() for row in rows])
+        try:
+            return FiniteByTable(table, gens)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert outcome(lambda: read_finite_group_file(path)) == outcome(read_by_int)
+
+
+s5_table = functools.cache(symmetric_group_5)
+
+
+@st.composite
+def mutated_tables(draw):
+    """A cyclic, dihedral or S5 table under a random relabelling, and its
+    generators, with at most one entry changed: anywhere, or so that a second
+    row x has x 0 = 0, a row holds the identity twice, or an inverse breaks."""
+    kind = draw(st.sampled_from(("cyclic", "dihedral", "S5")))
+    G = (
+        cyclic_group(draw(st.integers(1, 9)))
+        if kind == "cyclic"
+        else dihedral_group(draw(st.integers(3, 7)))
+        if kind == "dihedral"
+        else s5_table()
+    )
+    n = G.size
+    label = np.array(draw(st.permutations(range(n))))
+    t = np.empty_like(G.table)
+    t[np.ix_(label, label)] = label[G.table]
+    e = int(label[G.identity()])
+    element = st.integers(0, n - 1)
+    mutation = draw(st.sampled_from(("none", "entry", "identity-like row", "identity twice", "broken inverse")))
+    if mutation == "entry":
+        t[draw(element), draw(element)] = draw(element)
+    elif mutation == "identity-like row":
+        t[draw(element), 0] = 0
+    elif mutation == "identity twice":
+        t[draw(element), draw(element)] = e
+    elif mutation == "broken inverse" and n > 1:
+        a = draw(element)
+        t[a, np.flatnonzero(t[a] == e)[0]] = draw(element.filter(lambda k: k != e))
+    return t, label[list(G.generators)].tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_tables())
+def test_identity_and_inverses_match_the_masks(case):
+    t, gens = case
+    try:
+        want = identity_and_inverses_by_masks(t)
+    except ValueError as exc:
+        want = str(exc)
+    try:
+        e, inv = groups._identity_and_inverses(t)
+        assert (e, tuple(inv)) == want
+    except ValueError as exc:
+        assert str(exc) == want
+    try:
+        G = FiniteByTable(t, gens)
+    except ValueError as exc:
+        # a table the masks accept may still fail a later check
+        assert isinstance(want, tuple) or str(exc) == want
+    else:
+        assert (G.identity(), G._inv) == want
 
 
 class TestCayleyBall:
