@@ -10,6 +10,7 @@ The constructor rejects graphs violating determinism.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -147,6 +148,16 @@ def table_edges(out: np.ndarray) -> np.ndarray:
     return np.column_stack([src, out[src, label], label])
 
 
+def integer_list(values, what: str = "vertex") -> list[int]:
+    """The values as Python ints by operator.index, in order; ValueError names the first that is not one, never rounded or parsed."""
+    values = values if isinstance(values, (list, tuple, range)) else list(values)
+    try:
+        return list(map(operator.index, values))
+    except TypeError:
+        bad = next(v for v in values if not hasattr(type(v), "__index__"))
+        raise ValueError(f"{what} {bad!r} is not an integer") from None
+
+
 def _check_vertex(graph: LabeledDigraph, v: int) -> None:
     if not (0 <= v < graph.vertex_count):
         raise ValueError(f"vertex {v} out of range [0, {graph.vertex_count})")
@@ -214,17 +225,18 @@ def label_walk(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> np.ndarra
 
 
 def _checked_vertices(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> np.ndarray:
-    """The vertices as an int64 array, after the alphabet check and a range check of each."""
+    """The vertices as an int64 array, an int64 one as it is, after the alphabet check and a check of each: an integer, in range."""
     bgraph = ball.graph
     if bgraph.num_labels != graph.num_labels:
         raise ValueError(
             f"label alphabet mismatch: ball has {bgraph.num_labels} labels, graph has {graph.num_labels}"
         )
-    vertices = np.asarray(vertices, dtype=np.int64).reshape(-1)
+    if not (isinstance(vertices, np.ndarray) and vertices.dtype.kind == "i"):
+        vertices = np.array(integer_list(vertices), dtype=object)  # Python ints, so none beyond int64 wraps
     outside = vertices[(vertices < 0) | (vertices >= graph.vertex_count)]
     if outside.size:
         _check_vertex(graph, int(outside[0]))
-    return vertices
+    return vertices.astype(np.int64, copy=False).reshape(-1)
 
 
 _BLOCK_ENTRIES = 2**16  # walk entries ball_charts holds at once

@@ -65,10 +65,6 @@ class FpMatrix:
         raise AttributeError("FpMatrix is immutable")
 
     @classmethod
-    def zeros(cls, rows: int, cols: int, p: int) -> "FpMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.int64), p)
-
-    @classmethod
     def identity(cls, n: int, p: int) -> "FpMatrix":
         return cls(np.eye(n, dtype=np.int64), p)
 
@@ -79,9 +75,6 @@ class FpMatrix:
     @property
     def cols(self) -> int:
         return self.array.shape[1]
-
-    def is_zero(self) -> bool:
-        return not self.array.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FpMatrix):
@@ -143,11 +136,6 @@ class FpSparse:
 
     def __setattr__(self, name, value):
         raise AttributeError("FpSparse is immutable")
-
-    @classmethod
-    def from_dense(cls, m: FpMatrix) -> "FpSparse":
-        row, col = np.nonzero(m.array)
-        return cls(row, col, m.array[row, col], m.array.shape, m.p)
 
     @property
     def rows(self) -> int:

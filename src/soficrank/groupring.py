@@ -81,10 +81,6 @@ class GroupRingKernel:
     def identity(cls, group: GroupModel, d: int, p: int) -> "GroupRingKernel":
         return cls(group, d, p, {group.identity(): np.eye(d, dtype=np.int64)})
 
-    @classmethod
-    def zero(cls, group: GroupModel, d: int, p: int) -> "GroupRingKernel":
-        return cls(group, d, p, {})
-
     def support_radius(self) -> int:
         """Largest word length over the support (0 for the zero kernel)."""
         return self._support_radius
@@ -92,9 +88,6 @@ class GroupRingKernel:
     def is_identity(self) -> bool:
         """Read off the support, with no second kernel: the identity element alone, valued I_d."""
         return self.support == (self.group.identity(),) and np.array_equal(self.coeffs[0], np.eye(self.d))
-
-    def is_zero(self) -> bool:
-        return not self.support
 
     def _require_compatible(self, other: "GroupRingKernel") -> None:
         if self.group != other.group:

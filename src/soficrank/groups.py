@@ -606,6 +606,8 @@ def read_finite_group_file(path) -> FiniteByTable:
         n = int(head[1])
     except ValueError:
         raise ParseError(f"{path}: non-integer order in header")
+    if n < 0:
+        raise ParseError(f"{path}: negative order {n} in header")
     if len(lines) != n + 2:
         raise ParseError(f"{path}: expected {n} table rows plus a generators line")
     table = _table_rows(path, lines[1 : n + 1])

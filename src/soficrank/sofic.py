@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .digraph import LabeledDigraph, ball_charts
+from .digraph import LabeledDigraph, ball_charts, integer_list
 from .errors import AlphabetMismatch, BallMismatch, CardinalityViolation
 from .groups import CayleyBall, GroupModel, cayley_ball
 from .limits import DEFAULT_MAX_BALL_ELEMENTS, DEFAULT_MAX_VERTICES
@@ -55,7 +55,7 @@ class SoficApproximation:
 
     group: GroupModel
     graph: LabeledDigraph
-    good_vertices: tuple[int, ...]
+    good_vertices: np.ndarray  # V0, sorted and read-only int64, read as it is by every layer
     epsilon: Fraction
     radius: int
     ball: CayleyBall
@@ -89,7 +89,7 @@ def verify_approximation(
     some good vertex's neighborhood is not isomorphic to the Cayley ball.
     """
     epsilon = check_preconditions(graph.num_labels, epsilon, radius, group)
-    good = tuple(sorted(set(map(int, good_vertices))))
+    good = sorted(set(integer_list(good_vertices, "good vertex")))
     n = graph.vertex_count
     if good and (good[0] < 0 or good[-1] >= n):  # name the first vertex out of range
         raise ValueError(f"good vertex {good[0] if good[0] < 0 else good[bisect_left(good, n)]} out of range")
@@ -97,11 +97,12 @@ def verify_approximation(
         raise CardinalityViolation(
             f"|V0| = {len(good)} < (1 - {epsilon}) * {n} = {(1 - epsilon) * n}"
         )
+    good = np.array(good, dtype=np.int64)
     ball = cayley_ball(group, radius, max_elements=max_ball_elements)
     charts, ok = ball_charts(graph, good, ball)
     if not ok.all():  # good is ascending, so this is the lowest failing vertex
-        raise BallMismatch(good[int(np.argmin(ok))])
-    charts.flags.writeable = False
+        raise BallMismatch(int(good[np.argmin(ok)]))
+    charts.flags.writeable = good.flags.writeable = False
     return SoficApproximation(
         group=group,
         graph=graph,

@@ -129,8 +129,8 @@ class TransferInstance:
     psi: Optional[GroupRingKernel]
     approx: SoficApproximation
     plan: InstancePlan
-    v_prime: tuple[int, ...]
-    v_dprime: tuple[int, ...]
+    v_prime: np.ndarray  # V' and V'', each sorted, read-only int64, like approx.good_vertices
+    v_dprime: np.ndarray
     charts: np.ndarray  # row k: ball_r0 position -> graph vertex, at v_prime[k]; the approximation's width
     ball_r0: CayleyBall
     has_right_inverse: bool  # psi is given and phi * psi = 1
@@ -178,7 +178,7 @@ def build_instance(
         )
 
     ball_r0 = approx.ball.prefix(r0)
-    good = np.asarray(approx.good_vertices, dtype=np.int64)
+    good = approx.good_vertices
     in_v_prime = np.zeros(n, dtype=bool)
     in_v_prime[good] = True
     others = np.flatnonzero(~in_v_prime)
@@ -193,6 +193,8 @@ def build_instance(
     v_prime = np.flatnonzero(in_v_prime)
     in_v_dprime = np.zeros(n, dtype=bool)
     in_v_dprime[v_prime] = in_v_prime[charts].all(axis=1)
+    v_dprime = np.flatnonzero(in_v_dprime)
+    v_prime.flags.writeable = v_dprime.flags.writeable = False
 
     outside = good[~in_v_dprime[good]]
     if outside.size:
@@ -204,8 +206,8 @@ def build_instance(
         psi=psi,
         approx=approx,
         plan=plan,
-        v_prime=tuple(v_prime.tolist()),
-        v_dprime=tuple(np.flatnonzero(in_v_dprime).tolist()),
+        v_prime=v_prime,
+        v_dprime=v_dprime,
         charts=charts,
         ball_r0=ball_r0,
         has_right_inverse=psi is not None and check_right_inverse(phi, psi),
@@ -247,7 +249,7 @@ def build_bar_psi(inst: TransferInstance) -> FpMatrix:
     psi, d = inst.psi, inst.d
     out = np.zeros((d * len(inst.v_prime), d * len(inst.v_dprime)), dtype=np.int64)
     idx = inst.ball_r0.element_index
-    col_of = {v: m for m, v in enumerate(inst.v_dprime)}
+    col_of = {v: m for m, v in enumerate(inst.v_dprime.tolist())}
     for j, f in enumerate(inst.charts.tolist()):
         for s, mat in zip(psi.support, psi.coeffs):
             # The (v', v'') block is psi's coefficient at s exactly when
@@ -279,7 +281,7 @@ def verify_transfer_identity(inst: TransferInstance) -> bool:
     phi, psi, p = inst.phi, inst.psi, inst.phi.p
     n, idx = inst.vertex_count, inst.ball_r0.element_index
     in_vpp = np.zeros(n, dtype=bool)
-    in_vpp[list(inst.v_dprime)] = True
+    in_vpp[inst.v_dprime] = True
     v2 = inst.charts[:, [idx[t] for t in phi.support]]  # [v', t]
     v1 = inst.charts[:, [idx[psi.group.inverse(s)] for s in psi.support]]  # [v', s]
     term = in_vpp[v2][:, :, None] & in_vpp[v1][:, None, :]  # [v', t, s]

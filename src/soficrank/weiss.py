@@ -83,8 +83,8 @@ def weiss_select(approx: SoficApproximation, r0: int) -> WeissSelection:
     layers = approx.ball.layers.tolist()
     ball_size, discard_size = (layers[min(k, len(layers) - 2) + 1] for k in (sep, sep - 1))
     charts = approx.charts
-    picks, rows = _sweep(good, charts, discard_size, n)
-    v1 = tuple(picks)
+    rows = _sweep(good, charts, discard_size, n)
+    v1 = tuple(good[rows].tolist())
     density_bound = Fraction(1, 2 * ball_size)
     achieved = Fraction(len(v1), n)
 
@@ -100,7 +100,7 @@ def weiss_select(approx: SoficApproximation, r0: int) -> WeissSelection:
     # search from each pick measures beyond R.  A single pick has no pair.
     nearest = None
     if len(v1) > 1:
-        depth, other = _nearest_in_charts(charts, np.array(rows), layers, n)
+        depth, other = _nearest_in_charts(charts, rows, layers, n)
         if (depth < 0).all():
             depth, other = _nearest_by_distances(graph, v1)
         close = np.flatnonzero((depth >= 0) & (depth < sep))
@@ -118,8 +118,8 @@ def weiss_select(approx: SoficApproximation, r0: int) -> WeissSelection:
     )
 
 
-def _sweep(good: tuple[int, ...], charts: np.ndarray, discard_size: int, n: int) -> tuple[list[int], list[int]]:
-    """The greedy picks, in ascending order, and their chart rows.
+def _sweep(good: np.ndarray, charts: np.ndarray, discard_size: int, n: int) -> np.ndarray:
+    """The chart rows of the greedy picks, in ascending order.
 
     A good vertex still alive is picked and kills the first discard_size
     vertices of its chart.  The alive flags are read per vertex from a
@@ -132,19 +132,18 @@ def _sweep(good: tuple[int, ...], charts: np.ndarray, discard_size: int, n: int)
     """
     flags = bytearray(n)
     alive = np.frombuffer(flags, dtype=bool)
-    alive[list(good)] = True
+    alive[good] = True
     step = max(1, _BLOCK_ENTRIES // discard_size**2)
     lo = hi = 0
-    picks, rows = [], []
-    for k, v in enumerate(good):
+    rows = []
+    for k, v in enumerate(good.tolist()):
         if flags[v]:
-            picks.append(v)
             rows.append(k)
             if k >= hi:
                 lo, hi = k, k + step
                 discard = charts[lo:hi, :discard_size].astype(np.intp)
             alive[discard[k - lo]] = False
-    return picks, rows
+    return np.array(rows, dtype=np.intp)
 
 
 def _nearest_in_charts(charts: np.ndarray, rows: np.ndarray, layers: list, n: int) -> tuple[np.ndarray, np.ndarray]:

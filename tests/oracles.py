@@ -21,7 +21,7 @@ import numpy as np
 
 from soficrank.digraph import LabeledDigraph, _check_vertex
 from soficrank.errors import ParseError
-from soficrank.exactfield import FpMatrix, rank
+from soficrank.exactfield import FpMatrix, FpSparse, rank
 from soficrank.groupring import GroupRingKernel, restriction_matrix
 from soficrank.limits import MAX_BALL_PRODUCT_CELLS
 from soficrank.groups import CayleyBall, FiniteByTable, FreeAbelian, GroupModel, cayley_ball
@@ -50,6 +50,12 @@ def sparse_by_accumulation(row, col, val, shape, p: int) -> FpMatrix:
     for r, c, v in zip(row, col, val):
         want[r, c] += int(v)
     return FpMatrix((want % p).astype(np.int64), p)
+
+
+def sparse_from_dense(m: FpMatrix) -> FpSparse:
+    """The FpSparse holding a dense matrix's nonzero entries."""
+    row, col = np.nonzero(m.array)
+    return FpSparse(row, col, m.array[row, col], m.array.shape, m.p)
 
 
 def json_value(x):
@@ -222,7 +228,7 @@ def equivariant_entry(c: GroupRingKernel, g2, g1) -> FpMatrix:
     group.check_element(g1)
     key = group.multiply(group.inverse(g1), g2)
     if key not in c.support:
-        return FpMatrix.zeros(c.d, c.d, c.p)
+        return FpMatrix(np.zeros((c.d, c.d), dtype=np.int64), c.p)
     return FpMatrix(c.coeffs[c.support.index(key)], c.p)
 
 

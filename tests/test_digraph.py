@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -488,6 +489,24 @@ class TestBallCharts:
             charts, ok = ball_charts(graph, [], ball)
             assert charts.shape == (0, ball.size) and charts.dtype == _walk_dtype(graph.vertex_count, 3)
             assert ok.shape == (0,) and ok.dtype == bool
+
+    @pytest.mark.parametrize("walk", [ball_charts, label_walk])
+    def test_non_integer_vertices_are_refused(self, walk):
+        # never rounded or parsed: the message names the first entry, in the order given
+        graph, ball = quotient_graph(Z1, 5), cayley_ball(Z1, 1)
+        for vertices, bad in (([1.7, 2.2], 1.7), ([2, "3", 0.5], "3"), (np.array([1.0]), np.float64(1))):
+            with pytest.raises(ValueError, match=rf"^vertex {re.escape(repr(bad))} is not an integer$"):
+                walk(graph, vertices, ball)
+        with pytest.raises(ValueError, match=rf"^vertex {2**70} out of range \[0, 5\)$"):
+            walk(graph, [1, 2**70, -1], ball)
+
+    def test_numpy_integers_of_any_width(self):
+        graph, ball = quotient_graph(Z1, 5), cayley_ball(Z1, 1)
+        want = label_walk(graph, [3, 1], ball)
+        for vertices in ([np.int32(3), np.uint8(1)], np.array([3, 1], dtype=np.int32), np.array([3, 1], dtype=np.uint64)):
+            assert np.array_equal(label_walk(graph, vertices, ball), want)
+            charts, ok = ball_charts(graph, vertices, ball)
+            assert ok.all() and np.array_equal(charts, want)
 
     def test_radius_zero(self):
         # Z^1 carries an identity generator, so the one-point ball has a self-loop

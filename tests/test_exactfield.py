@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 import numpy as np
 
-from oracles import dense_rank, json_value, sparse_by_accumulation
+from oracles import dense_rank, json_value, sparse_by_accumulation, sparse_from_dense
 from soficrank import exactfield
 from soficrank.exactfield import (
     MAX_MODULUS,
@@ -69,31 +69,31 @@ class TestMatMul:
 
     def test_zero_absorbs(self):
         m = FpMatrix([[1, 2], [3, 4]], 7)
-        z = FpMatrix.zeros(2, 2, 7)
+        z = FpMatrix(np.zeros((2, 2), dtype=np.int64), 7)
         assert mat_mul(z, m) == z
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            mat_mul(FpMatrix.zeros(2, 3, 5), FpMatrix.zeros(2, 3, 5))
+            mat_mul(FpMatrix(np.zeros((2, 3), dtype=np.int64), 5), FpMatrix(np.zeros((2, 3), dtype=np.int64), 5))
 
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
-            mat_mul(FpMatrix.zeros(2, 2, 5), FpMatrix.zeros(2, 2, 7))
+            mat_mul(FpMatrix(np.zeros((2, 2), dtype=np.int64), 5), FpMatrix(np.zeros((2, 2), dtype=np.int64), 7))
 
 
 class TestRankKernel:
     def test_identity_rank(self):
         for n in (1, 2, 5):
-            assert rank(FpSparse.from_dense(FpMatrix.identity(n, 3))) == n
+            assert rank(sparse_from_dense(FpMatrix.identity(n, 3))) == n
             assert kernel_basis(FpMatrix.identity(n, 3)) == []
 
     def test_zero_matrix(self):
-        z = FpMatrix.zeros(3, 3, 2)
-        assert rank(FpSparse.from_dense(z)) == 0
+        z = FpMatrix(np.zeros((3, 3), dtype=np.int64), 2)
+        assert rank(sparse_from_dense(z)) == 0
         assert len(kernel_basis(z)) == 3
 
     def test_equal_rows_f2(self):
-        assert rank(FpSparse.from_dense(F2([[1, 1], [1, 1]]))) == 1
+        assert rank(sparse_from_dense(F2([[1, 1], [1, 1]]))) == 1
 
     def test_kernel_of_sum_row(self):
         basis = kernel_basis(F2([[1, 1]]))
@@ -118,13 +118,13 @@ class TestProperties:
     @given(matrices)
     @settings(max_examples=60, deadline=None)
     def test_rank_nullity(self, m):
-        assert rank(FpSparse.from_dense(m)) + len(kernel_basis(m)) == m.cols
+        assert rank(sparse_from_dense(m)) + len(kernel_basis(m)) == m.cols
 
     @given(matrices)
     @settings(max_examples=60, deadline=None)
     def test_kernel_vectors_annihilate(self, m):
         for v in kernel_basis(m):
-            assert mat_mul(m, v).is_zero()
+            assert not mat_mul(m, v).array.any()
 
     @given(matrices, st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -132,7 +132,7 @@ class TestProperties:
         perm = list(range(m.rows))
         rnd.shuffle(perm)
         shuffled = FpMatrix(m.array[perm, :], m.p)
-        assert rank(FpSparse.from_dense(shuffled)) == rank(FpSparse.from_dense(m))
+        assert rank(sparse_from_dense(shuffled)) == rank(sparse_from_dense(m))
         assert len(kernel_basis(shuffled)) == len(kernel_basis(m))
 
     @given(
@@ -160,10 +160,10 @@ class TestProperties:
 
     def test_determinism_repeated_runs(self):
         m = FpMatrix([[2, 4, 1], [3, 0, 5], [2, 4, 1]], 7)
-        first_rank = rank(FpSparse.from_dense(m))
+        first_rank = rank(sparse_from_dense(m))
         first_kernel = [k.array.tolist() for k in kernel_basis(m)]
         for _ in range(5):
-            assert rank(FpSparse.from_dense(m)) == first_rank
+            assert rank(sparse_from_dense(m)) == first_rank
             assert [k.array.tolist() for k in kernel_basis(m)] == first_kernel
 
 
@@ -263,7 +263,7 @@ class TestSparseRankOracle:
 
     def test_dense_input_reads_its_nonzero_entries(self):
         m = FpMatrix([[2, 4, 1], [3, 0, 5], [2, 4, 1]], 7)
-        assert rank(FpSparse.from_dense(m)) == dense_rank(m) == 2
+        assert rank(sparse_from_dense(m)) == dense_rank(m) == 2
 
     def test_wide_banded_chain_rank(self):
         # I + shift on Z/400 over F_2: each row and column holds two entries, and the wrap closes the chain
@@ -302,7 +302,7 @@ class TestSingletonPeel:
         ],
     )
     def test_colliding_singletons_in_one_pass(self, monkeypatch, a, expected):
-        m = FpSparse.from_dense(FpMatrix(a, 5))
+        m = sparse_from_dense(FpMatrix(a, 5))
         assert dense_rank(m.dense()) == expected
         monkeypatch.setattr(exactfield, "_pivot_round", refuse)
         monkeypatch.setattr(exactfield, "_forward_eliminate", refuse)
@@ -322,7 +322,7 @@ class TestSingletonPeel:
             ]
         )
         for m in (FpMatrix(a, 5), FpMatrix(a.T, 5)):
-            assert rank(FpSparse.from_dense(m)) == dense_rank(m) == 3
+            assert rank(sparse_from_dense(m)) == dense_rank(m) == 3
 
     def test_one_pass_per_round(self, monkeypatch):
         # each pass removes only the two ends of an open path; a loop to a fixpoint would run n/2 passes

@@ -183,6 +183,12 @@ class TestFiniteGroupFileErrors:
         with pytest.raises(ParseError, match=r"expected 3 table rows plus a generators line$"):
             self.read(tmp_path, "finitegroup 3\n0 1 2\n1 2 0\ngenerators 1 2\n")
 
+    def test_negative_order(self, tmp_path):
+        # "finitegroup -1" alone has n + 2 = 1 lines, so the row count cannot catch it
+        for text in ("finitegroup -1\n", "finitegroup -2\n0\ngenerators\n"):
+            with pytest.raises(ParseError, match=r"g.table: negative order -\d in header$"):
+                self.read(tmp_path, text)
+
     def test_ragged_row(self, tmp_path):
         with pytest.raises(ParseError, match=r"multiplication table must be n x n with entries in range$"):
             self.read(tmp_path, "finitegroup 3\n0 1 2\n1 2\n2 0 1 0\ngenerators 1 2\n")

@@ -10,12 +10,14 @@ the Weiss separation off the charts without the fallback search.  A
 Cayley ball is built from its model's ball_table, with no group product,
 and each group model holds one ball, from which every smaller radius is cut.
 digraph has one chart walker, ball_charts; ball_isomorphism answers through it.
+The good set, V' and V'' are read-only int64 arrays from verification to the report.
 """
 
 import ast
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import soficrank
@@ -299,6 +301,24 @@ def test_smaller_balls_are_cut_from_the_ball_in_hand(name, tmp_path, monkeypatch
         assert len(held) == 1 and not stores
     (approx,) = approxes
     assert "element_index" not in vars(approx.ball)
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, argv) in CASES.items() if argv[0] == "transfer-run"))
+def test_vertex_sets_are_read_only_int64_arrays(name, tmp_path, monkeypatch):
+    """The good set, V' and V'' of every golden run are sorted, read-only int64 arrays, as the instance hands them on."""
+    instances = []
+    build = transfer.build_instance
+
+    def building(phi, psi, approx, **kwargs):
+        instances.append(build(phi, psi, approx, **kwargs))
+        return instances[-1]
+
+    monkeypatch.setattr(transfer, "build_instance", building)
+    assert main(_argv(name, tmp_path / f"{name}.json")) == CASES[name][0]
+    (inst,) = instances
+    for vertices in (inst.approx.good_vertices, inst.v_prime, inst.v_dprime):
+        assert type(vertices) is np.ndarray and vertices.dtype == np.int64 and not vertices.flags.writeable
+        assert (np.diff(vertices) > 0).all()
 
 
 def test_ball_isomorphism_answers_through_ball_charts(monkeypatch):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,7 @@ class TestVerify:
         G = cyclic_group(5)
         graph = quotient_graph(G)
         approx = verify_approximation(graph, range(5), Fraction(1, 100), 3, G)
-        assert approx.good_vertices == (0, 1, 2, 3, 4)
+        assert approx.good_vertices.tolist() == [0, 1, 2, 3, 4]
 
     def test_c6_verifies_at_radius_two(self):
         approx = verify_approximation(
@@ -58,7 +59,9 @@ class TestVerify:
         approx = verify_approximation(graph, [6, 1, 3, 4, 5], Fraction(1, 2), 2, Z1)
         assert approx.charts.shape == (5, approx.ball.size)
         assert not approx.charts.flags.writeable
-        for row, v in zip(approx.charts.tolist(), approx.good_vertices):
+        good = approx.good_vertices
+        assert good.dtype == np.int64 and not good.flags.writeable and good.tolist() == [1, 3, 4, 5, 6]
+        for row, v in zip(approx.charts.tolist(), good.tolist()):
             assert tuple(row) == ball_isomorphism(graph, v, approx.ball)
 
     def test_out_of_range_names_the_first_bad_vertex(self):
@@ -67,6 +70,18 @@ class TestVerify:
         for good, bad in (([-3, 2, 7, 9], -3), ([0, 9, 7, 7], 7)):
             with pytest.raises(ValueError, match=f"^good vertex {bad} out of range$"):
                 verify_approximation(graph, good, Fraction(1, 2), 1, Z1)
+
+    def test_non_integer_good_vertices_are_refused(self):
+        # never rounded or parsed: the message names the first entry, in the order given
+        graph = quotient_graph(Z1, 8)
+        for good, bad in (([0.5, 1.9, *range(2, 8)], 0.5), ([*range(8), "3"], "3"), (np.arange(8.0), np.float64(0))):
+            with pytest.raises(ValueError, match=rf"^good vertex {re.escape(repr(bad))} is not an integer$"):
+                verify_approximation(graph, good, Fraction(1, 2), 1, Z1)
+        with pytest.raises(ValueError, match=rf"^good vertex {2**70} out of range$"):
+            verify_approximation(graph, [2**70, *range(8)], Fraction(1, 2), 1, Z1)
+        for good in (np.arange(8, dtype=np.int32), [np.uint8(v) for v in range(8)]):
+            approx = verify_approximation(graph, good, Fraction(1, 2), 1, Z1)
+            assert approx.good_vertices.dtype == np.int64 and approx.good_vertices.tolist() == list(range(8))
 
     def test_cardinality_violation(self):
         with pytest.raises(CardinalityViolation):
@@ -84,14 +99,14 @@ class TestVerify:
         approx = verify_approximation(
             quotient_graph(Z1, 8), range(4), Fraction(1, 2), 2, Z1
         )
-        assert approx.good_vertices == (0, 1, 2, 3)
+        assert approx.good_vertices.tolist() == [0, 1, 2, 3]
 
 
 class TestTorusApproximation:
     def test_c8_radius_three(self):
         approx = torus_approximation(Z1, 8, 3)
         assert approx.vertex_count == 8
-        assert approx.good_vertices == tuple(range(8))
+        assert approx.good_vertices.tolist() == list(range(8))
 
     def test_two_dimensional(self):
         approx = torus_approximation(Z2, 6, 2)
@@ -106,7 +121,7 @@ class TestTorusApproximation:
         approx = torus_approximation(Z1, 10, 3)
         ball = approx.ball
         for v in (0, 3, 7):
-            f = tuple(approx.charts[approx.good_vertices.index(v)].tolist())
+            f = tuple(approx.charts[np.searchsorted(approx.good_vertices, v)].tolist())
             assert f == tuple((v + g[0]) % 10 for g in ball.elements)
 
     def test_cached_map_translation_2d(self):
@@ -115,7 +130,7 @@ class TestTorusApproximation:
         ball = approx.ball
         for v in (0, 7, 35):
             coords = (v % n, (v // n) % n)
-            f = tuple(approx.charts[approx.good_vertices.index(v)].tolist())
+            f = tuple(approx.charts[np.searchsorted(approx.good_vertices, v)].tolist())
             expected = tuple(
                 ((coords[0] + g[0]) % n) + n * ((coords[1] + g[1]) % n)
                 for g in ball.elements
@@ -129,7 +144,7 @@ class TestTorusApproximation:
             again = verify_approximation(
                 approx.graph, approx.good_vertices, approx.epsilon, smaller, approx.group
             )
-            assert again.good_vertices == approx.good_vertices
+            assert again.good_vertices.tolist() == approx.good_vertices.tolist()
 
 
 class TestFiniteGroupApproximation:
@@ -137,7 +152,7 @@ class TestFiniteGroupApproximation:
         G = cyclic_group(3)
         approx = finite_group_approximation(G, 5)
         assert approx.vertex_count == 3
-        assert approx.good_vertices == (0, 1, 2)
+        assert approx.good_vertices.tolist() == [0, 1, 2]
 
     def test_trivial_group(self):
         G = cyclic_group(1)
@@ -161,7 +176,7 @@ class TestBuilderVerifierAgreement:
                 approx.radius,
                 approx.group,
             )
-            assert again.good_vertices == approx.good_vertices
+            assert again.good_vertices.tolist() == approx.good_vertices.tolist()
             assert np.array_equal(again.charts, approx.charts)
 
 

@@ -341,8 +341,8 @@ class TestChartRead:
         assert sel.min_pairwise_distance == min_pairwise_distance(graph, v1) == expected
 
     def test_too_close_pair_is_inconsistent(self, monkeypatch):
-        # picks 0, 2, 6, 9 of C12: 2 is the only pick within distance 2 of 0
-        monkeypatch.setattr(weiss, "_sweep", lambda good, charts, discard_size, n: ([0, 2, 6, 9], [0, 2, 6, 9]))
+        # picks 0, 2, 6, 9 of C12, at the same chart rows since every vertex is good: 2 is the only pick within distance 2 of 0
+        monkeypatch.setattr(weiss, "_sweep", lambda good, charts, discard_size, n: np.array([0, 2, 6, 9]))
         graph = quotient_graph(Z1, 12)
         assert nearest_by_bfs(graph, 0, {0, 2, 6, 9}, 3) == (2, 2)
         with pytest.raises(InternalInconsistency, match=r"^selected vertices 0, 2 at directed distance 2 < 3$"):
