@@ -32,14 +32,20 @@ from .errors import (
     InternalInconsistency,
     ParseError,
     ResourceLimitError,
-    SoficRankError,
     content_lines,
     read_utf8,
 )
 from .exactfield import json_text, parse_rational, validate_modulus
 from .groupring import GroupRingKernel, compose
 from .groups import FreeAbelian, GroupModel, cayley_ball, read_finite_group_file
-from .limits import Limits
+from .limits import (
+    DEFAULT_MAX_BALL_ELEMENTS,
+    DEFAULT_MAX_VERTICES,
+    ENV_MAX_BALL_ELEMENTS,
+    ENV_MAX_KERNEL_RADIUS,
+    ENV_MAX_VERTICES,
+    limit,
+)
 from .sofic import SoficApproximation, check_preconditions, verify_approximation
 from .transfer import run_experiment
 from .weiss import weiss_select
@@ -201,19 +207,9 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _limit(value: Optional[int], flag: str, fallback):
-    """A positive flag's value, or the fallback when the flag is absent; never 0 or negative."""
-    if value is None:
-        return fallback
-    if value <= 0:
-        raise ValueError(f"{flag} must be a positive integer, got {value}")
-    return value
-
-
 def _cmd_cayley_ball(args) -> int:
     group = parse_group_descriptor(args.group, Path.cwd())
-    limits = Limits.from_env()
-    max_ball = _limit(args.max_ball, "--max-ball", limits.max_ball_elements)
+    max_ball = limit(ENV_MAX_BALL_ELEMENTS, DEFAULT_MAX_BALL_ELEMENTS, args.max_ball, "--max-ball")
     ball = cayley_ball(group, args.radius, max_elements=max_ball)
     payload = {
         "group": group.describe(),
@@ -254,10 +250,11 @@ def _read_graph_input(args, epsilon: str, radius: int):
     report the mismatch where verify_approximation would.
     """
     group = parse_group_descriptor(args.group, Path.cwd())
-    limits = Limits.from_env()
+    max_vertices = limit(ENV_MAX_VERTICES, DEFAULT_MAX_VERTICES)
+    max_ball = limit(ENV_MAX_BALL_ELEMENTS, DEFAULT_MAX_BALL_ELEMENTS)
     data, digest = _read_input(args.graph)
     try:
-        graph = read_graph_file(args.graph, limits.max_vertices, num_labels=group.label_count, data=data)
+        graph = read_graph_file(args.graph, max_vertices, num_labels=group.label_count, data=data)
         vertex_count, num_labels = graph.vertex_count, graph.num_labels
     except AlphabetMismatch as exc:
         graph, vertex_count, num_labels = None, exc.vertex_count, exc.num_labels
@@ -267,7 +264,7 @@ def _read_graph_input(args, epsilon: str, radius: int):
     def verify() -> SoficApproximation:
         if graph is None:  # raises: the label count rules the graph out
             check_preconditions(num_labels, eps, radius, group)
-        return verify_approximation(graph, good, eps, radius, group, max_ball_elements=limits.max_ball_elements)
+        return verify_approximation(graph, good, eps, radius, group, max_ball_elements=max_ball)
 
     return group, vertex_count, eps, good, verify, digest
 
@@ -389,16 +386,15 @@ def _cmd_transfer_run(args) -> int:
         psi_name = fallback[2] if len(fallback) >= 3 else None
     phi = _require_element(inst, phi_name)
     psi = _require_element(inst, psi_name) if psi_name is not None else None
-    limits = Limits.from_env()
-    max_kernel = _limit(args.max_kernel_radius, "--max-kernel-radius", limits.max_kernel_radius)
+    max_kernel = limit(ENV_MAX_KERNEL_RADIUS, None, args.max_kernel_radius, "--max-kernel-radius")
     report = run_experiment(
         phi,
         psi,
         args.mode,
-        torus_n=_limit(args.torus_n, "--torus-n", None),
+        torus_n=limit(None, None, args.torus_n, "--torus-n"),
         max_kernel_search=max_kernel,
-        max_vertices=_limit(args.max_vertices, "--max-vertices", limits.max_vertices),
-        max_ball_elements=_limit(args.max_ball, "--max-ball", limits.max_ball_elements),
+        max_vertices=limit(ENV_MAX_VERTICES, DEFAULT_MAX_VERTICES, args.max_vertices, "--max-vertices"),
+        max_ball_elements=limit(ENV_MAX_BALL_ELEMENTS, DEFAULT_MAX_BALL_ELEMENTS, args.max_ball, "--max-ball"),
     )
     inputs = {
         "instance": digest,
@@ -502,9 +498,6 @@ def main(argv=None) -> int:
         return 4
     except CheckFailedError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
-        return 1
-    except SoficRankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         # malformed parameter values (bad epsilon range, undersized torus, ...)

@@ -158,9 +158,12 @@ def integer_list(values, what: str = "vertex") -> list[int]:
         raise ValueError(f"{what} {bad!r} is not an integer") from None
 
 
-def _check_vertex(graph: LabeledDigraph, v: int) -> None:
+def _check_vertex(graph: LabeledDigraph, v: int) -> int:
+    """v as a Python int, once it is an integer (by operator.index) in range."""
+    [v] = integer_list([v])
     if not (0 <= v < graph.vertex_count):
         raise ValueError(f"vertex {v} out of range [0, {graph.vertex_count})")
+    return v
 
 
 def distances(graph: LabeledDigraph, v: int, radius: Optional[int] = None) -> Iterator[tuple[int, int]]:
@@ -170,10 +173,11 @@ def distances(graph: LabeledDigraph, v: int, radius: Optional[int] = None) -> It
     decrease and a caller may stop at the first vertex it looks for.
     `distance`, `neighborhood` and the Weiss separation fallback read it.
     """
-    _check_vertex(graph, v)
-    if radius is not None and radius < 0:
+    v = _check_vertex(graph, v)
+    [radius] = [math.inf] if radius is None else integer_list([radius], "radius")
+    if radius < 0:
         raise ValueError("neighborhood radius must be nonnegative")
-    return _bfs(graph.out, v, math.inf if radius is None else radius)
+    return _bfs(graph.out, v, radius)
 
 
 def _bfs(out: np.ndarray, v: int, radius) -> Iterator[tuple[int, int]]:
@@ -195,7 +199,7 @@ def _bfs(out: np.ndarray, v: int, radius) -> Iterator[tuple[int, int]]:
 
 def distance(graph: LabeledDigraph, v: int, w: int):
     """Directed distance: edges on a shortest directed path, or math.inf."""
-    _check_vertex(graph, w)
+    w = _check_vertex(graph, w)
     return next((d for u, d in distances(graph, v) if u == w), math.inf)
 
 

@@ -1,13 +1,14 @@
-"""Resource limits and their environment-variable overrides.
+"""Resource limits, their environment-variable overrides, and the one rule that resolves them.
 
 Library functions take explicit limit arguments with these defaults; the
-CLI additionally honors the SOFICRANK_* environment variables below.
+CLI resolves each limit it applies with `limit`, from its flag, its
+SOFICRANK_* environment variable below, or its default.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import Optional
 
 DEFAULT_MAX_BALL_ELEMENTS = 10**6
 DEFAULT_MAX_VERTICES = 10**4
@@ -33,28 +34,20 @@ def default_kernel_search_bound(support_radius: int) -> int:
     return 3 * support_radius + 3
 
 
-@dataclass(frozen=True)
-class Limits:
-    max_ball_elements: int = DEFAULT_MAX_BALL_ELEMENTS
-    max_vertices: int = DEFAULT_MAX_VERTICES
-    max_kernel_radius: int | None = None  # None: use default_kernel_search_bound
+def limit(env: Optional[str], default, value: Optional[int] = None, flag: Optional[str] = None):
+    """A limit: its flag's value when given, else its environment variable's when set, else the default.
 
-    @classmethod
-    def from_env(cls) -> "Limits":
-        def _read(name: str, fallback):
-            raw = os.environ.get(name)
-            if raw is None:
-                return fallback
-            try:
-                value = int(raw)
-            except ValueError:
-                raise ValueError(f"environment variable {name} must be an integer, got {raw!r}")
-            if value <= 0:
-                raise ValueError(f"environment variable {name} must be positive, got {value}")
-            return value
-
-        return cls(
-            max_ball_elements=_read(ENV_MAX_BALL_ELEMENTS, DEFAULT_MAX_BALL_ELEMENTS),
-            max_vertices=_read(ENV_MAX_VERTICES, DEFAULT_MAX_VERTICES),
-            max_kernel_radius=_read(ENV_MAX_KERNEL_RADIUS, None),
-        )
+    A given flag value must be positive.  A variable that is set must be a
+    positive integer, and is checked even when the flag overrides it.
+    """
+    raw = None if env is None else os.environ.get(env)
+    if raw is not None:
+        try:
+            default = int(raw)
+        except ValueError:
+            raise ValueError(f"environment variable {env} must be an integer, got {raw!r}")
+        if default <= 0:
+            raise ValueError(f"environment variable {env} must be positive, got {default}")
+    if value is not None and value <= 0:
+        raise ValueError(f"{flag} must be a positive integer, got {value}")
+    return default if value is None else value

@@ -376,6 +376,38 @@ class TestLimits:
         argv = ["transfer-run", str(involution_file), "x", "y", "--mode", "lower", "--torus-n", "12"]
         assert main(argv + ["--max-ball", "1000", "--max-vertices", "200"]) == 0
 
+    @pytest.mark.parametrize(
+        "var, command",
+        [
+            ("SOFICRANK_MAX_KERNEL_RADIUS", "cayley-ball"),
+            ("SOFICRANK_MAX_KERNEL_RADIUS", "sofic-verify"),
+            ("SOFICRANK_MAX_KERNEL_RADIUS", "weiss-select"),
+            ("SOFICRANK_MAX_VERTICES", "cayley-ball"),
+        ],
+    )
+    def test_limit_a_command_does_not_apply_is_not_read(self, c12_graph, monkeypatch, var, command):
+        monkeypatch.setenv(var, "abc")
+        argv = {
+            "cayley-ball": ["cayley-ball", "-g", "Z^2", "-r", "2"],
+            "sofic-verify": ["sofic-verify", str(c12_graph), "-g", "Z^1", "-r", "2"],
+            "weiss-select": ["weiss-select", str(c12_graph), "-g", "Z^1", "--r0", "1"],
+        }[command]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize(
+        "var, argv",
+        [
+            ("SOFICRANK_MAX_BALL_ELEMENTS", ["cayley-ball", "-g", "Z^2", "-r", "2", "--max-ball", "50"]),
+            ("SOFICRANK_MAX_VERTICES", ["transfer-run", "{instance}", "x", "y", "--mode", "lower",
+                                        "--torus-n", "12", "--max-vertices", "50"]),
+        ],
+        ids=["cayley-ball", "transfer-run"],
+    )
+    def test_set_variable_is_checked_under_its_flag(self, involution_file, monkeypatch, var, argv, capsys):
+        monkeypatch.setenv(var, "0")
+        assert main([a.format(instance=involution_file) for a in argv]) == 2
+        assert capsys.readouterr().err == f"invalid input: environment variable {var} must be positive, got 0\n"
+
 
 def run_capped(*argv):
     """The CLI in a subprocess whose address space is capped at 2 GiB, so a runaway allocation cannot reach the machine."""

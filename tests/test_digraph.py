@@ -188,6 +188,15 @@ class TestDistances:
         with pytest.raises(ValueError):
             distances(three_cycle(), 0, -1)
 
+    def test_radius_and_vertex_are_read_as_integers(self):
+        g = quotient_graph(Z1, 6)
+        for radius in (1.5, "2"):
+            with pytest.raises(ValueError, match=rf"^radius {re.escape(repr(radius))} is not an integer$"):
+                neighborhood(g, 0, radius)
+        # a bool is an integer, as ball_charts reads it
+        assert neighborhood(g, True, 1) == neighborhood(g, 1, 1) == (0, 1, 2)
+        assert list(distances(g, np.int32(0), np.uint8(1))) == [(0, 0), (1, 1), (5, 1)]
+
 
 class TestNeighborhood:
     def test_radius_zero(self):
@@ -490,7 +499,16 @@ class TestBallCharts:
             assert charts.shape == (0, ball.size) and charts.dtype == _walk_dtype(graph.vertex_count, 3)
             assert ok.shape == (0,) and ok.dtype == bool
 
-    @pytest.mark.parametrize("walk", [ball_charts, label_walk])
+    @pytest.mark.parametrize(
+        "walk",
+        [
+            ball_charts,
+            label_walk,
+            pytest.param(lambda graph, vertices, ball: [distances(graph, v) for v in vertices], id="distances"),
+            pytest.param(lambda graph, vertices, ball: [distance(graph, 0, v) for v in vertices], id="distance"),
+            pytest.param(lambda graph, vertices, ball: [neighborhood(graph, v, 1) for v in vertices], id="neighborhood"),
+        ],
+    )
     def test_non_integer_vertices_are_refused(self, walk):
         # never rounded or parsed: the message names the first entry, in the order given
         graph, ball = quotient_graph(Z1, 5), cayley_ball(Z1, 1)

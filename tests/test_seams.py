@@ -11,6 +11,8 @@ Cayley ball is built from its model's ball_table, with no group product,
 and each group model holds one ball, from which every smaller radius is cut.
 digraph has one chart walker, ball_charts; ball_isomorphism answers through it.
 The good set, V' and V'' are read-only int64 arrays from verification to the report.
+Only limits.py reads the environment, and every domain error is one of the
+four kinds the CLI maps to an exit code.
 """
 
 import ast
@@ -22,7 +24,7 @@ import pytest
 
 import soficrank
 from oracles import ball_isomorphism, dihedral_group, symmetric_group_5
-from soficrank import cli, digraph, exactfield, groupring, sofic, transfer, weiss
+from soficrank import cli, digraph, errors, exactfield, groupring, sofic, transfer, weiss
 from soficrank.cli import main
 from soficrank.groups import CayleyBall, FiniteByTable, FreeAbelian, GroupModel, cayley_ball
 from test_bench_contract import traced_names
@@ -336,3 +338,25 @@ def test_ball_isomorphism_answers_through_ball_charts(monkeypatch):
     for v in (0, 5):
         assert digraph.ball_isomorphism(graph, v, ball) == ball_isomorphism(graph, v, ball)
     assert calls == [[0], [5]]
+
+
+def test_every_domain_error_has_an_exit_code():
+    """Each SoficRankError is one of the four kinds cli.main maps to an exit code, and none is raised bare."""
+    kinds = (errors.ParseError, errors.ResourceLimitError, errors.InternalInconsistency, errors.CheckFailedError)
+    subclasses = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.SoficRankError)]
+    assert len(subclasses) > len(kinds)  # the check sees the kinds' own subclasses
+    assert all(issubclass(c, kinds) for c in subclasses if c is not errors.SoficRankError)
+    raises = [
+        (path.name, node.lineno)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise) and node.exc is not None and "SoficRankError" in names(node.exc)
+    ]
+    assert raises == []
+
+
+def test_environment_is_read_in_one_place():
+    """Only limits.py reads the environment: os.environ and os.getenv appear nowhere else in the package."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    reads = {name for name, tree in trees.items() if {"environ", "getenv"} & names(tree)}
+    assert reads == {"limits.py"}
