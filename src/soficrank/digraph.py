@@ -247,8 +247,14 @@ _BLOCK_ENTRIES = 2**16  # walk entries ball_charts holds at once
 
 
 def _walk_dtype(vertex_count: int, num_labels: int) -> type:
-    """int32 when every flat out-table position (< |V||B|) and sort key (<= 2|V|+1) fits in it; else int64."""
-    return np.int32 if max(vertex_count * num_labels, 2 * vertex_count + 1) < 2**31 else np.int64
+    """The narrowest of int16, int32 and int64 that holds every flat out-table position (< |V||B|) and sort key (<= 2|V|+1).
+
+    Every value the walk and the chart checks compute lies in
+    [-|B|, max(|V||B|, 2|V|+1)): a head times |B| plus a label, or twice
+    an image or a head plus one, with -1 for a missing edge.
+    """
+    top = max(vertex_count * num_labels, 2 * vertex_count + 1)
+    return np.int16 if top < 2**15 else np.int32 if top < 2**31 else np.int64
 
 
 def _walk(out: np.ndarray, vertices: np.ndarray, ball: "CayleyBall") -> np.ndarray:
@@ -286,12 +292,12 @@ def ball_charts(graph: LabeledDigraph, vertices, ball: "CayleyBall") -> tuple[np
     the chart there.  Rows with ok[k] false carry no meaning.
 
     The walk matches every BFS-tree edge by construction.  One width,
-    int32 while max(|V||B|, 2|V|+1) < 2^31 and int64 otherwise, serves the
-    walk, the charts, the relations and the sort keys.  The vertices are
-    charted in blocks of _BLOCK_ENTRIES walk entries: each block is walked,
-    checked and transposed into the one chart array, and its walk is freed
-    before its rows are sorted, so the peak stays near the charts plus one
-    block.
+    _walk_dtype's, serves the walk, the charts, the relations and the sort
+    keys: int16 while max(|V||B|, 2|V|+1) < 2^15, int32 while it is below
+    2^31, and int64 otherwise.  The vertices are charted in blocks of
+    _BLOCK_ENTRIES walk entries: each block is walked, checked and
+    transposed into the one chart array, and its walk is freed before its
+    rows are sorted, so the peak stays near the charts plus one block.
 
     For a non-tree ball edge (i, l, j), write W_i for the walked images of
     i, P = parent(i) and x = via(i), so that W_i = T_x(W_P) where T_x is

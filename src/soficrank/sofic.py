@@ -41,12 +41,13 @@ class SoficApproximation:
     """A verified approximation: graph, good vertices, tolerance, radius.
 
     charts is a read-only array with one row per good vertex, in the width
-    of ball_charts' walk (int32 while max(|V||B|, 2|V|+1) < 2^31): row k
-    is the rooted isomorphism from the radius-r Cayley ball into the graph
-    at good_vertices[k], indexed by ball element position (entry 0 is the
-    vertex itself).  Its prefix over a smaller ball is the chart at that
-    radius; the transfer instance and the Weiss selection take their
-    charts from here instead of recomputing them.
+    of ball_charts' walk (int16 while max(|V||B|, 2|V|+1) < 2^15, int32
+    while it is below 2^31): row k is the rooted isomorphism from the
+    radius-r Cayley ball into the graph at good_vertices[k], indexed by
+    ball element position (entry 0 is the vertex itself).  Its prefix
+    over a smaller ball is the chart at that radius; the transfer
+    instance and the Weiss selection take their charts from here instead
+    of recomputing them.
 
     side is the side of the group's finite quotient that the graph is
     (quotient_approximation); None for a finite group and for a graph

@@ -270,11 +270,14 @@ def verify_transfer_identity(inst: TransferInstance) -> bool:
     block is phi_t when v2 sits at position t.  Each (v', t, s) with both
     in V'' is a term phi_t psi_s of the block keyed v2*|V| + v1
     (_pair_keys).  The terms are sorted by key once, each carrying the
-    code t*|supp psi| + s of its product, and every entry (a, c) of the
-    blocks is summed over the sorted codes in one 1-D pass.  A key
-    collects at most |V'| * |supp phi| * |supp psi| terms below p, far
-    from overflowing int64.  True exactly when every diagonal block is the
-    d x d identity and every other block is zero.
+    code t*|supp psi| + s of its product, and the d^2 entries of the blocks
+    are summed over the sorted codes packed into int64 words, one 1-D
+    np.add.reduceat per word.  With m the most terms one key collects, a
+    block entry sums at most m (p - 1), so it gets a field of
+    bits = (m (p - 1)).bit_length() bits and a word holds 63 // bits
+    fields, none of which carries into the next; each field is shifted
+    out and reduced mod p on its own.  True exactly when every diagonal
+    block is the d x d identity and every other block is zero.
     """
     if inst.psi is None:
         raise ValueError("psi is absent on this instance")
@@ -296,15 +299,25 @@ def verify_transfer_identity(inst: TransferInstance) -> bool:
     start = np.flatnonzero(first)
     found = keys[start]
     diagonal = found // n == found % n
+    largest = int(np.diff(start, append=keys.size).max(initial=0))
     del keys, first  # the entry sums read only the codes and the group starts
     if int(np.count_nonzero(diagonal)) != len(inst.v_dprime):
         return False
-    # products[a, c, code] is entry (a, c) of phi_t psi_s
-    products = np.einsum("tab,sbc->acts", phi.coeffs, psi.coeffs).reshape(inst.d, inst.d, -1) % p
-    for a, c in np.ndindex(inst.d, inst.d):
-        sums = np.add.reduceat(products[a, c][codes], start) % p
-        if (sums != (diagonal & (a == c))).any():
-            return False
+    entries = inst.d**2
+    # products[a * d + c, code] is entry (a, c) of phi_t psi_s; a == c exactly when d + 1 divides a * d + c
+    products = np.einsum("tab,sbc->acts", phi.coeffs, psi.coeffs).reshape(entries, -1) % p
+    bits = max(largest * (p - 1), 1).bit_length()
+    fields, mask = 63 // bits, (1 << bits) - 1
+    for lo in range(0, entries, fields):
+        shifts = np.arange(min(fields, entries - lo), dtype=np.int64) * bits
+        packed = (products[lo : lo + shifts.size] << shifts[:, None]).sum(axis=0)
+        sums = np.add.reduceat(packed[codes], start)
+        for entry, shift in enumerate(shifts.tolist(), lo):
+            field = sums >> shift
+            field &= mask
+            field %= p
+            if (field != (diagonal if entry % (inst.d + 1) == 0 else 0)).any():
+                return False
     return True
 
 

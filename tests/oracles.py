@@ -92,6 +92,38 @@ def slice_ranks(inst: TransferInstance, v1) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+def identity_by_entry_sums(inst: TransferInstance) -> bool:
+    """verify_transfer_identity with one np.add.reduceat per entry (a, c) of the d x d blocks, d^2 in all.
+
+    The terms phi_t psi_s of each (v2, v1) block are joined on their V'
+    index and sorted by block key v2*|V| + v1, as there; each entry is then
+    summed over the sorted terms on its own and reduced mod p.
+    """
+    phi, psi, p, d = inst.phi, inst.psi, inst.phi.p, inst.d
+    n, idx = inst.vertex_count, inst.ball_r0.element_index
+    in_vpp = np.zeros(n, dtype=bool)
+    in_vpp[inst.v_dprime] = True
+    v2 = inst.charts[:, [idx[t] for t in phi.support]].astype(np.int64)  # [v', t]
+    v1 = inst.charts[:, [idx[psi.group.inverse(s)] for s in psi.support]].astype(np.int64)  # [v', s]
+    term = in_vpp[v2][:, :, None] & in_vpp[v1][:, None, :]  # [v', t, s]
+    codes = np.broadcast_to(np.arange(v2.shape[1] * v1.shape[1]).reshape(v2.shape[1], -1), term.shape)[term]
+    keys = (v2[:, :, None] * n + v1[:, None, :])[term]
+    order = np.argsort(keys, kind="stable")
+    keys, codes = keys[order], codes[order]
+    start = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0, so the first term starts a block
+    found = keys[start]
+    diagonal = found // n == found % n
+    if int(np.count_nonzero(diagonal)) != len(inst.v_dprime):
+        return False
+    # products[a, c, code] is entry (a, c) of phi_t psi_s
+    products = np.einsum("tab,sbc->acts", phi.coeffs, psi.coeffs).reshape(d, d, -1) % p
+    for a, c in np.ndindex(d, d):
+        sums = np.add.reduceat(products[a, c][codes], start) % p
+        if (sums != (diagonal & (a == c))).any():
+            return False
+    return True
+
+
 def ball_isomorphism(graph: LabeledDigraph, v: int, ball: CayleyBall) -> Optional[tuple[int, ...]]:
     """Rooted labeled-digraph isomorphism from a Cayley ball into the graph.
 

@@ -679,7 +679,11 @@ class TestCycleRelations:
 
 class TestWalkDtype:
     def test_boundary(self):
-        # int32 exactly when max(|V||B|, 2|V| + 1) < 2^31; only the rule is consulted, no table is built
+        # int16 exactly when max(|V||B|, 2|V| + 1) < 2^15, int32 when < 2^31; only the rule is consulted, no table is built
+        assert _walk_dtype(6553, 5) is np.int16
+        assert _walk_dtype(6554, 5) is np.int32
+        assert _walk_dtype(16383, 1) is np.int16
+        assert _walk_dtype(16384, 1) is np.int32
         assert _walk_dtype(2**30 - 1, 1) is np.int32
         assert _walk_dtype(2**30, 1) is np.int64
         assert _walk_dtype(2**30 - 1, 2) is np.int32
@@ -694,8 +698,26 @@ class TestWalkDtype:
         assert np.array_equal(walk.T, label_walk(graph, range(49), ball))
 
     def test_charts_take_the_walk_width(self):
-        charts, ok = ball_charts(quotient_graph(FreeAbelian(2), 8), range(64), cayley_ball(FreeAbelian(2), 3))
-        assert charts.dtype == np.int32 and ok.all()
+        # side 81: |V||B| = 6561 * 5 = 32805, the first Z^2 torus past 2^15
+        ball = cayley_ball(FreeAbelian(2), 3)
+        for side, width in [(8, np.int16), (81, np.int32)]:
+            graph = quotient_graph(FreeAbelian(2), side)
+            charts, ok = ball_charts(graph, range(side**2), ball)
+            assert charts.dtype == width and ok.all()
+            assert np.array_equal(charts, label_walk(graph, range(side**2), ball))
+
+    @settings(max_examples=40, deadline=None)
+    @given(perturbed_tori(), st.integers(0, 3), st.data())
+    def test_int16_charts_are_the_int32_charts(self, case, r, data):
+        """Failing rows included, the int16 walk gives the rows and flags that an int32 one gives."""
+        group, graph = case
+        ball, vertices = cayley_ball(group, r), data.draw(vertex_lists(graph.vertex_count))
+        narrow, narrow_ok = ball_charts(graph, vertices, ball)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(digraph, "_walk_dtype", lambda *_: np.int32)
+            wide, wide_ok = ball_charts(graph, vertices, ball)
+        assert narrow.dtype == np.int16 and wide.dtype == np.int32
+        assert np.array_equal(narrow_ok, wide_ok) and np.array_equal(narrow, wide)
 
 
 @pytest.mark.parametrize("rows", [1, 3, 7])
@@ -715,7 +737,7 @@ def test_blocks_chart_as_one(monkeypatch, rows):
 
 
 def test_chart_memory_bound():
-    """Charting the side-28 torus over the radius-13 Z^2 ball peaks below 2.5 times its int32 charts."""
+    """Charting the side-28 torus over the radius-13 Z^2 ball peaks below 2.5 times its charts."""
     group = FreeAbelian(2)
     graph, ball = quotient_graph(group, 28), cayley_ball(group, 13)
     tracemalloc.start()

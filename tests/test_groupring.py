@@ -238,6 +238,24 @@ class TestRestrictionMatrix:
         assert restriction_matrix(c, dom.radius, cod.radius).dense() == restriction_by_products(c, dom, cod)
 
 
+def assert_rows_past_the_chart_range(width):
+    """transplant of two charts of this width on n = its largest value + 1 vertices, where vertex * d leaves the width, against its entries listed by hand."""
+    n = int(np.iinfo(width).max) + 1
+    diag, row = FpMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]], 5), FpMatrix([[0, 4, 0]] * 3, 5)
+    c = GroupRingKernel(Z1, 3, 5, {(0,): diag, (1,): row})
+    ball = cayley_ball(Z1, 1)
+    charts = np.array([[n - 1, n // 2, 0], [n // 2 + 7, n - 2, 9]], dtype=width)
+    m = transplant(c, charts, ball, n)
+    want = sorted(
+        (int(charts[j, ball.element_index[g]]) * 3 + a, j * 3 + b, int(coeff[a, b]))
+        for j in range(2)
+        for g, coeff in zip(c.support, c.coeffs)
+        for a, b in zip(*np.nonzero(coeff))
+    )
+    assert m.shape == (3 * n, 6) and max(want)[0] > 3 * n // 2
+    assert list(zip(m.row.tolist(), m.col.tolist(), m.val.tolist())) == want
+
+
 class TestTransplant:
     def test_blocks_at_chart_rows(self):
         # column block j holds the identity's coefficient at row block charts[j, 0]
@@ -247,19 +265,10 @@ class TestTransplant:
 
     def test_int32_charts_past_the_int32_row_range(self):
         # vertex * d passes 2^31 on int32 charts of 2^31 vertices; no graph is built
-        diag, row = FpMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]], 5), FpMatrix([[0, 4, 0]] * 3, 5)
-        c = GroupRingKernel(Z1, 3, 5, {(0,): diag, (1,): row})
-        ball = cayley_ball(Z1, 1)
-        charts = np.array([[2**31 - 1, 2**30, 0], [2**30 + 7, 2**31 - 2, 9]], dtype=np.int32)
-        m = transplant(c, charts, ball, 2**31)
-        want = sorted(
-            (int(charts[j, ball.element_index[g]]) * 3 + a, j * 3 + b, int(coeff[a, b]))
-            for j in range(2)
-            for g, coeff in zip(c.support, c.coeffs)
-            for a, b in zip(*np.nonzero(coeff))
-        )
-        assert m.shape == (3 * 2**31, 6) and max(want)[0] > 3 * 2**30
-        assert list(zip(m.row.tolist(), m.col.tolist(), m.val.tolist())) == want
+        assert_rows_past_the_chart_range(np.int32)
+
+    def test_int16_charts_past_the_int16_row_range(self):
+        assert_rows_past_the_chart_range(np.int16)
 
     @given(st.sampled_from([Z1, Z2, S5]), st.sampled_from([1, 2, 3]), st.sampled_from([2, 3, 7]), st.data())
     @settings(max_examples=60, deadline=None)
@@ -272,7 +281,7 @@ class TestTransplant:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         rows, n = ball.size + data.draw(st.integers(0, 5)), data.draw(st.integers(0, 6))
         charts = np.array([rng.permutation(rows)[: ball.size] for _ in range(n)], dtype=data.draw(
-            st.sampled_from([np.int32, np.int64])
+            st.sampled_from([np.int16, np.int32, np.int64])
         )).reshape(n, ball.size)
         entries = [
             (int(charts[j, ball.element_index[g]]) * d + a, j * d + b, int(coeff[a, b]))

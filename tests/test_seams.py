@@ -10,7 +10,8 @@ the Weiss separation off the charts without the fallback search.  A
 Cayley ball is built from its model's ball_table, with no group product,
 and each group model holds one ball, from which every smaller radius is cut.
 digraph has one chart walker, ball_charts; ball_isomorphism answers through it.
-The good set, V' and V'' are read-only int64 arrays from verification to the report.
+The good set, V' and V'' are read-only int64 arrays from verification to the report,
+and the charts keep the walk's width from the approximation to the instance.
 Only limits.py reads the environment, and every domain error is one of the
 four kinds the CLI maps to an exit code.
 """
@@ -305,9 +306,8 @@ def test_smaller_balls_are_cut_from_the_ball_in_hand(name, tmp_path, monkeypatch
     assert "element_index" not in vars(approx.ball)
 
 
-@pytest.mark.parametrize("name", sorted(name for name, (_, argv) in CASES.items() if argv[0] == "transfer-run"))
-def test_vertex_sets_are_read_only_int64_arrays(name, tmp_path, monkeypatch):
-    """The good set, V' and V'' of every golden run are sorted, read-only int64 arrays, as the instance hands them on."""
+def golden_instance(name, tmp_path, monkeypatch):
+    """The one TransferInstance that the golden run `name` builds."""
     instances = []
     build = transfer.build_instance
 
@@ -318,9 +318,25 @@ def test_vertex_sets_are_read_only_int64_arrays(name, tmp_path, monkeypatch):
     monkeypatch.setattr(transfer, "build_instance", building)
     assert main(_argv(name, tmp_path / f"{name}.json")) == CASES[name][0]
     (inst,) = instances
+    return inst
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, argv) in CASES.items() if argv[0] == "transfer-run"))
+def test_vertex_sets_are_read_only_int64_arrays(name, tmp_path, monkeypatch):
+    """The good set, V' and V'' of every golden run are sorted, read-only int64 arrays, as the instance hands them on."""
+    inst = golden_instance(name, tmp_path, monkeypatch)
     for vertices in (inst.approx.good_vertices, inst.v_prime, inst.v_dprime):
         assert type(vertices) is np.ndarray and vertices.dtype == np.int64 and not vertices.flags.writeable
         assert (np.diff(vertices) > 0).all()
+
+
+@pytest.mark.parametrize("name", sorted(name for name, (_, argv) in CASES.items() if argv[0] == "transfer-run"))
+def test_charts_keep_the_walk_width(name, tmp_path, monkeypatch):
+    """The approximation's and the instance's charts of every golden run stay in the walk's width, _walk_dtype(|V|, |B|)."""
+    inst = golden_instance(name, tmp_path, monkeypatch)
+    graph = inst.approx.graph
+    width = digraph._walk_dtype(graph.vertex_count, graph.num_labels)
+    assert inst.approx.charts.dtype == width and inst.charts.dtype == width
 
 
 def test_ball_isomorphism_answers_through_ball_charts(monkeypatch):

@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from oracles import ball_isomorphism, commutative_square_matrix, cyclic_group, dense_rank, json_value, slice_ranks
+from oracles import (
+    ball_isomorphism,
+    commutative_square_matrix,
+    cyclic_group,
+    dense_rank,
+    dihedral_group,
+    identity_by_entry_sums,
+    json_value,
+    slice_ranks,
+)
 from test_groups import assert_same_ball
 from soficrank.cli import parse_instance_file
 from soficrank.corpus import random_invertible_pair
@@ -357,6 +366,26 @@ ORACLE_CASES = {
 }
 
 
+@st.composite
+def identity_instances(draw):
+    """A random invertible pair, or the pair with one psi entry changed, on a torus, S3, D10 or an open Z^1 path."""
+    group = draw(st.sampled_from([Z1, FreeAbelian(2), S3, dihedral_group(5), "path"]))
+    d, p = draw(st.integers(1, 3)), draw(st.sampled_from([2, 3, 5, 1048573]))  # the largest prime below 2^20
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    phi, psi = random_invertible_pair(rng, Z1 if group == "path" else group, d, p, max_factors=2)
+    if draw(st.booleans()):
+        g = draw(st.sampled_from(psi.support))
+        a, c, shift = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1)), draw(st.integers(1, p - 1))
+        coeffs = {s: m.copy() for s, m in zip(psi.support, psi.coeffs)}
+        coeffs[g][a, c] += shift
+        psi = GroupRingKernel(psi.group, d, p, coeffs)
+    if group == "path":
+        plan = plan_instance(phi, psi)
+        # the ends of the path are bad at radius R = 2 r0 + 1, 2R vertices in all
+        return open_path_instance(phi, psi, 2 * (2 * plan.r0 + 1) * plan.epsilon.denominator)
+    return smallest_instance(phi, psi)
+
+
 class TestTransferIdentityOracle:
     @pytest.mark.parametrize("case", list(ORACLE_CASES))
     def test_matches_dense_product(self, case):
@@ -364,6 +393,22 @@ class TestTransferIdentityOracle:
         inst = build()
         assert dense_identity_on_vpp(inst) is expected
         assert verify_transfer_identity(inst) is expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(identity_instances())
+    def test_matches_the_per_entry_sums(self, inst):
+        holds = verify_transfer_identity(inst)
+        assert holds is identity_by_entry_sums(inst)
+        if inst.d * inst.vertex_count <= 600:
+            assert holds is dense_identity_on_vpp(inst)
+
+    def test_block_sums_reach_exactly_p(self):
+        # (I + E12 t)(I + 2 E12 t) = I + 3 E12 t + 2 E12^2 t^2: the (v+1, v) block sums to p = 3 before reduction
+        inst = smallest_instance(*z2_unipotent_pair())
+        raw = build_bar_phi(inst).array @ build_bar_psi(inst).array
+        rows = [w * inst.d + k for w in inst.v_dprime.tolist() for k in range(inst.d)]
+        assert (raw[rows] == inst.phi.p).any()
+        assert verify_transfer_identity(inst) and identity_by_entry_sums(inst)
 
 
 class TestInstanceCharts:
